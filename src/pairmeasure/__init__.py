@@ -61,6 +61,7 @@ from .scenarios import (
     PhaseCheck,
     ScenarioResult,
     build_pair_state,
+    measure_pair,
     relabel_distinguishable,
     scenario_momentum_projection,
     scenario_position_windows,
@@ -101,6 +102,7 @@ __all__ = [
     "events",
     "inner_product",
     "is_projector_valued",
+    "measure_pair",
     "measure_scale",
     "mode_index",
     "mode_split",

@@ -8,7 +8,7 @@ Text reports name the slots after the two receiving parties, Alice (slot 1)
 and Bob (slot 2). JSON reports use stable keys only, floats printed with 17
 significant digits, so identical invocations are byte-identical.
 
-Exit codes: 0 success, 2 parse or format error, 3 degenerate input.
+Exit codes: 0 success, 2 unreadable or malformed input, 3 degenerate input.
 """
 
 from __future__ import annotations
@@ -20,22 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import EntanglementReport, schmidt
 from .errors import DegenerateInputError, ParseError
 from .fileio import parse_measure_file, parse_state_file
-from .hilbert import SpaceSpec, TwoParticleState
-from .measurement import (
-    EventPair,
-    SelectiveMeasure,
-    classify,
-    collapse,
-    events,
-    is_projector_valued,
-    measure_scale,
-)
+from .hilbert import SpaceSpec
 from .scenarios import (
-    PhaseCheck,
     ScenarioResult,
+    measure_pair,
     scenario_momentum_projection,
     scenario_position_windows,
 )
@@ -86,47 +76,20 @@ def _json_text(value) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-@dataclass(frozen=True)
-class _Report:
-    verdict: str
-    tolerance: float
-    probability: float
-    born_rule: bool
-    event_pair: EventPair
-    overlap_scale: float
-    entanglement: EntanglementReport | None
-    phase: PhaseCheck | None
-    relabeled: TwoParticleState | None = None
-
-
-def _report_from_scenario(result: ScenarioResult, tol: float) -> _Report:
-    return _Report(
-        verdict=result.verdict.tag.value,
-        tolerance=tol,
-        probability=result.probability,
-        born_rule=True,
-        event_pair=result.event_pair,
-        overlap_scale=1.0,
-        entanglement=result.report,
-        phase=result.phase_check,
-        relabeled=result.relabeled,
-    )
-
-
-def _json_report(report: _Report) -> str:
+def _json_report(result: ScenarioResult) -> str:
     phase = None
-    if report.phase is not None:
+    if result.phase_check is not None:
         phase = {
-            "measured_re": report.phase.measured.real,
-            "measured_im": report.phase.measured.imag,
-            "predicted_re": report.phase.predicted.real,
-            "predicted_im": report.phase.predicted.imag,
-            "deviation": report.phase.deviation,
+            "measured_re": result.phase_check.measured.real,
+            "measured_im": result.phase_check.measured.imag,
+            "predicted_re": result.phase_check.predicted.real,
+            "predicted_im": result.phase_check.predicted.imag,
+            "deviation": result.phase_check.deviation,
         }
-    ent = report.entanglement
+    ent = result.report
     payload = {
-        "verdict": report.verdict,
-        "probability": report.probability,
+        "verdict": result.verdict.tag.value,
+        "probability": result.probability,
         "singular_values": [] if ent is None else [float(s) for s in ent.singular_values],
         "entropy": None if ent is None else ent.entropy,
         "slater_rank": None if ent is None else ent.slater_rank,
@@ -140,26 +103,27 @@ def _fmt_complex(value: complex) -> str:
     return f"{_fmt(value.real)} {sign} {_fmt(abs(value.imag))}i"
 
 
-def _text_report(report: _Report) -> str:
-    pair = report.event_pair
+def _text_report(result: ScenarioResult) -> str:
+    pair = result.event_pair
+    tol = result.verdict.tolerance_used
     lines = [
-        f"verdict: {report.verdict}",
-        f"tolerance: {_fmt(report.tolerance)}",
+        f"verdict: {result.verdict.tag.value}",
+        f"tolerance: {_fmt(tol)}",
         "event norms (Alice takes slot 1, Bob slot 2):",
         f"  direct assignment:  {_fmt(pair.norm_direct)}",
         f"  swapped assignment: {_fmt(pair.norm_permuted)}",
         f"  event overlap: {_fmt_complex(pair.event_overlap)}",
     ]
     mismatch = abs(pair.event_overlap - pair.ref_overlap)
-    if mismatch >= report.tolerance * report.overlap_scale:
+    if mismatch >= tol * result.scale**2:
         lines.append(
             "  note: reference overlap "
             f"{_fmt_complex(pair.ref_overlap)} disagrees with the event overlap "
             "(measure is not projector-valued)"
         )
-    label = "probability" if report.born_rule else "squared event norm"
-    lines.append(f"{label}: {_fmt(report.probability)}")
-    ent = report.entanglement
+    label = "probability" if result.born_rule else "squared event norm"
+    lines.append(f"{label}: {_fmt(result.probability)}")
+    ent = result.report
     if ent is None:
         lines.append("post-state: none (outcome impossible)")
     else:
@@ -174,29 +138,27 @@ def _text_report(report: _Report) -> str:
             )
         else:
             lines.append(f"Slater rank: {ent.slater_rank}")
-    if report.phase is not None:
+    phase = result.phase_check
+    if phase is not None:
         lines.append(
             "phase check: measured "
-            f"{_fmt_complex(report.phase.measured)}, predicted "
-            f"{_fmt_complex(report.phase.predicted)}, deviation "
-            f"{_fmt(report.phase.deviation)}"
+            f"{_fmt_complex(phase.measured)}, predicted "
+            f"{_fmt_complex(phase.predicted)}, deviation "
+            f"{_fmt(phase.deviation)}"
         )
-    if report.relabeled is not None:
-        amps = " ".join(_fmt_complex(a) for a in report.relabeled.amplitudes)
+    if result.relabeled is not None:
+        amps = " ".join(_fmt_complex(a) for a in result.relabeled.amplitudes)
         lines.append(f"spin state handed to (Alice, Bob): {amps}")
     return "\n".join(lines)
 
 
-def _emit(report: _Report, output_format: str) -> None:
-    if output_format == "json":
-        print(_json_report(report))
-    else:
-        print(_text_report(report))
-
-
-def _run_classify(config: RunConfig) -> _Report:
+def _run_classify(config: RunConfig) -> ScenarioResult:
     state = parse_state_file(config.state_path)
     measure = parse_measure_file(config.measure_path)
+    if measure.space != state.space:
+        raise ParseError(
+            f"state file has {state.space} but measure file has {measure.space}"
+        )
     if state.norm == 0.0:
         print("warning: state file lists no amplitudes; using the zero state",
               file=sys.stderr)
@@ -205,21 +167,7 @@ def _run_classify(config: RunConfig) -> _Report:
         if not np.any(factor.entries):
             print(f"warning: factor {tag} has no entries; the measure annihilates "
                   "every state", file=sys.stderr)
-    verdict = classify(measure, state, config.tolerance)
-    pair = events(measure, state)
-    result = collapse(measure, state, config.statistics, config.tolerance)
-    ent = None if result.normalized is None else schmidt(result.normalized)
-    scale = measure_scale(measure) * state.norm
-    return _Report(
-        verdict=verdict.tag.value,
-        tolerance=config.tolerance,
-        probability=result.probability,
-        born_rule=is_projector_valued(measure, config.tolerance),
-        event_pair=pair,
-        overlap_scale=scale**2,
-        entanglement=ent,
-        phase=None,
-    )
+    return measure_pair(measure, state, config.statistics, config.tolerance)
 
 
 def run(config: RunConfig) -> int:
@@ -233,7 +181,6 @@ def run(config: RunConfig) -> int:
             result = scenario_momentum_projection(
                 space, config.mode_a, mode_b, config.statistics, config.tolerance
             )
-            report = _report_from_scenario(result, config.tolerance)
         elif config.command == "position-scenario":
             space = SpaceSpec(config.lattice_size, 2)
             result = scenario_position_windows(
@@ -246,18 +193,17 @@ def run(config: RunConfig) -> int:
                 config.statistics,
                 config.tolerance,
             )
-            report = _report_from_scenario(result, config.tolerance)
         elif config.command == "classify":
-            report = _run_classify(config)
+            result = _run_classify(config)
         else:
             raise ValueError(f"unknown command {config.command!r}")
-    except ParseError as exc:
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (DegenerateInputError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    _emit(report, config.output_format)
+    print(_json_report(result) if config.output_format == "json" else _text_report(result))
     return EXIT_OK
 
 

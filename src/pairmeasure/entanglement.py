@@ -18,8 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError
-from .hilbert import TwoParticleState
-from .measurement import SelectiveMeasure, apply_measure, collapse
+from .hilbert import ZERO_TOL, TwoParticleState
+from .measurement import (
+    EventPair,
+    SelectiveMeasure,
+    _collapse,
+    _is_zero,
+    events,
+    measure_scale,
+)
 from .symmetry import Statistics, permute
 
 # Relative singular-value threshold for rank counting.
@@ -70,10 +77,18 @@ def schmidt(state: TwoParticleState, tol: float = RANK_TOL) -> EntanglementRepor
         raise DegenerateInputError("zero state has no Schmidt decomposition")
     sigma = np.linalg.svd(state.matrix() / nrm, compute_uv=False)
     rank = int(np.count_nonzero(sigma > tol * sigma[0]))
-    lam = sigma**2
+    # sigma[0] may round above 1; renormalizing and clamping keeps entropy >= 0.
+    lam = sigma**2 / np.sum(sigma**2)
     positive = lam[lam > 0.0]
-    entropy = float(-np.sum(positive * np.log(positive)))
-    slater = slater_rank(state, tol) if _is_antisymmetric(state, tol) else None
+    entropy = max(0.0, float(-np.sum(positive * np.log(positive))))
+    slater = None
+    if _is_antisymmetric(state, tol):
+        if rank % 2:
+            raise ValueError(
+                f"singular values fail to pair up ({rank} above threshold); "
+                "degenerate spectrum too noisy for a Slater count"
+            )
+        slater = rank // 2
     return EntanglementReport(
         singular_values=sigma,
         schmidt_rank=rank,
@@ -92,14 +107,7 @@ def slater_rank(state: TwoParticleState, tol: float = RANK_TOL) -> int:
         raise DegenerateInputError("zero state has no Slater rank")
     if not _is_antisymmetric(state, tol):
         raise ValueError("Slater rank requires an antisymmetric state")
-    sigma = np.linalg.svd(state.matrix(), compute_uv=False)
-    count = int(np.count_nonzero(sigma > tol * sigma[0]))
-    if count % 2:
-        raise ValueError(
-            f"singular values fail to pair up ({count} above threshold); "
-            "degenerate spectrum too noisy for a Slater count"
-        )
-    return count // 2
+    return schmidt(state, tol).slater_rank
 
 
 def reduced_density(state: TwoParticleState, slot: int) -> np.ndarray:
@@ -119,6 +127,20 @@ def reduced_density(state: TwoParticleState, slot: int) -> np.ndarray:
     return coeff.T @ coeff.conj()
 
 
+def _rank_evidence(
+    pair: EventPair,
+    scale: float,
+    after: EntanglementReport | None,
+    zero_tol: float,
+    tol: float = RANK_TOL,
+) -> EbmEvidence | None:
+    """Before/after rank rule; None when the direct event or ``after`` is missing."""
+    if after is None or _is_zero(pair.norm_direct, scale, zero_tol):
+        return None
+    rank_before = schmidt(pair.event_direct, tol).schmidt_rank
+    return EbmEvidence(rank_before, after.schmidt_rank, after.schmidt_rank > rank_before)
+
+
 def ebm_evidence(
     measure: SelectiveMeasure,
     ref_state: TwoParticleState,
@@ -130,18 +152,14 @@ def ebm_evidence(
     "Before" is the rank of the direct event alone, the would-be outcome on
     distinguishable particles; "after" is the rank of the collapsed
     symmetrized state. A strict increase is entanglement created by the
-    measurement itself.
+    measurement itself. Raises DegenerateInputError when the direct event
+    is zero by the verdict's test or the outcome is impossible.
     """
-    direct = apply_measure(measure, ref_state)
-    if direct.norm == 0.0:
-        raise DegenerateInputError("direct event vanishes; no before/after comparison")
-    result = collapse(measure, ref_state, stat)
-    if result.normalized is None:
-        raise DegenerateInputError("collapse outcome impossible; nothing to compare")
-    rank_before = schmidt(direct, tol).schmidt_rank
-    rank_after = schmidt(result.normalized, tol).schmidt_rank
-    return EbmEvidence(
-        rank_before=rank_before,
-        rank_after=rank_after,
-        entangled_by_measure=rank_after > rank_before,
-    )
+    pair = events(measure, ref_state)
+    result = _collapse(pair, measure, ref_state, stat, ZERO_TOL)
+    after = None if result.normalized is None else schmidt(result.normalized, tol)
+    scale = measure_scale(measure) * ref_state.norm
+    evidence = _rank_evidence(pair, scale, after, ZERO_TOL, tol)
+    if evidence is None:
+        raise DegenerateInputError("direct event or outcome is zero; nothing to compare")
+    return evidence

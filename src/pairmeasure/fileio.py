@@ -68,6 +68,8 @@ def _parse_entry(
         value = complex(float(fields[3]), float(fields[4]))
     except ValueError:
         raise ParseError(f"'{tag}' amplitude fields must be real numbers", number) from None
+    if not np.isfinite(value):
+        raise ParseError(f"'{tag}' amplitude fields must be finite", number)
     for index in (row, col):
         if not 0 <= index < bound:
             raise ParseError(f"index {index} out of range [0, {bound})", number)

@@ -207,11 +207,9 @@ def momentum_representation(state: TwoParticleState) -> TwoParticleState:
     rather than positions act as the particle labels.
     """
     space = state.space
-    rows = [
-        np.conj(plane_wave(m, s, space).amplitudes)
-        for m in range(space.extrinsic_dim)
-        for s in range(space.spin_dim)
-    ]
-    basis_change = np.array(rows)
-    coeff = basis_change @ state.matrix() @ basis_change.T
+    sites, spins = space.extrinsic_dim, space.spin_dim
+    # Amplitude at site x picks up exp(-2i*pi*m*x/L)/sqrt(L) in each slot:
+    # an orthonormal DFT over both extrinsic axes.
+    blocks = state.matrix().reshape(sites, spins, sites, spins)
+    coeff = np.fft.fft2(blocks, axes=(0, 2), norm="ortho")
     return TwoParticleState(space, coeff.reshape(-1))

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, DimensionMismatchError
 from .hilbert import ZERO_TOL, OneParticleOperator, SpaceSpec, TwoParticleState
-from .symmetry import Statistics, permute, sector
+from .symmetry import _INV_SQRT2, Statistics, permute, sector
 
 
 @dataclass(frozen=True)
@@ -143,22 +143,17 @@ def events(measure: SelectiveMeasure, ref_state: TwoParticleState) -> EventPair:
     )
 
 
-def classify(
-    measure: SelectiveMeasure, ref_state: TwoParticleState, tol: float = ZERO_TOL
-) -> Verdict:
-    """Classify a selective measure against a distinguishable reference state.
+def _is_zero(norm: float, scale: float, tol: float) -> bool:
+    """The relative zero test of the verdict rule."""
+    return norm < tol * scale or scale == 0.0
 
-    Event norms are compared against tol * scale and the event overlap
-    against tol * scale**2, with scale = measure_scale * ||ref_state||.
-    Callers normally arrange the reference state to be orthogonal to its
-    permutation; the rule itself does not require it.
-    """
+
+def _verdict(pair: EventPair, scale: float, tol: float) -> Verdict:
+    """The verdict rule on two computed events; ``scale`` sizes the zero tests."""
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    pair = events(measure, ref_state)
-    scale = measure_scale(measure) * ref_state.norm
-    direct_zero = pair.norm_direct < tol * scale or scale == 0.0
-    permuted_zero = pair.norm_permuted < tol * scale or scale == 0.0
+    direct_zero = _is_zero(pair.norm_direct, scale, tol)
+    permuted_zero = _is_zero(pair.norm_permuted, scale, tol)
     if direct_zero and permuted_zero:
         tag = VerdictTag.BOTH_ZERO
     elif direct_zero or permuted_zero:
@@ -170,6 +165,42 @@ def classify(
     return Verdict(tag=tag, tolerance_used=tol)
 
 
+def classify(
+    measure: SelectiveMeasure, ref_state: TwoParticleState, tol: float = ZERO_TOL
+) -> Verdict:
+    """Classify a selective measure against a distinguishable reference state.
+
+    Event norms are compared against tol * scale and the event overlap
+    against tol * scale**2, with scale = measure_scale * ||ref_state||.
+    Callers normally arrange the reference state to be orthogonal to its
+    permutation; the rule itself does not require it.
+    """
+    scale = measure_scale(measure) * ref_state.norm
+    return _verdict(events(measure, ref_state), scale, tol)
+
+
+def _collapse(
+    pair: EventPair,
+    measure: SelectiveMeasure,
+    ref_state: TwoParticleState,
+    stat: Statistics,
+    tol: float,
+) -> CollapseResult:
+    """Collapse by linearity: M(ref -+ P ref)/sqrt(2) from the two events."""
+    sym_norm = sector(ref_state, stat).norm
+    if sym_norm < tol * ref_state.norm or sym_norm == 0.0:
+        raise DegenerateInputError(
+            f"reference state has no {stat.value} sector to measure"
+        )
+    amps = _INV_SQRT2 * (
+        pair.event_direct.amplitudes + stat.sign * pair.event_permuted.amplitudes
+    )
+    raw = TwoParticleState(ref_state.space, amps)
+    if _is_zero(raw.norm, measure_scale(measure) * sym_norm, tol):
+        return CollapseResult(raw=raw, normalized=None, probability=0.0)
+    return CollapseResult(raw=raw, normalized=raw.normalize(), probability=raw.norm**2)
+
+
 def collapse(
     measure: SelectiveMeasure,
     ref_state: TwoParticleState,
@@ -178,20 +209,11 @@ def collapse(
 ) -> CollapseResult:
     """Apply the measure to the fermion or boson sector of the reference state.
 
-    The raw result equals (direct event -+ permuted event)/sqrt(2). When its
-    norm falls below tol * scale the outcome is impossible: probability 0
-    and no normalized state.
+    The raw result equals (direct event -+ permuted event)/sqrt(2) and is
+    computed that way. When its norm falls below tol * scale the outcome is
+    impossible: probability 0 and no normalized state.
     """
-    sym = sector(ref_state, stat)
-    if sym.norm < tol * ref_state.norm or sym.norm == 0.0:
-        raise DegenerateInputError(
-            f"reference state has no {stat.value} sector to measure"
-        )
-    raw = apply_measure(measure, sym)
-    scale = measure_scale(measure) * sym.norm
-    if raw.norm < tol * scale or scale == 0.0:
-        return CollapseResult(raw=raw, normalized=None, probability=0.0)
-    return CollapseResult(raw=raw, normalized=raw.normalize(), probability=raw.norm**2)
+    return _collapse(events(measure, ref_state), measure, ref_state, stat, tol)
 
 
 def is_projector_valued(measure: SelectiveMeasure, tol: float = ZERO_TOL) -> bool:

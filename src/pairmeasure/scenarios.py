@@ -20,11 +20,11 @@ down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .entanglement import EbmEvidence, EntanglementReport, ebm_evidence, schmidt
+from .entanglement import EbmEvidence, EntanglementReport, _rank_evidence, schmidt
 from .errors import DegenerateInputError
 from .hilbert import (
     ZERO_TOL,
@@ -40,9 +40,11 @@ from .measurement import (
     SelectiveMeasure,
     Verdict,
     VerdictTag,
-    classify,
-    collapse,
+    _collapse,
+    _verdict,
     events,
+    is_projector_valued,
+    measure_scale,
     momentum_projector,
     window_projector,
     window_sites,
@@ -74,23 +76,59 @@ class PhaseCheck:
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    """Everything a scenario run produces.
+    """Everything :func:`measure_pair` derives from the two events.
 
     ``post_state`` keeps the un-renormalized collapsed vector (the sector
-    prefactor 1/sqrt(2) survives in it); ``relabeled`` is the two-spin state
-    left after using the scenario's pair of extrinsic labels as particle
-    tags, when the post-state supports that reading.
+    prefactor 1/sqrt(2) survives in it). ``report`` and ``evidence`` are
+    None when the outcome is impossible, ``evidence`` also when the direct
+    event is zero. ``born_rule`` tells whether ``probability`` is a
+    Born-rule probability; ``scale`` sizes the verdict's zero tests. The
+    scenarios add ``phase_check`` and ``relabeled``, the two-spin state left
+    after using their pair of extrinsic labels as particle tags.
     """
 
     verdict: Verdict
     probability: float
     post_state: TwoParticleState
     post_state_normalized: TwoParticleState | None
-    report: EntanglementReport
-    evidence: EbmEvidence
+    report: EntanglementReport | None
+    evidence: EbmEvidence | None
     event_pair: EventPair
+    born_rule: bool
+    scale: float
     phase_check: PhaseCheck | None = None
     relabeled: TwoParticleState | None = None
+
+
+def measure_pair(
+    measure: SelectiveMeasure,
+    ref: TwoParticleState,
+    stat: Statistics,
+    tol: float = ZERO_TOL,
+) -> ScenarioResult:
+    """Measure the ``stat`` sector of ``ref`` and derive everything from its events.
+
+    The measure is applied twice, to ``ref`` and to its permutation; the
+    verdict, the collapse, the Schmidt report of the post-state and the
+    before/after rank evidence all follow from those two events. Raises
+    DegenerateInputError when ``ref`` has no ``stat`` sector.
+    """
+    pair = events(measure, ref)
+    scale = measure_scale(measure) * ref.norm
+    verdict = _verdict(pair, scale, tol)
+    collapsed = _collapse(pair, measure, ref, stat, tol)
+    report = None if collapsed.normalized is None else schmidt(collapsed.normalized)
+    return ScenarioResult(
+        verdict=verdict,
+        probability=collapsed.probability,
+        post_state=collapsed.raw,
+        post_state_normalized=collapsed.normalized,
+        report=report,
+        evidence=_rank_evidence(pair, scale, report, tol),
+        event_pair=pair,
+        born_rule=is_projector_valued(measure, tol),
+        scale=scale,
+    )
 
 
 def build_pair_state(
@@ -161,25 +199,11 @@ def scenario_momentum_projection(
             "momentum projection needs distinct modes to label the particles"
         )
     ref = _reference_state(m_a, m_b, space)
-    measure = momentum_projector(m_a, m_b, space)
-    verdict = classify(measure, ref, tol)
-    pair = events(measure, ref)
-    result = collapse(measure, ref, stat, tol)
-    evidence = ebm_evidence(measure, ref, stat)
-    report = schmidt(result.normalized)
+    result = measure_pair(momentum_projector(m_a, m_b, space), ref, stat, tol)
     relabeled = relabel_distinguishable(
-        momentum_representation(result.raw), (m_a, m_b), tol
+        momentum_representation(result.post_state), (m_a, m_b), tol
     )
-    return ScenarioResult(
-        verdict=verdict,
-        probability=result.probability,
-        post_state=result.raw,
-        post_state_normalized=result.normalized,
-        report=report,
-        evidence=evidence,
-        event_pair=pair,
-        relabeled=relabeled,
-    )
+    return replace(result, relabeled=relabeled)
 
 
 def scenario_position_windows(
@@ -211,23 +235,18 @@ def scenario_position_windows(
     disjoint = not set(window_sites(x_a, width, sites)) & set(
         window_sites(x_b, width, sites)
     )
-    if disjoint:
-        verdict = classify(measure, ref, tol)
-    else:
+    result = measure_pair(measure, ref, stat, tol)
+    if not disjoint:
         # Overlapping windows leave the position labels non-exclusive, so the
         # local-operation criterion does not apply whatever the raw overlap is.
-        verdict = Verdict(tag=VerdictTag.NON_ORTHOGONAL_EVENTS, tolerance_used=tol)
-    pair = events(measure, ref)
-    result = collapse(measure, ref, stat, tol)
-    evidence = ebm_evidence(measure, ref, stat)
-    report = schmidt(result.normalized)
+        result = replace(result, verdict=Verdict(VerdictTag.NON_ORTHOGONAL_EVENTS, tol))
 
     phase_check = None
     relabeled = None
     if width == 1:
-        relabeled = relabel_distinguishable(result.raw, (x_a, x_b), tol)
+        relabeled = relabel_distinguishable(result.post_state, (x_a, x_b), tol)
         if disjoint:
-            coeff = result.raw.matrix()
+            coeff = result.post_state.matrix()
             direct_amp = coeff[
                 mode_index(x_a, SPIN_UP, space), mode_index(x_b, SPIN_DOWN, space)
             ]
@@ -243,18 +262,7 @@ def scenario_position_windows(
                 predicted=predicted,
                 deviation=float(abs(measured - predicted)),
             )
-
-    return ScenarioResult(
-        verdict=verdict,
-        probability=result.probability,
-        post_state=result.raw,
-        post_state_normalized=result.normalized,
-        report=report,
-        evidence=evidence,
-        event_pair=pair,
-        phase_check=phase_check,
-        relabeled=relabeled,
-    )
+    return replace(result, phase_check=phase_check, relabeled=relabeled)
 
 
 def relabel_distinguishable(

@@ -2,9 +2,11 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+import pairmeasure.measurement
 from pairmeasure.cli import EXIT_DEGENERATE, EXIT_OK, EXIT_PARSE, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -199,3 +201,69 @@ def test_module_invocation_end_to_end():
     assert result.returncode == EXIT_OK
     payload = json.loads(result.stdout)
     assert payload["verdict"] == "EntanglingMeasurement"
+
+
+def test_classify_applies_the_measure_twice(capsys):
+    for name in ("momentum", "position"):
+        argv = ["classify", "--state", str(FIXTURES / f"{name}_state.txt"),
+                "--measure", str(FIXTURES / f"{name}_measure.txt")]
+        with mock.patch(
+            "pairmeasure.measurement.apply_measure",
+            wraps=pairmeasure.measurement.apply_measure,
+        ) as apply:
+            code, _, _ = run_cli(capsys, argv)
+        assert code == EXIT_OK
+        assert apply.call_count == 2, name
+
+
+def test_classify_dimension_mismatch_exits_2(tmp_path, capsys):
+    state = tmp_path / "state.txt"
+    state.write_text("dim 2 2\namp 0 3 1 0\n")
+    measure = tmp_path / "measure.txt"
+    measure.write_text("dim 3 2\nA 0 0 1 0\nB 0 0 1 0\n")
+    code, out, err = run_cli(
+        capsys, ["classify", "--state", str(state), "--measure", str(measure)]
+    )
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("missing", ["state", "measure"])
+def test_classify_missing_file_exits_2(tmp_path, capsys, missing):
+    paths = {"state": FIXTURES / "momentum_state.txt",
+             "measure": FIXTURES / "momentum_measure.txt"}
+    paths[missing] = tmp_path / "absent.txt"
+    code, out, err = run_cli(
+        capsys,
+        ["classify", "--state", str(paths["state"]), "--measure", str(paths["measure"])],
+    )
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error:") and "absent.txt" in err and err.count("\n") == 1
+
+
+def test_classify_non_finite_value_exits_2(tmp_path, capsys):
+    state = tmp_path / "state.txt"
+    state.write_text("dim 2 2\namp 0 3 nan 0\n")
+    code, out, err = run_cli(
+        capsys,
+        ["classify", "--state", str(state),
+         "--measure", str(FIXTURES / "momentum_measure.txt")],
+    )
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "line 2" in err and err.count("\n") == 1
+
+
+def test_classify_undecodable_file_exits_2(tmp_path, capsys):
+    state = tmp_path / "state.txt"
+    state.write_bytes(b"dim 2 2\namp 0 3 \xff\xfe 0\n")
+    code, out, err = run_cli(
+        capsys,
+        ["classify", "--state", str(state),
+         "--measure", str(FIXTURES / "momentum_measure.txt")],
+    )
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1

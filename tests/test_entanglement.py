@@ -3,10 +3,12 @@ import pytest
 
 from pairmeasure import (
     DegenerateInputError,
+    OneParticleOperator,
     SelectiveMeasure,
     SpaceSpec,
     Statistics,
     TwoParticleState,
+    apply_measure,
     basis_vector,
     coefficient_matrix,
     ebm_evidence,
@@ -14,6 +16,7 @@ from pairmeasure import (
     momentum_projector,
     plane_wave,
     reduced_density,
+    scenario_momentum_projection,
     schmidt,
     sector,
     slater_rank,
@@ -271,3 +274,31 @@ def test_ebm_evidence_rejects_dead_events():
     state = tensor_state(basis_vector(1, UP, space), basis_vector(2, DOWN, space))
     with pytest.raises(DegenerateInputError):
         ebm_evidence(zero, state, Statistics.FERMION)
+
+
+def test_schmidt_entropy_is_never_negative_on_momentum_scenarios():
+    # the leading singular value of a product state may round above 1
+    for sites in (4, 6, 8, 12, 16, 32):
+        space = SpaceSpec(sites, 2)
+        for m_a in range(sites):
+            for m_b in range(sites):
+                if m_a == m_b:
+                    continue
+                for stat in Statistics:
+                    result = scenario_momentum_projection(space, m_a, m_b, stat)
+                    assert result.report.entropy >= 0.0, (sites, m_a, m_b, stat)
+
+
+def test_ebm_evidence_uses_the_relative_zero_test():
+    # slot 1 barely sees the reference mode and fully sees the permuted one, so
+    # the direct event is far below tol * scale while the outcome stays possible
+    space = SpaceSpec(4, 2)
+    state = tensor_state(basis_vector(1, UP, space), basis_vector(2, DOWN, space))
+    faint = np.eye(space.total_dim) * 1e-14
+    faint[mode_index(2, DOWN, space), mode_index(2, DOWN, space)] = 1.0
+    measure = SelectiveMeasure(
+        OneParticleOperator(space, faint), OneParticleOperator.identity(space)
+    )
+    assert 0.0 < apply_measure(measure, state).norm < 1e-13
+    with pytest.raises(DegenerateInputError):
+        ebm_evidence(measure, state, Statistics.FERMION)

@@ -121,3 +121,13 @@ def test_state_roundtrip_is_bit_exact(tmp_path):
     path = tmp_path / "state.txt"
     write_state_file(path, state)
     assert np.array_equal(parse_state_file(path).amplitudes, state.amplitudes)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_parse_rejects_non_finite_values(tmp_path, value):
+    path = write(tmp_path, f"dim 2 2\namp 0 1 1 0\namp 1 0 {value} 0\n")
+    with pytest.raises(ParseError, match="line 3"):
+        parse_state_file(path)
+    path = write(tmp_path, f"dim 2 2\nA 0 0 1 0\nB 1 1 0 {value}\n")
+    with pytest.raises(ParseError, match="line 3"):
+        parse_measure_file(path)

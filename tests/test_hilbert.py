@@ -236,3 +236,18 @@ def test_momentum_representation_preserves_norm():
     rng = np.random.default_rng(17)
     state = random_state(rng, SpaceSpec(6, 2))
     assert momentum_representation(state).norm == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("sites", [8, 5])
+def test_momentum_representation_matches_plane_wave_basis_change(sites):
+    # reference: the explicit change of basis onto conjugated plane-wave kets
+    rng = np.random.default_rng(18 + sites)
+    space = SpaceSpec(sites, 2)
+    state = random_state(rng, space)
+    rows = np.array([
+        np.conj(plane_wave(m, s, space).amplitudes)
+        for m in range(sites)
+        for s in range(space.spin_dim)
+    ])
+    expected = (rows @ state.matrix() @ rows.T).reshape(-1)
+    assert np.max(np.abs(momentum_representation(state).amplitudes - expected)) < 1e-12

@@ -356,3 +356,23 @@ def test_measure_scale_is_multiplicative():
     assert measure_scale(measure) == pytest.approx(
         float(np.max(np.linalg.norm(full, axis=0))), rel=1e-12
     )
+
+
+def test_collapse_by_linearity_matches_measure_on_sector():
+    # reference: the measure applied to the symmetrized state itself
+    rng = np.random.default_rng(36)
+    space = SpaceSpec(3, 2)
+    dim = space.total_dim
+    for _ in range(10):
+        general = SelectiveMeasure(*(
+            OneParticleOperator(
+                space, rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            )
+            for _ in range(2)
+        ))
+        for measure in (general, random_measure(rng, space, 2, 4)):
+            state = random_state(rng, space)
+            for stat in Statistics:
+                expected = apply_measure(measure, sector(state, stat)).amplitudes
+                raw = collapse(measure, state, stat).raw.amplitudes
+                assert np.linalg.norm(raw - expected) <= 1e-12 * np.linalg.norm(expected)

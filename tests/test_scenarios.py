@@ -1,15 +1,22 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import pairmeasure.measurement
 from pairmeasure import (
     DegenerateInputError,
+    OneParticleOperator,
+    SelectiveMeasure,
     SpaceSpec,
     Statistics,
     TwoParticleState,
     VerdictTag,
     basis_vector,
     build_pair_state,
+    measure_pair,
     mode_index,
+    momentum_projector,
     plane_wave,
     relabel_distinguishable,
     scenario_momentum_projection,
@@ -218,3 +225,45 @@ def test_relabel_accepts_exact_two_site_support():
     expected = np.zeros(4, dtype=complex)
     expected[UP * 2 + DOWN] = 1.0
     assert np.array_equal(relabeled.amplitudes, expected)
+
+
+def test_scenarios_apply_the_measure_twice_and_decompose_twice():
+    # two events, then one SVD of the post-state and one of the direct event
+    calls = {
+        "momentum": lambda: scenario_momentum_projection(SPACE, 1, 5, Statistics.FERMION),
+        "windows": lambda: scenario_position_windows(
+            SPACE, 1, None, 2, 5, 1, Statistics.FERMION
+        ),
+    }
+    for name, call in calls.items():
+        with mock.patch(
+            "pairmeasure.measurement.apply_measure",
+            wraps=pairmeasure.measurement.apply_measure,
+        ) as apply, mock.patch("numpy.linalg.svd", wraps=np.linalg.svd) as svd:
+            call()
+        assert (apply.call_count, svd.call_count) == (2, 2), name
+
+
+def test_momentum_scenario_computes_the_born_rule_flag():
+    for stat in Statistics:
+        result = scenario_momentum_projection(SPACE, 1, 7, stat)
+        assert result.born_rule is True
+        assert result.scale == pytest.approx(1 / 8, abs=1e-15)
+
+
+def test_measure_pair_flags_general_measures_and_impossible_outcomes():
+    ref = tensor_state(plane_wave(1, UP, SPACE), plane_wave(7, DOWN, SPACE))
+    raising = np.zeros((16, 16))
+    raising[0, 1] = 1.0
+    general = SelectiveMeasure(
+        OneParticleOperator(SPACE, raising), OneParticleOperator.identity(SPACE)
+    )
+    result = measure_pair(general, ref, Statistics.FERMION)
+    assert result.born_rule is False
+    assert result.report is not None
+    zero = OneParticleOperator(SPACE, np.zeros((16, 16)))
+    result = measure_pair(SelectiveMeasure(zero, zero), ref, Statistics.BOSON)
+    assert result.verdict.tag is VerdictTag.BOTH_ZERO
+    assert result.probability == 0.0
+    assert result.report is None and result.evidence is None
+    assert measure_pair(momentum_projector(1, 7, SPACE), ref, Statistics.BOSON).born_rule
