@@ -17,7 +17,12 @@ from .entanglement import (
     schmidt,
     slater_rank,
 )
-from .errors import DegenerateInputError, DimensionMismatchError, ParseError
+from .errors import (
+    DegenerateInputError,
+    DimensionMismatchError,
+    InputTooLargeError,
+    ParseError,
+)
 from .fileio import (
     parse_measure_file,
     parse_state_file,
@@ -77,6 +82,7 @@ __all__ = [
     "EbmEvidence",
     "EntanglementReport",
     "EventPair",
+    "InputTooLargeError",
     "NORM_TOL",
     "OneParticleOperator",
     "ParseError",

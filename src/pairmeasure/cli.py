@@ -8,7 +8,11 @@ Text reports name the slots after the two receiving parties, Alice (slot 1)
 and Bob (slot 2). JSON reports use stable keys only, floats printed with 17
 significant digits, so identical invocations are byte-identical.
 
-Exit codes: 0 success, 2 unreadable or malformed input, 3 degenerate input.
+Reports list the post-state's singular values up to its Schmidt rank; the
+rest are zero up to roundoff.
+
+Exit codes: 0 success, 2 unreadable or malformed input, 3 degenerate input
+or a space too large for dense storage.
 """
 
 from __future__ import annotations
@@ -17,10 +21,11 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
-from .errors import DegenerateInputError, ParseError
+from .errors import DegenerateInputError, InputTooLargeError, ParseError
 from .fileio import parse_measure_file, parse_state_file
 from .hilbert import SpaceSpec
 from .scenarios import (
@@ -76,6 +81,10 @@ def _json_text(value) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
+def _kept_spectrum(ent) -> list[float]:
+    return [float(s) for s in ent.singular_values[: ent.schmidt_rank]]
+
+
 def _json_report(result: ScenarioResult) -> str:
     phase = None
     if result.phase_check is not None:
@@ -90,7 +99,7 @@ def _json_report(result: ScenarioResult) -> str:
     payload = {
         "verdict": result.verdict.tag.value,
         "probability": result.probability,
-        "singular_values": [] if ent is None else [float(s) for s in ent.singular_values],
+        "singular_values": [] if ent is None else _kept_spectrum(ent),
         "entropy": None if ent is None else ent.entropy,
         "slater_rank": None if ent is None else ent.slater_rank,
         "phase": phase,
@@ -127,7 +136,7 @@ def _text_report(result: ScenarioResult) -> str:
     if ent is None:
         lines.append("post-state: none (outcome impossible)")
     else:
-        values = " ".join(_fmt(s) for s in ent.singular_values)
+        values = " ".join(_fmt(s) for s in _kept_spectrum(ent))
         lines.append(f"post-state singular values: {values}")
         lines.append(f"post-state Schmidt rank: {ent.schmidt_rank}")
         lines.append(f"post-state entropy: {_fmt(ent.entropy)} nats")
@@ -200,7 +209,7 @@ def run(config: RunConfig) -> int:
     except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (DegenerateInputError, IndexError) as exc:
+    except (DegenerateInputError, IndexError, InputTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     print(_json_report(result) if config.output_format == "json" else _text_report(result))
@@ -269,10 +278,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(parser: argparse.ArgumentParser,
-                      args: argparse.Namespace) -> RunConfig:
-    if args.tol <= 0:
-        parser.error("--tol must be positive")
+def _flag_error(message: str) -> NoReturn:
+    """A flag value out of range: one line on stderr, exit code 2."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_PARSE)
+
+
+def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    if not 0 < args.tol < np.inf:
+        _flag_error("--tol must be finite and positive")
     common = dict(
         command=args.command,
         statistics=Statistics(args.statistics),
@@ -282,18 +296,18 @@ def _config_from_args(parser: argparse.ArgumentParser,
     if args.command == "classify":
         return RunConfig(state_path=args.state, measure_path=args.measure, **common)
     if args.lattice < 2:
-        parser.error("--lattice must be at least 2")
+        _flag_error("--lattice must be at least 2")
     for name in ("mode_a", "mode_b"):
         mode = getattr(args, name)
         if mode is not None and not 0 <= mode < args.lattice:
-            parser.error(f"--{name.replace('_', '-')} must lie in [0, L)")
+            _flag_error(f"--{name.replace('_', '-')} must lie in [0, L)")
     extra = dict(lattice_size=args.lattice, mode_a=args.mode_a, mode_b=args.mode_b)
     if args.command == "position-scenario":
         for flag in ("xa", "xb"):
             if not 0 <= getattr(args, flag) < args.lattice:
-                parser.error(f"--{flag} must lie in [0, L)")
+                _flag_error(f"--{flag} must lie in [0, L)")
         if args.width < 1:
-            parser.error("--width must be at least 1")
+            _flag_error("--width must be at least 1")
         extra.update(x_a=args.xa, x_b=args.xb, width=args.width)
     return RunConfig(**common, **extra)
 
@@ -301,7 +315,7 @@ def _config_from_args(parser: argparse.ArgumentParser,
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return run(_config_from_args(parser, args))
+    return run(_config_from_args(args))
 
 
 if __name__ == "__main__":

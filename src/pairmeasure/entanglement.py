@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DegenerateInputError
 from .hilbert import ZERO_TOL, TwoParticleState
 from .measurement import (
+    CollapseResult,
     EventPair,
     SelectiveMeasure,
     _collapse,
@@ -70,19 +71,28 @@ def _is_antisymmetric(state: TwoParticleState, tol: float) -> bool:
     return residual < tol * state.norm
 
 
-def schmidt(state: TwoParticleState, tol: float = RANK_TOL) -> EntanglementReport:
-    """Schmidt decomposition report of the state, normalized internally."""
-    nrm = state.norm
-    if nrm == 0.0:
-        raise DegenerateInputError("zero state has no Schmidt decomposition")
-    sigma = np.linalg.svd(state.matrix() / nrm, compute_uv=False)
-    rank = int(np.count_nonzero(sigma > tol * sigma[0]))
+def _rank(sigma: np.ndarray, tol: float) -> int:
+    """Count of descending singular values above tol * sigma_max."""
+    return int(np.count_nonzero(sigma > tol * sigma[0]))
+
+
+def _report(
+    coeff: np.ndarray, tol: float, antisymmetric: bool, size: int
+) -> EntanglementReport:
+    """Schmidt data of unit-norm coefficients in any orthonormal product basis.
+
+    Isometries on either slot leave the nonzero singular values unchanged,
+    so a state's core gives its spectrum; it is padded with zeros to
+    ``size`` values.
+    """
+    sigma = np.linalg.svd(coeff, compute_uv=False)
+    rank = _rank(sigma, tol)
     # sigma[0] may round above 1; renormalizing and clamping keeps entropy >= 0.
     lam = sigma**2 / np.sum(sigma**2)
     positive = lam[lam > 0.0]
     entropy = max(0.0, float(-np.sum(positive * np.log(positive))))
     slater = None
-    if _is_antisymmetric(state, tol):
+    if antisymmetric:
         if rank % 2:
             raise ValueError(
                 f"singular values fail to pair up ({rank} above threshold); "
@@ -90,11 +100,32 @@ def schmidt(state: TwoParticleState, tol: float = RANK_TOL) -> EntanglementRepor
             )
         slater = rank // 2
     return EntanglementReport(
-        singular_values=sigma,
+        singular_values=np.concatenate([sigma, np.zeros(size - sigma.size)]),
         schmidt_rank=rank,
         entropy=entropy,
         slater_rank=slater,
     )
+
+
+def schmidt(state: TwoParticleState, tol: float = RANK_TOL) -> EntanglementReport:
+    """Schmidt decomposition report of the state, normalized internally."""
+    nrm = state.norm
+    if nrm == 0.0:
+        raise DegenerateInputError("zero state has no Schmidt decomposition")
+    return _report(
+        state.matrix() / nrm, tol, _is_antisymmetric(state, tol), state.space.total_dim
+    )
+
+
+def _post_report(
+    result: CollapseResult, core: np.ndarray, tol: float = RANK_TOL
+) -> EntanglementReport | None:
+    """Schmidt report of a collapsed state from its core; None when impossible."""
+    if result.normalized is None:
+        return None
+    antisymmetric = _is_antisymmetric(result.normalized, tol)
+    size = result.raw.space.total_dim
+    return _report(core / np.linalg.norm(core), tol, antisymmetric, size)
 
 
 def slater_rank(state: TwoParticleState, tol: float = RANK_TOL) -> int:
@@ -134,10 +165,13 @@ def _rank_evidence(
     zero_tol: float,
     tol: float = RANK_TOL,
 ) -> EbmEvidence | None:
-    """Before/after rank rule; None when the direct event or ``after`` is missing."""
+    """Before/after rank rule; None when the direct event or ``after`` is missing.
+
+    The before-rank is read off the direct event's core.
+    """
     if after is None or _is_zero(pair.norm_direct, scale, zero_tol):
         return None
-    rank_before = schmidt(pair.event_direct, tol).schmidt_rank
+    rank_before = _rank(np.linalg.svd(pair.core_direct, compute_uv=False), tol)
     return EbmEvidence(rank_before, after.schmidt_rank, after.schmidt_rank > rank_before)
 
 
@@ -156,10 +190,9 @@ def ebm_evidence(
     is zero by the verdict's test or the outcome is impossible.
     """
     pair = events(measure, ref_state)
-    result = _collapse(pair, measure, ref_state, stat, ZERO_TOL)
-    after = None if result.normalized is None else schmidt(result.normalized, tol)
+    result, core = _collapse(pair, measure, ref_state, stat, ZERO_TOL)
     scale = measure_scale(measure) * ref_state.norm
-    evidence = _rank_evidence(pair, scale, after, ZERO_TOL, tol)
+    evidence = _rank_evidence(pair, scale, _post_report(result, core, tol), ZERO_TOL, tol)
     if evidence is None:
         raise DegenerateInputError("direct event or outcome is zero; nothing to compare")
     return evidence

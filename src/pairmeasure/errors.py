@@ -9,6 +9,13 @@ class DegenerateInputError(ValueError):
     """An input is zero, or collapses to zero, where a nonzero state is required."""
 
 
+class InputTooLargeError(MemoryError):
+    """A space whose dense pair arrays would exceed the memory budget.
+
+    Raised before anything is allocated; see ``hilbert.MAX_PAIR_BYTES``.
+    """
+
+
 class ParseError(ValueError):
     """A state or measure file is malformed.
 

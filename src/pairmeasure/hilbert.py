@@ -13,17 +13,24 @@ function, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionMismatchError
+from .errors import DegenerateInputError, DimensionMismatchError, InputTooLargeError
 
 # Default tolerance for "is this zero" tests on O(1) desk-scale quantities.
 ZERO_TOL = 1e-10
 
 # A state flagged as normalized must have |norm - 1| below this.
 NORM_TOL = 1e-12
+
+# Largest dense pair array (pair_dim complex128 amplitudes) a space may ask
+# for. Every pair state, event and post-state is stored densely and a single
+# call holds several of them at once, so 256 MiB each keeps a call within a
+# few GiB of a desk machine. It admits L = 2048 at spin 1/2 (n = 4096) and
+# refuses larger spaces before anything is allocated.
+MAX_PAIR_BYTES = 256 * 2**20
 
 
 @dataclass(frozen=True)
@@ -43,6 +50,12 @@ class SpaceSpec:
             raise ValueError(f"extrinsic_dim must be >= 1, got {self.extrinsic_dim}")
         if self.spin_dim < 1:
             raise ValueError(f"spin_dim must be >= 1, got {self.spin_dim}")
+        pair_bytes = self.pair_dim * np.dtype(complex).itemsize
+        if pair_bytes > MAX_PAIR_BYTES:
+            raise InputTooLargeError(
+                f"a dense pair state on {self.extrinsic_dim} sites x {self.spin_dim} "
+                f"spins needs {pair_bytes} bytes, above the {MAX_PAIR_BYTES}-byte budget"
+            )
 
     @property
     def total_dim(self) -> int:
@@ -99,15 +112,46 @@ class SingleParticleVector:
 
 @dataclass(frozen=True)
 class OneParticleOperator:
-    """Dense complex matrix acting on the single-particle space."""
+    """Dense complex matrix acting on the single-particle space.
+
+    ``range_basis``, when given, is an n x r matrix U with orthonormal
+    columns whose span contains the range of ``entries``; it lets the
+    measurement algebra work on r coordinates instead of n. Construction
+    checks U^H U = I entrywise to ``ZERO_TOL`` and U U^H entries = entries
+    to ``ZERO_TOL`` relative in the Frobenius norm, at O(n^2 r) cost.
+    ``range_rows`` is U^H entries, the operator's rows in that basis;
+    without a basis U is the identity and ``range_rows`` is ``entries``.
+    """
 
     space: SpaceSpec
     entries: np.ndarray
+    range_basis: np.ndarray | None = field(default=None, repr=False, compare=False)
+    range_rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dim = self.space.total_dim
         entries = _frozen_complex(self.entries, (dim, dim), "entries")
         object.__setattr__(self, "entries", entries)
+        if self.range_basis is None:
+            object.__setattr__(self, "range_rows", entries)
+            return
+        shape = np.shape(self.range_basis)
+        if len(shape) != 2 or shape[0] != dim or shape[1] > dim:
+            raise DimensionMismatchError(
+                f"range_basis has shape {shape}, expected ({dim}, r) with r <= {dim}"
+            )
+        basis = _frozen_complex(self.range_basis, shape, "range_basis")
+        gram = basis.conj().T @ basis
+        if np.max(np.abs(gram - np.eye(shape[1])), initial=0.0) >= ZERO_TOL:
+            raise ValueError("range_basis columns are not orthonormal")
+        rows = basis.conj().T @ entries
+        residual = basis @ rows
+        residual -= entries
+        if np.linalg.norm(residual) > ZERO_TOL * np.linalg.norm(entries):
+            raise ValueError("range_basis does not span the range of entries")
+        rows.flags.writeable = False
+        object.__setattr__(self, "range_basis", basis)
+        object.__setattr__(self, "range_rows", rows)
 
     @classmethod
     def identity(cls, space: SpaceSpec) -> OneParticleOperator:

@@ -19,11 +19,19 @@ Zero tests are relative: a vector counts as zero when its norm is below
 tol * scale, where scale is the product of the factors' max column norms
 times the reference-state norm, so verdicts are invariant under global
 phases and positive rescaling of either the state or the measure.
+
+Every event lies in range(A) x range(B) of the factors A and B. With range
+bases U_A, U_B (see ``OneParticleOperator.range_basis``) an event is
+U_A K U_B^T for an r_A x r_B core K, and since the bases are isometries the
+norms, overlaps and singular values of the cores are those of the events.
+The algebra therefore runs on the cores and builds each dense vector once,
+at O(n^2 r) instead of O(n^3). A factor without a basis is the case U = I,
+r = n, which is plain dense algebra.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -67,7 +75,9 @@ class EventPair:
     ``event_overlap`` is the inner product of the two events themselves;
     ``ref_overlap`` is the inner product of the reference state with the
     permuted event. The two coincide for projector-valued measures but can
-    differ for general operators, so both are kept.
+    differ for general operators, so both are kept. ``core_direct`` and
+    ``core_permuted`` are the events' coefficient matrices in the factors'
+    range bases, r_A x r_B (n x n for factors without a basis).
     """
 
     event_direct: TwoParticleState
@@ -76,6 +86,8 @@ class EventPair:
     norm_permuted: float
     event_overlap: complex
     ref_overlap: complex
+    core_direct: np.ndarray = field(repr=False, compare=False)
+    core_permuted: np.ndarray = field(repr=False, compare=False)
 
 
 class VerdictTag(Enum):
@@ -107,25 +119,52 @@ class CollapseResult:
     probability: float
 
 
+def _expand(measure: SelectiveMeasure, core: np.ndarray) -> np.ndarray:
+    """U_A core U_B^T: a core back on the full single-particle modes."""
+    left = measure.factor_slot1.range_basis
+    right = measure.factor_slot2.range_basis
+    if left is not None:
+        core = left @ core
+    if right is not None:
+        core = core @ right.T
+    return core
+
+
+def _core(measure: SelectiveMeasure, state: TwoParticleState) -> np.ndarray:
+    """U_A^H C conj(U_B): the coefficients of a state in range(A) x range(B)."""
+    core = state.matrix()
+    left = measure.factor_slot1.range_basis
+    right = measure.factor_slot2.range_basis
+    if left is not None:
+        core = left.conj().T @ core
+    if right is not None:
+        core = core @ right.conj()
+    return core
+
+
 def apply_measure(measure: SelectiveMeasure, state: TwoParticleState) -> TwoParticleState:
-    """Apply the tensor-product measure: one factor per slot."""
+    """Apply the tensor-product measure: one factor per slot.
+
+    Computes the core W_A C W_B^T with W = U^H A, then expands it once.
+    """
     if measure.space != state.space:
         raise DimensionMismatchError("measure and state live in different spaces")
-    left = measure.factor_slot1.entries
-    right = measure.factor_slot2.entries
-    out = left @ state.matrix() @ right.T
-    return TwoParticleState(state.space, out.reshape(-1))
+    left = measure.factor_slot1.range_rows
+    right = measure.factor_slot2.range_rows
+    core = left @ state.matrix() @ right.T
+    return TwoParticleState(state.space, _expand(measure, core).reshape(-1))
 
 
 def measure_scale(measure: SelectiveMeasure) -> float:
     """Max-column-norm estimate of the tensor operator's size.
 
     Columns of a Kronecker product factorize, so its largest column 2-norm
-    is the product of the factors' largest column 2-norms.
+    is the product of the factors' largest column 2-norms. A range basis is
+    an isometry, so each factor's column norms are read off its range rows.
     """
     scale = 1.0
     for factor in (measure.factor_slot1, measure.factor_slot2):
-        scale *= float(np.max(np.linalg.norm(factor.entries, axis=0)))
+        scale *= float(np.max(np.linalg.norm(factor.range_rows, axis=0)))
     return scale
 
 
@@ -133,13 +172,17 @@ def events(measure: SelectiveMeasure, ref_state: TwoParticleState) -> EventPair:
     """Compute both events of the measure on a distinguishable reference state."""
     direct = apply_measure(measure, ref_state)
     permuted = apply_measure(measure, permute(ref_state))
+    core_direct = _core(measure, direct)
+    core_permuted = _core(measure, permuted)
     return EventPair(
         event_direct=direct,
         event_permuted=permuted,
-        norm_direct=direct.norm,
-        norm_permuted=permuted.norm,
-        event_overlap=complex(np.vdot(direct.amplitudes, permuted.amplitudes)),
+        norm_direct=float(np.linalg.norm(core_direct)),
+        norm_permuted=float(np.linalg.norm(core_permuted)),
+        event_overlap=complex(np.vdot(core_direct, core_permuted)),
         ref_overlap=complex(np.vdot(ref_state.amplitudes, permuted.amplitudes)),
+        core_direct=core_direct,
+        core_permuted=core_permuted,
     )
 
 
@@ -150,8 +193,8 @@ def _is_zero(norm: float, scale: float, tol: float) -> bool:
 
 def _verdict(pair: EventPair, scale: float, tol: float) -> Verdict:
     """The verdict rule on two computed events; ``scale`` sizes the zero tests."""
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     direct_zero = _is_zero(pair.norm_direct, scale, tol)
     permuted_zero = _is_zero(pair.norm_permuted, scale, tol)
     if direct_zero and permuted_zero:
@@ -185,20 +228,23 @@ def _collapse(
     ref_state: TwoParticleState,
     stat: Statistics,
     tol: float,
-) -> CollapseResult:
-    """Collapse by linearity: M(ref -+ P ref)/sqrt(2) from the two events."""
+) -> tuple[CollapseResult, np.ndarray]:
+    """Collapse by linearity, M(ref -+ P ref)/sqrt(2), from the two event cores.
+
+    Returns the result and the raw post-state's core.
+    """
     sym_norm = sector(ref_state, stat).norm
     if sym_norm < tol * ref_state.norm or sym_norm == 0.0:
         raise DegenerateInputError(
             f"reference state has no {stat.value} sector to measure"
         )
-    amps = _INV_SQRT2 * (
-        pair.event_direct.amplitudes + stat.sign * pair.event_permuted.amplitudes
-    )
-    raw = TwoParticleState(ref_state.space, amps)
-    if _is_zero(raw.norm, measure_scale(measure) * sym_norm, tol):
-        return CollapseResult(raw=raw, normalized=None, probability=0.0)
-    return CollapseResult(raw=raw, normalized=raw.normalize(), probability=raw.norm**2)
+    core = _INV_SQRT2 * (pair.core_direct + stat.sign * pair.core_permuted)
+    raw = TwoParticleState(ref_state.space, _expand(measure, core).reshape(-1))
+    norm = float(np.linalg.norm(core))
+    if _is_zero(norm, measure_scale(measure) * sym_norm, tol):
+        return CollapseResult(raw=raw, normalized=None, probability=0.0), core
+    result = CollapseResult(raw=raw, normalized=raw.normalize(), probability=norm**2)
+    return result, core
 
 
 def collapse(
@@ -213,15 +259,39 @@ def collapse(
     computed that way. When its norm falls below tol * scale the outcome is
     impossible: probability 0 and no normalized state.
     """
-    return _collapse(events(measure, ref_state), measure, ref_state, stat, tol)
+    return _collapse(events(measure, ref_state), measure, ref_state, stat, tol)[0]
+
+
+def _projector_bound(factor: OneParticleOperator) -> float:
+    """Upper bound on every entry of A - A^H and of A A - A, at O(n r^2).
+
+    With A = U W and G = W U (r x r): A - A^H = U (G - G^H) U^H + U R - R^H U^H
+    for R = W - G U^H, and A A - A = U (G W - W). Rows of an isometry have
+    norm at most 1, so an entry of U X U^H is at most ||X||_F and an entry
+    of U Y at most the largest column norm of Y. U W equals the entries to
+    the tolerance checked at construction.
+    """
+    basis, rows = factor.range_basis, factor.range_rows
+    gram = rows @ basis
+    residual = rows - gram @ basis.conj().T
+    excess = gram @ rows - rows
+    hermitian = np.linalg.norm(gram - gram.conj().T) + 2.0 * np.max(
+        np.linalg.norm(residual, axis=0)
+    )
+    return float(max(hermitian, np.max(np.linalg.norm(excess, axis=0))))
 
 
 def is_projector_valued(measure: SelectiveMeasure, tol: float = ZERO_TOL) -> bool:
     """True when both factors are orthogonal projectors (Hermitian, idempotent).
 
-    Only then is the squared event norm a Born-rule probability.
+    Only then is the squared event norm a Born-rule probability. Both tests
+    are entrywise, to ``tol``. A factor with a range basis passes at once
+    when the O(n r^2) bound of :func:`_projector_bound` is below ``tol``;
+    otherwise its entries are tested directly.
     """
     for factor in (measure.factor_slot1, measure.factor_slot2):
+        if factor.range_basis is not None and _projector_bound(factor) < tol:
+            continue
         entries = factor.entries
         if np.max(np.abs(entries - entries.conj().T)) >= tol:
             return False
@@ -247,18 +317,29 @@ def window_sites(center: int, width: int, sites: int) -> list[int]:
 
 
 def window_projector(center: int, width: int, space: SpaceSpec) -> OneParticleOperator:
-    """Projector onto a contiguous window of lattice sites, identity on spin."""
-    mask = np.zeros(space.extrinsic_dim)
-    mask[window_sites(center, width, space.extrinsic_dim)] = 1.0
-    entries = np.kron(np.diag(mask), np.eye(space.spin_dim)).astype(complex)
-    return OneParticleOperator(space, entries)
+    """Projector onto a contiguous window of lattice sites, identity on spin.
+
+    Its range basis is the window's coordinate columns.
+    """
+    spins = space.spin_dim
+    modes = [
+        site * spins + spin
+        for site in window_sites(center, width, space.extrinsic_dim)
+        for spin in range(spins)
+    ]
+    basis = np.zeros((space.total_dim, len(modes)), dtype=complex)
+    basis[modes, np.arange(len(modes))] = 1.0
+    entries = np.zeros((space.total_dim, space.total_dim), dtype=complex)
+    entries[modes, modes] = 1.0
+    return OneParticleOperator(space, entries, range_basis=basis)
 
 
 def momentum_projector(mode1: int, mode2: int, space: SpaceSpec) -> SelectiveMeasure:
     """Selective measure projecting slot 1 on mode1 and slot 2 on mode2.
 
     Each factor is the rank-one projector onto a plane-wave momentum ket on
-    the extrinsic factor, tensored with the identity on spin.
+    the extrinsic factor, tensored with the identity on spin; its range
+    basis is that ket tensored with the spin basis.
     """
 
     def factor(mode: int) -> OneParticleOperator:
@@ -267,6 +348,7 @@ def momentum_projector(mode1: int, mode2: int, space: SpaceSpec) -> SelectiveMea
             raise IndexError(f"momentum mode {mode} out of range [0, {sites})")
         wave = np.exp(2j * np.pi * mode * np.arange(sites) / sites) / np.sqrt(sites)
         entries = np.kron(np.outer(wave, wave.conj()), np.eye(space.spin_dim))
-        return OneParticleOperator(space, entries)
+        basis = np.kron(wave[:, None], np.eye(space.spin_dim))
+        return OneParticleOperator(space, entries, range_basis=basis)
 
     return SelectiveMeasure(factor(mode1), factor(mode2))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .entanglement import EbmEvidence, EntanglementReport, _rank_evidence, schmidt
+from .entanglement import EbmEvidence, EntanglementReport, _post_report, _rank_evidence
 from .errors import DegenerateInputError
 from .hilbert import (
     ZERO_TOL,
@@ -110,14 +110,16 @@ def measure_pair(
 
     The measure is applied twice, to ``ref`` and to its permutation; the
     verdict, the collapse, the Schmidt report of the post-state and the
-    before/after rank evidence all follow from those two events. Raises
+    before/after rank evidence all follow from those two events, computed
+    on their r_A x r_B cores (see :mod:`pairmeasure.measurement`). The
+    report's singular values are padded with zeros to ``total_dim``. Raises
     DegenerateInputError when ``ref`` has no ``stat`` sector.
     """
     pair = events(measure, ref)
     scale = measure_scale(measure) * ref.norm
     verdict = _verdict(pair, scale, tol)
-    collapsed = _collapse(pair, measure, ref, stat, tol)
-    report = None if collapsed.normalized is None else schmidt(collapsed.normalized)
+    collapsed, core = _collapse(pair, measure, ref, stat, tol)
+    report = _post_report(collapsed, core)
     return ScenarioResult(
         verdict=verdict,
         probability=collapsed.probability,
@@ -223,7 +225,8 @@ def scenario_position_windows(
     windows cannot distinguish the particles by position, so the verdict is
     reported as NonOrthogonalEvents and no phase check is attempted. The
     phase check also needs single-site windows, where the two collapsed
-    amplitudes are single lattice points.
+    amplitudes are single lattice points. An impossible outcome has neither
+    a phase check nor a relabeled state.
     """
     sites = space.extrinsic_dim
     if m_b is None:
@@ -243,7 +246,7 @@ def scenario_position_windows(
 
     phase_check = None
     relabeled = None
-    if width == 1:
+    if width == 1 and result.post_state_normalized is not None:
         relabeled = relabel_distinguishable(result.post_state, (x_a, x_b), tol)
         if disjoint:
             coeff = result.post_state.matrix()

@@ -267,3 +267,46 @@ def test_classify_undecodable_file_exits_2(tmp_path, capsys):
     assert code == EXIT_PARSE
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tolerance_exits_2(value, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["momentum-scenario", "--tol", value])
+    assert excinfo.value.code == EXIT_PARSE
+    assert capsys.readouterr().err == "error: --tol must be finite and positive\n"
+
+
+def test_reports_list_singular_values_up_to_the_schmidt_rank(capsys):
+    for command, rank in (("momentum-scenario", 1), ("position-scenario", 2)):
+        _, out, _ = run_cli(capsys, [command, "--output", "json"])
+        assert len(json.loads(out)["singular_values"]) == rank
+        _, out, _ = run_cli(capsys, [command])
+        line = next(l for l in out.splitlines() if l.startswith("post-state singular values:"))
+        assert len(line.split(":")[1].split()) == rank
+
+
+def test_impossible_outcome_prints_no_phase_or_spin_state(capsys):
+    code, out, _ = run_cli(capsys, ["position-scenario", "--tol", "0.9"])
+    assert code == EXIT_OK
+    assert "post-state: none (outcome impossible)" in out
+    assert "phase check" not in out and "spin state handed" not in out
+
+
+@pytest.mark.parametrize("command", ["momentum-scenario", "position-scenario"])
+def test_lattice_above_the_memory_budget_exits_3(command, capsys):
+    # about 64 TB of dense pair amplitudes: refused before anything is allocated
+    code, out, err = run_cli(capsys, [command, "--lattice", "1000000"])
+    assert code == EXIT_DEGENERATE and out == ""
+    assert err.startswith("error:") and "budget" in err and err.count("\n") == 1
+
+
+def test_dim_header_above_the_memory_budget_exits_3(tmp_path, capsys):
+    state = tmp_path / "state.txt"
+    state.write_text("dim 1000000 2\namp 0 3 1 0\n")
+    code, out, err = run_cli(
+        capsys, ["classify", "--state", str(state),
+                 "--measure", str(FIXTURES / "momentum_measure.txt")]
+    )
+    assert code == EXIT_DEGENERATE and out == ""
+    assert err.startswith("error:") and "budget" in err and err.count("\n") == 1

@@ -3,6 +3,8 @@ import pytest
 
 from pairmeasure import (
     DimensionMismatchError,
+    InputTooLargeError,
+    OneParticleOperator,
     SpaceSpec,
     TwoParticleState,
     basis_vector,
@@ -14,7 +16,7 @@ from pairmeasure import (
     tensor_state,
 )
 
-from helpers import random_state, random_vector
+from helpers import random_state, random_unitary, random_vector
 
 
 def test_space_spec_dims():
@@ -251,3 +253,33 @@ def test_momentum_representation_matches_plane_wave_basis_change(sites):
     ])
     expected = (rows @ state.matrix() @ rows.T).reshape(-1)
     assert np.max(np.abs(momentum_representation(state).amplitudes - expected)) < 1e-12
+
+
+def test_space_spec_refuses_pair_arrays_above_the_budget():
+    # terabyte-sized spaces: the refusal must come before any allocation
+    for extrinsic in (10**6, 2**40):
+        with pytest.raises(InputTooLargeError):
+            SpaceSpec(extrinsic, 2)
+    assert SpaceSpec(2048, 2).pair_dim * 16 == 256 * 2**20
+
+
+def test_range_basis_is_validated_and_frozen():
+    rng = np.random.default_rng(19)
+    space = SpaceSpec(3, 2)
+    basis = random_unitary(rng, 6)[:, :2]
+    entries = basis @ basis.conj().T
+    op = OneParticleOperator(space, entries, range_basis=basis)
+    assert np.max(np.abs(op.range_basis @ op.range_rows - op.entries)) < 1e-14
+    with pytest.raises(ValueError):
+        op.range_basis[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        op.range_rows[0, 0] = 1.0
+    with pytest.raises(ValueError, match="orthonormal"):
+        OneParticleOperator(space, entries, range_basis=2.0 * basis)
+    with pytest.raises(ValueError, match="span"):
+        OneParticleOperator(space, entries, range_basis=basis[:, :1])
+    for shape_error in (basis[:5], basis.reshape(-1), np.eye(7)[:6, :7]):
+        with pytest.raises(DimensionMismatchError):
+            OneParticleOperator(space, entries, range_basis=shape_error)
+    plain = OneParticleOperator(space, entries)
+    assert plain.range_basis is None and plain.range_rows is plain.entries

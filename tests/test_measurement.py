@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairmeasure import (
     DegenerateInputError,
@@ -14,6 +16,7 @@ from pairmeasure import (
     collapse,
     events,
     is_projector_valued,
+    measure_pair,
     measure_scale,
     mode_index,
     momentum_projector,
@@ -25,7 +28,13 @@ from pairmeasure import (
     window_sites,
 )
 
-from helpers import brute_force_verdict, random_measure, random_state, random_vector
+from helpers import (
+    brute_force_verdict,
+    random_measure,
+    random_state,
+    random_unitary,
+    random_vector,
+)
 
 SPACE = SpaceSpec(8, 2)
 UP, DOWN = 0, 1
@@ -136,6 +145,12 @@ def test_classify_zero_operator_is_both_zero():
 def test_classify_rejects_bad_tolerance():
     with pytest.raises(ValueError):
         classify(momentum_projector(1, 7, SPACE), momentum_pair(1, 7), tol=0.0)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+def test_classify_rejects_non_finite_tolerance(tol):
+    with pytest.raises(ValueError, match="finite"):
+        classify(momentum_projector(1, 7, SPACE), momentum_pair(1, 7), tol=tol)
 
 
 def test_classify_is_scale_and_phase_invariant():
@@ -376,3 +391,104 @@ def test_collapse_by_linearity_matches_measure_on_sector():
                 expected = apply_measure(measure, sector(state, stat)).amplitudes
                 raw = collapse(measure, state, stat).raw.amplitudes
                 assert np.linalg.norm(raw - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def without_basis(measure):
+    """The same factors as plain dense operators (U = I)."""
+    factors = (measure.factor_slot1, measure.factor_slot2)
+    return SelectiveMeasure(*(OneParticleOperator(f.space, f.entries) for f in factors))
+
+
+def assert_compressed_matches_dense(measure, state, stat):
+    dense = without_basis(measure)
+    assert classify(measure, state).tag is brute_force_verdict(dense, state, 1e-10)
+    got, want = measure_pair(measure, state, stat), measure_pair(dense, state, stat)
+    assert got.verdict.tag is want.verdict.tag
+    assert got.born_rule is want.born_rule
+    assert got.probability == pytest.approx(want.probability, abs=1e-12)
+    assert got.scale == pytest.approx(want.scale, rel=1e-12)
+    assert np.max(np.abs(got.post_state.amplitudes - want.post_state.amplitudes)) < 1e-12
+    assert (got.report is None) is (want.report is None)
+    if want.report is not None:
+        assert got.report.singular_values.shape == want.report.singular_values.shape
+        assert np.max(np.abs(got.report.singular_values - want.report.singular_values)) < 1e-12
+        assert got.report.entropy == pytest.approx(want.report.entropy, abs=1e-12)
+        assert got.report.schmidt_rank == want.report.schmidt_rank
+        assert got.report.slater_rank == want.report.slater_rank
+        assert got.evidence == want.evidence
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sites=st.integers(1, 4),
+    fractions=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+    stat=st.sampled_from(Statistics),
+)
+def test_range_compressed_projectors_match_dense_and_brute_force(seed, sites, fractions, stat):
+    rng = np.random.default_rng(seed)
+    space = SpaceSpec(sites, 2)
+    dim = space.total_dim
+    factors = []
+    for fraction in fractions:
+        basis = random_unitary(rng, dim)[:, : round(fraction * dim)]
+        factors.append(OneParticleOperator(space, basis @ basis.conj().T, range_basis=basis))
+    measure = SelectiveMeasure(*factors)
+    assert is_projector_valued(measure)
+    assert_compressed_matches_dense(measure, random_state(rng, space), stat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sites=st.integers(4, 9),
+    labels=st.tuples(*(st.integers(0, 8) for _ in range(4))),
+    width=st.sampled_from([1, 3]),
+    stat=st.sampled_from(Statistics),
+)
+def test_range_compressed_windows_and_momenta_match_dense(sites, labels, width, stat):
+    space = SpaceSpec(sites, 2)
+    m_a, m_b, x_a, x_b = (label % sites for label in labels)
+    if m_a == m_b:
+        m_b = (m_a + 1) % sites
+    ref = momentum_pair(m_a, m_b, space)
+    windows = SelectiveMeasure(
+        window_projector(x_a, width, space), window_projector(x_b, width, space)
+    )
+    for measure in (windows, momentum_projector(m_a, m_b, space),
+                    momentum_projector(x_a, x_b, space)):
+        assert_compressed_matches_dense(measure, ref, stat)
+
+
+def test_built_projectors_carry_their_range_basis():
+    momentum = momentum_projector(3, 5, SPACE)
+    cases = [
+        (window_projector(2, 1, SPACE), 2),
+        (window_projector(7, 3, SPACE), 6),
+        (window_projector(0, 9, SPACE), 16),
+        (momentum.factor_slot1, 2),
+        (momentum.factor_slot2, 2),
+    ]
+    for factor, rank in cases:
+        basis = factor.range_basis
+        assert basis.shape == (16, rank)
+        assert np.max(np.abs(basis @ basis.conj().T - factor.entries)) < 1e-15
+
+
+def test_is_projector_valued_with_a_basis_agrees_with_the_entrywise_test():
+    # a basis spanning the range changes the cost of the test, not its answer,
+    # also for near-projectors whose entrywise residual sits around tol
+    rng = np.random.default_rng(41)
+    space = SpaceSpec(3, 2)
+    basis = random_unitary(rng, 6)[:, :3]
+    core = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    inners = [core, core + core.conj().T, np.eye(3)]
+    inners += [np.diag([1.0, 1.0 + delta, 0.0]) for delta in np.geomspace(1e-11, 1e-9, 9)]
+    answers = []
+    for inner in inners:
+        entries = basis @ inner @ basis.conj().T
+        plain = OneParticleOperator(space, entries)
+        with_basis = OneParticleOperator(space, entries, range_basis=basis)
+        answer = is_projector_valued(SelectiveMeasure(plain, plain))
+        assert is_projector_valued(SelectiveMeasure(with_basis, with_basis)) is answer
+        answers.append(answer)
+    assert answers[:3] == [False, False, True] and True in answers[3:] and False in answers[3:]

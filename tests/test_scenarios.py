@@ -267,3 +267,24 @@ def test_measure_pair_flags_general_measures_and_impossible_outcomes():
     assert result.probability == 0.0
     assert result.report is None and result.evidence is None
     assert measure_pair(momentum_projector(1, 7, SPACE), ref, Statistics.BOSON).born_rule
+
+
+def test_impossible_outcome_reports_no_phase_and_no_relabeled_state():
+    # tol large enough that the collapsed vector counts as zero
+    for stat in Statistics:
+        result = scenario_position_windows(SPACE, 1, None, 2, 5, 1, stat, tol=0.9)
+        assert result.post_state_normalized is None and result.report is None
+        assert result.phase_check is None and result.relabeled is None
+
+
+def test_measure_pair_pads_the_core_spectrum_to_total_dim():
+    for result in (
+        scenario_momentum_projection(SPACE, 1, 5, Statistics.FERMION),
+        scenario_position_windows(SPACE, 1, None, 2, 5, 1, Statistics.BOSON),
+    ):
+        dense = schmidt(result.post_state_normalized)
+        sigma = result.report.singular_values
+        # both measures have 2 x 2 cores: two computed values, then exact zeros
+        assert sigma.shape == (SPACE.total_dim,)
+        assert np.all(sigma[2:] == 0.0)
+        assert np.max(np.abs(sigma - dense.singular_values)) < 1e-12
