@@ -237,8 +237,25 @@ def _add_lattice(parser: argparse.ArgumentParser, with_mode_b_default: bool) -> 
                         help=mode_b_help)
 
 
+def _flag_error(message: str) -> NoReturn:
+    """A bad command line: one line on stderr, exit code 2."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_PARSE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports its parse errors as one line, without the usage block.
+
+    ``add_subparsers`` builds the subcommand parsers with the parent's class,
+    so they report the same way.
+    """
+
+    def error(self, message: str) -> NoReturn:
+        _flag_error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pairmeasure",
         description="Classify selective measurements on a pair of identical "
                     "particles as local operations or entanglement by measurement.",
@@ -276,12 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="measure file with A and B factor entries")
     _add_common(classify_cmd)
     return parser
-
-
-def _flag_error(message: str) -> NoReturn:
-    """A flag value out of range: one line on stderr, exit code 2."""
-    print(f"error: {message}", file=sys.stderr)
-    raise SystemExit(EXIT_PARSE)
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:

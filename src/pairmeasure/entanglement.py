@@ -28,7 +28,7 @@ from .measurement import (
     events,
     measure_scale,
 )
-from .symmetry import Statistics, permute
+from .symmetry import Statistics, _exchange_sum
 
 # Relative singular-value threshold for rank counting.
 RANK_TOL = 1e-8
@@ -67,8 +67,7 @@ def coefficient_matrix(state: TwoParticleState) -> np.ndarray:
 
 
 def _is_antisymmetric(state: TwoParticleState, tol: float) -> bool:
-    residual = np.linalg.norm(state.amplitudes + permute(state).amplitudes)
-    return residual < tol * state.norm
+    return np.linalg.norm(_exchange_sum(state, 1.0)) < tol * state.norm
 
 
 def _rank(sigma: np.ndarray, tol: float) -> int:
@@ -108,12 +107,16 @@ def _report(
 
 
 def schmidt(state: TwoParticleState, tol: float = RANK_TOL) -> EntanglementReport:
-    """Schmidt decomposition report of the state, normalized internally."""
+    """Schmidt decomposition report of the state, normalized internally.
+
+    The SVD runs on the state's core: the n x n matrix of a dense state, the
+    a x b core of a factored one.
+    """
     nrm = state.norm
     if nrm == 0.0:
         raise DegenerateInputError("zero state has no Schmidt decomposition")
     return _report(
-        state.matrix() / nrm, tol, _is_antisymmetric(state, tol), state.space.total_dim
+        state.core / nrm, tol, _is_antisymmetric(state, tol), state.space.total_dim
     )
 
 

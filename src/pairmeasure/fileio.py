@@ -97,7 +97,7 @@ def parse_state_file(path: str | os.PathLike) -> TwoParticleState:
         amplitudes[row, col] = value
     if space is None:
         raise ParseError("missing 'dim' header")
-    return TwoParticleState(space, amplitudes.reshape(-1))
+    return TwoParticleState._fresh(space, amplitudes)
 
 
 def parse_measure_file(path: str | os.PathLike) -> SelectiveMeasure:
@@ -122,8 +122,8 @@ def parse_measure_file(path: str | os.PathLike) -> SelectiveMeasure:
     if space is None:
         raise ParseError("missing 'dim' header")
     return SelectiveMeasure(
-        OneParticleOperator(space, factors["A"]),
-        OneParticleOperator(space, factors["B"]),
+        OneParticleOperator._fresh(space, factors["A"]),
+        OneParticleOperator._fresh(space, factors["B"]),
     )
 
 

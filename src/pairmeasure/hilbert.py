@@ -2,13 +2,16 @@
 
 A single particle lives in a factored space: an extrinsic factor (lattice
 sites, or equivalently momentum modes on a periodic lattice) times a spin
-factor. The pair of particles lives in the tensor square of that space,
-stored as a dense complex vector in slot-1-major order. Both particles are
-treated as distinguishable at this level; the exchange structure is layered
-on top by :mod:`pairmeasure.symmetry`.
+factor. The pair of particles lives in the tensor square of that space; a
+pair state is its coefficient matrix, held either densely or as L K R^T
+with small orthonormal bases L and R (see ``TwoParticleState``). Both
+particles are treated as distinguishable at this level; the exchange
+structure is layered on top by :mod:`pairmeasure.symmetry`.
 
 All values are immutable after construction and every operation is a pure
-function, so everything here is safe to share across threads.
+function, so everything here is safe to share across threads. Dense arrays
+a factored value builds on first read are a cache of fixed values; two
+threads reading at once may both build it, with the same result.
 """
 
 from __future__ import annotations
@@ -26,10 +29,10 @@ ZERO_TOL = 1e-10
 NORM_TOL = 1e-12
 
 # Largest dense pair array (pair_dim complex128 amplitudes) a space may ask
-# for. Every pair state, event and post-state is stored densely and a single
-# call holds several of them at once, so 256 MiB each keeps a call within a
-# few GiB of a desk machine. It admits L = 2048 at spin 1/2 (n = 4096) and
-# refuses larger spaces before anything is allocated.
+# for. States read from files or given as arrays are dense, and a call on
+# them holds several such arrays at once, so 256 MiB each keeps a call
+# within a few GiB of a desk machine. It admits L = 2048 at spin 1/2
+# (n = 4096) and refuses larger spaces before anything is allocated.
 MAX_PAIR_BYTES = 256 * 2**20
 
 
@@ -84,14 +87,34 @@ def mode_split(flat: int, space: SpaceSpec) -> tuple[int, int]:
     return divmod(flat, space.spin_dim)
 
 
-def _frozen_complex(values, shape: tuple[int, ...], what: str) -> np.ndarray:
-    arr = np.array(values, dtype=complex)
-    if arr.shape != shape:
-        raise DimensionMismatchError(f"{what} has shape {arr.shape}, expected {shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+def _freeze(arr: np.ndarray, what: str) -> np.ndarray:
+    """Check that ``arr`` is finite, then make it read-only in place."""
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what} contains non-finite entries")
     arr.flags.writeable = False
     return arr
+
+
+def _frozen_complex(values, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """A checked, read-only complex copy of caller-supplied ``values``."""
+    arr = np.array(values, dtype=complex)
+    if arr.shape != shape:
+        raise DimensionMismatchError(f"{what} has shape {arr.shape}, expected {shape}")
+    return _freeze(arr, what)
+
+
+def _orthonormal_basis(values, dim: int, what: str) -> np.ndarray:
+    """A checked, read-only copy of an n x r matrix with orthonormal columns."""
+    shape = np.shape(values)
+    if len(shape) != 2 or shape[0] != dim or shape[1] > dim:
+        raise DimensionMismatchError(
+            f"{what} has shape {shape}, expected ({dim}, r) with r <= {dim}"
+        )
+    basis = _frozen_complex(values, shape, what)
+    gram = basis.conj().T @ basis
+    if np.max(np.abs(gram - np.eye(shape[1])), initial=0.0) >= ZERO_TOL:
+        raise ValueError(f"{what} columns are not orthonormal")
+    return basis
 
 
 @dataclass(frozen=True)
@@ -110,9 +133,9 @@ class SingleParticleVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class OneParticleOperator:
-    """Dense complex matrix acting on the single-particle space.
+    """Complex matrix acting on the single-particle space.
 
     ``range_basis``, when given, is an n x r matrix U with orthonormal
     columns whose span contains the range of ``entries``; it lets the
@@ -121,69 +144,162 @@ class OneParticleOperator:
     to ``ZERO_TOL`` relative in the Frobenius norm, at O(n^2 r) cost.
     ``range_rows`` is U^H entries, the operator's rows in that basis;
     without a basis U is the identity and ``range_rows`` is ``entries``.
+
+    With ``entries=None`` the operator is the orthogonal projector U U^H:
+    only the basis is checked (O(n r^2)), ``range_rows`` is U^H, and the
+    dense ``entries`` are built on first read.
     """
 
     space: SpaceSpec
-    entries: np.ndarray
-    range_basis: np.ndarray | None = field(default=None, repr=False, compare=False)
-    range_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    range_basis: np.ndarray | None = field(repr=False)
+    range_rows: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        dim = self.space.total_dim
-        entries = _frozen_complex(self.entries, (dim, dim), "entries")
-        object.__setattr__(self, "entries", entries)
-        if self.range_basis is None:
-            object.__setattr__(self, "range_rows", entries)
-            return
-        shape = np.shape(self.range_basis)
-        if len(shape) != 2 or shape[0] != dim or shape[1] > dim:
-            raise DimensionMismatchError(
-                f"range_basis has shape {shape}, expected ({dim}, r) with r <= {dim}"
-            )
-        basis = _frozen_complex(self.range_basis, shape, "range_basis")
-        gram = basis.conj().T @ basis
-        if np.max(np.abs(gram - np.eye(shape[1])), initial=0.0) >= ZERO_TOL:
-            raise ValueError("range_basis columns are not orthonormal")
-        rows = basis.conj().T @ entries
-        residual = basis @ rows
-        residual -= entries
-        if np.linalg.norm(residual) > ZERO_TOL * np.linalg.norm(entries):
-            raise ValueError("range_basis does not span the range of entries")
-        rows.flags.writeable = False
-        object.__setattr__(self, "range_basis", basis)
+    def __init__(
+        self, space: SpaceSpec, entries, range_basis: np.ndarray | None = None
+    ):
+        dim = space.total_dim
+        if entries is not None:
+            entries = _frozen_complex(entries, (dim, dim), "entries")
+        self._setup(space, entries, range_basis)
+
+    @classmethod
+    def _fresh(cls, space: SpaceSpec, entries: np.ndarray) -> OneParticleOperator:
+        """A dense operator on an n x n array just computed here, frozen in place."""
+        op = cls.__new__(cls)
+        op._setup(space, _freeze(entries, "entries"), None)
+        return op
+
+    def _setup(self, space, entries, range_basis) -> None:
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "_entries", entries)
+        if range_basis is None:
+            if entries is None:
+                raise ValueError("an operator needs entries or a range_basis")
+            rows = entries
+        else:
+            basis = _orthonormal_basis(range_basis, space.total_dim, "range_basis")
+            if entries is None:
+                rows = basis.conj().T
+            else:
+                rows = basis.conj().T @ entries
+                residual = basis @ rows
+                residual -= entries
+                if np.linalg.norm(residual) > ZERO_TOL * np.linalg.norm(entries):
+                    raise ValueError("range_basis does not span the range of entries")
+            rows.flags.writeable = False
+            range_basis = basis
+        object.__setattr__(self, "range_basis", range_basis)
         object.__setattr__(self, "range_rows", rows)
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense n x n matrix, read-only; a projector builds it on first read."""
+        if self._entries is None:
+            entries = self.range_basis @ self.range_basis.conj().T
+            entries.flags.writeable = False
+            object.__setattr__(self, "_entries", entries)
+        return self._entries
 
     @classmethod
     def identity(cls, space: SpaceSpec) -> OneParticleOperator:
         return cls(space, np.eye(space.total_dim, dtype=complex))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class TwoParticleState:
-    """Dense amplitude vector over ordered pairs of single-particle modes.
+    """Amplitudes over ordered pairs of single-particle modes, held as L K R^T.
 
     Flat index convention: amplitude(i, j) for slot-1 mode ``i`` and slot-2
     mode ``j`` is stored at ``i * total_dim + j`` (slot-1 major, the numpy
-    row-major flattening of the coefficient matrix). Every module in this
+    row-major flattening of the coefficient matrix C). Every module in this
     package shares this one layout.
+
+    The coefficient matrix is C = L K R^T. A dense state, which is what the
+    constructor builds, has ``left = right = None`` (the identity) and the
+    n x n ``core`` C. A factored state (see :meth:`from_factors`) keeps an
+    n x a ``left`` and an n x b ``right`` with orthonormal columns and the
+    a x b ``core``; measures with range bases produce such states, and the
+    package's algebra works on their factors. ``amplitudes`` and
+    ``matrix()`` read the same values in both cases: a factored state
+    builds them on first read, at O(n^2 b), and keeps them.
 
     ``normalized=True`` is a caller promise that the vector has unit norm;
     it is checked against ``NORM_TOL`` at construction.
     """
 
     space: SpaceSpec
-    amplitudes: np.ndarray
-    normalized: bool = False
+    normalized: bool
+    left: np.ndarray | None = field(repr=False)
+    core: np.ndarray = field(repr=False)
+    right: np.ndarray | None = field(repr=False)
 
-    def __post_init__(self):
-        amps = _frozen_complex(self.amplitudes, (self.space.pair_dim,), "amplitudes")
-        object.__setattr__(self, "amplitudes", amps)
-        if self.normalized and abs(np.linalg.norm(amps) - 1.0) >= NORM_TOL:
+    def __init__(self, space: SpaceSpec, amplitudes, normalized: bool = False):
+        amps = _frozen_complex(amplitudes, (space.pair_dim,), "amplitudes")
+        dim = space.total_dim
+        self._setup(space, None, amps.reshape(dim, dim), None, normalized)
+        object.__setattr__(self, "_amplitudes", amps)
+
+    @classmethod
+    def from_factors(
+        cls, space: SpaceSpec, left, core, right, normalized: bool = False
+    ) -> TwoParticleState:
+        """The factored state L K R^T; ``left`` and ``right`` need orthonormal columns.
+
+        The factors are copied and checked: shapes, finiteness and
+        orthonormality to ``ZERO_TOL``, at O(n (a^2 + b^2)).
+        """
+        dim = space.total_dim
+        left = _orthonormal_basis(left, dim, "left")
+        right = _orthonormal_basis(right, dim, "right")
+        core = _frozen_complex(core, (left.shape[1], right.shape[1]), "core")
+        return cls._fresh(space, core, left, right, normalized)
+
+    @classmethod
+    def _fresh(
+        cls,
+        space: SpaceSpec,
+        core: np.ndarray,
+        left: np.ndarray | None = None,
+        right: np.ndarray | None = None,
+        normalized: bool = False,
+    ) -> TwoParticleState:
+        """A state on arrays computed here, checked and frozen in place, not copied.
+
+        ``left`` and ``right`` are both None or both orthonormal bases. A part
+        that is already read-only belongs to an existing state or operator,
+        so it has been checked and is taken as it is.
+        """
+        parts = [core] if left is None else [left, core, right]
+        for part in parts:
+            if part.flags.writeable:
+                _freeze(part, "state")
+        state = cls.__new__(cls)
+        state._setup(space, left, core, right, normalized)
+        return state
+
+    def _setup(self, space, left, core, right, normalized) -> None:
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "normalized", normalized)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "core", core)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "_amplitudes", None)
+        if normalized and abs(self.norm - 1.0) >= NORM_TOL:
             raise ValueError("state flagged normalized but its norm is not 1")
 
     @property
+    def amplitudes(self) -> np.ndarray:
+        """Flat slot-1-major amplitudes, read-only; built on first read if factored."""
+        if self._amplitudes is None:
+            amps = _in_bases(self, None, None).reshape(-1)
+            amps.flags.writeable = False
+            object.__setattr__(self, "_amplitudes", amps)
+        return self._amplitudes
+
+    @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        # The bases are isometries, so the core carries the norm.
+        return float(np.linalg.norm(self.core))
 
     def matrix(self) -> np.ndarray:
         """Amplitudes reshaped to the total_dim x total_dim coefficient matrix.
@@ -195,11 +311,42 @@ class TwoParticleState:
         return self.amplitudes.reshape(dim, dim)
 
     def normalize(self) -> TwoParticleState:
-        """Unit-norm copy. Raises DegenerateInputError on a zero state."""
+        """Unit-norm copy with the core rescaled; DegenerateInputError if zero."""
         nrm = self.norm
         if nrm == 0.0:
             raise DegenerateInputError("cannot normalize a zero state")
-        return TwoParticleState(self.space, self.amplitudes / nrm, normalized=True)
+        return TwoParticleState._fresh(
+            self.space, self.core / nrm, self.left, self.right, normalized=True
+        )
+
+
+def _change_of_basis(to: np.ndarray | None, frm: np.ndarray | None) -> np.ndarray | None:
+    """to^H frm, which maps coefficients in ``frm`` to ``to``; None is the identity."""
+    if to is frm:
+        return None
+    if to is None:
+        return frm
+    if frm is None:
+        return to.conj().T
+    return to.conj().T @ frm
+
+
+def _in_bases(
+    state: TwoParticleState, left: np.ndarray | None, right: np.ndarray | None
+) -> np.ndarray:
+    """left^H C conj(right): the state's coefficients in the product basis (left, right).
+
+    None is the identity basis, so ``_in_bases(state, None, None)`` is the
+    dense coefficient matrix. Bases the state already uses cost nothing.
+    """
+    core = state.core
+    rows = _change_of_basis(left, state.left)
+    cols = _change_of_basis(right, state.right)
+    if rows is not None:
+        core = rows @ core
+    if cols is not None:
+        core = core @ cols.T
+    return core
 
 
 def basis_vector(extrinsic: int, spin: int, space: SpaceSpec) -> SingleParticleVector:
@@ -232,15 +379,17 @@ def tensor_state(u: SingleParticleVector, v: SingleParticleVector) -> TwoParticl
     """Product state with ``u`` in slot 1 and ``v`` in slot 2."""
     if u.space != v.space:
         raise DimensionMismatchError("tensor_state factors live in different spaces")
-    amps = np.outer(u.amplitudes, v.amplitudes).reshape(-1)
-    return TwoParticleState(u.space, amps)
+    return TwoParticleState._fresh(u.space, np.outer(u.amplitudes, v.amplitudes))
 
 
 def inner_product(a: TwoParticleState, b: TwoParticleState) -> complex:
-    """Hermitian inner product, conjugate-linear in the first argument."""
+    """Hermitian inner product, conjugate-linear in the first argument.
+
+    Computed on ``a``'s core, with ``b`` taken into ``a``'s bases.
+    """
     if a.space != b.space:
         raise DimensionMismatchError("inner_product operands live in different spaces")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
+    return complex(np.vdot(a.core, _in_bases(b, a.left, a.right)))
 
 
 def momentum_representation(state: TwoParticleState) -> TwoParticleState:
@@ -248,12 +397,21 @@ def momentum_representation(state: TwoParticleState) -> TwoParticleState:
 
     The extrinsic index of the result labels momentum modes instead of
     lattice sites; spin indices are untouched. Useful when momentum values
-    rather than positions act as the particle labels.
+    rather than positions act as the particle labels. A factored state
+    keeps its core and transforms its a + b basis columns.
     """
     space = state.space
     sites, spins = space.extrinsic_dim, space.spin_dim
     # Amplitude at site x picks up exp(-2i*pi*m*x/L)/sqrt(L) in each slot:
     # an orthonormal DFT over both extrinsic axes.
-    blocks = state.matrix().reshape(sites, spins, sites, spins)
-    coeff = np.fft.fft2(blocks, axes=(0, 2), norm="ortho")
-    return TwoParticleState(space, coeff.reshape(-1))
+    if state.left is None:
+        blocks = state.matrix().reshape(sites, spins, sites, spins)
+        coeff = np.fft.fft2(blocks, axes=(0, 2), norm="ortho")
+        return TwoParticleState._fresh(space, coeff.reshape(space.total_dim, -1))
+    left, right = (
+        np.fft.fft(basis.reshape(sites, spins, -1), axis=0, norm="ortho").reshape(
+            space.total_dim, -1
+        )
+        for basis in (state.left, state.right)
+    )
+    return TwoParticleState._fresh(space, state.core, left, right)

@@ -24,9 +24,12 @@ Every event lies in range(A) x range(B) of the factors A and B. With range
 bases U_A, U_B (see ``OneParticleOperator.range_basis``) an event is
 U_A K U_B^T for an r_A x r_B core K, and since the bases are isometries the
 norms, overlaps and singular values of the cores are those of the events.
-The algebra therefore runs on the cores and builds each dense vector once,
-at O(n^2 r) instead of O(n^3). A factor without a basis is the case U = I,
-r = n, which is plain dense algebra.
+The algebra therefore runs on the cores, and an event or post-state is kept
+as the factored state (U_A, K, U_B), whose dense amplitudes are built only
+when read. On a dense reference state this costs O(n^2 r) instead of
+O(n^3); on a factored one, L K R^T with a + b basis columns, O(n r (a + b)).
+A factor without a basis is the case U = I, r = n, which is plain dense
+algebra.
 """
 
 from __future__ import annotations
@@ -37,8 +40,15 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionMismatchError
-from .hilbert import ZERO_TOL, OneParticleOperator, SpaceSpec, TwoParticleState
-from .symmetry import _INV_SQRT2, Statistics, permute, sector
+from .hilbert import (
+    ZERO_TOL,
+    OneParticleOperator,
+    SpaceSpec,
+    TwoParticleState,
+    _in_bases,
+    inner_product,
+)
+from .symmetry import _INV_SQRT2, Statistics, _exchange_sum, permute
 
 
 @dataclass(frozen=True)
@@ -119,40 +129,38 @@ class CollapseResult:
     probability: float
 
 
-def _expand(measure: SelectiveMeasure, core: np.ndarray) -> np.ndarray:
-    """U_A core U_B^T: a core back on the full single-particle modes."""
+def _from_core(measure: SelectiveMeasure, core: np.ndarray) -> TwoParticleState:
+    """The state U_A core U_B^T: factored when both factors have a range basis.
+
+    Otherwise the core is expanded on the modes of the factor that has a
+    basis, giving a dense state.
+    """
     left = measure.factor_slot1.range_basis
     right = measure.factor_slot2.range_basis
+    if left is not None and right is not None:
+        return TwoParticleState._fresh(measure.space, core, left, right)
     if left is not None:
         core = left @ core
     if right is not None:
         core = core @ right.T
-    return core
-
-
-def _core(measure: SelectiveMeasure, state: TwoParticleState) -> np.ndarray:
-    """U_A^H C conj(U_B): the coefficients of a state in range(A) x range(B)."""
-    core = state.matrix()
-    left = measure.factor_slot1.range_basis
-    right = measure.factor_slot2.range_basis
-    if left is not None:
-        core = left.conj().T @ core
-    if right is not None:
-        core = core @ right.conj()
-    return core
+    return TwoParticleState._fresh(measure.space, core)
 
 
 def apply_measure(measure: SelectiveMeasure, state: TwoParticleState) -> TwoParticleState:
     """Apply the tensor-product measure: one factor per slot.
 
-    Computes the core W_A C W_B^T with W = U^H A, then expands it once.
+    On C = L K R^T it computes the core (W_A L) K (W_B R)^T with W = U^H A,
+    at O(n r a), and returns it in the factors' range bases (U_A, U_B),
+    expanded to a dense state unless both factors have one.
     """
     if measure.space != state.space:
         raise DimensionMismatchError("measure and state live in different spaces")
     left = measure.factor_slot1.range_rows
     right = measure.factor_slot2.range_rows
-    core = left @ state.matrix() @ right.T
-    return TwoParticleState(state.space, _expand(measure, core).reshape(-1))
+    if state.left is not None:
+        left = left @ state.left
+        right = right @ state.right
+    return _from_core(measure, left @ state.core @ right.T)
 
 
 def measure_scale(measure: SelectiveMeasure) -> float:
@@ -172,15 +180,16 @@ def events(measure: SelectiveMeasure, ref_state: TwoParticleState) -> EventPair:
     """Compute both events of the measure on a distinguishable reference state."""
     direct = apply_measure(measure, ref_state)
     permuted = apply_measure(measure, permute(ref_state))
-    core_direct = _core(measure, direct)
-    core_permuted = _core(measure, permuted)
+    bases = (measure.factor_slot1.range_basis, measure.factor_slot2.range_basis)
+    core_direct = _in_bases(direct, *bases)
+    core_permuted = _in_bases(permuted, *bases)
     return EventPair(
         event_direct=direct,
         event_permuted=permuted,
         norm_direct=float(np.linalg.norm(core_direct)),
         norm_permuted=float(np.linalg.norm(core_permuted)),
         event_overlap=complex(np.vdot(core_direct, core_permuted)),
-        ref_overlap=complex(np.vdot(ref_state.amplitudes, permuted.amplitudes)),
+        ref_overlap=inner_product(ref_state, permuted),
         core_direct=core_direct,
         core_permuted=core_permuted,
     )
@@ -233,13 +242,13 @@ def _collapse(
 
     Returns the result and the raw post-state's core.
     """
-    sym_norm = sector(ref_state, stat).norm
+    sym_norm = float(np.linalg.norm(_INV_SQRT2 * _exchange_sum(ref_state, stat.sign)))
     if sym_norm < tol * ref_state.norm or sym_norm == 0.0:
         raise DegenerateInputError(
             f"reference state has no {stat.value} sector to measure"
         )
     core = _INV_SQRT2 * (pair.core_direct + stat.sign * pair.core_permuted)
-    raw = TwoParticleState(ref_state.space, _expand(measure, core).reshape(-1))
+    raw = _from_core(measure, core)
     norm = float(np.linalg.norm(core))
     if _is_zero(norm, measure_scale(measure) * sym_norm, tol):
         return CollapseResult(raw=raw, normalized=None, probability=0.0), core
@@ -319,7 +328,8 @@ def window_sites(center: int, width: int, sites: int) -> list[int]:
 def window_projector(center: int, width: int, space: SpaceSpec) -> OneParticleOperator:
     """Projector onto a contiguous window of lattice sites, identity on spin.
 
-    Its range basis is the window's coordinate columns.
+    Its range basis is the window's coordinate columns; the dense entries
+    are built only when read.
     """
     spins = space.spin_dim
     modes = [
@@ -329,9 +339,7 @@ def window_projector(center: int, width: int, space: SpaceSpec) -> OneParticleOp
     ]
     basis = np.zeros((space.total_dim, len(modes)), dtype=complex)
     basis[modes, np.arange(len(modes))] = 1.0
-    entries = np.zeros((space.total_dim, space.total_dim), dtype=complex)
-    entries[modes, modes] = 1.0
-    return OneParticleOperator(space, entries, range_basis=basis)
+    return OneParticleOperator(space, None, range_basis=basis)
 
 
 def momentum_projector(mode1: int, mode2: int, space: SpaceSpec) -> SelectiveMeasure:
@@ -339,7 +347,8 @@ def momentum_projector(mode1: int, mode2: int, space: SpaceSpec) -> SelectiveMea
 
     Each factor is the rank-one projector onto a plane-wave momentum ket on
     the extrinsic factor, tensored with the identity on spin; its range
-    basis is that ket tensored with the spin basis.
+    basis is that ket tensored with the spin basis, and the dense entries
+    are built only when read.
     """
 
     def factor(mode: int) -> OneParticleOperator:
@@ -347,8 +356,7 @@ def momentum_projector(mode1: int, mode2: int, space: SpaceSpec) -> SelectiveMea
         if not 0 <= mode < sites:
             raise IndexError(f"momentum mode {mode} out of range [0, {sites})")
         wave = np.exp(2j * np.pi * mode * np.arange(sites) / sites) / np.sqrt(sites)
-        entries = np.kron(np.outer(wave, wave.conj()), np.eye(space.spin_dim))
         basis = np.kron(wave[:, None], np.eye(space.spin_dim))
-        return OneParticleOperator(space, entries, range_basis=basis)
+        return OneParticleOperator(space, None, range_basis=basis)
 
     return SelectiveMeasure(factor(mode1), factor(mode2))

@@ -175,11 +175,24 @@ def _min_signed_displacement(x_from: int, x_to: int, sites: int) -> int:
 
 
 def _reference_state(m_a: int, m_b: int, space: SpaceSpec) -> TwoParticleState:
+    """|m_a up> x |m_b down>, factored as (u/|u|) (|u| |v|) (v/|v|)^T."""
     if space.spin_dim < 2:
         raise ValueError("scenarios need a spin-1/2 factor (spin_dim >= 2)")
-    return tensor_state(
-        plane_wave(m_a, SPIN_UP, space), plane_wave(m_b, SPIN_DOWN, space)
+    u = plane_wave(m_a, SPIN_UP, space)
+    v = plane_wave(m_b, SPIN_DOWN, space)
+    return TwoParticleState.from_factors(
+        space,
+        (u.amplitudes / u.norm)[:, None],
+        [[u.norm * v.norm]],
+        (v.amplitudes / v.norm)[:, None],
     )
+
+
+def _amplitude(state: TwoParticleState, row: int, col: int) -> complex:
+    """amplitude(row, col) = L[row] K R[col]^T, read off the factors."""
+    if state.left is None:
+        return complex(state.core[row, col])
+    return complex(state.left[row] @ state.core @ state.right[col])
 
 
 def scenario_momentum_projection(
@@ -249,14 +262,14 @@ def scenario_position_windows(
     if width == 1 and result.post_state_normalized is not None:
         relabeled = relabel_distinguishable(result.post_state, (x_a, x_b), tol)
         if disjoint:
-            coeff = result.post_state.matrix()
-            direct_amp = coeff[
-                mode_index(x_a, SPIN_UP, space), mode_index(x_b, SPIN_DOWN, space)
-            ]
-            swapped_amp = coeff[
-                mode_index(x_a, SPIN_DOWN, space), mode_index(x_b, SPIN_UP, space)
-            ]
-            measured = complex(swapped_amp / direct_amp)
+            post = result.post_state
+            direct_amp = _amplitude(
+                post, mode_index(x_a, SPIN_UP, space), mode_index(x_b, SPIN_DOWN, space)
+            )
+            swapped_amp = _amplitude(
+                post, mode_index(x_a, SPIN_DOWN, space), mode_index(x_b, SPIN_UP, space)
+            )
+            measured = swapped_amp / direct_amp
             dk = _wrap_wavenumber(m_b, sites) - _wrap_wavenumber(m_a, sites)
             dx = _min_signed_displacement(x_a, x_b, sites)
             predicted = complex(stat.sign * np.exp(-1j * dk * dx))
@@ -279,6 +292,7 @@ def relabel_distinguishable(
     The state must be supported entirely on slot-1 modes at the first label
     and slot-2 modes at the second; the corresponding spin-by-spin amplitude
     block is extracted and normalized into a state over a spin-only space.
+    A factored state is read through row slices of its bases, at O(n r).
     """
     space = post_state.space
     label_1, label_2 = labels
@@ -287,18 +301,29 @@ def relabel_distinguishable(
             raise IndexError(
                 f"extrinsic label {label} out of range [0, {space.extrinsic_dim})"
             )
-    blocks = post_state.matrix().reshape(
-        space.extrinsic_dim, space.spin_dim, space.extrinsic_dim, space.spin_dim
-    )
     if post_state.norm == 0.0:
         raise DegenerateInputError("cannot relabel a zero state")
-    remainder = blocks.copy()
-    remainder[label_1, :, label_2, :] = 0.0
-    if np.linalg.norm(remainder) >= tol * post_state.norm:
+    spins = space.spin_dim
+    rows = slice(label_1 * spins, (label_1 + 1) * spins)
+    cols = slice(label_2 * spins, (label_2 + 1) * spins)
+    # C = (L K) R^T, with L = R = I for a dense state. Its rows at label_1 are
+    # band R^T; the block sits in them at label_2. The remainder is the rest
+    # of that band plus the other rows, each norm taken directly.
+    right = post_state.right
+    half = post_state.core
+    if post_state.left is not None:
+        half = post_state.left @ half
+    band = half[rows]
+    if right is None:
+        block, rest = band[:, cols], np.delete(band, cols, axis=1)
+    else:
+        block, rest = band @ right[cols].T, band @ np.delete(right, cols, axis=0).T
+    other_rows = np.delete(half, rows, axis=0)
+    remainder = np.hypot(np.linalg.norm(rest), np.linalg.norm(other_rows))
+    if remainder >= tol * post_state.norm:
         raise ValueError(
             f"state has support outside extrinsic labels {labels}; "
             "relabeling by those values is not faithful"
         )
-    spin_space = SpaceSpec(extrinsic_dim=1, spin_dim=space.spin_dim)
-    block = blocks[label_1, :, label_2, :]
-    return TwoParticleState(spin_space, block.reshape(-1)).normalize()
+    spin_space = SpaceSpec(extrinsic_dim=1, spin_dim=spins)
+    return TwoParticleState._fresh(spin_space, block).normalize()

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .hilbert import TwoParticleState
+from .hilbert import TwoParticleState, inner_product
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -35,14 +35,37 @@ class Statistics(Enum):
 
 
 def permute(state: TwoParticleState) -> TwoParticleState:
-    """Swap the two tensor slots: amplitude(i, j) -> amplitude(j, i)."""
-    swapped = state.matrix().T.reshape(-1)
-    return TwoParticleState(state.space, swapped, normalized=state.normalized)
+    """Swap the two tensor slots: amplitude(i, j) -> amplitude(j, i).
+
+    L K R^T becomes R K^T L^T: the factors swap and the core is transposed,
+    as a view, so nothing is copied.
+    """
+    return TwoParticleState._fresh(
+        state.space, state.core.T, state.right, state.left, normalized=state.normalized
+    )
 
 
 def permutation_overlap(state: TwoParticleState) -> complex:
     """Overlap of a state with its own permutation."""
-    return complex(np.vdot(state.amplitudes, state.matrix().T.reshape(-1)))
+    return inner_product(state, permute(state))
+
+
+def _exchange_sum(state: TwoParticleState, sign: float) -> np.ndarray:
+    """M + sign M^T, whose Frobenius norm is that of C + sign C^T.
+
+    A dense state has M = C. A factored one takes M from one QR of its
+    stacked bases, [L R] = Q T with T = [T_L T_R]: then C = Q M Q^T with
+    M = T_L K T_R^T, and Q is an isometry. The norm thus comes from an
+    (a + b) x (a + b) matrix, never from a difference of squared norms,
+    which would resolve only about 1e-8 relative.
+    """
+    if state.left is None:
+        coeff = state.core
+    else:
+        width = state.left.shape[1]
+        tri = np.linalg.qr(np.hstack([state.left, state.right]), mode="r")
+        coeff = tri[:, :width] @ state.core @ tri[:, width:].T
+    return coeff + sign * coeff.T
 
 
 def sector(state: TwoParticleState, stat: Statistics) -> TwoParticleState:
@@ -54,8 +77,7 @@ def sector(state: TwoParticleState, stat: Statistics) -> TwoParticleState:
     vector.
     """
     coeff = state.matrix()
-    amps = _INV_SQRT2 * (coeff + stat.sign * coeff.T).reshape(-1)
-    return TwoParticleState(state.space, amps)
+    return TwoParticleState._fresh(state.space, _INV_SQRT2 * (coeff + stat.sign * coeff.T))
 
 
 def orthogonal_sum_check(state: TwoParticleState) -> float:

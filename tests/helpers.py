@@ -30,6 +30,25 @@ def random_unitary(rng, dim: int) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
+def random_factored_state(rng, space: SpaceSpec, left_rank: int, right_rank: int):
+    """L K R^T with random isometries L, R and a random core."""
+    dim = space.total_dim
+    core = rng.standard_normal((left_rank, right_rank)) + 1j * rng.standard_normal(
+        (left_rank, right_rank)
+    )
+    return TwoParticleState.from_factors(
+        space,
+        random_unitary(rng, dim)[:, :left_rank],
+        core,
+        random_unitary(rng, dim)[:, :right_rank],
+    )
+
+
+def as_dense(state: TwoParticleState) -> TwoParticleState:
+    """The same amplitudes as a dense state."""
+    return TwoParticleState(state.space, state.amplitudes)
+
+
 def random_projector(rng, space: SpaceSpec, rank: int) -> OneParticleOperator:
     basis = random_unitary(rng, space.total_dim)[:, :rank]
     return OneParticleOperator(space, basis @ basis.conj().T)
@@ -39,6 +58,20 @@ def random_measure(rng, space: SpaceSpec, rank1: int, rank2: int) -> SelectiveMe
     return SelectiveMeasure(
         random_projector(rng, space, rank1), random_projector(rng, space, rank2)
     )
+
+
+def decision_margins(measure: SelectiveMeasure, state: TwoParticleState, tol: float):
+    """Event norms over tol * scale and the overlap over tol * scale**2, densely."""
+    full = np.kron(measure.factor_slot1.entries, measure.factor_slot2.entries)
+    dim = state.space.total_dim
+    direct = full @ state.amplitudes
+    permuted = full @ state.amplitudes.reshape(dim, dim).T.reshape(-1)
+    scale = float(np.max(np.linalg.norm(full, axis=0))) * np.linalg.norm(state.amplitudes)
+    if scale == 0.0:
+        return np.zeros(3)
+    norms = np.array([np.linalg.norm(direct), np.linalg.norm(permuted)])
+    overlap = abs(np.vdot(direct, permuted))
+    return np.append(norms / (tol * scale), overlap / (tol * scale**2))
 
 
 def brute_force_verdict(measure: SelectiveMeasure, state: TwoParticleState, tol: float):

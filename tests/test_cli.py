@@ -192,6 +192,24 @@ def test_bad_flag_values_exit_2():
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["momentum-scenario", "--lattice", "abc"],
+        ["momentum-scenario", "--bogus"],
+        ["classify", "--measure", "x"],
+        ["position-scenario", "--statistics", "quark"],
+    ],
+    ids=["bad-int", "unknown-flag", "missing-state", "bad-choice"],
+)
+def test_parse_errors_are_one_line_and_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_module_invocation_end_to_end():
     result = subprocess.run(
         [sys.executable, "-m", "pairmeasure", "position-scenario", "--output", "json"],

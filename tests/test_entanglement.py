@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairmeasure import (
     DegenerateInputError,
@@ -24,7 +26,13 @@ from pairmeasure import (
     window_projector,
 )
 
-from helpers import random_state, random_unitary, random_vector
+from helpers import (
+    as_dense,
+    random_factored_state,
+    random_state,
+    random_unitary,
+    random_vector,
+)
 
 SPACE = SpaceSpec(8, 2)
 UP, DOWN = 0, 1
@@ -302,3 +310,27 @@ def test_ebm_evidence_uses_the_relative_zero_test():
     assert 0.0 < apply_measure(measure, state).norm < 1e-13
     with pytest.raises(DegenerateInputError):
         ebm_evidence(measure, state, Statistics.FERMION)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sites=st.integers(1, 4),
+    rank=st.integers(1, 4),
+    exchange=st.sampled_from([None, -1.0, 1.0]),
+)
+def test_schmidt_of_factored_states_matches_dense(seed, sites, rank, exchange):
+    # exchange -1/+1: L = R and K = -+K^T, an antisymmetric or symmetric state
+    rng = np.random.default_rng(seed)
+    space = SpaceSpec(sites, 2)
+    rank = min(max(rank, 2 if exchange == -1.0 else 1), space.total_dim)
+    state = random_factored_state(rng, space, rank, rank)
+    if exchange is not None:
+        core = state.core + exchange * state.core.T
+        state = TwoParticleState.from_factors(space, state.left, core, state.left)
+    got, want = schmidt(state), schmidt(as_dense(state))
+    assert got.schmidt_rank == want.schmidt_rank
+    assert got.slater_rank == want.slater_rank
+    assert (got.slater_rank is not None) is (exchange == -1.0)
+    assert np.max(np.abs(got.singular_values - want.singular_values)) < 1e-12
+    assert got.entropy == pytest.approx(want.entropy, abs=1e-12)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairmeasure import (
     DimensionMismatchError,
@@ -16,7 +18,13 @@ from pairmeasure import (
     tensor_state,
 )
 
-from helpers import random_state, random_unitary, random_vector
+from helpers import (
+    as_dense,
+    random_factored_state,
+    random_state,
+    random_unitary,
+    random_vector,
+)
 
 
 def test_space_spec_dims():
@@ -283,3 +291,79 @@ def test_range_basis_is_validated_and_frozen():
             OneParticleOperator(space, entries, range_basis=shape_error)
     plain = OneParticleOperator(space, entries)
     assert plain.range_basis is None and plain.range_rows is plain.entries
+
+
+def test_factored_amplitudes_are_built_once_and_read_only():
+    rng = np.random.default_rng(20)
+    space = SpaceSpec(3, 2)
+    state = random_factored_state(rng, space, 2, 1)
+    assert state.left.shape == (6, 2) and state.core.shape == (2, 1)
+    expected = (state.left @ state.core @ state.right.T).reshape(-1)
+    amps = state.amplitudes
+    assert amps is state.amplitudes
+    assert np.max(np.abs(amps - expected)) < 1e-15
+    assert state.norm == pytest.approx(np.linalg.norm(expected), abs=1e-14)
+    for view in (amps, state.matrix(), state.core, state.left, state.right):
+        with pytest.raises(ValueError):
+            view.flat[0] = 1.0
+    normalized = state.normalize()
+    assert normalized.left is state.left and normalized.normalized
+
+
+def test_from_factors_checks_its_factors():
+    rng = np.random.default_rng(21)
+    space = SpaceSpec(3, 2)
+    basis = random_unitary(rng, 6)[:, :2]
+    with pytest.raises(ValueError, match="orthonormal"):
+        TwoParticleState.from_factors(space, 2.0 * basis, np.eye(2), basis)
+    with pytest.raises(DimensionMismatchError):
+        TwoParticleState.from_factors(space, basis, np.eye(3), basis)
+    with pytest.raises(DimensionMismatchError):
+        TwoParticleState.from_factors(space, basis[:5], np.eye(2), basis)
+    with pytest.raises(ValueError, match="non-finite"):
+        TwoParticleState.from_factors(space, basis, np.diag([1.0, np.nan]), basis)
+    with pytest.raises(ValueError, match="normalized"):
+        TwoParticleState.from_factors(space, basis, np.eye(2), basis, normalized=True)
+    state = TwoParticleState.from_factors(space, basis, np.eye(2) / np.sqrt(2), basis,
+                                          normalized=True)
+    assert state.normalized
+
+
+def test_projectors_from_a_basis_build_their_entries_on_first_read():
+    rng = np.random.default_rng(22)
+    space = SpaceSpec(3, 2)
+    basis = random_unitary(rng, 6)[:, :2]
+    op = OneParticleOperator(space, None, range_basis=basis)
+    assert np.max(np.abs(op.range_rows - basis.conj().T)) == 0.0
+    entries = op.entries
+    assert entries is op.entries
+    assert np.max(np.abs(entries - basis @ basis.conj().T)) == 0.0
+    with pytest.raises(ValueError):
+        entries[0, 0] = 1.0
+    with pytest.raises(ValueError, match="orthonormal"):
+        OneParticleOperator(space, None, range_basis=2.0 * basis)
+    with pytest.raises(ValueError, match="needs entries"):
+        OneParticleOperator(space, None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sites=st.integers(1, 6),
+    ranks=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+)
+def test_factored_momentum_representation_and_inner_products_match_dense(
+    seed, sites, ranks
+):
+    rng = np.random.default_rng(seed)
+    space = SpaceSpec(sites, 2)
+    dim = space.total_dim
+    state = random_factored_state(rng, space, *(min(rank, dim) for rank in ranks))
+    other = random_factored_state(rng, space, *(min(rank, dim) for rank in ranks[::-1]))
+    got = momentum_representation(state)
+    want = momentum_representation(as_dense(state))
+    assert got.left is not None and got.core is state.core
+    assert np.max(np.abs(got.amplitudes - want.amplitudes)) < 1e-12
+    expected = np.vdot(state.amplitudes, other.amplitudes)
+    for a, b in ((state, other), (as_dense(state), other), (state, as_dense(other))):
+        assert abs(inner_product(a, b) - expected) < 1e-12

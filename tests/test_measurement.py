@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pairmeasure import (
@@ -29,7 +29,10 @@ from pairmeasure import (
 )
 
 from helpers import (
+    as_dense,
     brute_force_verdict,
+    decision_margins,
+    random_factored_state,
     random_measure,
     random_state,
     random_unitary,
@@ -402,7 +405,10 @@ def without_basis(measure):
 def assert_compressed_matches_dense(measure, state, stat):
     dense = without_basis(measure)
     assert classify(measure, state).tag is brute_force_verdict(dense, state, 1e-10)
-    got, want = measure_pair(measure, state, stat), measure_pair(dense, state, stat)
+    assert_results_match(measure_pair(measure, state, stat), measure_pair(dense, state, stat))
+
+
+def assert_results_match(got, want):
     assert got.verdict.tag is want.verdict.tag
     assert got.born_rule is want.born_rule
     assert got.probability == pytest.approx(want.probability, abs=1e-12)
@@ -492,3 +498,127 @@ def test_is_projector_valued_with_a_basis_agrees_with_the_entrywise_test():
         assert is_projector_valued(SelectiveMeasure(with_basis, with_basis)) is answer
         answers.append(answer)
     assert answers[:3] == [False, False, True] and True in answers[3:] and False in answers[3:]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sites=st.integers(1, 4),
+    fractions=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+    ranks=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    basis_only=st.booleans(),
+    factored=st.booleans(),
+    stat=st.sampled_from(Statistics),
+)
+def test_factored_states_match_dense_states(
+    seed, sites, fractions, ranks, basis_only, factored, stat
+):
+    # the factored path on either kind of state against plain dense algebra
+    rng = np.random.default_rng(seed)
+    space = SpaceSpec(sites, 2)
+    dim = space.total_dim
+    factors = []
+    for fraction in fractions:
+        basis = random_unitary(rng, dim)[:, : round(fraction * dim)]
+        if basis_only:
+            factors.append(OneParticleOperator(space, None, range_basis=basis))
+        else:
+            factors.append(OneParticleOperator(space, basis @ basis.conj().T))
+    measure = SelectiveMeasure(*factors)
+    state = random_factored_state(rng, space, *(min(rank, dim) for rank in ranks))
+    if not factored:
+        state = as_dense(state)
+    dense_measure, dense_state = without_basis(measure), as_dense(state)
+    assert is_projector_valued(measure)
+    expected = brute_force_verdict(dense_measure, dense_state, 1e-10)
+    assert classify(measure, state).tag is expected
+    assert_results_match(
+        measure_pair(measure, state, stat), measure_pair(dense_measure, dense_state, stat)
+    )
+
+
+def test_factored_doubly_occupied_reference_has_no_fermion_sector():
+    rng = np.random.default_rng(42)
+    space = SpaceSpec(4, 2)
+    u = random_vector(rng, space).amplitudes
+    unit = (u / np.linalg.norm(u))[:, None]
+    doubled = TwoParticleState.from_factors(space, unit, [[np.vdot(u, u)]], unit)
+    measure = SelectiveMeasure(window_projector(1, 1, space), window_projector(2, 1, space))
+    with pytest.raises(DegenerateInputError):
+        measure_pair(measure, doubled, Statistics.FERMION)
+    with pytest.raises(DegenerateInputError):
+        collapse(measure, doubled, Statistics.FERMION)
+    assert_results_match(
+        measure_pair(measure, doubled, Statistics.BOSON),
+        measure_pair(without_basis(measure), as_dense(doubled), Statistics.BOSON),
+    )
+
+
+def transformed(measure, state, state_factor, factor_scales, rotation):
+    """c (V x V) state and V (s A) V^H per factor, keeping factored and basis forms."""
+    factors = []
+    for factor, scale in zip((measure.factor_slot1, measure.factor_slot2), factor_scales):
+        entries = scale * rotation @ factor.entries @ rotation.conj().T
+        basis = None if factor.range_basis is None else rotation @ factor.range_basis
+        factors.append(OneParticleOperator(state.space, entries, range_basis=basis))
+    if state.left is None:
+        coeff = state_factor * rotation @ state.matrix() @ rotation.T
+        new_state = TwoParticleState(state.space, coeff.reshape(-1))
+    else:
+        new_state = TwoParticleState.from_factors(
+            state.space, rotation @ state.left, state_factor * state.core,
+            rotation @ state.right,
+        )
+    return SelectiveMeasure(*factors), new_state
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["projectors", "windows", "momenta"]),
+    factored=st.booleans(),
+)
+def test_verdicts_are_invariant_under_rescaling_phase_and_shared_local_unitaries(
+    seed, kind, factored
+):
+    rng = np.random.default_rng(seed)
+    space = SpaceSpec(4, 2)
+    dim = space.total_dim
+    m_a, m_b = (int(m) for m in rng.choice(4, size=2, replace=False))
+    x_a, x_b = (int(x) for x in rng.integers(0, 4, size=2))
+    ref = random_factored_state(rng, space, 2, 2)
+    if kind == "projectors":
+        bases = (random_unitary(rng, dim)[:, : rng.integers(0, dim + 1)] for _ in range(2))
+        measure = SelectiveMeasure(
+            *(OneParticleOperator(space, None, range_basis=basis) for basis in bases)
+        )
+    else:
+        ref = TwoParticleState.from_factors(
+            space, plane_wave(m_a, UP, space).amplitudes[:, None], [[1.0]],
+            plane_wave(m_b, DOWN, space).amplitudes[:, None],
+        )
+        if kind == "windows":
+            measure = SelectiveMeasure(
+                window_projector(x_a, 1, space), window_projector(x_b, 1, space)
+            )
+        else:
+            measure = momentum_projector(m_a, m_b, space)
+    if not factored:
+        ref = as_dense(ref)
+    scales = 10.0 ** rng.uniform(-3, 3, size=3)
+    phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
+    identity = np.eye(dim)
+    variants = [
+        transformed(measure, ref, scales[0], scales[1:], identity),
+        transformed(measure, ref, phase, (1.0, 1.0), identity),
+        transformed(measure, ref, 1.0, (1.0, 1.0), random_unitary(rng, dim)),
+    ]
+    cases = [(measure, ref)] + variants
+    # skip draws whose decision values sit within 1e3 of a threshold
+    for case in cases:
+        margins = decision_margins(*case, 1e-10)
+        assume(not np.any((margins > 1e-3) & (margins < 1e3)))
+    verdict = classify(measure, ref).tag
+    for case in cases:
+        assert classify(*case).tag is verdict
+        assert brute_force_verdict(*case, 1e-10) is verdict

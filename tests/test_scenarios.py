@@ -2,6 +2,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pairmeasure.measurement
 from pairmeasure import (
@@ -17,6 +19,8 @@ from pairmeasure import (
     measure_pair,
     mode_index,
     momentum_projector,
+    momentum_representation,
+    permute,
     plane_wave,
     relabel_distinguishable,
     scenario_momentum_projection,
@@ -26,6 +30,8 @@ from pairmeasure import (
     tensor_state,
     window_projector,
 )
+
+from helpers import as_dense, random_unitary
 
 SPACE = SpaceSpec(8, 2)
 UP, DOWN = 0, 1
@@ -288,3 +294,52 @@ def test_measure_pair_pads_the_core_spectrum_to_total_dim():
         assert sigma.shape == (SPACE.total_dim,)
         assert np.all(sigma[2:] == 0.0)
         assert np.max(np.abs(sigma - dense.singular_values)) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sites=st.integers(2, 6),
+    labels=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    ranks=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+    spread=st.sampled_from([None, 0, 1]),
+)
+def test_relabel_of_factored_states_matches_dense(seed, sites, labels, ranks, spread):
+    rng = np.random.default_rng(seed)
+    space = SpaceSpec(sites, 2)
+    dim = space.total_dim
+    labels = tuple(label % sites for label in labels)
+    bases = []
+    for slot, (label, rank) in enumerate(zip(labels, ranks)):
+        if slot == spread:
+            # support on every site of one slot: the relabeling must refuse it
+            bases.append(random_unitary(rng, dim)[:, :rank])
+        else:
+            basis = np.zeros((dim, rank), dtype=complex)
+            basis[2 * label: 2 * label + 2] = random_unitary(rng, 2)[:, :rank]
+            bases.append(basis)
+    core = rng.standard_normal(ranks) + 1j * rng.standard_normal(ranks)
+    state = TwoParticleState.from_factors(space, bases[0], core, bases[1])
+    # permute leaves transposed cores, dense or factored
+    swapped = labels[::-1]
+    cases = [(state, labels), (permute(state), swapped), (permute(as_dense(state)), swapped)]
+    for candidate, tags in cases:
+        want = as_dense(candidate)
+        if spread is not None:
+            for form in (candidate, want):
+                with pytest.raises(ValueError, match="support outside"):
+                    relabel_distinguishable(form, tags)
+        else:
+            got = relabel_distinguishable(candidate, tags)
+            expected = relabel_distinguishable(want, tags)
+            assert np.max(np.abs(got.amplitudes - expected.amplitudes)) < 1e-12
+
+
+def test_scenarios_keep_their_states_factored():
+    momentum = scenario_momentum_projection(SPACE, 1, 5, Statistics.FERMION)
+    windows = scenario_position_windows(SPACE, 1, None, 2, 5, 1, Statistics.BOSON)
+    for result in (momentum, windows):
+        for state in (result.post_state, result.post_state_normalized,
+                      result.event_pair.event_direct, result.event_pair.event_permuted):
+            assert state.left.shape == (16, 2) and state.core.shape == (2, 2)
+    assert momentum_representation(momentum.post_state).left is not None
