@@ -12,7 +12,6 @@ from .entanglement import (
     EbmEvidence,
     EntanglementReport,
     coefficient_matrix,
-    ebm_evidence,
     reduced_density,
     schmidt,
     slater_rank,
@@ -47,14 +46,18 @@ from .hilbert import (
 from .measurement import (
     CollapseResult,
     EventPair,
+    PhaseCheck,
+    ScenarioResult,
     SelectiveMeasure,
     Verdict,
     VerdictTag,
     apply_measure,
     classify,
     collapse,
+    ebm_evidence,
     events,
     is_projector_valued,
+    measure_pair,
     measure_scale,
     momentum_projector,
     window_projector,
@@ -63,10 +66,7 @@ from .measurement import (
 from .scenarios import (
     SPIN_DOWN,
     SPIN_UP,
-    PhaseCheck,
-    ScenarioResult,
     build_pair_state,
-    measure_pair,
     relabel_distinguishable,
     scenario_momentum_projection,
     scenario_position_windows,

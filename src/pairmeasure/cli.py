@@ -12,28 +12,26 @@ Reports list the post-state's singular values up to its Schmidt rank; the
 rest are zero up to roundoff.
 
 Exit codes: 0 success, 2 unreadable or malformed input, 3 degenerate input
-or a space too large for dense storage.
+or a space too large for dense storage, 1 when stdout closes before the
+report is written (nothing more is printed).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import dataclass
 from typing import NoReturn
 
 import numpy as np
 
 from .errors import DegenerateInputError, InputTooLargeError, ParseError
+from .fileio import _format_float as _fmt
 from .fileio import parse_measure_file, parse_state_file
-from .hilbert import SpaceSpec
-from .scenarios import (
-    ScenarioResult,
-    measure_pair,
-    scenario_momentum_projection,
-    scenario_position_windows,
-)
+from .hilbert import ZERO_TOL, SpaceSpec
+from .measurement import ScenarioResult, measure_pair
+from .scenarios import scenario_momentum_projection, scenario_position_windows
 from .symmetry import Statistics
 
 EXIT_OK = 0
@@ -41,44 +39,16 @@ EXIT_PARSE = 2
 EXIT_DEGENERATE = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    lattice_size: int = 8
-    mode_a: int = 1
-    mode_b: int | None = None
-    x_a: int = 0
-    x_b: int = 0
-    width: int = 1
-    statistics: Statistics = Statistics.FERMION
-    tolerance: float = 1e-10
-    output_format: str = "text"
-    state_path: str | None = None
-    measure_path: str | None = None
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def _json_text(value) -> str:
     """Serialize with deterministic key order and fixed float formatting."""
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return _fmt(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         return "[" + ", ".join(_json_text(item) for item in value) + "]"
     if isinstance(value, dict):
         parts = (f"{json.dumps(key)}: {_json_text(item)}" for key, item in value.items())
         return "{" + ", ".join(parts) + "}"
-    raise TypeError(f"cannot serialize {type(value)!r}")
+    return json.dumps(value)
 
 
 def _kept_spectrum(ent) -> list[float]:
@@ -161,9 +131,9 @@ def _text_report(result: ScenarioResult) -> str:
     return "\n".join(lines)
 
 
-def _run_classify(config: RunConfig) -> ScenarioResult:
-    state = parse_state_file(config.state_path)
-    measure = parse_measure_file(config.measure_path)
+def _run_classify(args: argparse.Namespace, stat: Statistics) -> ScenarioResult:
+    state = parse_state_file(args.state)
+    measure = parse_measure_file(args.measure)
     if measure.space != state.space:
         raise ParseError(
             f"state file has {state.space} but measure file has {measure.space}"
@@ -176,65 +146,68 @@ def _run_classify(config: RunConfig) -> ScenarioResult:
         if not np.any(factor.entries):
             print(f"warning: factor {tag} has no entries; the measure annihilates "
                   "every state", file=sys.stderr)
-    return measure_pair(measure, state, config.statistics, config.tolerance)
+    return measure_pair(measure, state, stat, args.tol)
 
 
-def run(config: RunConfig) -> int:
-    """Execute a parsed configuration; returns the process exit code."""
+def run(args: argparse.Namespace) -> int:
+    """Execute a parsed and checked command line; returns the process exit code."""
+    stat = Statistics(args.statistics)
     try:
-        if config.command == "momentum-scenario":
-            space = SpaceSpec(config.lattice_size, 2)
-            mode_b = config.mode_b
+        if args.command == "classify":
+            result = _run_classify(args, stat)
+        elif args.command == "momentum-scenario":
+            mode_b = args.mode_b
             if mode_b is None:
-                mode_b = (config.lattice_size - config.mode_a) % config.lattice_size
+                mode_b = (args.lattice - args.mode_a) % args.lattice
             result = scenario_momentum_projection(
-                space, config.mode_a, mode_b, config.statistics, config.tolerance
+                SpaceSpec(args.lattice, 2), args.mode_a, mode_b, stat, args.tol
             )
-        elif config.command == "position-scenario":
-            space = SpaceSpec(config.lattice_size, 2)
-            result = scenario_position_windows(
-                space,
-                config.mode_a,
-                config.mode_b,
-                config.x_a,
-                config.x_b,
-                config.width,
-                config.statistics,
-                config.tolerance,
-            )
-        elif config.command == "classify":
-            result = _run_classify(config)
         else:
-            raise ValueError(f"unknown command {config.command!r}")
+            result = scenario_position_windows(
+                SpaceSpec(args.lattice, 2),
+                args.mode_a,
+                args.mode_b,
+                args.xa,
+                args.xb,
+                args.width,
+                stat,
+                args.tol,
+            )
     except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (DegenerateInputError, IndexError, InputTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    print(_json_report(result) if config.output_format == "json" else _text_report(result))
+    try:
+        print(_json_report(result) if args.output == "json" else _text_report(result),
+              flush=True)
+    except BrokenPipeError:
+        # The reader is gone. Point stdout at the null device so that the
+        # interpreter's own flush at exit cannot fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return EXIT_OK
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--statistics", choices=["fermion", "boson"], default="fermion",
                         help="exchange statistics of the pair")
-    parser.add_argument("--tol", type=float, default=1e-10, metavar="REAL",
-                        help="relative tolerance for zero tests (default 1e-10)")
+    parser.add_argument("--tol", type=float, default=ZERO_TOL, metavar="REAL",
+                        help="relative tolerance for zero and rank tests "
+                             f"(default {ZERO_TOL:g})")
     parser.add_argument("--output", choices=["text", "json"], default="text",
                         help="report format")
 
 
-def _add_lattice(parser: argparse.ArgumentParser, with_mode_b_default: bool) -> None:
+def _add_lattice(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lattice", type=int, default=8, metavar="L",
                         help="number of lattice sites (default 8)")
     parser.add_argument("--mode-a", type=int, default=1, metavar="M",
                         help="momentum mode of the spin-up particle (default 1)")
-    mode_b_help = "momentum mode of the spin-down particle"
-    if with_mode_b_default:
-        mode_b_help += " (default: L - mode_a, the opposite momentum)"
     parser.add_argument("--mode-b", type=int, default=None, metavar="M",
-                        help=mode_b_help)
+                        help="momentum mode of the spin-down particle "
+                             "(default: L - mode_a, the opposite momentum)")
 
 
 def _flag_error(message: str) -> NoReturn:
@@ -266,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         "momentum-scenario",
         help="project both slots onto definite momentum modes (a local operation)",
     )
-    _add_lattice(momentum, with_mode_b_default=True)
+    _add_lattice(momentum)
     _add_common(momentum)
 
     position = sub.add_parser(
@@ -274,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="project the slots onto disjoint position windows (entangles by "
              "measurement)",
     )
-    _add_lattice(position, with_mode_b_default=True)
+    _add_lattice(position)
     position.add_argument("--xa", type=int, default=2, metavar="SITE",
                           help="window center for slot 1 / Alice (default 2)")
     position.add_argument("--xb", type=int, default=5, metavar="SITE",
@@ -295,38 +268,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
+def _check_args(args: argparse.Namespace) -> None:
+    """The value checks argparse cannot make; a bad value exits 2."""
     if not 0 < args.tol < np.inf:
         _flag_error("--tol must be finite and positive")
-    common = dict(
-        command=args.command,
-        statistics=Statistics(args.statistics),
-        tolerance=args.tol,
-        output_format=args.output,
-    )
     if args.command == "classify":
-        return RunConfig(state_path=args.state, measure_path=args.measure, **common)
+        return
     if args.lattice < 2:
         _flag_error("--lattice must be at least 2")
     for name in ("mode_a", "mode_b"):
         mode = getattr(args, name)
         if mode is not None and not 0 <= mode < args.lattice:
             _flag_error(f"--{name.replace('_', '-')} must lie in [0, L)")
-    extra = dict(lattice_size=args.lattice, mode_a=args.mode_a, mode_b=args.mode_b)
     if args.command == "position-scenario":
         for flag in ("xa", "xb"):
             if not 0 <= getattr(args, flag) < args.lattice:
                 _flag_error(f"--{flag} must lie in [0, L)")
         if args.width < 1:
             _flag_error("--width must be at least 1")
-        extra.update(x_a=args.xa, x_b=args.xb, width=args.width)
-    return RunConfig(**common, **extra)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return run(_config_from_args(args))
+    _check_args(args)
+    return run(args)
 
 
 if __name__ == "__main__":

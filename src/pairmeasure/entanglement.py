@@ -9,6 +9,11 @@ determinant, i.e. no entanglement in the fermionic sense.
 Rank and entropy are taken on the distinguishable slot bipartition. For
 symmetric (bosonic) states this plain Schmidt rank is reported as-is; it is
 a bipartition diagnostic, not a committed bosonic entanglement measure.
+
+Every ``tol`` is the package's one relative tolerance (default
+``ZERO_TOL``), the same that sizes the verdict's zero tests: a singular
+value counts toward a rank when it is above tol * sigma_max, and a state is
+antisymmetric when ||C + C^T|| < tol * ||C||.
 """
 
 from __future__ import annotations
@@ -19,19 +24,7 @@ import numpy as np
 
 from .errors import DegenerateInputError
 from .hilbert import ZERO_TOL, TwoParticleState
-from .measurement import (
-    CollapseResult,
-    EventPair,
-    SelectiveMeasure,
-    _collapse,
-    _is_zero,
-    events,
-    measure_scale,
-)
-from .symmetry import Statistics, _exchange_sum
-
-# Relative singular-value threshold for rank counting.
-RANK_TOL = 1e-8
+from .symmetry import _exchange_sum
 
 
 @dataclass(frozen=True)
@@ -67,6 +60,7 @@ def coefficient_matrix(state: TwoParticleState) -> np.ndarray:
 
 
 def _is_antisymmetric(state: TwoParticleState, tol: float) -> bool:
+    """||C + C^T|| < tol * ||C||."""
     return np.linalg.norm(_exchange_sum(state, 1.0)) < tol * state.norm
 
 
@@ -75,14 +69,12 @@ def _rank(sigma: np.ndarray, tol: float) -> int:
     return int(np.count_nonzero(sigma > tol * sigma[0]))
 
 
-def _report(
-    coeff: np.ndarray, tol: float, antisymmetric: bool, size: int
-) -> EntanglementReport:
-    """Schmidt data of unit-norm coefficients in any orthonormal product basis.
+def _report(state: TwoParticleState, coeff: np.ndarray, tol: float) -> EntanglementReport:
+    """Schmidt data of ``state`` from ``coeff``, its unit-norm core.
 
     Isometries on either slot leave the nonzero singular values unchanged,
     so a state's core gives its spectrum; it is padded with zeros to
-    ``size`` values.
+    ``total_dim`` values.
     """
     sigma = np.linalg.svd(coeff, compute_uv=False)
     rank = _rank(sigma, tol)
@@ -91,7 +83,7 @@ def _report(
     positive = lam[lam > 0.0]
     entropy = max(0.0, float(-np.sum(positive * np.log(positive))))
     slater = None
-    if antisymmetric:
+    if _is_antisymmetric(state, tol):
         if rank % 2:
             raise ValueError(
                 f"singular values fail to pair up ({rank} above threshold); "
@@ -99,14 +91,14 @@ def _report(
             )
         slater = rank // 2
     return EntanglementReport(
-        singular_values=np.concatenate([sigma, np.zeros(size - sigma.size)]),
+        singular_values=np.pad(sigma, (0, state.space.total_dim - sigma.size)),
         schmidt_rank=rank,
         entropy=entropy,
         slater_rank=slater,
     )
 
 
-def schmidt(state: TwoParticleState, tol: float = RANK_TOL) -> EntanglementReport:
+def schmidt(state: TwoParticleState, tol: float = ZERO_TOL) -> EntanglementReport:
     """Schmidt decomposition report of the state, normalized internally.
 
     The SVD runs on the state's core: the n x n matrix of a dense state, the
@@ -115,23 +107,10 @@ def schmidt(state: TwoParticleState, tol: float = RANK_TOL) -> EntanglementRepor
     nrm = state.norm
     if nrm == 0.0:
         raise DegenerateInputError("zero state has no Schmidt decomposition")
-    return _report(
-        state.core / nrm, tol, _is_antisymmetric(state, tol), state.space.total_dim
-    )
+    return _report(state, state.core / nrm, tol)
 
 
-def _post_report(
-    result: CollapseResult, core: np.ndarray, tol: float = RANK_TOL
-) -> EntanglementReport | None:
-    """Schmidt report of a collapsed state from its core; None when impossible."""
-    if result.normalized is None:
-        return None
-    antisymmetric = _is_antisymmetric(result.normalized, tol)
-    size = result.raw.space.total_dim
-    return _report(core / np.linalg.norm(core), tol, antisymmetric, size)
-
-
-def slater_rank(state: TwoParticleState, tol: float = RANK_TOL) -> int:
+def slater_rank(state: TwoParticleState, tol: float = ZERO_TOL) -> int:
     """Number of Slater determinants in the canonical fermionic expansion.
 
     The coefficient matrix of an antisymmetric state has doubly degenerate
@@ -139,9 +118,10 @@ def slater_rank(state: TwoParticleState, tol: float = RANK_TOL) -> int:
     """
     if state.norm == 0.0:
         raise DegenerateInputError("zero state has no Slater rank")
-    if not _is_antisymmetric(state, tol):
+    slater = schmidt(state, tol).slater_rank
+    if slater is None:
         raise ValueError("Slater rank requires an antisymmetric state")
-    return schmidt(state, tol).slater_rank
+    return slater
 
 
 def reduced_density(state: TwoParticleState, slot: int) -> np.ndarray:
@@ -159,43 +139,3 @@ def reduced_density(state: TwoParticleState, slot: int) -> np.ndarray:
     if slot == 1:
         return coeff @ coeff.conj().T
     return coeff.T @ coeff.conj()
-
-
-def _rank_evidence(
-    pair: EventPair,
-    scale: float,
-    after: EntanglementReport | None,
-    zero_tol: float,
-    tol: float = RANK_TOL,
-) -> EbmEvidence | None:
-    """Before/after rank rule; None when the direct event or ``after`` is missing.
-
-    The before-rank is read off the direct event's core.
-    """
-    if after is None or _is_zero(pair.norm_direct, scale, zero_tol):
-        return None
-    rank_before = _rank(np.linalg.svd(pair.core_direct, compute_uv=False), tol)
-    return EbmEvidence(rank_before, after.schmidt_rank, after.schmidt_rank > rank_before)
-
-
-def ebm_evidence(
-    measure: SelectiveMeasure,
-    ref_state: TwoParticleState,
-    stat: Statistics,
-    tol: float = RANK_TOL,
-) -> EbmEvidence:
-    """Compare Schmidt ranks before and after symmetrized collapse.
-
-    "Before" is the rank of the direct event alone, the would-be outcome on
-    distinguishable particles; "after" is the rank of the collapsed
-    symmetrized state. A strict increase is entanglement created by the
-    measurement itself. Raises DegenerateInputError when the direct event
-    is zero by the verdict's test or the outcome is impossible.
-    """
-    pair = events(measure, ref_state)
-    result, core = _collapse(pair, measure, ref_state, stat, ZERO_TOL)
-    scale = measure_scale(measure) * ref_state.norm
-    evidence = _rank_evidence(pair, scale, _post_report(result, core, tol), ZERO_TOL, tol)
-    if evidence is None:
-        raise DegenerateInputError("direct event or outcome is zero; nothing to compare")
-    return evidence

@@ -76,54 +76,45 @@ def _parse_entry(
     return row, col, value
 
 
+def _parse(
+    path: str | os.PathLike, tags: tuple[str, ...], kind: str
+) -> tuple[SpaceSpec, dict[str, np.ndarray]]:
+    """The space and one n x n matrix per record tag; unlisted entries are zero."""
+    space = None
+    matrices: dict[str, np.ndarray] = {}
+    for number, fields in _records(path):
+        if space is None:
+            space = _parse_header(number, fields)
+            dim = space.total_dim
+            matrices = {tag: np.zeros((dim, dim), dtype=complex) for tag in tags}
+            continue
+        if fields[0] == "dim":
+            raise ParseError("duplicate 'dim' header", number)
+        if fields[0] not in matrices:
+            raise ParseError(f"unknown record '{fields[0]}' in a {kind} file", number)
+        row, col, value = _parse_entry(number, fields, fields[0], space.total_dim)
+        matrices[fields[0]][row, col] = value
+    if space is None:
+        raise ParseError("missing 'dim' header")
+    return space, matrices
+
+
 def parse_state_file(path: str | os.PathLike) -> TwoParticleState:
     """Read a pair state; unlisted amplitudes are zero.
 
     A file with no ``amp`` records yields the zero state (legal; callers
     decide whether that deserves a warning).
     """
-    space = None
-    amplitudes = None
-    for number, fields in _records(path):
-        if space is None:
-            space = _parse_header(number, fields)
-            amplitudes = np.zeros((space.total_dim, space.total_dim), dtype=complex)
-            continue
-        if fields[0] == "dim":
-            raise ParseError("duplicate 'dim' header", number)
-        if fields[0] != "amp":
-            raise ParseError(f"unknown record '{fields[0]}' in a state file", number)
-        row, col, value = _parse_entry(number, fields, "amp", space.total_dim)
-        amplitudes[row, col] = value
-    if space is None:
-        raise ParseError("missing 'dim' header")
-    return TwoParticleState._fresh(space, amplitudes)
+    space, matrices = _parse(path, ("amp",), "state")
+    return TwoParticleState._fresh(space, matrices["amp"])
 
 
 def parse_measure_file(path: str | os.PathLike) -> SelectiveMeasure:
     """Read a selective measure; unlisted factor entries are zero."""
-    space = None
-    factors: dict[str, np.ndarray] = {}
-    for number, fields in _records(path):
-        if space is None:
-            space = _parse_header(number, fields)
-            dim = space.total_dim
-            factors = {
-                "A": np.zeros((dim, dim), dtype=complex),
-                "B": np.zeros((dim, dim), dtype=complex),
-            }
-            continue
-        if fields[0] == "dim":
-            raise ParseError("duplicate 'dim' header", number)
-        if fields[0] not in factors:
-            raise ParseError(f"unknown record '{fields[0]}' in a measure file", number)
-        row, col, value = _parse_entry(number, fields, fields[0], space.total_dim)
-        factors[fields[0]][row, col] = value
-    if space is None:
-        raise ParseError("missing 'dim' header")
+    space, matrices = _parse(path, ("A", "B"), "measure")
     return SelectiveMeasure(
-        OneParticleOperator._fresh(space, factors["A"]),
-        OneParticleOperator._fresh(space, factors["B"]),
+        OneParticleOperator._fresh(space, matrices["A"]),
+        OneParticleOperator._fresh(space, matrices["B"]),
     )
 
 
@@ -131,35 +122,34 @@ def _format_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _write_entries(handle, tag: str, matrix: np.ndarray) -> None:
-    rows, cols = np.nonzero(matrix)
-    for row, col in zip(rows.tolist(), cols.tolist()):
-        value = matrix[row, col]
-        handle.write(
-            f"{tag} {row} {col} {_format_float(value.real)} {_format_float(value.imag)}\n"
-        )
+def _write(
+    path: str | os.PathLike, space: SpaceSpec, comment: str | None, matrices: dict
+) -> None:
+    """A ``dim`` header, then one record per nonzero entry of each tagged matrix."""
+    with open(path, "w", encoding="utf-8") as handle:
+        if comment:
+            handle.write(f"# {comment}\n")
+        handle.write(f"dim {space.extrinsic_dim} {space.spin_dim}\n")
+        for tag, matrix in matrices.items():
+            rows, cols = np.nonzero(matrix)
+            for row, col in zip(rows.tolist(), cols.tolist()):
+                value = matrix[row, col]
+                handle.write(
+                    f"{tag} {row} {col} "
+                    f"{_format_float(value.real)} {_format_float(value.imag)}\n"
+                )
 
 
 def write_state_file(
     path: str | os.PathLike, state: TwoParticleState, comment: str | None = None
 ) -> None:
     """Write a pair state in the format :func:`parse_state_file` reads."""
-    space = state.space
-    with open(path, "w", encoding="utf-8") as handle:
-        if comment:
-            handle.write(f"# {comment}\n")
-        handle.write(f"dim {space.extrinsic_dim} {space.spin_dim}\n")
-        _write_entries(handle, "amp", state.matrix())
+    _write(path, state.space, comment, {"amp": state.matrix()})
 
 
 def write_measure_file(
     path: str | os.PathLike, measure: SelectiveMeasure, comment: str | None = None
 ) -> None:
     """Write a selective measure in the format :func:`parse_measure_file` reads."""
-    space = measure.space
-    with open(path, "w", encoding="utf-8") as handle:
-        if comment:
-            handle.write(f"# {comment}\n")
-        handle.write(f"dim {space.extrinsic_dim} {space.spin_dim}\n")
-        _write_entries(handle, "A", measure.factor_slot1.entries)
-        _write_entries(handle, "B", measure.factor_slot2.entries)
+    matrices = {"A": measure.factor_slot1.entries, "B": measure.factor_slot2.entries}
+    _write(path, measure.space, comment, matrices)

@@ -18,7 +18,15 @@ Classification rule, on the two event vectors:
 Zero tests are relative: a vector counts as zero when its norm is below
 tol * scale, where scale is the product of the factors' max column norms
 times the reference-state norm, so verdicts are invariant under global
-phases and positive rescaling of either the state or the measure.
+phases and positive rescaling of either the state or the measure. The same
+``tol`` sizes the rank and antisymmetry tests of the Schmidt report (see
+:mod:`pairmeasure.entanglement`).
+
+:func:`measure_pair` is the one place that goes from the two events to
+results: verdict, collapse, post-state Schmidt report, before/after rank
+evidence and Born-rule flag. :func:`collapse` and :func:`ebm_evidence` read
+parts of its result; :func:`classify` needs no sector and runs the verdict
+rule alone.
 
 Every event lies in range(A) x range(B) of the factors A and B. With range
 bases U_A, U_B (see ``OneParticleOperator.range_basis``) an event is
@@ -39,6 +47,7 @@ from enum import Enum
 
 import numpy as np
 
+from .entanglement import EbmEvidence, EntanglementReport, _rank, _report
 from .errors import DegenerateInputError, DimensionMismatchError
 from .hilbert import (
     ZERO_TOL,
@@ -47,6 +56,7 @@ from .hilbert import (
     TwoParticleState,
     _in_bases,
     inner_product,
+    plane_wave,
 )
 from .symmetry import _INV_SQRT2, Statistics, _exchange_sum, permute
 
@@ -127,6 +137,51 @@ class CollapseResult:
     raw: TwoParticleState
     normalized: TwoParticleState | None
     probability: float
+
+
+@dataclass(frozen=True)
+class PhaseCheck:
+    """Measured vs predicted relative amplitude between the two events.
+
+    ``measured`` is the complex ratio of the spin-swapped amplitude over the
+    direct one in the collapsed state; it must lie on the unit circle.
+    """
+
+    measured: complex
+    predicted: complex
+    deviation: float
+
+    def __post_init__(self):
+        if abs(abs(self.measured) - 1.0) >= 1e-10:
+            raise ValueError(
+                f"measured relative amplitude is off the unit circle: {self.measured}"
+            )
+
+
+@dataclass(frozen=True)
+class ScenarioResult:
+    """Everything :func:`measure_pair` derives from the two events.
+
+    ``post_state`` keeps the un-renormalized collapsed vector (the sector
+    prefactor 1/sqrt(2) survives in it). ``report`` and ``evidence`` are
+    None when the outcome is impossible, ``evidence`` also when the direct
+    event is zero. ``born_rule`` tells whether ``probability`` is a
+    Born-rule probability; ``scale`` sizes the verdict's zero tests. The
+    scenarios add ``phase_check`` and ``relabeled``, the two-spin state left
+    after using their pair of extrinsic labels as particle tags.
+    """
+
+    verdict: Verdict
+    probability: float
+    post_state: TwoParticleState
+    post_state_normalized: TwoParticleState | None
+    report: EntanglementReport | None
+    evidence: EbmEvidence | None
+    event_pair: EventPair
+    born_rule: bool
+    scale: float
+    phase_check: PhaseCheck | None = None
+    relabeled: TwoParticleState | None = None
 
 
 def _from_core(measure: SelectiveMeasure, core: np.ndarray) -> TwoParticleState:
@@ -231,46 +286,6 @@ def classify(
     return _verdict(events(measure, ref_state), scale, tol)
 
 
-def _collapse(
-    pair: EventPair,
-    measure: SelectiveMeasure,
-    ref_state: TwoParticleState,
-    stat: Statistics,
-    tol: float,
-) -> tuple[CollapseResult, np.ndarray]:
-    """Collapse by linearity, M(ref -+ P ref)/sqrt(2), from the two event cores.
-
-    Returns the result and the raw post-state's core.
-    """
-    sym_norm = float(np.linalg.norm(_INV_SQRT2 * _exchange_sum(ref_state, stat.sign)))
-    if sym_norm < tol * ref_state.norm or sym_norm == 0.0:
-        raise DegenerateInputError(
-            f"reference state has no {stat.value} sector to measure"
-        )
-    core = _INV_SQRT2 * (pair.core_direct + stat.sign * pair.core_permuted)
-    raw = _from_core(measure, core)
-    norm = float(np.linalg.norm(core))
-    if _is_zero(norm, measure_scale(measure) * sym_norm, tol):
-        return CollapseResult(raw=raw, normalized=None, probability=0.0), core
-    result = CollapseResult(raw=raw, normalized=raw.normalize(), probability=norm**2)
-    return result, core
-
-
-def collapse(
-    measure: SelectiveMeasure,
-    ref_state: TwoParticleState,
-    stat: Statistics,
-    tol: float = ZERO_TOL,
-) -> CollapseResult:
-    """Apply the measure to the fermion or boson sector of the reference state.
-
-    The raw result equals (direct event -+ permuted event)/sqrt(2) and is
-    computed that way. When its norm falls below tol * scale the outcome is
-    impossible: probability 0 and no normalized state.
-    """
-    return _collapse(events(measure, ref_state), measure, ref_state, stat, tol)[0]
-
-
 def _projector_bound(factor: OneParticleOperator) -> float:
     """Upper bound on every entry of A - A^H and of A A - A, at O(n r^2).
 
@@ -307,6 +322,98 @@ def is_projector_valued(measure: SelectiveMeasure, tol: float = ZERO_TOL) -> boo
         if np.max(np.abs(entries @ entries - entries)) >= tol:
             return False
     return True
+
+
+def measure_pair(
+    measure: SelectiveMeasure,
+    ref: TwoParticleState,
+    stat: Statistics,
+    tol: float = ZERO_TOL,
+) -> ScenarioResult:
+    """Measure the ``stat`` sector of ``ref`` and derive everything from its events.
+
+    The measure is applied twice, to ``ref`` and to its permutation. The
+    verdict, the collapse by linearity, M(ref -+ P ref)/sqrt(2) = (direct -+
+    permuted)/sqrt(2), the Schmidt report of the post-state and the
+    before/after rank evidence all follow from those two events, computed on
+    their r_A x r_B cores. ``tol`` drives every zero, rank and antisymmetry
+    test. The report's singular values are padded with zeros to
+    ``total_dim``. Raises DegenerateInputError when ``ref`` has no ``stat``
+    sector.
+    """
+    pair = events(measure, ref)
+    factor_scale = measure_scale(measure)
+    scale = factor_scale * ref.norm
+    verdict = _verdict(pair, scale, tol)
+    sym_norm = float(np.linalg.norm(_INV_SQRT2 * _exchange_sum(ref, stat.sign)))
+    if sym_norm < tol * ref.norm or sym_norm == 0.0:
+        raise DegenerateInputError(
+            f"reference state has no {stat.value} sector to measure"
+        )
+    core = _INV_SQRT2 * (pair.core_direct + stat.sign * pair.core_permuted)
+    raw = _from_core(measure, core)
+    norm = float(np.linalg.norm(core))
+    normalized = report = evidence = None
+    if not _is_zero(norm, factor_scale * sym_norm, tol):
+        normalized = raw.normalize()
+        report = _report(normalized, normalized.core, tol)
+        if not _is_zero(pair.norm_direct, scale, tol):
+            before = _rank(np.linalg.svd(pair.core_direct, compute_uv=False), tol)
+            after = report.schmidt_rank
+            evidence = EbmEvidence(before, after, after > before)
+    return ScenarioResult(
+        verdict=verdict,
+        probability=0.0 if normalized is None else norm**2,
+        post_state=raw,
+        post_state_normalized=normalized,
+        report=report,
+        evidence=evidence,
+        event_pair=pair,
+        born_rule=is_projector_valued(measure, tol),
+        scale=scale,
+    )
+
+
+def collapse(
+    measure: SelectiveMeasure,
+    ref_state: TwoParticleState,
+    stat: Statistics,
+    tol: float = ZERO_TOL,
+) -> CollapseResult:
+    """Apply the measure to the fermion or boson sector of the reference state.
+
+    The collapse part of :func:`measure_pair`, whose errors it raises. The
+    raw result equals (direct event -+ permuted event)/sqrt(2) and is
+    computed that way. When its norm falls below tol * scale the outcome is
+    impossible: probability 0 and no normalized state.
+    """
+    result = measure_pair(measure, ref_state, stat, tol)
+    return CollapseResult(
+        raw=result.post_state,
+        normalized=result.post_state_normalized,
+        probability=result.probability,
+    )
+
+
+def ebm_evidence(
+    measure: SelectiveMeasure,
+    ref_state: TwoParticleState,
+    stat: Statistics,
+    tol: float = ZERO_TOL,
+) -> EbmEvidence:
+    """Compare Schmidt ranks before and after symmetrized collapse.
+
+    "Before" is the rank of the direct event alone, the would-be outcome on
+    distinguishable particles; "after" is the rank of the collapsed
+    symmetrized state. A strict increase is entanglement created by the
+    measurement itself. The evidence part of :func:`measure_pair`, whose
+    errors it raises; also raises DegenerateInputError when the direct
+    event is zero by the verdict's test or the outcome is impossible.
+    """
+    evidence = measure_pair(measure, ref_state, stat, tol).evidence
+    if evidence is None:
+        raise DegenerateInputError("direct event or outcome is zero; nothing to compare")
+    return evidence
 
 
 def window_sites(center: int, width: int, sites: int) -> list[int]:
@@ -352,11 +459,7 @@ def momentum_projector(mode1: int, mode2: int, space: SpaceSpec) -> SelectiveMea
     """
 
     def factor(mode: int) -> OneParticleOperator:
-        sites = space.extrinsic_dim
-        if not 0 <= mode < sites:
-            raise IndexError(f"momentum mode {mode} out of range [0, {sites})")
-        wave = np.exp(2j * np.pi * mode * np.arange(sites) / sites) / np.sqrt(sites)
-        basis = np.kron(wave[:, None], np.eye(space.spin_dim))
-        return OneParticleOperator(space, None, range_basis=basis)
+        waves = [plane_wave(mode, spin, space).amplitudes for spin in range(space.spin_dim)]
+        return OneParticleOperator(space, None, range_basis=np.stack(waves, axis=1))
 
     return SelectiveMeasure(factor(mode1), factor(mode2))

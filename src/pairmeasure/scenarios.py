@@ -20,11 +20,10 @@ down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .entanglement import EbmEvidence, EntanglementReport, _post_report, _rank_evidence
 from .errors import DegenerateInputError
 from .hilbert import (
     ZERO_TOL,
@@ -36,15 +35,12 @@ from .hilbert import (
     tensor_state,
 )
 from .measurement import (
-    EventPair,
+    PhaseCheck,
+    ScenarioResult,
     SelectiveMeasure,
     Verdict,
     VerdictTag,
-    _collapse,
-    _verdict,
-    events,
-    is_projector_valued,
-    measure_scale,
+    measure_pair,
     momentum_projector,
     window_projector,
     window_sites,
@@ -53,84 +49,6 @@ from .symmetry import Statistics, sector
 
 SPIN_UP = 0
 SPIN_DOWN = 1
-
-
-@dataclass(frozen=True)
-class PhaseCheck:
-    """Measured vs predicted relative amplitude between the two events.
-
-    ``measured`` is the complex ratio of the spin-swapped amplitude over the
-    direct one in the collapsed state; it must lie on the unit circle.
-    """
-
-    measured: complex
-    predicted: complex
-    deviation: float
-
-    def __post_init__(self):
-        if abs(abs(self.measured) - 1.0) >= 1e-10:
-            raise ValueError(
-                f"measured relative amplitude is off the unit circle: {self.measured}"
-            )
-
-
-@dataclass(frozen=True)
-class ScenarioResult:
-    """Everything :func:`measure_pair` derives from the two events.
-
-    ``post_state`` keeps the un-renormalized collapsed vector (the sector
-    prefactor 1/sqrt(2) survives in it). ``report`` and ``evidence`` are
-    None when the outcome is impossible, ``evidence`` also when the direct
-    event is zero. ``born_rule`` tells whether ``probability`` is a
-    Born-rule probability; ``scale`` sizes the verdict's zero tests. The
-    scenarios add ``phase_check`` and ``relabeled``, the two-spin state left
-    after using their pair of extrinsic labels as particle tags.
-    """
-
-    verdict: Verdict
-    probability: float
-    post_state: TwoParticleState
-    post_state_normalized: TwoParticleState | None
-    report: EntanglementReport | None
-    evidence: EbmEvidence | None
-    event_pair: EventPair
-    born_rule: bool
-    scale: float
-    phase_check: PhaseCheck | None = None
-    relabeled: TwoParticleState | None = None
-
-
-def measure_pair(
-    measure: SelectiveMeasure,
-    ref: TwoParticleState,
-    stat: Statistics,
-    tol: float = ZERO_TOL,
-) -> ScenarioResult:
-    """Measure the ``stat`` sector of ``ref`` and derive everything from its events.
-
-    The measure is applied twice, to ``ref`` and to its permutation; the
-    verdict, the collapse, the Schmidt report of the post-state and the
-    before/after rank evidence all follow from those two events, computed
-    on their r_A x r_B cores (see :mod:`pairmeasure.measurement`). The
-    report's singular values are padded with zeros to ``total_dim``. Raises
-    DegenerateInputError when ``ref`` has no ``stat`` sector.
-    """
-    pair = events(measure, ref)
-    scale = measure_scale(measure) * ref.norm
-    verdict = _verdict(pair, scale, tol)
-    collapsed, core = _collapse(pair, measure, ref, stat, tol)
-    report = _post_report(collapsed, core)
-    return ScenarioResult(
-        verdict=verdict,
-        probability=collapsed.probability,
-        post_state=collapsed.raw,
-        post_state_normalized=collapsed.normalized,
-        report=report,
-        evidence=_rank_evidence(pair, scale, report, tol),
-        event_pair=pair,
-        born_rule=is_projector_valued(measure, tol),
-        scale=scale,
-    )
 
 
 def build_pair_state(
@@ -326,4 +244,4 @@ def relabel_distinguishable(
             "relabeling by those values is not faithful"
         )
     spin_space = SpaceSpec(extrinsic_dim=1, spin_dim=spins)
-    return TwoParticleState._fresh(spin_space, block).normalize()
+    return TwoParticleState(spin_space, block.reshape(-1)).normalize()

@@ -1,4 +1,6 @@
 import json
+import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,13 @@ import pairmeasure.measurement
 from pairmeasure.cli import EXIT_DEGENERATE, EXIT_OK, EXIT_PARSE, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def child_env():
+    """The environment for a child ``python -m pairmeasure``: ``src`` on its path."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), path]))}
 
 
 def run_cli(capsys, argv):
@@ -215,6 +224,7 @@ def test_module_invocation_end_to_end():
         [sys.executable, "-m", "pairmeasure", "position-scenario", "--output", "json"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert result.returncode == EXIT_OK
     payload = json.loads(result.stdout)
@@ -328,3 +338,52 @@ def test_dim_header_above_the_memory_budget_exits_3(tmp_path, capsys):
     )
     assert code == EXIT_DEGENERATE and out == ""
     assert err.startswith("error:") and "budget" in err and err.count("\n") == 1
+
+
+def test_closed_stdout_ends_quietly():
+    # the reading end is closed before the report is written, as after `| head` exits
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "pairmeasure", "position-scenario", "--output", "json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=child_env(),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode != EXIT_OK
+    assert result.stderr == b""
+
+
+def test_tol_reaches_the_rank_test(tmp_path, capsys):
+    # singlet-like pairs at amplitudes 1 and 1e-6: spectrum 1, 1, 1e-6, 1e-6
+    state = tmp_path / "state.txt"
+    state.write_text("dim 2 2\namp 0 1 1 0\namp 2 3 1e-6 0\n")
+    measure = tmp_path / "measure.txt"
+    measure.write_text(
+        "dim 2 2\n" + "".join(f"{tag} {i} {i} 1 0\n" for tag in "AB" for i in range(4))
+    )
+    argv = ["classify", "--state", str(state), "--measure", str(measure),
+            "--output", "json"]
+    for extra, kept, slater in (([], 4, 2), (["--tol", "1e-5"], 2, 1)):
+        code, out, _ = run_cli(capsys, argv + extra)
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert len(payload["singular_values"]) == kept, extra
+        assert payload["slater_rank"] == slater, extra
+
+
+@pytest.mark.parametrize("statistics", ["fermion", "boson"])
+def test_possible_outcome_never_reports_schmidt_rank_0(statistics, capsys):
+    # single-site windows: p = 1/64, impossible only once tol reaches 1/8
+    for tol in ("1e-12", "1e-8", "1e-4", "0.01", "0.05", "0.1"):
+        code, out, _ = run_cli(capsys, ["position-scenario", "--statistics", statistics,
+                                        "--tol", tol, "--output", "json"])
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert len(payload["singular_values"]) == 2, tol
+        assert payload["entropy"] == pytest.approx(math.log(2), abs=1e-12), tol
+        assert payload["phase"] is not None, tol

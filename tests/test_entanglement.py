@@ -334,3 +334,44 @@ def test_schmidt_of_factored_states_matches_dense(seed, sites, rank, exchange):
     assert (got.slater_rank is not None) is (exchange == -1.0)
     assert np.max(np.abs(got.singular_values - want.singular_values)) < 1e-12
     assert got.entropy == pytest.approx(want.entropy, abs=1e-12)
+
+
+def test_tol_reaches_the_rank_and_antisymmetry_tests():
+    # product pairs at amplitudes 1 and 1e-6: a spectrum with a 1e-6 gap
+    space = SpaceSpec(2, 2)
+    coeff = np.zeros((4, 4), dtype=complex)
+    coeff[0, 1], coeff[2, 3] = 1.0, 1e-6
+    state = TwoParticleState(space, coeff.reshape(-1))
+    assert schmidt(state).schmidt_rank == 2
+    assert schmidt(state, tol=1e-5).schmidt_rank == 1
+    fermions = sector(state, Statistics.FERMION)
+    assert slater_rank(fermions) == 2
+    assert slater_rank(fermions, tol=1e-5) == 1
+    identity = SelectiveMeasure.identity(space)
+    for tol, before, after in ((1e-10, 2, 4), (1e-5, 1, 2)):
+        evidence = ebm_evidence(identity, state, Statistics.FERMION, tol=tol)
+        assert (evidence.rank_before, evidence.rank_after) == (before, after), tol
+    # a symmetric 1e-9 entry: ||C + C^T|| = 2e-9 ||C||, antisymmetric above that tol
+    nearly = fermions.matrix().copy()
+    nearly[0, 0] = 1e-9
+    nearly = TwoParticleState(space, nearly.reshape(-1))
+    assert schmidt(nearly).slater_rank is None
+    with pytest.raises(ValueError):
+        slater_rank(nearly)
+    assert schmidt(nearly, tol=1e-8).slater_rank == 2
+    assert slater_rank(nearly, tol=1e-8) == 2
+
+
+def test_ebm_evidence_zero_test_follows_tol():
+    # the direct event is 1e-14 of the scale: zero at the default tol, not at 1e-15
+    space = SpaceSpec(4, 2)
+    state = tensor_state(basis_vector(1, UP, space), basis_vector(2, DOWN, space))
+    faint = np.eye(space.total_dim) * 1e-14
+    faint[mode_index(2, DOWN, space), mode_index(2, DOWN, space)] = 1.0
+    measure = SelectiveMeasure(
+        OneParticleOperator(space, faint), OneParticleOperator.identity(space)
+    )
+    with pytest.raises(DegenerateInputError):
+        ebm_evidence(measure, state, Statistics.FERMION)
+    evidence = ebm_evidence(measure, state, Statistics.FERMION, tol=1e-15)
+    assert (evidence.rank_before, evidence.rank_after) == (1, 2)

@@ -250,6 +250,23 @@ def test_scenarios_apply_the_measure_twice_and_decompose_twice():
         assert (apply.call_count, svd.call_count) == (2, 2), name
 
 
+def test_measure_pair_sizes_and_normalizes_once():
+    ref = tensor_state(plane_wave(1, UP, SPACE), plane_wave(7, DOWN, SPACE))
+    for measure in (
+        momentum_projector(1, 7, SPACE),
+        SelectiveMeasure(window_projector(2, 1, SPACE), window_projector(5, 1, SPACE)),
+    ):
+        with mock.patch(
+            "pairmeasure.measurement.measure_scale",
+            wraps=pairmeasure.measurement.measure_scale,
+        ) as scale, mock.patch.object(
+            TwoParticleState, "normalize", autospec=True,
+            side_effect=TwoParticleState.normalize,
+        ) as normalize:
+            measure_pair(measure, ref, Statistics.FERMION)
+        assert (scale.call_count, normalize.call_count) == (1, 1)
+
+
 def test_momentum_scenario_computes_the_born_rule_flag():
     for stat in Statistics:
         result = scenario_momentum_projection(SPACE, 1, 7, stat)
