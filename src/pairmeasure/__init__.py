@@ -4,15 +4,13 @@ Build a pair state over a factored single-particle space (lattice or
 momentum modes times spin), symmetrize it for fermions or bosons, apply an
 unsymmetrized tensor-product selective measurement, and classify the result:
 a local operation that merely distinguishes the particles, or a measurement
-that entangles them. Entanglement diagnostics (Schmidt data, Slater rank,
-reduced densities) back every verdict quantitatively.
+that entangles them. Entanglement diagnostics (Schmidt data, Slater rank)
+back every verdict quantitatively.
 """
 
 from .entanglement import (
     EbmEvidence,
     EntanglementReport,
-    coefficient_matrix,
-    reduced_density,
     schmidt,
     slater_rank,
 )
@@ -38,7 +36,6 @@ from .hilbert import (
     basis_vector,
     inner_product,
     mode_index,
-    mode_split,
     momentum_representation,
     plane_wave,
     tensor_state,
@@ -54,7 +51,6 @@ from .measurement import (
     apply_measure,
     classify,
     collapse,
-    ebm_evidence,
     events,
     is_projector_valued,
     measure_pair,
@@ -66,12 +62,11 @@ from .measurement import (
 from .scenarios import (
     SPIN_DOWN,
     SPIN_UP,
-    build_pair_state,
     relabel_distinguishable,
     scenario_momentum_projection,
     scenario_position_windows,
 )
-from .symmetry import Statistics, orthogonal_sum_check, permutation_overlap, permute, sector
+from .symmetry import Statistics, permute, sector
 
 __version__ = "0.1.0"
 
@@ -100,27 +95,20 @@ __all__ = [
     "ZERO_TOL",
     "apply_measure",
     "basis_vector",
-    "build_pair_state",
     "classify",
-    "coefficient_matrix",
     "collapse",
-    "ebm_evidence",
     "events",
     "inner_product",
     "is_projector_valued",
     "measure_pair",
     "measure_scale",
     "mode_index",
-    "mode_split",
     "momentum_projector",
     "momentum_representation",
-    "orthogonal_sum_check",
     "parse_measure_file",
     "parse_state_file",
-    "permutation_overlap",
     "permute",
     "plane_wave",
-    "reduced_density",
     "relabel_distinguishable",
     "scenario_momentum_projection",
     "scenario_position_windows",

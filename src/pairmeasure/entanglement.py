@@ -1,10 +1,10 @@
 """Entanglement diagnostics on the slot bipartition of a pair state.
 
 Quantifies what the measurement classifier only asserts: Schmidt singular
-values, rank and entropy of the coefficient matrix, reduced density
-matrices per slot, and the Slater rank for antisymmetric (fermionic)
-states, where the singular values pair up and rank 1 means a single Slater
-determinant, i.e. no entanglement in the fermionic sense.
+values, rank and entropy of the coefficient matrix, and the Slater rank for
+antisymmetric (fermionic) states, where the singular values pair up and
+rank 1 means a single Slater determinant, i.e. no entanglement in the
+fermionic sense.
 
 Rank and entropy are taken on the distinguishable slot bipartition. For
 symmetric (bosonic) states this plain Schmidt rank is reported as-is; it is
@@ -50,13 +50,6 @@ class EbmEvidence:
     rank_before: int
     rank_after: int
     entangled_by_measure: bool
-
-
-def coefficient_matrix(state: TwoParticleState) -> np.ndarray:
-    """Amplitudes as a matrix: rows index slot-1 modes, columns slot-2 modes."""
-    if state.norm == 0.0:
-        raise DegenerateInputError("zero state has no coefficient matrix")
-    return state.matrix().copy()
 
 
 def _is_antisymmetric(state: TwoParticleState, tol: float) -> bool:
@@ -123,19 +116,3 @@ def slater_rank(state: TwoParticleState, tol: float = ZERO_TOL) -> int:
         raise ValueError("Slater rank requires an antisymmetric state")
     return slater
 
-
-def reduced_density(state: TwoParticleState, slot: int) -> np.ndarray:
-    """Reduce the normalized state to one slot by tracing out the other.
-
-    Returns a Hermitian, positive-semidefinite matrix of unit trace over the
-    single-particle modes of the kept slot (1 or 2).
-    """
-    if slot not in (1, 2):
-        raise ValueError(f"slot must be 1 or 2, got {slot}")
-    nrm = state.norm
-    if nrm == 0.0:
-        raise DegenerateInputError("zero state has no reduced density matrix")
-    coeff = state.matrix() / nrm
-    if slot == 1:
-        return coeff @ coeff.conj().T
-    return coeff.T @ coeff.conj()

@@ -80,13 +80,6 @@ def mode_index(extrinsic: int, spin: int, space: SpaceSpec) -> int:
     return extrinsic * space.spin_dim + spin
 
 
-def mode_split(flat: int, space: SpaceSpec) -> tuple[int, int]:
-    """Inverse of :func:`mode_index`: flat index back to (extrinsic, spin)."""
-    if not 0 <= flat < space.total_dim:
-        raise IndexError(f"mode index {flat} out of range [0, {space.total_dim})")
-    return divmod(flat, space.spin_dim)
-
-
 def _freeze(arr: np.ndarray, what: str) -> np.ndarray:
     """Check that ``arr`` is finite, then make it read-only in place."""
     if not np.isfinite(arr).all():
@@ -370,7 +363,9 @@ def plane_wave(mode: int, spin: int, space: SpaceSpec) -> SingleParticleVector:
     if not 0 <= spin < space.spin_dim:
         raise IndexError(f"spin index {spin} out of range [0, {space.spin_dim})")
     amps = np.zeros(space.total_dim, dtype=complex)
-    phases = np.exp(2j * np.pi * mode * np.arange(sites) / sites) / np.sqrt(sites)
+    # Reducing m*x mod L in integers keeps the phase error O(eps), not O(m*x*eps).
+    turns = mode * np.arange(sites) % sites
+    phases = np.exp(2j * np.pi * turns / sites) / np.sqrt(sites)
     amps[spin:: space.spin_dim] = phases
     return SingleParticleVector(space, amps)
 

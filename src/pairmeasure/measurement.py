@@ -24,9 +24,8 @@ phases and positive rescaling of either the state or the measure. The same
 
 :func:`measure_pair` is the one place that goes from the two events to
 results: verdict, collapse, post-state Schmidt report, before/after rank
-evidence and Born-rule flag. :func:`collapse` and :func:`ebm_evidence` read
-parts of its result; :func:`classify` needs no sector and runs the verdict
-rule alone.
+evidence and Born-rule flag. :func:`collapse` reads part of its result;
+:func:`classify` needs no sector and runs the verdict rule alone.
 
 Every event lies in range(A) x range(B) of the factors A and B. With range
 bases U_A, U_B (see ``OneParticleOperator.range_basis``) an event is
@@ -393,27 +392,6 @@ def collapse(
         normalized=result.post_state_normalized,
         probability=result.probability,
     )
-
-
-def ebm_evidence(
-    measure: SelectiveMeasure,
-    ref_state: TwoParticleState,
-    stat: Statistics,
-    tol: float = ZERO_TOL,
-) -> EbmEvidence:
-    """Compare Schmidt ranks before and after symmetrized collapse.
-
-    "Before" is the rank of the direct event alone, the would-be outcome on
-    distinguishable particles; "after" is the rank of the collapsed
-    symmetrized state. A strict increase is entanglement created by the
-    measurement itself. The evidence part of :func:`measure_pair`, whose
-    errors it raises; also raises DegenerateInputError when the direct
-    event is zero by the verdict's test or the outcome is impossible.
-    """
-    evidence = measure_pair(measure, ref_state, stat, tol).evidence
-    if evidence is None:
-        raise DegenerateInputError("direct event or outcome is zero; nothing to compare")
-    return evidence
 
 
 def window_sites(center: int, width: int, sites: int) -> list[int]:

@@ -32,7 +32,6 @@ from .hilbert import (
     mode_index,
     momentum_representation,
     plane_wave,
-    tensor_state,
 )
 from .measurement import (
     PhaseCheck,
@@ -45,51 +44,10 @@ from .measurement import (
     window_projector,
     window_sites,
 )
-from .symmetry import Statistics, sector
+from .symmetry import Statistics
 
 SPIN_UP = 0
 SPIN_DOWN = 1
-
-
-def build_pair_state(
-    m_a: int,
-    m_b: int,
-    spin_a: int,
-    spin_b: int,
-    stat: Statistics,
-    space: SpaceSpec,
-) -> TwoParticleState:
-    """Symmetrized pair with (mode, spin) labels (m_a, spin_a) and (m_b, spin_b).
-
-    Returns (|m_a spin_a> x |m_b spin_b> -+ |m_b spin_b> x |m_a spin_a>)
-    / sqrt(2), unit norm. Identical label pairs are rejected: for fermions
-    the construction is Pauli-excluded, and in general the fixed prefactor
-    no longer yields a unit-norm state.
-    """
-    if (m_a, spin_a) == (m_b, spin_b):
-        if stat is Statistics.FERMION:
-            raise DegenerateInputError(
-                "identical mode and spin for both particles: Pauli-excluded"
-            )
-        raise DegenerateInputError(
-            "identical mode and spin for both particles: pair construction needs "
-            "distinct labels"
-        )
-    ref = tensor_state(plane_wave(m_a, spin_a, space), plane_wave(m_b, spin_b, space))
-    sym = sector(ref, stat)
-    return TwoParticleState(sym.space, sym.amplitudes, normalized=True)
-
-
-def _wrap_wavenumber(mode: int, sites: int) -> float:
-    """Wavenumber 2*pi*mode/L folded into (-pi, pi]."""
-    k = 2.0 * np.pi * mode / sites
-    return k - 2.0 * np.pi if k > np.pi + 1e-12 else k
-
-
-def _min_signed_displacement(x_from: int, x_to: int, sites: int) -> int:
-    """Signed site displacement folded into (-L/2, L/2]."""
-    d = (x_to - x_from) % sites
-    return d - sites if d > sites / 2 else d
 
 
 def _reference_state(m_a: int, m_b: int, space: SpaceSpec) -> TwoParticleState:
@@ -188,9 +146,9 @@ def scenario_position_windows(
                 post, mode_index(x_a, SPIN_DOWN, space), mode_index(x_b, SPIN_UP, space)
             )
             measured = swapped_amp / direct_amp
-            dk = _wrap_wavenumber(m_b, sites) - _wrap_wavenumber(m_a, sites)
-            dx = _min_signed_displacement(x_a, x_b, sites)
-            predicted = complex(stat.sign * np.exp(-1j * dk * dx))
+            # dk * dx = 2*pi*(m_b - m_a)*(x_b - x_a)/L, reduced mod 2*pi exactly.
+            turns = ((m_b - m_a) * (x_b - x_a)) % sites
+            predicted = complex(stat.sign * np.exp(-2j * np.pi * turns / sites))
             phase_check = PhaseCheck(
                 measured=measured,
                 predicted=predicted,
@@ -207,8 +165,9 @@ def relabel_distinguishable(
     """Read the pair as two labeled particles and keep only their spins.
 
     ``labels`` gives the extrinsic value acting as the tag of each slot.
-    The state must be supported entirely on slot-1 modes at the first label
-    and slot-2 modes at the second; the corresponding spin-by-spin amplitude
+    The state must be supported on slot-1 modes at the first label and
+    slot-2 modes at the second, to ``tol`` relative; otherwise, as for a
+    zero state, DegenerateInputError is raised. The spin-by-spin amplitude
     block is extracted and normalized into a state over a spin-only space.
     A factored state is read through row slices of its bases, at O(n r).
     """
@@ -239,7 +198,7 @@ def relabel_distinguishable(
     other_rows = np.delete(half, rows, axis=0)
     remainder = np.hypot(np.linalg.norm(rest), np.linalg.norm(other_rows))
     if remainder >= tol * post_state.norm:
-        raise ValueError(
+        raise DegenerateInputError(
             f"state has support outside extrinsic labels {labels}; "
             "relabeling by those values is not faithful"
         )

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .hilbert import TwoParticleState, inner_product
+from .hilbert import TwoParticleState
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -43,11 +43,6 @@ def permute(state: TwoParticleState) -> TwoParticleState:
     return TwoParticleState._fresh(
         state.space, state.core.T, state.right, state.left, normalized=state.normalized
     )
-
-
-def permutation_overlap(state: TwoParticleState) -> complex:
-    """Overlap of a state with its own permutation."""
-    return inner_product(state, permute(state))
 
 
 def _exchange_sum(state: TwoParticleState, sign: float) -> np.ndarray:
@@ -79,16 +74,3 @@ def sector(state: TwoParticleState, stat: Statistics) -> TwoParticleState:
     coeff = state.matrix()
     return TwoParticleState._fresh(state.space, _INV_SQRT2 * (coeff + stat.sign * coeff.T))
 
-
-def orthogonal_sum_check(state: TwoParticleState) -> float:
-    """Residual of rebuilding a state from its two sectors.
-
-    Returns ||state - (fermion sector + boson sector)/sqrt(2)||, which is an
-    algebraic zero for every input; anything above 1e-12 indicates a broken
-    layout convention somewhere upstream.
-    """
-    rebuilt = _INV_SQRT2 * (
-        sector(state, Statistics.FERMION).amplitudes
-        + sector(state, Statistics.BOSON).amplitudes
-    )
-    return float(np.linalg.norm(state.amplitudes - rebuilt))

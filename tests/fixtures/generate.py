@@ -1,6 +1,7 @@
 """Regenerate the CLI fixture files.
 
-Run from this directory: python generate.py
+Run from this directory: python generate.py. ``main`` takes the output
+directory, next to this script by default.
 """
 
 from pathlib import Path
@@ -21,25 +22,25 @@ SPACE = SpaceSpec(8, 2)
 UP, DOWN = 0, 1
 
 
-def main():
+def main(out: Path = HERE):
     reference = tensor_state(plane_wave(1, UP, SPACE), plane_wave(7, DOWN, SPACE))
     write_state_file(
-        HERE / "momentum_state.txt",
+        out / "momentum_state.txt",
         reference,
         comment="reference pair: mode 1 spin up (slot 1), mode 7 spin down (slot 2), L=8",
     )
     write_measure_file(
-        HERE / "momentum_measure.txt",
+        out / "momentum_measure.txt",
         momentum_projector(1, 7, SPACE),
         comment="momentum projectors onto modes 1 and 7, identity on spin",
     )
     write_state_file(
-        HERE / "position_state.txt",
+        out / "position_state.txt",
         reference,
         comment="same reference pair, measured by position windows",
     )
     write_measure_file(
-        HERE / "position_measure.txt",
+        out / "position_measure.txt",
         SelectiveMeasure(
             window_projector(2, 1, SPACE), window_projector(5, 1, SPACE)
         ),

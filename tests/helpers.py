@@ -7,8 +7,10 @@ from pairmeasure import (
     SelectiveMeasure,
     SingleParticleVector,
     SpaceSpec,
+    Statistics,
     TwoParticleState,
     VerdictTag,
+    sector,
 )
 
 
@@ -47,6 +49,18 @@ def random_factored_state(rng, space: SpaceSpec, left_rank: int, right_rank: int
 def as_dense(state: TwoParticleState) -> TwoParticleState:
     """The same amplitudes as a dense state."""
     return TwoParticleState(state.space, state.amplitudes)
+
+
+def reduced_density(state: TwoParticleState, slot: int) -> np.ndarray:
+    """The normalized state's density on slot 1 or 2, the other traced out."""
+    coeff = state.matrix() / state.norm
+    return coeff @ coeff.conj().T if slot == 1 else coeff.T @ coeff.conj()
+
+
+def orthogonal_sum_residual(state: TwoParticleState) -> float:
+    """||state - (fermion sector + boson sector)/sqrt(2)||, an algebraic zero."""
+    sectors = [sector(state, stat).amplitudes for stat in Statistics]
+    return float(np.linalg.norm(state.amplitudes - sum(sectors) / np.sqrt(2)))
 
 
 def random_projector(rng, space: SpaceSpec, rank: int) -> OneParticleOperator:

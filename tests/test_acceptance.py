@@ -12,10 +12,8 @@ from pairmeasure import (
     apply_measure,
     basis_vector,
     classify,
-    ebm_evidence,
     inner_product,
     momentum_projector,
-    orthogonal_sum_check,
     permute,
     plane_wave,
     scenario_momentum_projection,
@@ -28,7 +26,13 @@ from pairmeasure import (
 )
 from pairmeasure.cli import EXIT_OK, main
 
-from helpers import brute_force_verdict, random_measure, random_state, random_unitary
+from helpers import (
+    brute_force_verdict,
+    orthogonal_sum_residual,
+    random_measure,
+    random_state,
+    random_unitary,
+)
 
 SPACE = SpaceSpec(8, 2)
 UP, DOWN = 0, 1
@@ -79,7 +83,7 @@ def test_criterion_3_orthogonal_sum_residual():
     rng = np.random.default_rng(101)
     space = SpaceSpec(2, 2)  # pair states of dimension 16
     ok = all(
-        orthogonal_sum_check(random_state(rng, space)) < 1e-12 for _ in range(100)
+        orthogonal_sum_residual(random_state(rng, space)) < 1e-12 for _ in range(100)
     )
     criterion(3, "fermion+boson sector sum rebuilds 100 random states", ok)
 

@@ -189,6 +189,13 @@ def test_momentum_scenario_equal_modes_exits_3(capsys):
     assert "error" in err
 
 
+def test_unfaithful_relabeling_exits_3(capsys):
+    # at --tol 1e-16 the post-state's roundoff counts as support off the labels
+    code, out, err = run_cli(capsys, ["momentum-scenario", "--mode-a", "3", "--tol", "1e-16"])
+    assert code == EXIT_DEGENERATE and out == ""
+    assert err.startswith("error:") and "not faithful" in err and err.count("\n") == 1
+
+
 def test_bad_flag_values_exit_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["momentum-scenario", "--lattice", "1"])

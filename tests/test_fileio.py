@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,8 @@ from pairmeasure import (
 )
 
 from helpers import random_state
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def write(tmp_path, text):
@@ -131,3 +136,21 @@ def test_parse_rejects_non_finite_values(tmp_path, value):
     path = write(tmp_path, f"dim 2 2\nA 0 0 1 0\nB 1 1 0 {value}\n")
     with pytest.raises(ParseError, match="line 3"):
         parse_measure_file(path)
+
+
+def test_fixture_generator_reproduces_the_committed_fixtures(tmp_path):
+    spec = importlib.util.spec_from_file_location("generate", FIXTURES / "generate.py")
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    generate.main(tmp_path)
+    for prefix in ("momentum", "position"):
+        name = f"{prefix}_state.txt"
+        got, want = parse_state_file(tmp_path / name), parse_state_file(FIXTURES / name)
+        assert got.space == want.space
+        assert np.max(np.abs(got.matrix() - want.matrix())) < 1e-14, name
+        name = f"{prefix}_measure.txt"
+        got, want = parse_measure_file(tmp_path / name), parse_measure_file(FIXTURES / name)
+        assert got.space == want.space
+        for new, old in ((got.factor_slot1, want.factor_slot1),
+                         (got.factor_slot2, want.factor_slot2)):
+            assert np.max(np.abs(new.entries - old.entries)) < 1e-14, name

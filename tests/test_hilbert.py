@@ -12,7 +12,6 @@ from pairmeasure import (
     basis_vector,
     inner_product,
     mode_index,
-    mode_split,
     momentum_representation,
     plane_wave,
     tensor_state,
@@ -55,7 +54,7 @@ def test_mode_index_roundtrip_is_bijective():
     for extrinsic in range(3):
         for spin in range(2):
             flat = mode_index(extrinsic, spin, space)
-            assert mode_split(flat, space) == (extrinsic, spin)
+            assert divmod(flat, space.spin_dim) == (extrinsic, spin)
             seen.add(flat)
     assert seen == set(range(space.total_dim))
 
@@ -66,8 +65,6 @@ def test_mode_index_range_errors():
         mode_index(4, 0, space)
     with pytest.raises(IndexError):
         mode_index(0, 2, space)
-    with pytest.raises(IndexError):
-        mode_split(8, space)
 
 
 def test_tensor_state_basis_case():
@@ -154,6 +151,14 @@ def test_plane_wave_gram_matrix_is_identity(sites):
     waves = np.array([plane_wave(m, 0, space).amplitudes for m in range(sites)])
     gram = waves.conj() @ waves.T
     assert np.max(np.abs(gram - np.eye(sites))) < 1e-12
+
+
+def test_plane_wave_phase_is_exact_on_a_large_lattice():
+    # m*x is reduced mod L before the exponential, so no O(L eps) phase drift
+    sites = 2048
+    closed_form = np.exp(-2j * np.pi * np.arange(sites) / sites) / np.sqrt(sites)
+    wave = plane_wave(sites - 1, 0, SpaceSpec(sites, 1))
+    assert np.max(np.abs(wave.amplitudes - closed_form)) < 1e-14
 
 
 def test_plane_wave_range_errors():

@@ -15,7 +15,6 @@ from pairmeasure import (
     TwoParticleState,
     VerdictTag,
     basis_vector,
-    build_pair_state,
     measure_pair,
     mode_index,
     momentum_projector,
@@ -57,20 +56,12 @@ def oracle_window_ratio(space, m_a, m_b, x_a, x_b, stat):
 
 
 def test_build_pair_state_matches_sector_construction():
-    state = build_pair_state(1, 7, UP, DOWN, Statistics.FERMION, SPACE)
-    reference = sector(
-        tensor_state(plane_wave(1, UP, SPACE), plane_wave(7, DOWN, SPACE)),
-        Statistics.FERMION,
-    )
-    assert np.max(np.abs(state.amplitudes - reference.amplitudes)) < 1e-14
-    assert state.normalized
-
-
-def test_build_pair_state_rejects_identical_labels():
-    with pytest.raises(DegenerateInputError):
-        build_pair_state(3, 3, UP, UP, Statistics.FERMION, SPACE)
-    with pytest.raises(DegenerateInputError):
-        build_pair_state(3, 3, UP, UP, Statistics.BOSON, SPACE)
+    up, down = plane_wave(1, UP, SPACE), plane_wave(7, DOWN, SPACE)
+    state = sector(tensor_state(up, down), Statistics.FERMION)
+    outer = np.outer(up.amplitudes, down.amplitudes)
+    reference = (outer - outer.T) / np.sqrt(2)
+    assert np.max(np.abs(state.matrix() - reference)) < 1e-14
+    assert state.norm == pytest.approx(1.0, abs=1e-14)
 
 
 def test_momentum_scenario_is_a_local_operation():
@@ -161,6 +152,13 @@ def test_position_scenario_phase_steps_by_minus_dk():
     second = scenario_position_windows(SPACE, mode, None, 1, 5, 1, Statistics.FERMION)
     step = second.phase_check.measured / first.phase_check.measured
     assert step == pytest.approx(np.exp(-1j * dk), abs=1e-10)
+
+
+@pytest.mark.parametrize("stat", list(Statistics), ids=lambda stat: stat.value)
+def test_position_scenario_phase_is_exact_on_a_large_lattice(stat):
+    # dk * dx is reduced mod 2 pi with integers, as are the plane-wave phases
+    result = scenario_position_windows(SpaceSpec(2048, 2), 2047, None, 2, 1000, 1, stat)
+    assert result.phase_check.deviation < 1e-14
 
 
 def test_position_scenario_same_site_windows_overlap():

@@ -7,15 +7,13 @@ from pairmeasure import (
     basis_vector,
     inner_product,
     mode_index,
-    orthogonal_sum_check,
-    permutation_overlap,
     permute,
     plane_wave,
     sector,
     tensor_state,
 )
 
-from helpers import random_state
+from helpers import orthogonal_sum_residual, random_state
 
 SPACE = SpaceSpec(8, 2)
 UP, DOWN = 0, 1
@@ -121,29 +119,32 @@ def test_sector_preserves_norm_when_overlap_vanishes():
             )
             coeff /= np.linalg.norm(coeff)
             state = TwoParticleState(space, coeff.reshape(-1), normalized=True)
-            assert permutation_overlap(state) == 0.0
+            assert inner_product(state, permute(state)) == 0.0
             assert sector(state, stat).norm == pytest.approx(1.0, abs=1e-12)
 
 
 def test_permutation_overlap_cases():
     space = SpaceSpec(2, 1)
+    def overlap(state):
+        return inner_product(state, permute(state))
+
     crossed = tensor_state(basis_vector(0, 0, space), basis_vector(1, 0, space))
-    assert permutation_overlap(crossed) == 0.0
+    assert overlap(crossed) == 0.0
     doubled = tensor_state(basis_vector(0, 0, space), basis_vector(0, 0, space))
-    assert permutation_overlap(doubled) == pytest.approx(1.0)
-    assert abs(permutation_overlap(momentum_pair(1, 7))) < 1e-14
+    assert overlap(doubled) == pytest.approx(1.0)
+    assert abs(overlap(momentum_pair(1, 7))) < 1e-14
 
 
 def test_orthogonal_sum_residual_vanishes_on_random_states():
     rng = np.random.default_rng(26)
     space = SpaceSpec(2, 2)
     for _ in range(100):
-        assert orthogonal_sum_check(random_state(rng, space)) < 1e-12
+        assert orthogonal_sum_residual(random_state(rng, space)) < 1e-12
 
 
 def test_orthogonal_sum_residual_on_momentum_pair_and_zero():
-    assert orthogonal_sum_check(momentum_pair(1, 7)) < 1e-12
+    assert orthogonal_sum_residual(momentum_pair(1, 7)) < 1e-12
     from pairmeasure import TwoParticleState
 
     zero = TwoParticleState(SpaceSpec(2, 2), np.zeros(16))
-    assert orthogonal_sum_check(zero) == 0.0
+    assert orthogonal_sum_residual(zero) == 0.0
