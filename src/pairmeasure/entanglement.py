@@ -78,9 +78,10 @@ def _report(state: TwoParticleState, coeff: np.ndarray, tol: float) -> Entanglem
     slater = None
     if _is_antisymmetric(state, tol):
         if rank % 2:
-            raise ValueError(
-                f"singular values fail to pair up ({rank} above threshold); "
-                "degenerate spectrum too noisy for a Slater count"
+            raise DegenerateInputError(
+                f"singular values fail to pair up ({rank} above tol * sigma_max, "
+                f"tol = {tol:g}); a degenerate pair of the antisymmetric spectrum "
+                "straddles the threshold, so there is no Slater count at this tol"
             )
         slater = rank // 2
     return EntanglementReport(
@@ -94,8 +95,9 @@ def _report(state: TwoParticleState, coeff: np.ndarray, tol: float) -> Entanglem
 def schmidt(state: TwoParticleState, tol: float = ZERO_TOL) -> EntanglementReport:
     """Schmidt decomposition report of the state, normalized internally.
 
-    The SVD runs on the state's core: the n x n matrix of a dense state, the
-    a x b core of a factored one.
+    The SVD runs on the state's a x b core, where a side without a basis
+    counts n. An antisymmetric state whose degenerate pairs do not all lie
+    on one side of tol * sigma_max raises DegenerateInputError.
     """
     nrm = state.norm
     if nrm == 0.0:

@@ -6,7 +6,11 @@ class DimensionMismatchError(ValueError):
 
 
 class DegenerateInputError(ValueError):
-    """An input is zero, or collapses to zero, where a nonzero state is required."""
+    """An input is zero, or collapses to zero, where a nonzero state is required.
+
+    Also an input that the relative tolerance cannot decide on, such as an
+    antisymmetric spectrum whose degenerate pair straddles the rank threshold.
+    """
 
 
 class InputTooLargeError(MemoryError):

@@ -3,10 +3,11 @@
 A single particle lives in a factored space: an extrinsic factor (lattice
 sites, or equivalently momentum modes on a periodic lattice) times a spin
 factor. The pair of particles lives in the tensor square of that space; a
-pair state is its coefficient matrix, held either densely or as L K R^T
-with small orthonormal bases L and R (see ``TwoParticleState``). Both
-particles are treated as distinguishable at this level; the exchange
-structure is layered on top by :mod:`pairmeasure.symmetry`.
+pair state is its coefficient matrix L K R^T, where each side's basis is
+either a small orthonormal one or absent, meaning the identity on that side
+(see ``TwoParticleState``). Both particles are treated as distinguishable at
+this level; the exchange structure is layered on top by
+:mod:`pairmeasure.symmetry`.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads. Dense arrays
@@ -207,14 +208,16 @@ class TwoParticleState:
     row-major flattening of the coefficient matrix C). Every module in this
     package shares this one layout.
 
-    The coefficient matrix is C = L K R^T. A dense state, which is what the
-    constructor builds, has ``left = right = None`` (the identity) and the
-    n x n ``core`` C. A factored state (see :meth:`from_factors`) keeps an
-    n x a ``left`` and an n x b ``right`` with orthonormal columns and the
-    a x b ``core``; measures with range bases produce such states, and the
-    package's algebra works on their factors. ``amplitudes`` and
-    ``matrix()`` read the same values in both cases: a factored state
-    builds them on first read, at O(n^2 b), and keeps them.
+    The coefficient matrix is C = L K R^T. ``left`` is an n x a and
+    ``right`` an n x b matrix with orthonormal columns, or None for the
+    identity on that side alone (a = n or b = n); ``core`` is a x b. The
+    constructor builds a dense state, with no basis on either side and the
+    n x n ``core`` C; :meth:`from_factors` builds one with both. A measure
+    gives each side of its result the range basis of that side's factor,
+    if it has one. The package's algebra works on the factors.
+    ``amplitudes`` and ``matrix()`` read the same values in every case: a
+    state with a basis builds them on first read, at most at O(n^2 (a + b)),
+    and keeps them.
 
     ``normalized=True`` is a caller promise that the vector has unit norm;
     it is checked against ``NORM_TOL`` at construction.
@@ -258,13 +261,13 @@ class TwoParticleState:
     ) -> TwoParticleState:
         """A state on arrays computed here, checked and frozen in place, not copied.
 
-        ``left`` and ``right`` are both None or both orthonormal bases. A part
-        that is already read-only belongs to an existing state or operator,
-        so it has been checked and is taken as it is.
+        ``left`` and ``right`` are each None (the identity on that side) or an
+        orthonormal basis. A part that is already read-only belongs to an
+        existing state or operator, so it has been checked and is taken as it
+        is.
         """
-        parts = [core] if left is None else [left, core, right]
-        for part in parts:
-            if part.flags.writeable:
+        for part in (left, core, right):
+            if part is not None and part.flags.writeable:
                 _freeze(part, "state")
         state = cls.__new__(cls)
         state._setup(space, left, core, right, normalized)
@@ -392,21 +395,26 @@ def momentum_representation(state: TwoParticleState) -> TwoParticleState:
 
     The extrinsic index of the result labels momentum modes instead of
     lattice sites; spin indices are untouched. Useful when momentum values
-    rather than positions act as the particle labels. A factored state
-    keeps its core and transforms its a + b basis columns.
+    rather than positions act as the particle labels. Each side transforms
+    its basis columns if it has a basis, and the core's axis on that side
+    if not; a state with both bases keeps its core.
     """
     space = state.space
     sites, spins = space.extrinsic_dim, space.spin_dim
-    # Amplitude at site x picks up exp(-2i*pi*m*x/L)/sqrt(L) in each slot:
-    # an orthonormal DFT over both extrinsic axes.
-    if state.left is None:
-        blocks = state.matrix().reshape(sites, spins, sites, spins)
-        coeff = np.fft.fft2(blocks, axes=(0, 2), norm="ortho")
-        return TwoParticleState._fresh(space, coeff.reshape(space.total_dim, -1))
-    left, right = (
-        np.fft.fft(basis.reshape(sites, spins, -1), axis=0, norm="ortho").reshape(
-            space.total_dim, -1
-        )
-        for basis in (state.left, state.right)
-    )
-    return TwoParticleState._fresh(space, state.core, left, right)
+
+    def dft(modes: np.ndarray) -> np.ndarray:
+        # Amplitude at site x picks up exp(-2i*pi*m*x/L)/sqrt(L): an
+        # orthonormal DFT over the extrinsic part of the row index.
+        coeff = np.fft.fft(modes.reshape(sites, spins, -1), axis=0, norm="ortho")
+        return coeff.reshape(space.total_dim, -1)
+
+    left, core, right = state.left, state.core, state.right
+    if left is None:
+        core = dft(core)
+    else:
+        left = dft(left)
+    if right is None:
+        core = dft(core.T).T
+    else:
+        right = dft(right)
+    return TwoParticleState._fresh(space, core, left, right)

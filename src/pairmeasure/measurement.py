@@ -32,16 +32,16 @@ bases U_A, U_B (see ``OneParticleOperator.range_basis``) an event is
 U_A K U_B^T for an r_A x r_B core K, and since the bases are isometries the
 norms, overlaps and singular values of the cores are those of the events.
 The algebra therefore runs on the cores, and an event or post-state is kept
-as the factored state (U_A, K, U_B), whose dense amplitudes are built only
-when read. On a dense reference state this costs O(n^2 r) instead of
-O(n^3); on a factored one, L K R^T with a + b basis columns, O(n r (a + b)).
-A factor without a basis is the case U = I, r = n, which is plain dense
-algebra.
+as the state (U_A, K, U_B), whose dense amplitudes are built only when
+read. On a dense reference state this costs O(n^2 r) instead of O(n^3); on
+a factored one, L K R^T with a + b basis columns, O(n r (a + b)). A factor
+without a basis is the case U = I, r = n on its own side, which is plain
+dense algebra there whatever the other side has.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -53,7 +53,6 @@ from .hilbert import (
     OneParticleOperator,
     SpaceSpec,
     TwoParticleState,
-    _in_bases,
     inner_product,
     plane_wave,
 )
@@ -94,9 +93,10 @@ class EventPair:
     ``event_overlap`` is the inner product of the two events themselves;
     ``ref_overlap`` is the inner product of the reference state with the
     permuted event. The two coincide for projector-valued measures but can
-    differ for general operators, so both are kept. ``core_direct`` and
-    ``core_permuted`` are the events' coefficient matrices in the factors'
-    range bases, r_A x r_B (n x n for factors without a basis).
+    differ for general operators, so both are kept. Both events are held in
+    the same bases, those of the measure's factors (the identity on a side
+    whose factor has none), so their r_A x r_B cores are directly
+    comparable and carry their norms and overlap.
     """
 
     event_direct: TwoParticleState
@@ -105,8 +105,6 @@ class EventPair:
     norm_permuted: float
     event_overlap: complex
     ref_overlap: complex
-    core_direct: np.ndarray = field(repr=False, compare=False)
-    core_permuted: np.ndarray = field(repr=False, compare=False)
 
 
 class VerdictTag(Enum):
@@ -183,29 +181,13 @@ class ScenarioResult:
     relabeled: TwoParticleState | None = None
 
 
-def _from_core(measure: SelectiveMeasure, core: np.ndarray) -> TwoParticleState:
-    """The state U_A core U_B^T: factored when both factors have a range basis.
-
-    Otherwise the core is expanded on the modes of the factor that has a
-    basis, giving a dense state.
-    """
-    left = measure.factor_slot1.range_basis
-    right = measure.factor_slot2.range_basis
-    if left is not None and right is not None:
-        return TwoParticleState._fresh(measure.space, core, left, right)
-    if left is not None:
-        core = left @ core
-    if right is not None:
-        core = core @ right.T
-    return TwoParticleState._fresh(measure.space, core)
-
-
 def apply_measure(measure: SelectiveMeasure, state: TwoParticleState) -> TwoParticleState:
     """Apply the tensor-product measure: one factor per slot.
 
     On C = L K R^T it computes the core (W_A L) K (W_B R)^T with W = U^H A,
-    at O(n r a), and returns it in the factors' range bases (U_A, U_B),
-    expanded to a dense state unless both factors have one.
+    at O(n r a), and returns the state (U_A, core, U_B). Each side uses its
+    own factor's range basis, or the identity where that factor has none;
+    a side of ``state`` without a basis takes L or R as the identity.
     """
     if measure.space != state.space:
         raise DimensionMismatchError("measure and state live in different spaces")
@@ -213,8 +195,14 @@ def apply_measure(measure: SelectiveMeasure, state: TwoParticleState) -> TwoPart
     right = measure.factor_slot2.range_rows
     if state.left is not None:
         left = left @ state.left
+    if state.right is not None:
         right = right @ state.right
-    return _from_core(measure, left @ state.core @ right.T)
+    return TwoParticleState._fresh(
+        measure.space,
+        left @ state.core @ right.T,
+        measure.factor_slot1.range_basis,
+        measure.factor_slot2.range_basis,
+    )
 
 
 def measure_scale(measure: SelectiveMeasure) -> float:
@@ -234,18 +222,13 @@ def events(measure: SelectiveMeasure, ref_state: TwoParticleState) -> EventPair:
     """Compute both events of the measure on a distinguishable reference state."""
     direct = apply_measure(measure, ref_state)
     permuted = apply_measure(measure, permute(ref_state))
-    bases = (measure.factor_slot1.range_basis, measure.factor_slot2.range_basis)
-    core_direct = _in_bases(direct, *bases)
-    core_permuted = _in_bases(permuted, *bases)
     return EventPair(
         event_direct=direct,
         event_permuted=permuted,
-        norm_direct=float(np.linalg.norm(core_direct)),
-        norm_permuted=float(np.linalg.norm(core_permuted)),
-        event_overlap=complex(np.vdot(core_direct, core_permuted)),
+        norm_direct=direct.norm,
+        norm_permuted=permuted.norm,
+        event_overlap=complex(np.vdot(direct.core, permuted.core)),
         ref_overlap=inner_product(ref_state, permuted),
-        core_direct=core_direct,
-        core_permuted=core_permuted,
     )
 
 
@@ -341,6 +324,7 @@ def measure_pair(
     sector.
     """
     pair = events(measure, ref)
+    direct, permuted = pair.event_direct, pair.event_permuted
     factor_scale = measure_scale(measure)
     scale = factor_scale * ref.norm
     verdict = _verdict(pair, scale, tol)
@@ -349,15 +333,15 @@ def measure_pair(
         raise DegenerateInputError(
             f"reference state has no {stat.value} sector to measure"
         )
-    core = _INV_SQRT2 * (pair.core_direct + stat.sign * pair.core_permuted)
-    raw = _from_core(measure, core)
+    core = _INV_SQRT2 * (direct.core + stat.sign * permuted.core)
+    raw = TwoParticleState._fresh(measure.space, core, direct.left, direct.right)
     norm = float(np.linalg.norm(core))
     normalized = report = evidence = None
     if not _is_zero(norm, factor_scale * sym_norm, tol):
         normalized = raw.normalize()
         report = _report(normalized, normalized.core, tol)
         if not _is_zero(pair.norm_direct, scale, tol):
-            before = _rank(np.linalg.svd(pair.core_direct, compute_uv=False), tol)
+            before = _rank(np.linalg.svd(direct.core, compute_uv=False), tol)
             after = report.schmidt_rank
             evidence = EbmEvidence(before, after, after > before)
     return ScenarioResult(

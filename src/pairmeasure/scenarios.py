@@ -29,7 +29,6 @@ from .hilbert import (
     ZERO_TOL,
     SpaceSpec,
     TwoParticleState,
-    mode_index,
     momentum_representation,
     plane_wave,
 )
@@ -62,13 +61,6 @@ def _reference_state(m_a: int, m_b: int, space: SpaceSpec) -> TwoParticleState:
         [[u.norm * v.norm]],
         (v.amplitudes / v.norm)[:, None],
     )
-
-
-def _amplitude(state: TwoParticleState, row: int, col: int) -> complex:
-    """amplitude(row, col) = L[row] K R[col]^T, read off the factors."""
-    if state.left is None:
-        return complex(state.core[row, col])
-    return complex(state.left[row] @ state.core @ state.right[col])
 
 
 def scenario_momentum_projection(
@@ -138,14 +130,8 @@ def scenario_position_windows(
     if width == 1 and result.post_state_normalized is not None:
         relabeled = relabel_distinguishable(result.post_state, (x_a, x_b), tol)
         if disjoint:
-            post = result.post_state
-            direct_amp = _amplitude(
-                post, mode_index(x_a, SPIN_UP, space), mode_index(x_b, SPIN_DOWN, space)
-            )
-            swapped_amp = _amplitude(
-                post, mode_index(x_a, SPIN_DOWN, space), mode_index(x_b, SPIN_UP, space)
-            )
-            measured = swapped_amp / direct_amp
+            spins = relabeled.matrix()
+            measured = complex(spins[SPIN_DOWN, SPIN_UP] / spins[SPIN_UP, SPIN_DOWN])
             # dk * dx = 2*pi*(m_b - m_a)*(x_b - x_a)/L, reduced mod 2*pi exactly.
             turns = ((m_b - m_a) * (x_b - x_a)) % sites
             predicted = complex(stat.sign * np.exp(-2j * np.pi * turns / sites))

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .hilbert import TwoParticleState
+from .hilbert import TwoParticleState, _in_bases
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -48,14 +48,15 @@ def permute(state: TwoParticleState) -> TwoParticleState:
 def _exchange_sum(state: TwoParticleState, sign: float) -> np.ndarray:
     """M + sign M^T, whose Frobenius norm is that of C + sign C^T.
 
-    A dense state has M = C. A factored one takes M from one QR of its
-    stacked bases, [L R] = Q T with T = [T_L T_R]: then C = Q M Q^T with
+    A state with a basis on both sides takes M from one QR of the stacked
+    bases, [L R] = Q T with T = [T_L T_R]: then C = Q M Q^T with
     M = T_L K T_R^T, and Q is an isometry. The norm thus comes from an
     (a + b) x (a + b) matrix, never from a difference of squared norms,
-    which would resolve only about 1e-8 relative.
+    which would resolve only about 1e-8 relative. Any other state has
+    M = C, the dense coefficient matrix.
     """
-    if state.left is None:
-        coeff = state.core
+    if state.left is None or state.right is None:
+        coeff = _in_bases(state, None, None)
     else:
         width = state.left.shape[1]
         tri = np.linalg.qr(np.hstack([state.left, state.right]), mode="r")

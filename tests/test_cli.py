@@ -1,15 +1,31 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pairmeasure.measurement
+from pairmeasure import (
+    OneParticleOperator,
+    SelectiveMeasure,
+    SpaceSpec,
+    TwoParticleState,
+    write_measure_file,
+    write_state_file,
+)
 from pairmeasure.cli import EXIT_DEGENERATE, EXIT_OK, EXIT_PARSE, main
+
+from helpers import random_unitary
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -394,3 +410,90 @@ def test_possible_outcome_never_reports_schmidt_rank_0(statistics, capsys):
         assert len(payload["singular_values"]) == 2, tol
         assert payload["entropy"] == pytest.approx(math.log(2), abs=1e-12), tol
         assert payload["phase"] is not None, tol
+
+
+def noisy_slater_state(space, rng, second):
+    """An antisymmetric state q D q^T with spectrum 1, 1, ``second``, ``second``.
+
+    q is a random real orthogonal matrix, so each pair is degenerate only up
+    to roundoff.
+    """
+    dim = space.total_dim
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    pairs = np.zeros((dim, dim))
+    pairs[0, 1], pairs[2, 3] = 1.0, second
+    pairs -= pairs.T
+    return TwoParticleState(space, (q @ pairs @ q.T).reshape(-1))
+
+
+def test_noisy_slater_spectrum_exits_3(tmp_path, capsys):
+    # at tol 1e-6 the roundoff split of the 1e-6 pair straddles tol * sigma_max
+    space = SpaceSpec(3, 2)
+    state, measure = tmp_path / "state.txt", tmp_path / "measure.txt"
+    write_state_file(state, noisy_slater_state(space, np.random.default_rng(0), 1e-6))
+    write_measure_file(measure, SelectiveMeasure.identity(space))
+    code, out, err = run_cli(
+        capsys, ["classify", "--state", str(state), "--measure", str(measure),
+                 "--tol", "1e-6"]
+    )
+    assert code == EXIT_DEGENERATE and out == ""
+    assert err.startswith("error:") and "tol" in err and err.count("\n") == 1
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sites=st.integers(2, 3),
+    kind=st.sampled_from(["random", "antisymmetric", "zero", "mismatched", "malformed"]),
+    projectors=st.booleans(),
+    second=st.floats(-16, 0),
+    tol_exponent=st.floats(-15, 0),
+    ratio=st.one_of(st.none(), st.integers(1, 3)),
+)
+def test_classify_runs_end_in_a_report_or_one_error_line(
+    seed, sites, kind, projectors, second, tol_exponent, ratio
+):
+    # whatever the input and tol, classify reports or fails in one stderr line
+    rng = np.random.default_rng(seed)
+    space = SpaceSpec(sites, 2)
+    dim = space.total_dim
+    if kind == "antisymmetric":
+        state = noisy_slater_state(space, rng, 10.0**second)
+    else:
+        amps = rng.standard_normal(space.pair_dim) + 1j * rng.standard_normal(space.pair_dim)
+        state = TwoParticleState(space, 0.0 * amps if kind == "zero" else amps)
+    if projectors:
+        factors = (
+            OneParticleOperator(space, None, range_basis=random_unitary(rng, dim)[:, :rank])
+            for rank in rng.integers(0, dim + 1, size=2)
+        )
+        measure = SelectiveMeasure(*factors)
+    else:
+        measure = SelectiveMeasure.identity(space)
+    if kind == "mismatched":
+        measure = SelectiveMeasure.identity(SpaceSpec(sites + 1, 2))
+    # the state's own singular-value ratios put tol * sigma_max on a singular value
+    sigma = np.linalg.svd(state.matrix(), compute_uv=False)
+    tol = 10.0**tol_exponent
+    if ratio is not None and sigma[ratio] > 0:
+        tol = float(sigma[ratio] / sigma[0])
+    with tempfile.TemporaryDirectory() as folder:
+        state_path = os.path.join(folder, "state.txt")
+        measure_path = os.path.join(folder, "measure.txt")
+        write_state_file(state_path, state)
+        write_measure_file(measure_path, measure)
+        if kind == "malformed":
+            with open(state_path, "a", encoding="utf-8") as handle:
+                handle.write("amp 0 one 1 0\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["classify", "--state", state_path, "--measure", measure_path,
+                         "--tol", repr(tol)])
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_DEGENERATE)
+    assert code == EXIT_OK or out.getvalue() == ""
+    # warnings (a zero state, a factor with no entries) may precede the report
+    # or the error; the error itself is one line, and only a failure has one
+    lines = err.getvalue().splitlines()
+    errors = [line for line in lines if not line.startswith("warning: ")]
+    assert len(errors) == (0 if code == EXIT_OK else 1)
+    assert all(line.startswith("error: ") for line in errors)

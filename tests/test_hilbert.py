@@ -7,12 +7,15 @@ from pairmeasure import (
     DimensionMismatchError,
     InputTooLargeError,
     OneParticleOperator,
+    SelectiveMeasure,
     SpaceSpec,
     TwoParticleState,
+    apply_measure,
     basis_vector,
     inner_product,
     mode_index,
     momentum_representation,
+    permute,
     plane_wave,
     tensor_state,
 )
@@ -372,3 +375,17 @@ def test_factored_momentum_representation_and_inner_products_match_dense(
     expected = np.vdot(state.amplitudes, other.amplitudes)
     for a, b in ((state, other), (as_dense(state), other), (state, as_dense(other))):
         assert abs(inner_product(a, b) - expected) < 1e-12
+    # a basis on one side only: a projector on slot 1, the identity on slot 2
+    projector = OneParticleOperator(
+        space, None, range_basis=random_unitary(rng, dim)[:, : min(ranks[0], dim)]
+    )
+    one_sided = apply_measure(
+        SelectiveMeasure(projector, OneParticleOperator.identity(space)), other
+    )
+    for half in (one_sided, permute(one_sided)):
+        assert (half.left is None) is not (half.right is None)
+        got = momentum_representation(half)
+        want = momentum_representation(as_dense(half))
+        assert np.max(np.abs(got.amplitudes - want.amplitudes)) < 1e-12
+        for a, b in ((half, state), (state, half), (half, as_dense(state))):
+            assert abs(inner_product(a, b) - np.vdot(a.amplitudes, b.amplitudes)) < 1e-12

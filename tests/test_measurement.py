@@ -506,21 +506,22 @@ def test_is_projector_valued_with_a_basis_agrees_with_the_entrywise_test():
     sites=st.integers(1, 4),
     fractions=st.tuples(st.floats(0, 1), st.floats(0, 1)),
     ranks=st.tuples(st.integers(1, 3), st.integers(1, 3)),
-    basis_only=st.booleans(),
+    basis_only=st.tuples(st.booleans(), st.booleans()),
     factored=st.booleans(),
     stat=st.sampled_from(Statistics),
 )
 def test_factored_states_match_dense_states(
     seed, sites, fractions, ranks, basis_only, factored, stat
 ):
-    # the factored path on either kind of state against plain dense algebra
+    # the factored path on either kind of state against plain dense algebra;
+    # a basis on one factor only gives one-sided events and post-states
     rng = np.random.default_rng(seed)
     space = SpaceSpec(sites, 2)
     dim = space.total_dim
     factors = []
-    for fraction in fractions:
+    for fraction, only in zip(fractions, basis_only):
         basis = random_unitary(rng, dim)[:, : round(fraction * dim)]
-        if basis_only:
+        if only:
             factors.append(OneParticleOperator(space, None, range_basis=basis))
         else:
             factors.append(OneParticleOperator(space, basis @ basis.conj().T))
