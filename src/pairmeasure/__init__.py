@@ -27,7 +27,6 @@ from .fileio import (
     write_state_file,
 )
 from .hilbert import (
-    NORM_TOL,
     ZERO_TOL,
     OneParticleOperator,
     SingleParticleVector,
@@ -78,7 +77,6 @@ __all__ = [
     "EntanglementReport",
     "EventPair",
     "InputTooLargeError",
-    "NORM_TOL",
     "OneParticleOperator",
     "ParseError",
     "PhaseCheck",

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DegenerateInputError, InputTooLargeError, ParseError
 from .fileio import _format_float as _fmt
 from .fileio import parse_measure_file, parse_state_file
-from .hilbert import ZERO_TOL, SpaceSpec
+from .hilbert import ZERO_TOL, SpaceSpec, _negligible
 from .measurement import ScenarioResult, measure_pair
 from .scenarios import scenario_momentum_projection, scenario_position_windows
 from .symmetry import Statistics
@@ -94,7 +94,7 @@ def _text_report(result: ScenarioResult) -> str:
         f"  event overlap: {_fmt_complex(pair.event_overlap)}",
     ]
     mismatch = abs(pair.event_overlap - pair.ref_overlap)
-    if mismatch >= tol * result.scale**2:
+    if not _negligible(mismatch, result.scale**2, tol):
         lines.append(
             "  note: reference overlap "
             f"{_fmt_complex(pair.ref_overlap)} disagrees with the event overlap "
@@ -139,14 +139,14 @@ def _run_classify(args: argparse.Namespace, stat: Statistics) -> ScenarioResult:
             f"state file has {state.space} but measure file has {measure.space}"
         )
     if state.norm == 0.0:
-        print("warning: state file lists no amplitudes; using the zero state",
-              file=sys.stderr)
         raise DegenerateInputError("cannot classify a measurement on the zero state")
+    result = measure_pair(measure, state, stat, args.tol)
+    # Warnings go with a report only, so that a failure stays one stderr line.
     for tag, factor in (("A", measure.factor_slot1), ("B", measure.factor_slot2)):
         if not np.any(factor.entries):
             print(f"warning: factor {tag} has no entries; the measure annihilates "
                   "every state", file=sys.stderr)
-    return measure_pair(measure, state, stat, args.tol)
+    return result
 
 
 def run(args: argparse.Namespace) -> int:

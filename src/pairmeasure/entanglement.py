@@ -11,9 +11,10 @@ symmetric (bosonic) states this plain Schmidt rank is reported as-is; it is
 a bipartition diagnostic, not a committed bosonic entanglement measure.
 
 Every ``tol`` is the package's one relative tolerance (default
-``ZERO_TOL``), the same that sizes the verdict's zero tests: a singular
-value counts toward a rank when it is above tol * sigma_max, and a state is
-antisymmetric when ||C + C^T|| < tol * ||C||.
+``ZERO_TOL``), applied by the same ``hilbert._negligible`` that decides the
+verdict's zero tests: a singular value counts toward a rank unless it is
+negligible against sigma_max, and a state is antisymmetric when
+||C + C^T|| is negligible against ||C||.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError
-from .hilbert import ZERO_TOL, TwoParticleState
+from .hilbert import ZERO_TOL, TwoParticleState, _negligible
 from .symmetry import _exchange_sum
 
 
@@ -52,14 +53,9 @@ class EbmEvidence:
     entangled_by_measure: bool
 
 
-def _is_antisymmetric(state: TwoParticleState, tol: float) -> bool:
-    """||C + C^T|| < tol * ||C||."""
-    return np.linalg.norm(_exchange_sum(state, 1.0)) < tol * state.norm
-
-
 def _rank(sigma: np.ndarray, tol: float) -> int:
-    """Count of descending singular values above tol * sigma_max."""
-    return int(np.count_nonzero(sigma > tol * sigma[0]))
+    """Count of descending singular values not negligible against sigma_max."""
+    return int(np.count_nonzero(~_negligible(sigma, sigma[0], tol)))
 
 
 def _report(state: TwoParticleState, coeff: np.ndarray, tol: float) -> EntanglementReport:
@@ -76,7 +72,7 @@ def _report(state: TwoParticleState, coeff: np.ndarray, tol: float) -> Entanglem
     positive = lam[lam > 0.0]
     entropy = max(0.0, float(-np.sum(positive * np.log(positive))))
     slater = None
-    if _is_antisymmetric(state, tol):
+    if _negligible(np.linalg.norm(_exchange_sum(state, 1.0)), state.norm, tol):
         if rank % 2:
             raise DegenerateInputError(
                 f"singular values fail to pair up ({rank} above tol * sigma_max, "

@@ -26,9 +26,6 @@ from .errors import DegenerateInputError, DimensionMismatchError, InputTooLargeE
 # Default tolerance for "is this zero" tests on O(1) desk-scale quantities.
 ZERO_TOL = 1e-10
 
-# A state flagged as normalized must have |norm - 1| below this.
-NORM_TOL = 1e-12
-
 # Largest dense pair array (pair_dim complex128 amplitudes) a space may ask
 # for. States read from files or given as arrays are dense, and a call on
 # them holds several such arrays at once, so 256 MiB each keeps a call
@@ -81,6 +78,18 @@ def mode_index(extrinsic: int, spin: int, space: SpaceSpec) -> int:
     return extrinsic * space.spin_dim + spin
 
 
+def _negligible(value, scale, tol: float):
+    """The package's one zero test: value < tol * scale, or scale == 0.
+
+    Elementwise on arrays. Every zero, rank, antisymmetry, support and
+    projector test goes through it, so ``tol`` means the same everywhere;
+    a ``tol`` that is not finite and positive raises ValueError.
+    """
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    return (value < tol * scale) | (scale == 0.0)
+
+
 def _freeze(arr: np.ndarray, what: str) -> np.ndarray:
     """Check that ``arr`` is finite, then make it read-only in place."""
     if not np.isfinite(arr).all():
@@ -106,7 +115,8 @@ def _orthonormal_basis(values, dim: int, what: str) -> np.ndarray:
         )
     basis = _frozen_complex(values, shape, what)
     gram = basis.conj().T @ basis
-    if np.max(np.abs(gram - np.eye(shape[1])), initial=0.0) >= ZERO_TOL:
+    error = np.max(np.abs(gram - np.eye(shape[1])), initial=0.0)
+    if not _negligible(error, 1.0, ZERO_TOL):
         raise ValueError(f"{what} columns are not orthonormal")
     return basis
 
@@ -178,7 +188,9 @@ class OneParticleOperator:
                 rows = basis.conj().T @ entries
                 residual = basis @ rows
                 residual -= entries
-                if np.linalg.norm(residual) > ZERO_TOL * np.linalg.norm(entries):
+                if not _negligible(
+                    np.linalg.norm(residual), np.linalg.norm(entries), ZERO_TOL
+                ):
                     raise ValueError("range_basis does not span the range of entries")
             rows.flags.writeable = False
             range_basis = basis
@@ -218,27 +230,21 @@ class TwoParticleState:
     ``amplitudes`` and ``matrix()`` read the same values in every case: a
     state with a basis builds them on first read, at most at O(n^2 (a + b)),
     and keeps them.
-
-    ``normalized=True`` is a caller promise that the vector has unit norm;
-    it is checked against ``NORM_TOL`` at construction.
     """
 
     space: SpaceSpec
-    normalized: bool
     left: np.ndarray | None = field(repr=False)
     core: np.ndarray = field(repr=False)
     right: np.ndarray | None = field(repr=False)
 
-    def __init__(self, space: SpaceSpec, amplitudes, normalized: bool = False):
+    def __init__(self, space: SpaceSpec, amplitudes):
         amps = _frozen_complex(amplitudes, (space.pair_dim,), "amplitudes")
         dim = space.total_dim
-        self._setup(space, None, amps.reshape(dim, dim), None, normalized)
+        self._setup(space, None, amps.reshape(dim, dim), None)
         object.__setattr__(self, "_amplitudes", amps)
 
     @classmethod
-    def from_factors(
-        cls, space: SpaceSpec, left, core, right, normalized: bool = False
-    ) -> TwoParticleState:
+    def from_factors(cls, space: SpaceSpec, left, core, right) -> TwoParticleState:
         """The factored state L K R^T; ``left`` and ``right`` need orthonormal columns.
 
         The factors are copied and checked: shapes, finiteness and
@@ -248,7 +254,7 @@ class TwoParticleState:
         left = _orthonormal_basis(left, dim, "left")
         right = _orthonormal_basis(right, dim, "right")
         core = _frozen_complex(core, (left.shape[1], right.shape[1]), "core")
-        return cls._fresh(space, core, left, right, normalized)
+        return cls._fresh(space, core, left, right)
 
     @classmethod
     def _fresh(
@@ -257,7 +263,6 @@ class TwoParticleState:
         core: np.ndarray,
         left: np.ndarray | None = None,
         right: np.ndarray | None = None,
-        normalized: bool = False,
     ) -> TwoParticleState:
         """A state on arrays computed here, checked and frozen in place, not copied.
 
@@ -270,18 +275,15 @@ class TwoParticleState:
             if part is not None and part.flags.writeable:
                 _freeze(part, "state")
         state = cls.__new__(cls)
-        state._setup(space, left, core, right, normalized)
+        state._setup(space, left, core, right)
         return state
 
-    def _setup(self, space, left, core, right, normalized) -> None:
+    def _setup(self, space, left, core, right) -> None:
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "normalized", normalized)
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "core", core)
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "_amplitudes", None)
-        if normalized and abs(self.norm - 1.0) >= NORM_TOL:
-            raise ValueError("state flagged normalized but its norm is not 1")
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -311,9 +313,7 @@ class TwoParticleState:
         nrm = self.norm
         if nrm == 0.0:
             raise DegenerateInputError("cannot normalize a zero state")
-        return TwoParticleState._fresh(
-            self.space, self.core / nrm, self.left, self.right, normalized=True
-        )
+        return TwoParticleState._fresh(self.space, self.core / nrm, self.left, self.right)
 
 
 def _change_of_basis(to: np.ndarray | None, frm: np.ndarray | None) -> np.ndarray | None:

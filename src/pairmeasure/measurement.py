@@ -15,12 +15,12 @@ Classification rule, on the two event vectors:
   symmetrized state keeps both events as a coherent superposition
 * both nonzero, overlapping          -> NonOrthogonalEvents
 
-Zero tests are relative: a vector counts as zero when its norm is below
-tol * scale, where scale is the product of the factors' max column norms
-times the reference-state norm, so verdicts are invariant under global
-phases and positive rescaling of either the state or the measure. The same
-``tol`` sizes the rank and antisymmetry tests of the Schmidt report (see
-:mod:`pairmeasure.entanglement`).
+Every zero test is ``hilbert._negligible`` against a scale: an event norm
+against scale = the product of the factors' max column norms times the
+reference-state norm, the event overlap against scale**2. Verdicts are
+therefore invariant under global phases and positive rescaling of either
+the state or the measure. The same ``tol`` sizes the rank and antisymmetry
+tests of the Schmidt report (see :mod:`pairmeasure.entanglement`).
 
 :func:`measure_pair` is the one place that goes from the two events to
 results: verdict, collapse, post-state Schmidt report, before/after rank
@@ -53,6 +53,7 @@ from .hilbert import (
     OneParticleOperator,
     SpaceSpec,
     TwoParticleState,
+    _negligible,
     inner_product,
     plane_wave,
 )
@@ -232,22 +233,15 @@ def events(measure: SelectiveMeasure, ref_state: TwoParticleState) -> EventPair:
     )
 
 
-def _is_zero(norm: float, scale: float, tol: float) -> bool:
-    """The relative zero test of the verdict rule."""
-    return norm < tol * scale or scale == 0.0
-
-
 def _verdict(pair: EventPair, scale: float, tol: float) -> Verdict:
     """The verdict rule on two computed events; ``scale`` sizes the zero tests."""
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
-    direct_zero = _is_zero(pair.norm_direct, scale, tol)
-    permuted_zero = _is_zero(pair.norm_permuted, scale, tol)
+    direct_zero = _negligible(pair.norm_direct, scale, tol)
+    permuted_zero = _negligible(pair.norm_permuted, scale, tol)
     if direct_zero and permuted_zero:
         tag = VerdictTag.BOTH_ZERO
     elif direct_zero or permuted_zero:
         tag = VerdictTag.LOCAL_OPERATION
-    elif abs(pair.event_overlap) < tol * scale**2:
+    elif _negligible(abs(pair.event_overlap), scale**2, tol):
         tag = VerdictTag.ENTANGLING_MEASUREMENT
     else:
         tag = VerdictTag.NON_ORTHOGONAL_EVENTS
@@ -296,12 +290,14 @@ def is_projector_valued(measure: SelectiveMeasure, tol: float = ZERO_TOL) -> boo
     otherwise its entries are tested directly.
     """
     for factor in (measure.factor_slot1, measure.factor_slot2):
-        if factor.range_basis is not None and _projector_bound(factor) < tol:
+        if factor.range_basis is not None and _negligible(
+            _projector_bound(factor), 1.0, tol
+        ):
             continue
         entries = factor.entries
-        if np.max(np.abs(entries - entries.conj().T)) >= tol:
+        if not _negligible(np.max(np.abs(entries - entries.conj().T)), 1.0, tol):
             return False
-        if np.max(np.abs(entries @ entries - entries)) >= tol:
+        if not _negligible(np.max(np.abs(entries @ entries - entries)), 1.0, tol):
             return False
     return True
 
@@ -329,7 +325,7 @@ def measure_pair(
     scale = factor_scale * ref.norm
     verdict = _verdict(pair, scale, tol)
     sym_norm = float(np.linalg.norm(_INV_SQRT2 * _exchange_sum(ref, stat.sign)))
-    if sym_norm < tol * ref.norm or sym_norm == 0.0:
+    if _negligible(sym_norm, ref.norm, tol):
         raise DegenerateInputError(
             f"reference state has no {stat.value} sector to measure"
         )
@@ -337,10 +333,10 @@ def measure_pair(
     raw = TwoParticleState._fresh(measure.space, core, direct.left, direct.right)
     norm = float(np.linalg.norm(core))
     normalized = report = evidence = None
-    if not _is_zero(norm, factor_scale * sym_norm, tol):
+    if not _negligible(norm, factor_scale * sym_norm, tol):
         normalized = raw.normalize()
         report = _report(normalized, normalized.core, tol)
-        if not _is_zero(pair.norm_direct, scale, tol):
+        if not _negligible(pair.norm_direct, scale, tol):
             before = _rank(np.linalg.svd(direct.core, compute_uv=False), tol)
             after = report.schmidt_rank
             evidence = EbmEvidence(before, after, after > before)

@@ -29,6 +29,7 @@ from .hilbert import (
     ZERO_TOL,
     SpaceSpec,
     TwoParticleState,
+    _negligible,
     momentum_representation,
     plane_wave,
 )
@@ -183,10 +184,10 @@ def relabel_distinguishable(
         block, rest = band @ right[cols].T, band @ np.delete(right, cols, axis=0).T
     other_rows = np.delete(half, rows, axis=0)
     remainder = np.hypot(np.linalg.norm(rest), np.linalg.norm(other_rows))
-    if remainder >= tol * post_state.norm:
+    if not _negligible(remainder, post_state.norm, tol):
         raise DegenerateInputError(
-            f"state has support outside extrinsic labels {labels}; "
-            "relabeling by those values is not faithful"
+            f"state has support outside extrinsic labels {labels} above tol * norm "
+            f"(tol = {tol:g}); relabeling by those values is not faithful"
         )
     spin_space = SpaceSpec(extrinsic_dim=1, spin_dim=spins)
     return TwoParticleState(spin_space, block.reshape(-1)).normalize()

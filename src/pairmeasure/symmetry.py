@@ -40,9 +40,7 @@ def permute(state: TwoParticleState) -> TwoParticleState:
     L K R^T becomes R K^T L^T: the factors swap and the core is transposed,
     as a view, so nothing is copied.
     """
-    return TwoParticleState._fresh(
-        state.space, state.core.T, state.right, state.left, normalized=state.normalized
-    )
+    return TwoParticleState._fresh(state.space, state.core.T, state.right, state.left)
 
 
 def _exchange_sum(state: TwoParticleState, sign: float) -> np.ndarray:

@@ -18,7 +18,7 @@ def random_state(rng, space: SpaceSpec, normalized: bool = True) -> TwoParticleS
     amps = rng.standard_normal(space.pair_dim) + 1j * rng.standard_normal(space.pair_dim)
     if normalized:
         amps = amps / np.linalg.norm(amps)
-    return TwoParticleState(space, amps, normalized=normalized)
+    return TwoParticleState(space, amps)
 
 
 def random_vector(rng, space: SpaceSpec) -> SingleParticleVector:

@@ -141,6 +141,30 @@ def test_classify_both_zero_measure(tmp_path, capsys):
     assert "warning" in err
 
 
+def test_zero_measure_text_report_has_no_overlap_note(tmp_path, capsys):
+    # both overlaps are 0 against a zero scale, so there is no mismatch to note
+    state = tmp_path / "state.txt"
+    state.write_text("dim 2 2\namp 0 3 1 0\n")
+    measure = tmp_path / "measure.txt"
+    measure.write_text("dim 2 2\n")
+    code, out, _ = run_cli(capsys, ["classify", "--state", str(state), "--measure",
+                                    str(measure)])
+    assert code == EXIT_OK
+    assert "verdict: BothZero" in out and "disagrees" not in out
+
+
+def test_classify_failure_after_a_zero_factor_is_one_error_line(tmp_path, capsys):
+    # a doubly occupied mode has no fermion sector; the factor warnings stay silent
+    state = tmp_path / "state.txt"
+    state.write_text("dim 2 2\namp 0 0 1 0\n")
+    measure = tmp_path / "measure.txt"
+    measure.write_text("dim 2 2\n")
+    code, out, err = run_cli(capsys, ["classify", "--state", str(state), "--measure",
+                                      str(measure)])
+    assert code == EXIT_DEGENERATE and out == ""
+    assert err == "error: reference state has no fermion sector to measure\n"
+
+
 def test_classify_only_a_entries_warns(tmp_path, capsys):
     state = tmp_path / "state.txt"
     state.write_text("dim 2 1\namp 0 1 1 0\n")
@@ -189,12 +213,13 @@ def test_classify_zero_state_exits_3(tmp_path, capsys):
     state.write_text("dim 2 2\n")
     measure = tmp_path / "measure.txt"
     measure.write_text("dim 2 2\nA 0 0 1 0\nB 0 0 1 0\n")
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys,
         ["classify", "--state", str(state), "--measure", str(measure)],
     )
-    assert code == EXIT_DEGENERATE
-    assert "warning" in err
+    assert code == EXIT_DEGENERATE and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "warning" not in err
 
 
 def test_momentum_scenario_equal_modes_exits_3(capsys):
@@ -210,6 +235,7 @@ def test_unfaithful_relabeling_exits_3(capsys):
     code, out, err = run_cli(capsys, ["momentum-scenario", "--mode-a", "3", "--tol", "1e-16"])
     assert code == EXIT_DEGENERATE and out == ""
     assert err.startswith("error:") and "not faithful" in err and err.count("\n") == 1
+    assert "tol = 1e-16" in err
 
 
 def test_bad_flag_values_exit_2():
@@ -491,9 +517,47 @@ def test_classify_runs_end_in_a_report_or_one_error_line(
                          "--tol", repr(tol)])
     assert code in (EXIT_OK, EXIT_PARSE, EXIT_DEGENERATE)
     assert code == EXIT_OK or out.getvalue() == ""
-    # warnings (a zero state, a factor with no entries) may precede the report
-    # or the error; the error itself is one line, and only a failure has one
     lines = err.getvalue().splitlines()
-    errors = [line for line in lines if not line.startswith("warning: ")]
-    assert len(errors) == (0 if code == EXIT_OK else 1)
-    assert all(line.startswith("error: ") for line in errors)
+    if code == EXIT_OK:
+        assert all(line.startswith("warning: ") for line in lines)
+    else:
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    command=st.sampled_from(["momentum-scenario", "position-scenario"]),
+    lattice=st.integers(2, 64),
+    tol_exponent=st.floats(-16, 0),
+    statistics=st.sampled_from(["fermion", "boson"]),
+    output=st.sampled_from(["text", "json"]),
+)
+def test_scenario_runs_end_in_a_report_or_one_error_line(
+    data, command, lattice, tol_exponent, statistics, output
+):
+    # sites and modes range one past [0, L) on both sides, to reach the flag checks
+    site = st.integers(-1, lattice)
+    argv = [command, "--lattice", str(lattice), "--mode-a", str(data.draw(site)),
+            "--tol", repr(10.0**tol_exponent), "--statistics", statistics,
+            "--output", output]
+    mode_b = data.draw(st.one_of(st.none(), site))
+    if mode_b is not None:
+        argv += ["--mode-b", str(mode_b)]
+    if command == "position-scenario":
+        width = data.draw(st.sampled_from([1, 2, 3, lattice, lattice + 1]))
+        argv += ["--xa", str(data.draw(site)), "--xb", str(data.draw(site)),
+                 "--width", str(width)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_DEGENERATE)
+    if code == EXIT_OK:
+        assert out.getvalue() and err.getvalue() == ""
+    else:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -224,8 +224,6 @@ def test_state_validation():
         TwoParticleState(space, np.zeros(15))
     with pytest.raises(ValueError):
         TwoParticleState(space, np.full(16, np.nan))
-    with pytest.raises(ValueError):
-        TwoParticleState(space, np.full(16, 0.5 + 0.5j), normalized=True)
 
 
 def test_amplitudes_are_read_only():
@@ -315,7 +313,7 @@ def test_factored_amplitudes_are_built_once_and_read_only():
         with pytest.raises(ValueError):
             view.flat[0] = 1.0
     normalized = state.normalize()
-    assert normalized.left is state.left and normalized.normalized
+    assert normalized.left is state.left
 
 
 def test_from_factors_checks_its_factors():
@@ -330,11 +328,6 @@ def test_from_factors_checks_its_factors():
         TwoParticleState.from_factors(space, basis[:5], np.eye(2), basis)
     with pytest.raises(ValueError, match="non-finite"):
         TwoParticleState.from_factors(space, basis, np.diag([1.0, np.nan]), basis)
-    with pytest.raises(ValueError, match="normalized"):
-        TwoParticleState.from_factors(space, basis, np.eye(2), basis, normalized=True)
-    state = TwoParticleState.from_factors(space, basis, np.eye(2) / np.sqrt(2), basis,
-                                          normalized=True)
-    assert state.normalized
 
 
 def test_projectors_from_a_basis_build_their_entries_on_first_read():

@@ -22,7 +22,12 @@ from pairmeasure import (
     momentum_projector,
     permute,
     plane_wave,
+    relabel_distinguishable,
+    scenario_momentum_projection,
+    scenario_position_windows,
+    schmidt,
     sector,
+    slater_rank,
     tensor_state,
     window_projector,
     window_sites,
@@ -623,3 +628,42 @@ def test_verdicts_are_invariant_under_rescaling_phase_and_shared_local_unitaries
     for case in cases:
         assert classify(*case).tag is verdict
         assert brute_force_verdict(*case, 1e-10) is verdict
+
+
+def _tol_takers():
+    """Every public function that takes ``tol``, as a call on ``tol`` alone."""
+    rng = np.random.default_rng(31)
+    space = SpaceSpec(4, 2)
+    dim = space.total_dim
+    state = random_state(rng, space)
+    general = SelectiveMeasure(
+        *(OneParticleOperator(space, rng.standard_normal((dim, dim))) for _ in "AB")
+    )
+    product = tensor_state(plane_wave(1, 0, space), plane_wave(3, 1, space))
+    fermion = Statistics.FERMION
+    return {
+        "classify": lambda tol: classify(general, state, tol),
+        "measure_pair": lambda tol: measure_pair(general, state, fermion, tol),
+        "collapse": lambda tol: collapse(general, state, fermion, tol),
+        "is_projector_valued": lambda tol: is_projector_valued(general, tol),
+        "schmidt": lambda tol: schmidt(state, tol),
+        "slater_rank": lambda tol: slater_rank(sector(state, fermion), tol),
+        "relabel_distinguishable": lambda tol: relabel_distinguishable(product, (0, 0), tol),
+        "scenario_momentum_projection": lambda tol: scenario_momentum_projection(
+            space, 1, 3, fermion, tol
+        ),
+        "scenario_position_windows": lambda tol: scenario_position_windows(
+            space, 1, None, 0, 2, 1, fermion, tol
+        ),
+    }
+
+
+TOL_TAKERS = _tol_takers()
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name", sorted(TOL_TAKERS))
+def test_every_public_tol_must_be_finite_and_positive(name, tol):
+    # a non-finite or non-positive tol would silently pass or fail every zero test
+    with pytest.raises(ValueError, match="finite and positive"):
+        TOL_TAKERS[name](tol)

@@ -118,7 +118,8 @@ def test_sector_preserves_norm_when_overlap_vanishes():
                 k=1,
             )
             coeff /= np.linalg.norm(coeff)
-            state = TwoParticleState(space, coeff.reshape(-1), normalized=True)
+            state = TwoParticleState(space, coeff.reshape(-1))
+            assert state.norm == pytest.approx(1.0, abs=1e-12)
             assert inner_product(state, permute(state)) == 0.0
             assert sector(state, stat).norm == pytest.approx(1.0, abs=1e-12)
 
