@@ -58,21 +58,27 @@ def _rank(sigma: np.ndarray, tol: float) -> int:
     return int(np.count_nonzero(~_negligible(sigma, sigma[0], tol)))
 
 
-def _report(state: TwoParticleState, coeff: np.ndarray, tol: float) -> EntanglementReport:
-    """Schmidt data of ``state`` from ``coeff``, its unit-norm core.
+def schmidt(state: TwoParticleState, tol: float = ZERO_TOL) -> EntanglementReport:
+    """Schmidt decomposition report of the state, normalized internally.
 
-    Isometries on either slot leave the nonzero singular values unchanged,
-    so a state's core gives its spectrum; it is padded with zeros to
-    ``total_dim`` values.
+    The SVD runs on the state's a x b core, where a side without a basis
+    counts n: isometries on either slot leave the nonzero singular values
+    unchanged, so the core gives the spectrum, padded with zeros to
+    ``total_dim`` values. A zero state raises DegenerateInputError, and so
+    does an antisymmetric state whose degenerate pairs do not all lie on
+    one side of tol * sigma_max.
     """
-    sigma = np.linalg.svd(coeff, compute_uv=False)
+    nrm = state.norm
+    if nrm == 0.0:
+        raise DegenerateInputError("zero state has no Schmidt decomposition")
+    sigma = np.linalg.svd(state.core / nrm, compute_uv=False)
     rank = _rank(sigma, tol)
     # sigma[0] may round above 1; renormalizing and clamping keeps entropy >= 0.
     lam = sigma**2 / np.sum(sigma**2)
     positive = lam[lam > 0.0]
     entropy = max(0.0, float(-np.sum(positive * np.log(positive))))
     slater = None
-    if _negligible(np.linalg.norm(_exchange_sum(state, 1.0)), state.norm, tol):
+    if _negligible(np.linalg.norm(_exchange_sum(state, 1.0)), nrm, tol):
         if rank % 2:
             raise DegenerateInputError(
                 f"singular values fail to pair up ({rank} above tol * sigma_max, "
@@ -88,27 +94,13 @@ def _report(state: TwoParticleState, coeff: np.ndarray, tol: float) -> Entanglem
     )
 
 
-def schmidt(state: TwoParticleState, tol: float = ZERO_TOL) -> EntanglementReport:
-    """Schmidt decomposition report of the state, normalized internally.
-
-    The SVD runs on the state's a x b core, where a side without a basis
-    counts n. An antisymmetric state whose degenerate pairs do not all lie
-    on one side of tol * sigma_max raises DegenerateInputError.
-    """
-    nrm = state.norm
-    if nrm == 0.0:
-        raise DegenerateInputError("zero state has no Schmidt decomposition")
-    return _report(state, state.core / nrm, tol)
-
-
 def slater_rank(state: TwoParticleState, tol: float = ZERO_TOL) -> int:
     """Number of Slater determinants in the canonical fermionic expansion.
 
     The coefficient matrix of an antisymmetric state has doubly degenerate
-    singular values; each pair is one determinant.
+    singular values; each pair is one determinant. A zero state raises
+    DegenerateInputError through :func:`schmidt`.
     """
-    if state.norm == 0.0:
-        raise DegenerateInputError("zero state has no Slater rank")
     slater = schmidt(state, tol).slater_rank
     if slater is None:
         raise ValueError("Slater rank requires an antisymmetric state")

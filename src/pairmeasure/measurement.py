@@ -23,9 +23,10 @@ the state or the measure. The same ``tol`` sizes the rank and antisymmetry
 tests of the Schmidt report (see :mod:`pairmeasure.entanglement`).
 
 :func:`measure_pair` is the one place that goes from the two events to
-results: verdict, collapse, post-state Schmidt report, before/after rank
-evidence and Born-rule flag. :func:`collapse` reads part of its result;
-:func:`classify` needs no sector and runs the verdict rule alone.
+results: verdict, collapse, post-state Schmidt report (``schmidt`` of the
+raw post-state), before/after rank evidence and Born-rule flag.
+:func:`collapse` reads part of its result; :func:`classify` needs no
+sector and runs the verdict rule alone.
 
 Every event lies in range(A) x range(B) of the factors A and B. With range
 bases U_A, U_B (see ``OneParticleOperator.range_basis``) an event is
@@ -46,7 +47,7 @@ from enum import Enum
 
 import numpy as np
 
-from .entanglement import EbmEvidence, EntanglementReport, _rank, _report
+from .entanglement import EbmEvidence, EntanglementReport, _rank, schmidt
 from .errors import DegenerateInputError, DimensionMismatchError
 from .hilbert import (
     ZERO_TOL,
@@ -93,11 +94,12 @@ class EventPair:
     ``event_permuted`` the measure applied to the permuted reference state.
     ``event_overlap`` is the inner product of the two events themselves;
     ``ref_overlap`` is the inner product of the reference state with the
-    permuted event. The two coincide for projector-valued measures but can
-    differ for general operators, so both are kept. Both events are held in
-    the same bases, those of the measure's factors (the identity on a side
-    whose factor has none), so their r_A x r_B cores are directly
-    comparable and carry their norms and overlap.
+    permuted event. Both go through ``inner_product``. The two coincide for
+    projector-valued measures but can differ for general operators, so both
+    are kept. Both events are held in the same bases, those of the measure's
+    factors (the identity on a side whose factor has none), so their
+    r_A x r_B cores are directly comparable and carry their norms and
+    overlap: ``event_overlap`` needs no change of basis.
     """
 
     event_direct: TwoParticleState
@@ -150,7 +152,7 @@ class PhaseCheck:
     deviation: float
 
     def __post_init__(self):
-        if abs(abs(self.measured) - 1.0) >= 1e-10:
+        if not _negligible(abs(abs(self.measured) - 1.0), 1.0, ZERO_TOL):
             raise ValueError(
                 f"measured relative amplitude is off the unit circle: {self.measured}"
             )
@@ -228,7 +230,7 @@ def events(measure: SelectiveMeasure, ref_state: TwoParticleState) -> EventPair:
         event_permuted=permuted,
         norm_direct=direct.norm,
         norm_permuted=permuted.norm,
-        event_overlap=complex(np.vdot(direct.core, permuted.core)),
+        event_overlap=inner_product(direct, permuted),
         ref_overlap=inner_product(ref_state, permuted),
     )
 
@@ -312,12 +314,10 @@ def measure_pair(
 
     The measure is applied twice, to ``ref`` and to its permutation. The
     verdict, the collapse by linearity, M(ref -+ P ref)/sqrt(2) = (direct -+
-    permuted)/sqrt(2), the Schmidt report of the post-state and the
+    permuted)/sqrt(2), the report ``schmidt(post_state, tol)`` and the
     before/after rank evidence all follow from those two events, computed on
     their r_A x r_B cores. ``tol`` drives every zero, rank and antisymmetry
-    test. The report's singular values are padded with zeros to
-    ``total_dim``. Raises DegenerateInputError when ``ref`` has no ``stat``
-    sector.
+    test. Raises DegenerateInputError when ``ref`` has no ``stat`` sector.
     """
     pair = events(measure, ref)
     direct, permuted = pair.event_direct, pair.event_permuted
@@ -331,11 +331,11 @@ def measure_pair(
         )
     core = _INV_SQRT2 * (direct.core + stat.sign * permuted.core)
     raw = TwoParticleState._fresh(measure.space, core, direct.left, direct.right)
-    norm = float(np.linalg.norm(core))
+    norm = raw.norm
     normalized = report = evidence = None
     if not _negligible(norm, factor_scale * sym_norm, tol):
         normalized = raw.normalize()
-        report = _report(normalized, normalized.core, tol)
+        report = schmidt(raw, tol)
         if not _negligible(pair.norm_direct, scale, tol):
             before = _rank(np.linalg.svd(direct.core, compute_uv=False), tol)
             after = report.schmidt_rank

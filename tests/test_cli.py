@@ -257,8 +257,9 @@ def test_bad_flag_values_exit_2():
         ["momentum-scenario", "--bogus"],
         ["classify", "--measure", "x"],
         ["position-scenario", "--statistics", "quark"],
+        ["position-scenario", "--width", "0"],
     ],
-    ids=["bad-int", "unknown-flag", "missing-state", "bad-choice"],
+    ids=["bad-int", "unknown-flag", "missing-state", "bad-choice", "zero-width"],
 )
 def test_parse_errors_are_one_line_and_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:

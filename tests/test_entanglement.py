@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairmeasure import (
+    DegenerateInputError,
     OneParticleOperator,
     SelectiveMeasure,
     SpaceSpec,
@@ -181,6 +182,13 @@ def test_slater_rank_rejects_non_antisymmetric_states():
         slater_rank(random_state(rng, SpaceSpec(3, 2)))
     with pytest.raises(ValueError):
         slater_rank(sector(random_state(rng, SpaceSpec(3, 2)), Statistics.BOSON))
+
+
+def test_schmidt_and_slater_rank_reject_the_zero_state():
+    zero = TwoParticleState(SpaceSpec(2, 2), np.zeros(16))
+    for report in (schmidt, slater_rank):
+        with pytest.raises(DegenerateInputError, match="zero state"):
+            report(zero)
 
 
 def test_slater_rank_invariant_under_shared_basis_rotation():

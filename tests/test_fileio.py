@@ -68,6 +68,7 @@ def test_parse_rejects_out_of_range_index(tmp_path):
         ("dim 2 2\namp 0 0 not-a-number 0\n", 2),
         ("dim 2 2\namp 0 0 1\n", 2),
         ("dim 2\n", 1),
+        ("dim a 2\n", 1),
         ("dim 0 2\n", 1),
         ("amp 0 0 1 0\n", 1),
         ("dim 2 2\ndim 2 2\n", 2),

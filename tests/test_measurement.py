@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from pairmeasure import (
     DegenerateInputError,
+    DimensionMismatchError,
     OneParticleOperator,
     SelectiveMeasure,
     SpaceSpec,
@@ -290,6 +291,16 @@ def test_window_sites_wrap_and_reject_bad_input():
         window_sites(0, 0, 8)
     with pytest.raises(IndexError):
         window_sites(8, 1, 8)
+
+
+def test_measures_refuse_operands_from_another_space():
+    small, large = SpaceSpec(3, 2), SpaceSpec(4, 2)
+    with pytest.raises(DimensionMismatchError):
+        SelectiveMeasure(
+            OneParticleOperator.identity(small), OneParticleOperator.identity(large)
+        )
+    with pytest.raises(DimensionMismatchError):
+        apply_measure(SelectiveMeasure.identity(large), momentum_pair(1, 2, small))
 
 
 def test_momentum_projector_fixes_matching_product():

@@ -215,6 +215,21 @@ def test_relabel_rejects_zero_state():
         relabel_distinguishable(TwoParticleState(SpaceSpec(2, 2), np.zeros(16)), (0, 1))
 
 
+def test_relabel_rejects_labels_off_the_lattice():
+    space = SpaceSpec(4, 2)
+    state = tensor_state(basis_vector(0, UP, space), basis_vector(3, DOWN, space))
+    with pytest.raises(IndexError):
+        relabel_distinguishable(state, (0, 4))
+
+
+def test_scenarios_need_a_spin_half_factor():
+    space = SpaceSpec(4, 1)
+    with pytest.raises(ValueError, match="spin_dim >= 2"):
+        scenario_momentum_projection(space, 1, 3, Statistics.FERMION)
+    with pytest.raises(ValueError, match="spin_dim >= 2"):
+        scenario_position_windows(space, 1, None, 0, 2, 1, Statistics.FERMION)
+
+
 def test_phase_check_rejects_off_circle_ratios():
     from pairmeasure import PhaseCheck
 
@@ -232,7 +247,8 @@ def test_relabel_accepts_exact_two_site_support():
 
 
 def test_scenarios_apply_the_measure_twice_and_decompose_twice():
-    # two events, then one SVD of the post-state and one of the direct event
+    # two events, then one SVD of the post-state, made by the one schmidt
+    # call, and one of the direct event
     calls = {
         "momentum": lambda: scenario_momentum_projection(SPACE, 1, 5, Statistics.FERMION),
         "windows": lambda: scenario_position_windows(
@@ -243,9 +259,12 @@ def test_scenarios_apply_the_measure_twice_and_decompose_twice():
         with mock.patch(
             "pairmeasure.measurement.apply_measure",
             wraps=pairmeasure.measurement.apply_measure,
-        ) as apply, mock.patch("numpy.linalg.svd", wraps=np.linalg.svd) as svd:
+        ) as apply, mock.patch("numpy.linalg.svd", wraps=np.linalg.svd) as svd, mock.patch(
+            "pairmeasure.measurement.schmidt", wraps=pairmeasure.measurement.schmidt
+        ) as report:
             call()
         assert (apply.call_count, svd.call_count) == (2, 2), name
+        assert report.call_count == 1, name
 
 
 def test_measure_pair_sizes_and_normalizes_once():
