@@ -86,8 +86,10 @@ def schmidt(state: TwoParticleState, tol: float = ZERO_TOL) -> EntanglementRepor
                 "straddles the threshold, so there is no Slater count at this tol"
             )
         slater = rank // 2
+    padded = np.zeros(state.space.total_dim)
+    padded[: sigma.size] = sigma
     return EntanglementReport(
-        singular_values=np.pad(sigma, (0, state.space.total_dim - sigma.size)),
+        singular_values=padded,
         schmidt_rank=rank,
         entropy=entropy,
         slater_rank=slater,

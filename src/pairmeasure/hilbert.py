@@ -11,8 +11,9 @@ this level; the exchange structure is layered on top by
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads. Dense arrays
-a factored value builds on first read are a cache of fixed values; two
-threads reading at once may both build it, with the same result.
+a factored value builds on first read, and a pair state's norm, are kept
+values computed once from fixed data; two threads reading at once may both
+compute one, with the same result.
 """
 
 from __future__ import annotations
@@ -106,8 +107,11 @@ def _frozen_complex(values, shape: tuple[int, ...], what: str) -> np.ndarray:
     return _freeze(arr, what)
 
 
-def _orthonormal_basis(values, dim: int, what: str) -> np.ndarray:
-    """A checked, read-only copy of an n x r matrix with orthonormal columns."""
+def _orthonormal_basis(values, dim: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """A checked, read-only copy U of an n x r matrix with orthonormal columns.
+
+    Returns U and its r x r Gram matrix U^H U, which the check forms.
+    """
     shape = np.shape(values)
     if len(shape) != 2 or shape[0] != dim or shape[1] > dim:
         raise DimensionMismatchError(
@@ -118,7 +122,7 @@ def _orthonormal_basis(values, dim: int, what: str) -> np.ndarray:
     error = np.max(np.abs(gram - np.eye(shape[1])), initial=0.0)
     if not _negligible(error, 1.0, ZERO_TOL):
         raise ValueError(f"{what} columns are not orthonormal")
-    return basis
+    return basis, gram
 
 
 @dataclass(frozen=True)
@@ -150,8 +154,10 @@ class OneParticleOperator:
     without a basis U is the identity and ``range_rows`` is ``entries``.
 
     With ``entries=None`` the operator is the orthogonal projector U U^H:
-    only the basis is checked (O(n r^2)), ``range_rows`` is U^H, and the
-    dense ``entries`` are built on first read.
+    only the basis is checked (O(n r^2)), ``range_rows`` is U^H, the dense
+    ``entries`` are built on first read, and the check's Gram matrix U^H U
+    is kept to decide the Born-rule flag (see
+    ``measurement.is_projector_valued``).
     """
 
     space: SpaceSpec
@@ -176,14 +182,17 @@ class OneParticleOperator:
     def _setup(self, space, entries, range_basis) -> None:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "_entries", entries)
+        # U^H U of a projector built from its basis alone, else None.
+        object.__setattr__(self, "_gram", None)
         if range_basis is None:
             if entries is None:
                 raise ValueError("an operator needs entries or a range_basis")
             rows = entries
         else:
-            basis = _orthonormal_basis(range_basis, space.total_dim, "range_basis")
+            basis, gram = _orthonormal_basis(range_basis, space.total_dim, "range_basis")
             if entries is None:
                 rows = basis.conj().T
+                object.__setattr__(self, "_gram", gram)
             else:
                 rows = basis.conj().T @ entries
                 residual = basis @ rows
@@ -229,7 +238,7 @@ class TwoParticleState:
     if it has one. The package's algebra works on the factors.
     ``amplitudes`` and ``matrix()`` read the same values in every case: a
     state with a basis builds them on first read, at most at O(n^2 (a + b)),
-    and keeps them.
+    and keeps them. ``norm`` is likewise computed on first read and kept.
     """
 
     space: SpaceSpec
@@ -251,8 +260,8 @@ class TwoParticleState:
         orthonormality to ``ZERO_TOL``, at O(n (a^2 + b^2)).
         """
         dim = space.total_dim
-        left = _orthonormal_basis(left, dim, "left")
-        right = _orthonormal_basis(right, dim, "right")
+        left, _ = _orthonormal_basis(left, dim, "left")
+        right, _ = _orthonormal_basis(right, dim, "right")
         core = _frozen_complex(core, (left.shape[1], right.shape[1]), "core")
         return cls._fresh(space, core, left, right)
 
@@ -284,6 +293,7 @@ class TwoParticleState:
         object.__setattr__(self, "core", core)
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "_amplitudes", None)
+        object.__setattr__(self, "_norm", None)
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -296,8 +306,11 @@ class TwoParticleState:
 
     @property
     def norm(self) -> float:
-        # The bases are isometries, so the core carries the norm.
-        return float(np.linalg.norm(self.core))
+        """Euclidean norm, computed on first read and kept."""
+        if self._norm is None:
+            # The bases are isometries, so the core carries the norm.
+            object.__setattr__(self, "_norm", float(np.linalg.norm(self.core)))
+        return self._norm
 
     def matrix(self) -> np.ndarray:
         """Amplitudes reshaped to the total_dim x total_dim coefficient matrix.
@@ -360,17 +373,21 @@ def plane_wave(mode: int, spin: int, space: SpaceSpec) -> SingleParticleVector:
     The family over m = 0..L-1 is an orthonormal basis of the extrinsic
     factor, and mode L-m realizes "-k" for mode m.
     """
-    sites = space.extrinsic_dim
-    if not 0 <= mode < sites:
-        raise IndexError(f"momentum mode {mode} out of range [0, {sites})")
+    phases = _plane_wave_phases(mode, space.extrinsic_dim)
     if not 0 <= spin < space.spin_dim:
         raise IndexError(f"spin index {spin} out of range [0, {space.spin_dim})")
     amps = np.zeros(space.total_dim, dtype=complex)
-    # Reducing m*x mod L in integers keeps the phase error O(eps), not O(m*x*eps).
-    turns = mode * np.arange(sites) % sites
-    phases = np.exp(2j * np.pi * turns / sites) / np.sqrt(sites)
     amps[spin:: space.spin_dim] = phases
     return SingleParticleVector(space, amps)
+
+
+def _plane_wave_phases(mode: int, sites: int) -> np.ndarray:
+    """exp(2i*pi*mode*x/L)/sqrt(L) over the L sites x: one plane wave's amplitudes."""
+    if not 0 <= mode < sites:
+        raise IndexError(f"momentum mode {mode} out of range [0, {sites})")
+    # Reducing m*x mod L in integers keeps the phase error O(eps), not O(m*x*eps).
+    turns = mode * np.arange(sites) % sites
+    return np.exp(2j * np.pi * turns / sites) / np.sqrt(sites)
 
 
 def tensor_state(u: SingleParticleVector, v: SingleParticleVector) -> TwoParticleState:

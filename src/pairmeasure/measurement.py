@@ -55,8 +55,8 @@ from .hilbert import (
     SpaceSpec,
     TwoParticleState,
     _negligible,
+    _plane_wave_phases,
     inner_product,
-    plane_wave,
 )
 from .symmetry import _INV_SQRT2, Statistics, _exchange_sum, permute
 
@@ -272,7 +272,19 @@ def _projector_bound(factor: OneParticleOperator) -> float:
     norm at most 1, so an entry of U X U^H is at most ||X||_F and an entry
     of U Y at most the largest column norm of Y. U W equals the entries to
     the tolerance checked at construction.
+
+    A projector built from its basis alone has W = U^H, so G = U^H U is the
+    Gram matrix its construction formed, R = (I - G) U^H and G W - W =
+    (G - I) U^H. With e = ||G - I||_F, the columns of U^H have norm at most
+    ||U||_2 <= sqrt(1 + e), so those of R and of G W - W at most
+    e sqrt(1 + e), and the bound is ||G - G^H||_F + 2 e sqrt(1 + e), read
+    off G at O(r^2).
     """
+    gram = factor._gram
+    if gram is not None:
+        error = float(np.linalg.norm(gram - np.eye(len(gram))))
+        skew = float(np.linalg.norm(gram - gram.conj().T))
+        return skew + 2.0 * error * (1.0 + error) ** 0.5
     basis, rows = factor.range_basis, factor.range_rows
     gram = rows @ basis
     residual = rows - gram @ basis.conj().T
@@ -288,8 +300,11 @@ def is_projector_valued(measure: SelectiveMeasure, tol: float = ZERO_TOL) -> boo
 
     Only then is the squared event norm a Born-rule probability. Both tests
     are entrywise, to ``tol``. A factor with a range basis passes at once
-    when the O(n r^2) bound of :func:`_projector_bound` is below ``tol``;
-    otherwise its entries are tested directly.
+    when the bound of :func:`_projector_bound` is below ``tol``; otherwise
+    its entries are tested directly. The bound costs O(n r^2), or O(r^2)
+    for a projector built from its basis alone (``entries=None``, as
+    ``window_projector`` and ``momentum_projector`` build them), where it
+    comes from the Gram matrix U^H U its construction formed.
     """
     for factor in (measure.factor_slot1, measure.factor_slot2):
         if factor.range_basis is not None and _negligible(
@@ -412,12 +427,17 @@ def momentum_projector(mode1: int, mode2: int, space: SpaceSpec) -> SelectiveMea
 
     Each factor is the rank-one projector onto a plane-wave momentum ket on
     the extrinsic factor, tensored with the identity on spin; its range
-    basis is that ket tensored with the spin basis, and the dense entries
-    are built only when read.
+    basis is that ket tensored with the spin basis, column ``s`` being
+    ``plane_wave(mode, s, space)``, and the dense entries are built only
+    when read.
     """
+    spins = space.spin_dim
 
     def factor(mode: int) -> OneParticleOperator:
-        waves = [plane_wave(mode, spin, space).amplitudes for spin in range(space.spin_dim)]
-        return OneParticleOperator(space, None, range_basis=np.stack(waves, axis=1))
+        phases = _plane_wave_phases(mode, space.extrinsic_dim)
+        basis = np.zeros((space.total_dim, spins), dtype=complex)
+        for spin in range(spins):
+            basis[spin::spins, spin] = phases
+        return OneParticleOperator(space, None, range_basis=basis)
 
     return SelectiveMeasure(factor(mode1), factor(mode2))

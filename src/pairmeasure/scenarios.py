@@ -50,17 +50,16 @@ SPIN_UP = 0
 SPIN_DOWN = 1
 
 
-def _reference_state(m_a: int, m_b: int, space: SpaceSpec) -> TwoParticleState:
-    """|m_a up> x |m_b down>, factored as (u/|u|) (|u| |v|) (v/|v|)^T."""
+def _require_spin_half(space: SpaceSpec) -> None:
     if space.spin_dim < 2:
         raise ValueError("scenarios need a spin-1/2 factor (spin_dim >= 2)")
-    u = plane_wave(m_a, SPIN_UP, space)
-    v = plane_wave(m_b, SPIN_DOWN, space)
+
+
+def _reference_state(u: np.ndarray, v: np.ndarray, space: SpaceSpec) -> TwoParticleState:
+    """|m_a up> x |m_b down> from the kets u, v: (u/|u|) (|u| |v|) (v/|v|)^T."""
+    norm_u, norm_v = float(np.linalg.norm(u)), float(np.linalg.norm(v))
     return TwoParticleState.from_factors(
-        space,
-        (u.amplitudes / u.norm)[:, None],
-        [[u.norm * v.norm]],
-        (v.amplitudes / v.norm)[:, None],
+        space, (u / norm_u)[:, None], [[norm_u * norm_v]], (v / norm_v)[:, None]
     )
 
 
@@ -76,14 +75,21 @@ def scenario_momentum_projection(
     With distinct modes the permuted event vanishes and the verdict is
     LocalOperation: the collapsed pair is the direct event alone, at
     probability 1/2, and the momenta now serve as particle labels. The
-    relabeled spin state is read off in the momentum basis.
+    relabeled spin state is read off in the momentum basis. The reference
+    kets are columns of the projectors' range bases.
     """
     if m_a == m_b:
         raise DegenerateInputError(
             "momentum projection needs distinct modes to label the particles"
         )
-    ref = _reference_state(m_a, m_b, space)
-    result = measure_pair(momentum_projector(m_a, m_b, space), ref, stat, tol)
+    _require_spin_half(space)
+    measure = momentum_projector(m_a, m_b, space)
+    ref = _reference_state(
+        measure.factor_slot1.range_basis[:, SPIN_UP],
+        measure.factor_slot2.range_basis[:, SPIN_DOWN],
+        space,
+    )
+    result = measure_pair(measure, ref, stat, tol)
     relabeled = relabel_distinguishable(
         momentum_representation(result.post_state), (m_a, m_b), tol
     )
@@ -113,7 +119,12 @@ def scenario_position_windows(
     sites = space.extrinsic_dim
     if m_b is None:
         m_b = (sites - m_a) % sites
-    ref = _reference_state(m_a, m_b, space)
+    _require_spin_half(space)
+    ref = _reference_state(
+        plane_wave(m_a, SPIN_UP, space).amplitudes,
+        plane_wave(m_b, SPIN_DOWN, space).amplitudes,
+        space,
+    )
     measure = SelectiveMeasure(
         window_projector(x_a, width, space), window_projector(x_b, width, space)
     )
@@ -156,7 +167,9 @@ def relabel_distinguishable(
     slot-2 modes at the second, to ``tol`` relative; otherwise, as for a
     zero state, DegenerateInputError is raised. The spin-by-spin amplitude
     block is extracted and normalized into a state over a spin-only space.
-    A factored state is read through row slices of its bases, at O(n r).
+    A factored state is read through row slices of its bases, at O(n r);
+    a state without a left basis, a dense one included, through a copy of
+    its core.
     """
     space = post_state.space
     label_1, label_2 = labels
@@ -172,18 +185,21 @@ def relabel_distinguishable(
     cols = slice(label_2 * spins, (label_2 + 1) * spins)
     # C = (L K) R^T, with L = R = I for a dense state. Its rows at label_1 are
     # band R^T; the block sits in them at label_2. The remainder is the rest
-    # of that band plus the other rows, each norm taken directly.
+    # of that band plus the other rows, read as arrays made here with the
+    # label entries zeroed, so each norm is taken directly.
     right = post_state.right
-    half = post_state.core
-    if post_state.left is not None:
-        half = post_state.left @ half
+    if post_state.left is None:
+        half = post_state.core.copy()
+    else:
+        half = post_state.left @ post_state.core
     band = half[rows]
     if right is None:
-        block, rest = band[:, cols], np.delete(band, cols, axis=1)
+        block, off_band = band[:, cols].copy(), band.copy()
     else:
-        block, rest = band @ right[cols].T, band @ np.delete(right, cols, axis=0).T
-    other_rows = np.delete(half, rows, axis=0)
-    remainder = np.hypot(np.linalg.norm(rest), np.linalg.norm(other_rows))
+        block, off_band = band @ right[cols].T, band @ right.T
+    off_band[:, cols] = 0.0
+    half[rows] = 0.0
+    remainder = np.hypot(np.linalg.norm(off_band), np.linalg.norm(half))
     if not _negligible(remainder, post_state.norm, tol):
         raise DegenerateInputError(
             f"state has support outside extrinsic labels {labels} above tol * norm "

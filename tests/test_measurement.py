@@ -516,6 +516,59 @@ def test_is_projector_valued_with_a_basis_agrees_with_the_entrywise_test():
     assert answers[:3] == [False, False, True] and True in answers[3:] and False in answers[3:]
 
 
+def projector_error(factor):
+    """Largest entry of A - A^H and of A A - A, on the dense entries."""
+    entries = factor.entries
+    return max(
+        np.max(np.abs(entries - entries.conj().T)),
+        np.max(np.abs(entries @ entries - entries)),
+    )
+
+
+@pytest.mark.parametrize("sites", [2, 5, 8, 33, 128])
+def test_built_projectors_decide_the_born_flag_as_their_entries_do(sites):
+    # window and momentum projectors are built from their bases alone, so the
+    # flag comes from the Gram matrix of their construction; it must give the
+    # dense entrywise answer. Below tol ~ 1e-16 the two can part: the entries
+    # carry their own rounding, which the bound on U U^H does not see.
+    space = SpaceSpec(sites, 2)
+    measures = [
+        SelectiveMeasure(window_projector(center, width, space),
+                         window_projector(center, width, space))
+        for width in (1, 2, 3, sites)
+        for center in (0, sites - 1)
+    ]
+    measures += [
+        momentum_projector(mode1, mode2, space)
+        for mode1, mode2 in [(0, 1), (1, sites - 1), (sites // 2, sites // 3)]
+    ]
+    for measure in measures:
+        error = max(map(projector_error, (measure.factor_slot1, measure.factor_slot2)))
+        for tol in np.geomspace(1e-15, 1e-6, 20):
+            assert is_projector_valued(measure, tol) is bool(error < tol), (measure, tol)
+
+
+def test_the_born_flag_of_a_near_orthonormal_basis_is_never_too_lenient():
+    # a basis that passes the orthonormality check only to ZERO_TOL spans a
+    # near-projector U U^H; the Gram-derived bound must not pass it where its
+    # entries fail
+    rng = np.random.default_rng(43)
+    space = SpaceSpec(4, 2)
+    unitary = random_unitary(rng, 8)[:, :3]
+    noise = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    answers = set()
+    for delta in np.geomspace(1e-14, 1e-11, 7):
+        factor = OneParticleOperator(
+            space, None, range_basis=unitary @ (np.eye(3) + delta * noise)
+        )
+        error = projector_error(factor)
+        for tol in np.geomspace(1e-16, 1e-9, 29):
+            flag = is_projector_valued(SelectiveMeasure(factor, factor), tol)
+            assert not flag or error < tol, (delta, tol)
+            answers.add(flag)
+    assert answers == {True, False}
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

@@ -261,10 +261,12 @@ def test_scenarios_apply_the_measure_twice_and_decompose_twice():
             wraps=pairmeasure.measurement.apply_measure,
         ) as apply, mock.patch("numpy.linalg.svd", wraps=np.linalg.svd) as svd, mock.patch(
             "pairmeasure.measurement.schmidt", wraps=pairmeasure.measurement.schmidt
-        ) as report:
+        ) as report, mock.patch("numpy.linalg.qr", wraps=np.linalg.qr) as qr:
             call()
         assert (apply.call_count, svd.call_count) == (2, 2), name
         assert report.call_count == 1, name
+        # one QR for the reference's sector norm, one for the Slater test
+        assert qr.call_count == 2, name
 
 
 def test_measure_pair_sizes_and_normalizes_once():
@@ -367,6 +369,66 @@ def test_relabel_of_factored_states_matches_dense(seed, sites, labels, ranks, sp
             got = relabel_distinguishable(candidate, tags)
             expected = relabel_distinguishable(want, tags)
             assert np.max(np.abs(got.amplitudes - expected.amplitudes)) < 1e-12
+
+
+def deletion_oracle(matrix, labels, spins):
+    """Spin block and off-label remainder of a dense matrix, with np.delete."""
+    rows = slice(labels[0] * spins, (labels[0] + 1) * spins)
+    cols = slice(labels[1] * spins, (labels[1] + 1) * spins)
+    band = matrix[rows]
+    remainder = np.hypot(
+        np.linalg.norm(np.delete(band, cols, axis=1)),
+        np.linalg.norm(np.delete(matrix, rows, axis=0)),
+    )
+    return band[:, cols], remainder
+
+
+@pytest.mark.parametrize("labels", [(0, 5), (5, 0)])
+@pytest.mark.parametrize("leak", [0.0, 1e-7])
+def test_relabel_at_the_lattice_ends_matches_deletion(labels, leak):
+    # at the first and last site one slice before or after each label is
+    # empty; block and refusal must still be those of the dense matrix
+    rng = np.random.default_rng(47)
+    space = SpaceSpec(6, 2)
+    bases = []
+    for label in labels:
+        basis = np.zeros((12, 2), dtype=complex)
+        basis[2 * label: 2 * label + 2] = random_unitary(rng, 2)
+        basis += leak * (rng.standard_normal((12, 2)) + 1j * rng.standard_normal((12, 2)))
+        bases.append(np.linalg.qr(basis)[0])
+    core = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    state = TwoParticleState.from_factors(space, bases[0], core, bases[1])
+    block, remainder = deletion_oracle(state.matrix(), labels, 2)
+    ratio = remainder / state.norm
+    tols = [1e-10] if leak == 0.0 else [ratio / 2, ratio * 2]
+    for tol in tols:
+        for form in (state, as_dense(state)):
+            if remainder < tol * state.norm:
+                got = relabel_distinguishable(form, labels, tol)
+                want = block.reshape(-1) / np.linalg.norm(block)
+                assert np.max(np.abs(got.amplitudes - want)) < 1e-12
+            else:
+                with pytest.raises(DegenerateInputError, match="support outside"):
+                    relabel_distinguishable(form, labels, tol)
+
+
+def test_state_norms_are_kept_and_match_the_amplitudes():
+    states = []
+    for stat in Statistics:
+        for result in (
+            scenario_momentum_projection(SPACE, 1, 5, stat),
+            scenario_position_windows(SPACE, 1, None, 2, 5, 1, stat),
+        ):
+            states += [result.post_state, result.post_state_normalized, result.relabeled,
+                       result.event_pair.event_direct, result.event_pair.event_permuted]
+    rng = np.random.default_rng(53)
+    dense = TwoParticleState(SPACE, rng.standard_normal(256) + 1j * rng.standard_normal(256))
+    for base in (states[0], states[5], dense):
+        states += [permute(base), base.normalize(), momentum_representation(base)]
+    for state in states:
+        first = state.norm
+        assert abs(first - np.linalg.norm(state.amplitudes)) <= 1e-14 * first
+        assert state.norm is first
 
 
 def test_scenarios_keep_their_states_factored():
