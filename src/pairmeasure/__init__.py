@@ -56,7 +56,6 @@ from .measurement import (
     measure_scale,
     momentum_projector,
     window_projector,
-    window_sites,
 )
 from .scenarios import (
     SPIN_DOWN,
@@ -115,7 +114,6 @@ __all__ = [
     "slater_rank",
     "tensor_state",
     "window_projector",
-    "window_sites",
     "write_measure_file",
     "write_state_file",
 ]

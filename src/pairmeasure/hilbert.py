@@ -215,10 +215,6 @@ class OneParticleOperator:
             object.__setattr__(self, "_entries", entries)
         return self._entries
 
-    @classmethod
-    def identity(cls, space: SpaceSpec) -> OneParticleOperator:
-        return cls(space, np.eye(space.total_dim, dtype=complex))
-
 
 @dataclass(frozen=True, eq=False, init=False)
 class TwoParticleState:

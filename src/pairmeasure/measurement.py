@@ -6,21 +6,25 @@ with the slot permutation, and applying it to a symmetrized pair state
 splits into two events: the measure acting on the distinguishable reference
 state, and the measure acting on its permutation.
 
-Classification rule, on the two event vectors:
+Classification rule, with A and B the factors of slots 1 and 2:
 
-* both (numerically) zero            -> BothZero
-* exactly one zero                   -> LocalOperation: the measurement
+* both events (numerically) zero -> BothZero
+* exactly one zero               -> LocalOperation: the measurement
   distinguishes the particles without creating entanglement
-* both nonzero, mutually orthogonal  -> EntanglingMeasurement: the collapsed
-  symmetrized state keeps both events as a coherent superposition
-* both nonzero, overlapping          -> NonOrthogonalEvents
+* both nonzero, A^H B zero       -> EntanglingMeasurement: range(A) and
+  range(B) are orthogonal, so the events A x B and B x A are mutually
+  exclusive on every state, and the collapsed symmetrized state keeps
+  both as a coherent superposition
+* both nonzero, A^H B nonzero    -> NonOrthogonalEvents
 
 Every zero test is ``hilbert._negligible`` against a scale: an event norm
 against scale = the product of the factors' max column norms times the
-reference-state norm, the event overlap against scale**2. Verdicts are
-therefore invariant under global phases and positive rescaling of either
-the state or the measure. The same ``tol`` sizes the rank and antisymmetry
-tests of the Schmidt report (see :mod:`pairmeasure.entanglement`).
+reference-state norm, ||A^H B||_F against that product alone. Verdicts
+are therefore invariant under global phases and positive rescaling of
+either the state or the measure. The event overlap on the state is
+reported but does not decide the verdict. The same ``tol`` sizes the
+rank and antisymmetry tests of the Schmidt report (see
+:mod:`pairmeasure.entanglement`).
 
 :func:`measure_pair` is the one place that goes from the two events to
 results: verdict, collapse, post-state Schmidt report (``schmidt`` of the
@@ -44,6 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 
 import numpy as np
 
@@ -54,6 +59,7 @@ from .hilbert import (
     OneParticleOperator,
     SpaceSpec,
     TwoParticleState,
+    _change_of_basis,
     _negligible,
     _plane_wave_phases,
     inner_product,
@@ -75,15 +81,6 @@ class SelectiveMeasure:
     @property
     def space(self) -> SpaceSpec:
         return self.factor_slot1.space
-
-    @classmethod
-    def identity(cls, space: SpaceSpec) -> SelectiveMeasure:
-        eye = OneParticleOperator.identity(space)
-        return cls(eye, eye)
-
-    def swapped(self) -> SelectiveMeasure:
-        """Same factors attached to the opposite slots."""
-        return SelectiveMeasure(self.factor_slot2, self.factor_slot1)
 
 
 @dataclass(frozen=True)
@@ -235,18 +232,35 @@ def events(measure: SelectiveMeasure, ref_state: TwoParticleState) -> EventPair:
     )
 
 
-def _verdict(pair: EventPair, scale: float, tol: float) -> Verdict:
-    """The verdict rule on two computed events; ``scale`` sizes the zero tests."""
+def _verdict(
+    measure: SelectiveMeasure, pair: EventPair, factor_scale: float, scale: float, tol: float
+) -> Verdict:
+    """The one verdict rule (module docstring), for every entry point.
+
+    ||A^H B||_F, tested only when both events are nonzero, is that of
+    W_A^H (U_A^H U_B) W_B for A = U_A W_A, the identity for a missing basis.
+    A factor built from its basis alone has W = U^H with orthonormal rows,
+    so it is left out: two such factors cost O(n r_A r_B), no n x n array.
+    """
     direct_zero = _negligible(pair.norm_direct, scale, tol)
     permuted_zero = _negligible(pair.norm_permuted, scale, tol)
     if direct_zero and permuted_zero:
         tag = VerdictTag.BOTH_ZERO
     elif direct_zero or permuted_zero:
         tag = VerdictTag.LOCAL_OPERATION
-    elif _negligible(abs(pair.event_overlap), scale**2, tol):
-        tag = VerdictTag.ENTANGLING_MEASUREMENT
     else:
-        tag = VerdictTag.NON_ORTHOGONAL_EVENTS
+        slot1, slot2 = measure.factor_slot1, measure.factor_slot2
+        parts = [
+            None if slot1._gram is not None else slot1.range_rows.conj().T,
+            _change_of_basis(slot1.range_basis, slot2.range_basis),
+            None if slot2._gram is not None else slot2.range_rows,
+        ]
+        parts = [part for part in parts if part is not None]
+        # None left: one projector U U^H in both slots, and ||U U^H||_F = ||U^H||_F.
+        cross = reduce(np.matmul, parts) if parts else slot1.range_rows
+        exclusive = _negligible(np.linalg.norm(cross), factor_scale, tol)
+        tag = (VerdictTag.ENTANGLING_MEASUREMENT if exclusive
+               else VerdictTag.NON_ORTHOGONAL_EVENTS)
     return Verdict(tag=tag, tolerance_used=tol)
 
 
@@ -255,13 +269,14 @@ def classify(
 ) -> Verdict:
     """Classify a selective measure against a distinguishable reference state.
 
-    Event norms are compared against tol * scale and the event overlap
-    against tol * scale**2, with scale = measure_scale * ||ref_state||.
-    Callers normally arrange the reference state to be orthogonal to its
+    Event norms are compared against tol * scale, with scale = measure_scale
+    * ||ref_state||, and ||A^H B||_F against tol * measure_scale. Callers
+    normally arrange the reference state to be orthogonal to its
     permutation; the rule itself does not require it.
     """
-    scale = measure_scale(measure) * ref_state.norm
-    return _verdict(events(measure, ref_state), scale, tol)
+    factor_scale = measure_scale(measure)
+    pair = events(measure, ref_state)
+    return _verdict(measure, pair, factor_scale, factor_scale * ref_state.norm, tol)
 
 
 def _projector_bound(factor: OneParticleOperator) -> float:
@@ -300,11 +315,12 @@ def is_projector_valued(measure: SelectiveMeasure, tol: float = ZERO_TOL) -> boo
 
     Only then is the squared event norm a Born-rule probability. Both tests
     are entrywise, to ``tol``. A factor with a range basis passes at once
-    when the bound of :func:`_projector_bound` is below ``tol``; otherwise
-    its entries are tested directly. The bound costs O(n r^2), or O(r^2)
-    for a projector built from its basis alone (``entries=None``, as
-    ``window_projector`` and ``momentum_projector`` build them), where it
-    comes from the Gram matrix U^H U its construction formed.
+    when the bound of :func:`_projector_bound` is below ``tol``: O(n r^2),
+    or O(r^2) from the construction's Gram U^H U for a projector built from
+    its basis alone, as ``window_projector`` and ``momentum_projector``
+    build them. Such a pass refers to the exact U W (U U^H): below a
+    ``tol`` of about 1e-16 it can say True where an entrywise test on the
+    rounded ``entries`` says False. Other factors are tested on the entries.
     """
     for factor in (measure.factor_slot1, measure.factor_slot2):
         if factor.range_basis is not None and _negligible(
@@ -338,7 +354,7 @@ def measure_pair(
     direct, permuted = pair.event_direct, pair.event_permuted
     factor_scale = measure_scale(measure)
     scale = factor_scale * ref.norm
-    verdict = _verdict(pair, scale, tol)
+    verdict = _verdict(measure, pair, factor_scale, scale, tol)
     sym_norm = float(np.linalg.norm(_INV_SQRT2 * _exchange_sum(ref, stat.sign)))
     if _negligible(sym_norm, ref.norm, tol):
         raise DegenerateInputError(

@@ -9,7 +9,7 @@ down.
   momenta: a local operation, probability 1/2, no entanglement gained.
 
 * Position windows project each slot onto a window of lattice sites. With
-  disjoint windows both events survive and stay orthogonal, so the
+  disjoint windows both events survive and are mutually exclusive, so the
   collapsed pair carries an opposite-spin superposition across the two
   regions: entanglement created by the measurement itself. For single-site
   windows at ``x_a`` and ``x_b`` the two amplitudes differ by exactly
@@ -37,12 +37,10 @@ from .measurement import (
     PhaseCheck,
     ScenarioResult,
     SelectiveMeasure,
-    Verdict,
     VerdictTag,
     measure_pair,
     momentum_projector,
     window_projector,
-    window_sites,
 )
 from .symmetry import Statistics
 
@@ -109,12 +107,12 @@ def scenario_position_windows(
     """Project slot 1 onto a window at ``x_a`` and slot 2 onto one at ``x_b``.
 
     ``m_b`` defaults to the opposite momentum of ``m_a`` (lattice mode
-    L - m_a). Disjoint windows yield EntanglingMeasurement; overlapping
-    windows cannot distinguish the particles by position, so the verdict is
-    reported as NonOrthogonalEvents and no phase check is attempted. The
-    phase check also needs single-site windows, where the two collapsed
-    amplitudes are single lattice points. An impossible outcome has neither
-    a phase check nor a relabeled state.
+    L - m_a). By the one rule of ``measure_pair``, disjoint windows give
+    exclusive events, EntanglingMeasurement, and overlapping ones cannot
+    distinguish the particles by position, NonOrthogonalEvents. The phase
+    check runs on an EntanglingMeasurement with single-site windows, whose
+    collapsed amplitudes are single lattice points. An impossible outcome
+    has neither a phase check nor a relabeled state.
     """
     sites = space.extrinsic_dim
     if m_b is None:
@@ -128,20 +126,12 @@ def scenario_position_windows(
     measure = SelectiveMeasure(
         window_projector(x_a, width, space), window_projector(x_b, width, space)
     )
-    disjoint = not set(window_sites(x_a, width, sites)) & set(
-        window_sites(x_b, width, sites)
-    )
     result = measure_pair(measure, ref, stat, tol)
-    if not disjoint:
-        # Overlapping windows leave the position labels non-exclusive, so the
-        # local-operation criterion does not apply whatever the raw overlap is.
-        result = replace(result, verdict=Verdict(VerdictTag.NON_ORTHOGONAL_EVENTS, tol))
-
     phase_check = None
     relabeled = None
     if width == 1 and result.post_state_normalized is not None:
         relabeled = relabel_distinguishable(result.post_state, (x_a, x_b), tol)
-        if disjoint:
+        if result.verdict.tag is VerdictTag.ENTANGLING_MEASUREMENT:
             spins = relabeled.matrix()
             measured = complex(spins[SPIN_DOWN, SPIN_UP] / spins[SPIN_UP, SPIN_DOWN])
             # dk * dx = 2*pi*(m_b - m_a)*(x_b - x_a)/L, reduced mod 2*pi exactly.

@@ -74,33 +74,49 @@ def random_measure(rng, space: SpaceSpec, rank1: int, rank2: int) -> SelectiveMe
     )
 
 
-def decision_margins(measure: SelectiveMeasure, state: TwoParticleState, tol: float):
-    """Event norms over tol * scale and the overlap over tol * scale**2, densely."""
-    full = np.kron(measure.factor_slot1.entries, measure.factor_slot2.entries)
+def identity_operator(space: SpaceSpec) -> OneParticleOperator:
+    return OneParticleOperator(space, np.eye(space.total_dim, dtype=complex))
+
+
+def identity_measure(space: SpaceSpec) -> SelectiveMeasure:
+    eye = identity_operator(space)
+    return SelectiveMeasure(eye, eye)
+
+
+def _dense_decision_values(measure: SelectiveMeasure, state: TwoParticleState):
+    """Event norms, ||A^H B||_F, the factor scale and the event scale, densely."""
+    first, second = measure.factor_slot1.entries, measure.factor_slot2.entries
+    full = np.kron(first, second)
     dim = state.space.total_dim
     direct = full @ state.amplitudes
     permuted = full @ state.amplitudes.reshape(dim, dim).T.reshape(-1)
-    scale = float(np.max(np.linalg.norm(full, axis=0))) * np.linalg.norm(state.amplitudes)
+    factor_scale = float(np.max(np.linalg.norm(full, axis=0)))
+    norms = np.array([np.linalg.norm(direct), np.linalg.norm(permuted)])
+    exclusivity = np.linalg.norm(first.conj().T @ second)
+    return norms, exclusivity, factor_scale, factor_scale * np.linalg.norm(state.amplitudes)
+
+
+def decision_margins(measure: SelectiveMeasure, state: TwoParticleState, tol: float):
+    """Event norms over tol * scale and ||A^H B||_F over tol * factor scale, densely."""
+    norms, exclusivity, factor_scale, scale = _dense_decision_values(measure, state)
     if scale == 0.0:
         return np.zeros(3)
-    norms = np.array([np.linalg.norm(direct), np.linalg.norm(permuted)])
-    overlap = abs(np.vdot(direct, permuted))
-    return np.append(norms / (tol * scale), overlap / (tol * scale**2))
+    return np.append(norms / (tol * scale), exclusivity / (tol * factor_scale))
 
 
 def brute_force_verdict(measure: SelectiveMeasure, state: TwoParticleState, tol: float):
-    """Classification redone through the dense pair-space matrix of the measure."""
-    full = np.kron(measure.factor_slot1.entries, measure.factor_slot2.entries)
-    direct = full @ state.amplitudes
-    dim = state.space.total_dim
-    permuted = full @ state.amplitudes.reshape(dim, dim).T.reshape(-1)
-    scale = float(np.max(np.linalg.norm(full, axis=0))) * np.linalg.norm(state.amplitudes)
-    direct_zero = np.linalg.norm(direct) < tol * scale or scale == 0.0
-    permuted_zero = np.linalg.norm(permuted) < tol * scale or scale == 0.0
+    """Classification redone through the dense pair-space matrix of the measure.
+
+    Both events nonzero: entangling when A^H B, formed from the factors'
+    dense entries, is below tol * factor scale, so A x B and B x A are
+    mutually exclusive.
+    """
+    norms, exclusivity, factor_scale, scale = _dense_decision_values(measure, state)
+    direct_zero, permuted_zero = (norms < tol * scale) | (scale == 0.0)
     if direct_zero and permuted_zero:
         return VerdictTag.BOTH_ZERO
     if direct_zero or permuted_zero:
         return VerdictTag.LOCAL_OPERATION
-    if abs(np.vdot(direct, permuted)) < tol * scale**2:
+    if exclusivity < tol * factor_scale:
         return VerdictTag.ENTANGLING_MEASUREMENT
     return VerdictTag.NON_ORTHOGONAL_EVENTS

@@ -25,7 +25,7 @@ from pairmeasure import (
 )
 from pairmeasure.cli import EXIT_DEGENERATE, EXIT_OK, EXIT_PARSE, main
 
-from helpers import random_unitary
+from helpers import identity_measure, random_unitary
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -458,7 +458,7 @@ def test_noisy_slater_spectrum_exits_3(tmp_path, capsys):
     space = SpaceSpec(3, 2)
     state, measure = tmp_path / "state.txt", tmp_path / "measure.txt"
     write_state_file(state, noisy_slater_state(space, np.random.default_rng(0), 1e-6))
-    write_measure_file(measure, SelectiveMeasure.identity(space))
+    write_measure_file(measure, identity_measure(space))
     code, out, err = run_cli(
         capsys, ["classify", "--state", str(state), "--measure", str(measure),
                  "--tol", "1e-6"]
@@ -496,9 +496,9 @@ def test_classify_runs_end_in_a_report_or_one_error_line(
         )
         measure = SelectiveMeasure(*factors)
     else:
-        measure = SelectiveMeasure.identity(space)
+        measure = identity_measure(space)
     if kind == "mismatched":
-        measure = SelectiveMeasure.identity(SpaceSpec(sites + 1, 2))
+        measure = identity_measure(SpaceSpec(sites + 1, 2))
     # the state's own singular-value ratios put tol * sigma_max on a singular value
     sigma = np.linalg.svd(state.matrix(), compute_uv=False)
     tol = 10.0**tol_exponent

@@ -26,6 +26,8 @@ from pairmeasure import (
 
 from helpers import (
     as_dense,
+    identity_measure,
+    identity_operator,
     random_factored_state,
     random_state,
     random_unitary,
@@ -304,7 +306,7 @@ def test_ebm_evidence_uses_the_relative_zero_test():
     faint = np.eye(space.total_dim) * 1e-14
     faint[mode_index(2, DOWN, space), mode_index(2, DOWN, space)] = 1.0
     measure = SelectiveMeasure(
-        OneParticleOperator(space, faint), OneParticleOperator.identity(space)
+        OneParticleOperator(space, faint), identity_operator(space)
     )
     assert 0.0 < apply_measure(measure, state).norm < 1e-13
     assert measure_pair(measure, state, Statistics.FERMION).evidence is None
@@ -345,7 +347,7 @@ def test_tol_reaches_the_rank_and_antisymmetry_tests():
     fermions = sector(state, Statistics.FERMION)
     assert slater_rank(fermions) == 2
     assert slater_rank(fermions, tol=1e-5) == 1
-    identity = SelectiveMeasure.identity(space)
+    identity = identity_measure(space)
     for tol, before, after in ((1e-10, 2, 4), (1e-5, 1, 2)):
         evidence = measure_pair(identity, state, Statistics.FERMION, tol).evidence
         assert (evidence.rank_before, evidence.rank_after) == (before, after), tol
@@ -367,7 +369,7 @@ def test_ebm_evidence_zero_test_follows_tol():
     faint = np.eye(space.total_dim) * 1e-14
     faint[mode_index(2, DOWN, space), mode_index(2, DOWN, space)] = 1.0
     measure = SelectiveMeasure(
-        OneParticleOperator(space, faint), OneParticleOperator.identity(space)
+        OneParticleOperator(space, faint), identity_operator(space)
     )
     assert measure_pair(measure, state, Statistics.FERMION).evidence is None
     evidence = measure_pair(measure, state, Statistics.FERMION, tol=1e-15).evidence

@@ -22,6 +22,7 @@ from pairmeasure import (
 
 from helpers import (
     as_dense,
+    identity_operator,
     random_factored_state,
     random_state,
     random_unitary,
@@ -373,7 +374,7 @@ def test_factored_momentum_representation_and_inner_products_match_dense(
         space, None, range_basis=random_unitary(rng, dim)[:, : min(ranks[0], dim)]
     )
     one_sided = apply_measure(
-        SelectiveMeasure(projector, OneParticleOperator.identity(space)), other
+        SelectiveMeasure(projector, identity_operator(space)), other
     )
     for half in (one_sided, permute(one_sided)):
         assert (half.left is None) is not (half.right is None)

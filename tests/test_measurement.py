@@ -31,13 +31,15 @@ from pairmeasure import (
     slater_rank,
     tensor_state,
     window_projector,
-    window_sites,
 )
+from pairmeasure.measurement import window_sites
 
 from helpers import (
     as_dense,
     brute_force_verdict,
     decision_margins,
+    identity_measure,
+    identity_operator,
     random_factored_state,
     random_measure,
     random_state,
@@ -56,7 +58,7 @@ def momentum_pair(m_a, m_b, space=SPACE, spin_a=UP, spin_b=DOWN):
 def test_identity_measure_leaves_states_alone():
     rng = np.random.default_rng(31)
     state = random_state(rng, SPACE)
-    out = apply_measure(SelectiveMeasure.identity(SPACE), state)
+    out = apply_measure(identity_measure(SPACE), state)
     assert np.max(np.abs(out.amplitudes - state.amplitudes)) == 0.0
 
 
@@ -138,11 +140,24 @@ def test_classify_same_site_windows_on_same_spin_pair_overlap():
 
 
 def test_classify_identity_measure_follows_the_literal_rule():
-    # the identity selects nothing, yet both events survive and stay
-    # orthogonal, so the literal rule files it as entangling; the before/after
-    # rank evidence is what disambiguates such degenerate "measurements"
-    verdict = classify(SelectiveMeasure.identity(SPACE), momentum_pair(1, 7))
-    assert verdict.tag is VerdictTag.ENTANGLING_MEASUREMENT
+    # the identity selects nothing: both events survive, and their vectors
+    # happen to be orthogonal on this state, but A^H B = I^H I != 0, so the
+    # events A x B and B x A are not exclusive and the verdict says so
+    verdict = classify(identity_measure(SPACE), momentum_pair(1, 7))
+    assert verdict.tag is VerdictTag.NON_ORTHOGONAL_EVENTS
+
+
+def test_classify_on_window_projectors_builds_no_dense_entries():
+    # the exclusivity test runs on range bases: O(n r_A r_B), no n x n array
+    for x_a, x_b, width in [(2, 5, 1), (2, 2, 1), (2, 3, 3), (0, 4, 4)]:
+        measure = SelectiveMeasure(
+            window_projector(x_a, width, SPACE), window_projector(x_b, width, SPACE)
+        )
+        verdict = classify(measure, momentum_pair(1, 7))
+        overlapping = set(window_sites(x_a, width, 8)) & set(window_sites(x_b, width, 8))
+        assert (verdict.tag is VerdictTag.NON_ORTHOGONAL_EVENTS) is bool(overlapping)
+        assert measure.factor_slot1._entries is None
+        assert measure.factor_slot2._entries is None
 
 
 def test_classify_zero_operator_is_both_zero():
@@ -203,6 +218,7 @@ def test_classify_brute_force_agreement_covers_structured_cases():
             SelectiveMeasure(window_projector(3, 1, SPACE), window_projector(3, 1, SPACE)),
             momentum_pair(1, 7, spin_a=UP, spin_b=UP),
         ),
+        (SelectiveMeasure(*[window_projector(3, 3, SPACE)] * 2), momentum_pair(1, 7)),
         (
             SelectiveMeasure(
                 OneParticleOperator(SPACE, np.zeros((16, 16))),
@@ -244,7 +260,7 @@ def test_collapse_requires_a_nonzero_sector():
     space = SpaceSpec(4, 2)
     doubled = tensor_state(plane_wave(0, UP, space), plane_wave(0, UP, space))
     with pytest.raises(DegenerateInputError):
-        collapse(SelectiveMeasure.identity(space), doubled, Statistics.FERMION)
+        collapse(identity_measure(space), doubled, Statistics.FERMION)
 
 
 def test_collapse_probability_matches_expectation_value_for_projectors():
@@ -297,10 +313,10 @@ def test_measures_refuse_operands_from_another_space():
     small, large = SpaceSpec(3, 2), SpaceSpec(4, 2)
     with pytest.raises(DimensionMismatchError):
         SelectiveMeasure(
-            OneParticleOperator.identity(small), OneParticleOperator.identity(large)
+            identity_operator(small), identity_operator(large)
         )
     with pytest.raises(DimensionMismatchError):
-        apply_measure(SelectiveMeasure.identity(large), momentum_pair(1, 2, small))
+        apply_measure(identity_measure(large), momentum_pair(1, 2, small))
 
 
 def test_momentum_projector_fixes_matching_product():
@@ -352,7 +368,8 @@ def test_swapping_factors_swaps_event_norms():
         )
         state = TwoParticleState(space, (coeff / np.linalg.norm(coeff)).reshape(-1))
         pair = events(measure, state)
-        swapped_pair = events(measure.swapped(), state)
+        swapped = SelectiveMeasure(measure.factor_slot2, measure.factor_slot1)
+        swapped_pair = events(swapped, state)
         assert swapped_pair.norm_direct == pytest.approx(pair.norm_permuted, abs=1e-12)
         assert swapped_pair.norm_permuted == pytest.approx(pair.norm_direct, abs=1e-12)
 

@@ -1,8 +1,13 @@
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pairmeasure.measurement
@@ -15,10 +20,13 @@ from pairmeasure import (
     TwoParticleState,
     VerdictTag,
     basis_vector,
+    classify,
     measure_pair,
     mode_index,
     momentum_projector,
     momentum_representation,
+    parse_measure_file,
+    parse_state_file,
     permute,
     plane_wave,
     relabel_distinguishable,
@@ -28,9 +36,13 @@ from pairmeasure import (
     sector,
     tensor_state,
     window_projector,
+    write_measure_file,
+    write_state_file,
 )
+from pairmeasure.cli import main
+from pairmeasure.measurement import window_sites
 
-from helpers import as_dense, random_unitary
+from helpers import as_dense, identity_operator, random_unitary
 
 SPACE = SpaceSpec(8, 2)
 UP, DOWN = 0, 1
@@ -183,6 +195,61 @@ def test_position_scenario_overlapping_wide_windows():
     assert result.phase_check is None
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    sites=st.integers(2, 32),
+    modes=st.tuples(st.integers(0, 31), st.none() | st.integers(0, 31)),
+    centres=st.tuples(st.integers(0, 31), st.integers(0, 31)),
+    width=st.sampled_from([1, 2, 3, "L"]),
+    stat=st.sampled_from(Statistics),
+    overlap=st.sampled_from([None, 0, 1]),
+)
+@example(8, (1, 7), (2, 3), 3, Statistics.FERMION, None)
+@example(8, (1, 7), (2, 2), 1, Statistics.FERMION, None)
+@example(8, (1, 7), (0, 7), 3, Statistics.FERMION, None)
+@example(8, (1, 7), (1, 3), 3, Statistics.FERMION, None)
+@example(8, (1, 7), (2, 5), 1, Statistics.FERMION, None)
+def test_classify_on_the_written_scenario_gives_the_scenario_verdict(
+    sites, modes, centres, width, stat, overlap
+):
+    # the same state and measure, once through the scenario and once through
+    # their files, must get the same verdict from the same rule; ``overlap``
+    # moves the second window onto the first or next to it
+    space = SpaceSpec(sites, 2)
+    m_a = modes[0] % sites
+    m_b = None if modes[1] is None else modes[1] % sites
+    x_a = centres[0] % sites
+    x_b = centres[1] % sites if overlap is None else (x_a + overlap) % sites
+    width = sites if width == "L" else width
+    result = scenario_position_windows(space, m_a, m_b, x_a, x_b, width, stat)
+    ref = tensor_state(
+        plane_wave(m_a, UP, space),
+        plane_wave((sites - m_a) % sites if m_b is None else m_b, DOWN, space),
+    )
+    measure = SelectiveMeasure(
+        window_projector(x_a, width, space), window_projector(x_b, width, space)
+    )
+    with tempfile.TemporaryDirectory() as scratch:
+        state_path, measure_path = Path(scratch, "state.txt"), Path(scratch, "measure.txt")
+        write_state_file(state_path, ref)
+        write_measure_file(measure_path, measure)
+        parsed = classify(parse_measure_file(measure_path), parse_state_file(state_path))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["classify", "--state", str(state_path), "--measure",
+                         str(measure_path), "--statistics", stat.value, "--output", "json"])
+    payload = json.loads(out.getvalue())
+    assert code == 0
+    assert parsed.tag is result.verdict.tag
+    assert payload["verdict"] == result.verdict.tag.value
+    assert payload["probability"] == pytest.approx(result.probability, rel=1e-12, abs=1e-15)
+    # the windows' events are exclusive exactly when they share no site
+    covered = [set(window_sites(x, width, sites)) for x in (x_a, x_b)]
+    disjoint = covered[0].isdisjoint(covered[1])
+    expected = VerdictTag.ENTANGLING_MEASUREMENT if disjoint else VerdictTag.NON_ORTHOGONAL_EVENTS
+    assert result.verdict.tag is expected
+
+
 def test_relabel_extracts_the_spin_block():
     result = scenario_position_windows(SPACE, 1, None, 2, 5, 1, Statistics.FERMION)
     relabeled = result.relabeled
@@ -298,7 +365,7 @@ def test_measure_pair_flags_general_measures_and_impossible_outcomes():
     raising = np.zeros((16, 16))
     raising[0, 1] = 1.0
     general = SelectiveMeasure(
-        OneParticleOperator(SPACE, raising), OneParticleOperator.identity(SPACE)
+        OneParticleOperator(SPACE, raising), identity_operator(SPACE)
     )
     result = measure_pair(general, ref, Statistics.FERMION)
     assert result.born_rule is False
