@@ -12,7 +12,6 @@ from .entanglement import (
     EbmEvidence,
     EntanglementReport,
     schmidt,
-    slater_rank,
 )
 from .errors import (
     DegenerateInputError,
@@ -35,7 +34,6 @@ from .hilbert import (
     basis_vector,
     inner_product,
     mode_index,
-    momentum_representation,
     plane_wave,
     tensor_state,
 )
@@ -60,7 +58,6 @@ from .measurement import (
 from .scenarios import (
     SPIN_DOWN,
     SPIN_UP,
-    relabel_distinguishable,
     scenario_momentum_projection,
     scenario_position_windows,
 )
@@ -101,17 +98,14 @@ __all__ = [
     "measure_scale",
     "mode_index",
     "momentum_projector",
-    "momentum_representation",
     "parse_measure_file",
     "parse_state_file",
     "permute",
     "plane_wave",
-    "relabel_distinguishable",
     "scenario_momentum_projection",
     "scenario_position_windows",
     "schmidt",
     "sector",
-    "slater_rank",
     "tensor_state",
     "window_projector",
     "write_measure_file",

@@ -95,16 +95,3 @@ def schmidt(state: TwoParticleState, tol: float = ZERO_TOL) -> EntanglementRepor
         slater_rank=slater,
     )
 
-
-def slater_rank(state: TwoParticleState, tol: float = ZERO_TOL) -> int:
-    """Number of Slater determinants in the canonical fermionic expansion.
-
-    The coefficient matrix of an antisymmetric state has doubly degenerate
-    singular values; each pair is one determinant. A zero state raises
-    DegenerateInputError through :func:`schmidt`.
-    """
-    slater = schmidt(state, tol).slater_rank
-    if slater is None:
-        raise ValueError("Slater rank requires an antisymmetric state")
-    return slater
-

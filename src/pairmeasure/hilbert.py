@@ -402,32 +402,3 @@ def inner_product(a: TwoParticleState, b: TwoParticleState) -> complex:
         raise DimensionMismatchError("inner_product operands live in different spaces")
     return complex(np.vdot(a.core, _in_bases(b, a.left, a.right)))
 
-
-def momentum_representation(state: TwoParticleState) -> TwoParticleState:
-    """Re-express a pair state in the plane-wave (momentum) basis.
-
-    The extrinsic index of the result labels momentum modes instead of
-    lattice sites; spin indices are untouched. Useful when momentum values
-    rather than positions act as the particle labels. Each side transforms
-    its basis columns if it has a basis, and the core's axis on that side
-    if not; a state with both bases keeps its core.
-    """
-    space = state.space
-    sites, spins = space.extrinsic_dim, space.spin_dim
-
-    def dft(modes: np.ndarray) -> np.ndarray:
-        # Amplitude at site x picks up exp(-2i*pi*m*x/L)/sqrt(L): an
-        # orthonormal DFT over the extrinsic part of the row index.
-        coeff = np.fft.fft(modes.reshape(sites, spins, -1), axis=0, norm="ortho")
-        return coeff.reshape(space.total_dim, -1)
-
-    left, core, right = state.left, state.core, state.right
-    if left is None:
-        core = dft(core)
-    else:
-        left = dft(left)
-    if right is None:
-        core = dft(core.T).T
-    else:
-        right = dft(right)
-    return TwoParticleState._fresh(space, core, left, right)

@@ -16,6 +16,10 @@ down.
   ``-+ exp(-i * dk * dx)`` (minus for fermions, plus for bosons), with
   ``dk`` the mode-wavenumber difference and ``dx`` the site separation; the
   scenario measures that ratio and checks it against the prediction.
+
+With the momenta or the single sites standing in for particle tags, what
+is left of the collapsed pair is a two-spin state, ``relabeled``: the
+post-state's core in the measure's range bases.
 """
 
 from __future__ import annotations
@@ -25,14 +29,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import DegenerateInputError
-from .hilbert import (
-    ZERO_TOL,
-    SpaceSpec,
-    TwoParticleState,
-    _negligible,
-    momentum_representation,
-    plane_wave,
-)
+from .hilbert import ZERO_TOL, SpaceSpec, TwoParticleState, plane_wave
 from .measurement import (
     PhaseCheck,
     ScenarioResult,
@@ -61,6 +58,24 @@ def _reference_state(u: np.ndarray, v: np.ndarray, space: SpaceSpec) -> TwoParti
     )
 
 
+def _spin_state(result: ScenarioResult) -> TwoParticleState | None:
+    """The collapsed pair's spin state, its two extrinsic labels as particle tags.
+
+    The measure's labels are range bases: column s of a ``momentum_projector``
+    factor is ``plane_wave(mode, s)``, and column s of a width-1
+    ``window_projector`` is the coordinate ket (site, s). ``measure_pair``
+    holds the post-state in those bases, C = U_A K U_B^T, so its spin block
+    at the two labels is the spin_dim x spin_dim core K itself and its
+    support off the labels is exactly zero; the normalized post-state's core
+    is read as a state over one site. None for an impossible outcome.
+    """
+    normalized = result.post_state_normalized
+    if normalized is None:
+        return None
+    spins = normalized.space.spin_dim
+    return TwoParticleState(SpaceSpec(1, spins), normalized.core.reshape(-1))
+
+
 def scenario_momentum_projection(
     space: SpaceSpec,
     m_a: int,
@@ -73,8 +88,8 @@ def scenario_momentum_projection(
     With distinct modes the permuted event vanishes and the verdict is
     LocalOperation: the collapsed pair is the direct event alone, at
     probability 1/2, and the momenta now serve as particle labels. The
-    relabeled spin state is read off in the momentum basis. The reference
-    kets are columns of the projectors' range bases.
+    reference kets are columns of the projectors' range bases, so the
+    relabeled spin state is the post-state's core (``_spin_state``).
     """
     if m_a == m_b:
         raise DegenerateInputError(
@@ -88,10 +103,7 @@ def scenario_momentum_projection(
         space,
     )
     result = measure_pair(measure, ref, stat, tol)
-    relabeled = relabel_distinguishable(
-        momentum_representation(result.post_state), (m_a, m_b), tol
-    )
-    return replace(result, relabeled=relabeled)
+    return replace(result, relabeled=_spin_state(result))
 
 
 def scenario_position_windows(
@@ -128,72 +140,16 @@ def scenario_position_windows(
     )
     result = measure_pair(measure, ref, stat, tol)
     phase_check = None
-    relabeled = None
-    if width == 1 and result.post_state_normalized is not None:
-        relabeled = relabel_distinguishable(result.post_state, (x_a, x_b), tol)
-        if result.verdict.tag is VerdictTag.ENTANGLING_MEASUREMENT:
-            spins = relabeled.matrix()
-            measured = complex(spins[SPIN_DOWN, SPIN_UP] / spins[SPIN_UP, SPIN_DOWN])
-            # dk * dx = 2*pi*(m_b - m_a)*(x_b - x_a)/L, reduced mod 2*pi exactly.
-            turns = ((m_b - m_a) * (x_b - x_a)) % sites
-            predicted = complex(stat.sign * np.exp(-2j * np.pi * turns / sites))
-            phase_check = PhaseCheck(
-                measured=measured,
-                predicted=predicted,
-                deviation=float(abs(measured - predicted)),
-            )
-    return replace(result, phase_check=phase_check, relabeled=relabeled)
-
-
-def relabel_distinguishable(
-    post_state: TwoParticleState,
-    labels: tuple[int, int],
-    tol: float = ZERO_TOL,
-) -> TwoParticleState:
-    """Read the pair as two labeled particles and keep only their spins.
-
-    ``labels`` gives the extrinsic value acting as the tag of each slot.
-    The state must be supported on slot-1 modes at the first label and
-    slot-2 modes at the second, to ``tol`` relative; otherwise, as for a
-    zero state, DegenerateInputError is raised. The spin-by-spin amplitude
-    block is extracted and normalized into a state over a spin-only space.
-    A factored state is read through row slices of its bases, at O(n r);
-    a state without a left basis, a dense one included, through a copy of
-    its core.
-    """
-    space = post_state.space
-    label_1, label_2 = labels
-    for label in (label_1, label_2):
-        if not 0 <= label < space.extrinsic_dim:
-            raise IndexError(
-                f"extrinsic label {label} out of range [0, {space.extrinsic_dim})"
-            )
-    if post_state.norm == 0.0:
-        raise DegenerateInputError("cannot relabel a zero state")
-    spins = space.spin_dim
-    rows = slice(label_1 * spins, (label_1 + 1) * spins)
-    cols = slice(label_2 * spins, (label_2 + 1) * spins)
-    # C = (L K) R^T, with L = R = I for a dense state. Its rows at label_1 are
-    # band R^T; the block sits in them at label_2. The remainder is the rest
-    # of that band plus the other rows, read as arrays made here with the
-    # label entries zeroed, so each norm is taken directly.
-    right = post_state.right
-    if post_state.left is None:
-        half = post_state.core.copy()
-    else:
-        half = post_state.left @ post_state.core
-    band = half[rows]
-    if right is None:
-        block, off_band = band[:, cols].copy(), band.copy()
-    else:
-        block, off_band = band @ right[cols].T, band @ right.T
-    off_band[:, cols] = 0.0
-    half[rows] = 0.0
-    remainder = np.hypot(np.linalg.norm(off_band), np.linalg.norm(half))
-    if not _negligible(remainder, post_state.norm, tol):
-        raise DegenerateInputError(
-            f"state has support outside extrinsic labels {labels} above tol * norm "
-            f"(tol = {tol:g}); relabeling by those values is not faithful"
+    relabeled = _spin_state(result) if width == 1 else None
+    if relabeled is not None and result.verdict.tag is VerdictTag.ENTANGLING_MEASUREMENT:
+        spins = relabeled.matrix()
+        measured = complex(spins[SPIN_DOWN, SPIN_UP] / spins[SPIN_UP, SPIN_DOWN])
+        # dk * dx = 2*pi*(m_b - m_a)*(x_b - x_a)/L, reduced mod 2*pi exactly.
+        turns = ((m_b - m_a) * (x_b - x_a)) % sites
+        predicted = complex(stat.sign * np.exp(-2j * np.pi * turns / sites))
+        phase_check = PhaseCheck(
+            measured=measured,
+            predicted=predicted,
+            deviation=float(abs(measured - predicted)),
         )
-    spin_space = SpaceSpec(extrinsic_dim=1, spin_dim=spins)
-    return TwoParticleState(spin_space, block.reshape(-1)).normalize()
+    return replace(result, phase_check=phase_check, relabeled=relabeled)

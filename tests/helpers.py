@@ -120,3 +120,28 @@ def brute_force_verdict(measure: SelectiveMeasure, state: TwoParticleState, tol:
     if exclusivity < tol * factor_scale:
         return VerdictTag.ENTANGLING_MEASUREMENT
     return VerdictTag.NON_ORTHOGONAL_EVENTS
+
+
+def momentum_matrix(state: TwoParticleState) -> np.ndarray:
+    """The coefficient matrix with both extrinsic indices taken to momentum modes.
+
+    Site amplitude x picks up exp(-2i*pi*m*x/L)/sqrt(L): an orthonormal
+    ``np.fft`` over the extrinsic part of each index of the dense matrix,
+    so ``plane_wave(m, s)`` goes to the mode ket (m, s).
+    """
+    sites, spins = state.space.extrinsic_dim, state.space.spin_dim
+    grid = state.matrix().reshape(sites, spins, sites, spins)
+    grid = np.fft.fft(np.fft.fft(grid, axis=0, norm="ortho"), axis=2, norm="ortho")
+    return grid.reshape(state.space.total_dim, state.space.total_dim)
+
+
+def deletion_oracle(matrix, labels, spins):
+    """Spin block and off-label remainder of a dense matrix, with np.delete."""
+    rows = slice(labels[0] * spins, (labels[0] + 1) * spins)
+    cols = slice(labels[1] * spins, (labels[1] + 1) * spins)
+    band = matrix[rows]
+    remainder = np.hypot(
+        np.linalg.norm(np.delete(band, cols, axis=1)),
+        np.linalg.norm(np.delete(matrix, rows, axis=0)),
+    )
+    return band[:, cols], remainder

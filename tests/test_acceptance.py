@@ -20,7 +20,6 @@ from pairmeasure import (
     scenario_position_windows,
     schmidt,
     sector,
-    slater_rank,
     tensor_state,
     TwoParticleState,
 )
@@ -141,7 +140,7 @@ def test_criterion_6_entanglement_suite():
         tensor_state(basis_vector(0, UP, space), basis_vector(1, DOWN, space)),
         Statistics.FERMION,
     )
-    ok = ok and slater_rank(single) == 1
+    ok = ok and schmidt(single).slater_rank == 1
     second = sector(
         tensor_state(basis_vector(2, UP, space), basis_vector(3, DOWN, space)),
         Statistics.FERMION,
@@ -149,7 +148,7 @@ def test_criterion_6_entanglement_suite():
     combined = TwoParticleState(
         space, (single.amplitudes + second.amplitudes) / np.sqrt(2)
     )
-    ok = ok and slater_rank(combined) == 2
+    ok = ok and schmidt(combined).slater_rank == 2
 
     for _ in range(50):
         antisym = sector(random_state(rng, space), Statistics.FERMION)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -11,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pairmeasure.measurement
@@ -230,12 +231,94 @@ def test_momentum_scenario_equal_modes_exits_3(capsys):
     assert "error" in err
 
 
-def test_unfaithful_relabeling_exits_3(capsys):
-    # at --tol 1e-16 the post-state's roundoff counts as support off the labels
+def complex_values(text):
+    """The ``a +- bi`` values of one report line, in order."""
+    pairs = re.findall(r"(\S+) ([-+]) (\S+)i", text)
+    return np.array([complex(float(re_), float(sign + im)) for re_, sign, im in pairs])
+
+
+def momentum_text_report(out):
+    """Verdict, squared event norm and relabeled spin state of one momentum text report.
+
+    The norm is printed as ``probability`` when the measure passes the
+    projector test at ``--tol`` and as ``squared event norm`` otherwise; at a
+    ``--tol`` below the roundoff of the built projectors (1e-16 at L = 2) the
+    test can fail, which is no part of the relabeling.
+    """
+    lines = out.splitlines()
+    assert sum(line.startswith("verdict:") for line in lines) == 1
+    fields = dict(line.partition(": ")[::2] for line in lines)
+    labels = [label for label in ("probability", "squared event norm") if label in fields]
+    assert len(labels) == 1
+    state = complex_values(fields["spin state handed to (Alice, Bob)"])
+    return fields["verdict"], float(fields[labels[0]]), state
+
+
+UP_DOWN = np.array([0, 1, 0, 0], dtype=complex)
+
+
+def test_momentum_scenario_at_tol_1e_16_relabels_to_up_down(capsys):
+    # the spin state is read off the post-state's core, so no roundoff can
+    # count as support off the momentum labels, however small the tol
     code, out, err = run_cli(capsys, ["momentum-scenario", "--mode-a", "3", "--tol", "1e-16"])
-    assert code == EXIT_DEGENERATE and out == ""
-    assert err.startswith("error:") and "not faithful" in err and err.count("\n") == 1
-    assert "tol = 1e-16" in err
+    assert code == EXIT_OK and err == ""
+    assert "\nprobability: " in out
+    verdict, probability, state = momentum_text_report(out)
+    assert verdict == "LocalOperation"
+    assert probability == pytest.approx(0.5, abs=1e-12)
+    assert np.max(np.abs(state - UP_DOWN)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sites=st.integers(2, 64),
+    modes=st.tuples(st.integers(0, 63), st.integers(1, 63)),
+    stat=st.sampled_from(["fermion", "boson"]),
+    tol=st.sampled_from([float(np.finfo(float).eps), 1e-16]),
+)
+@example(sites=2, modes=(0, 1), stat="fermion", tol=1e-16)
+def test_momentum_scenario_relabels_at_any_positive_tol(sites, modes, stat, tol):
+    m_a = modes[0] % sites
+    m_b = (m_a + modes[1] % (sites - 1) + 1) % sites
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["momentum-scenario", "--lattice", str(sites), "--mode-a", str(m_a),
+                     "--mode-b", str(m_b), "--statistics", stat, "--tol", repr(tol)])
+    assert code == EXIT_OK
+    verdict, probability, state = momentum_text_report(out.getvalue())
+    assert verdict == "LocalOperation"
+    assert probability == pytest.approx(0.5, abs=1e-12)
+    assert np.max(np.abs(state - UP_DOWN)) < 1e-12
+
+
+@pytest.mark.parametrize("stat", ["fermion", "boson"])
+@pytest.mark.parametrize("tol", [float(np.finfo(float).eps), 1e-16])
+def test_momentum_scenario_json_at_tiny_tol_is_a_local_operation(capsys, stat, tol):
+    code, out, err = run_cli(
+        capsys, ["momentum-scenario", "--statistics", stat, "--tol", repr(tol), "--output", "json"]
+    )
+    assert code == EXIT_OK and err == ""
+    payload = json.loads(out)
+    assert payload["verdict"] == "LocalOperation"
+    assert payload["probability"] == pytest.approx(0.5, abs=1e-12)
+    assert payload["singular_values"] == [pytest.approx(1.0, abs=1e-12)]
+    assert payload["phase"] is None
+
+
+@pytest.mark.parametrize("stat", ["fermion", "boson"])
+def test_position_scenario_at_tiny_tol_hands_over_the_checked_spin_state(capsys, stat):
+    # the width-1 spin state is the post-state's core at any tol; its
+    # down-up over up-down ratio is the phase the report checks
+    code, out, err = run_cli(capsys, ["position-scenario", "--statistics", stat, "--tol", "1e-16"])
+    assert code == EXIT_OK and err == ""
+    fields = dict(line.partition(": ")[::2] for line in out.splitlines())
+    assert fields["verdict"] == "EntanglingMeasurement"
+    state = complex_values(fields["spin state handed to (Alice, Bob)"])
+    measured, predicted = complex_values(fields["phase check"])
+    assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
+    assert state[0] == 0.0 and state[3] == 0.0
+    assert state[2] / state[1] == pytest.approx(measured, abs=1e-12)
+    assert measured == pytest.approx(predicted, abs=1e-12)
 
 
 def test_bad_flag_values_exit_2():

@@ -19,7 +19,6 @@ from pairmeasure import (
     scenario_momentum_projection,
     schmidt,
     sector,
-    slater_rank,
     tensor_state,
     window_projector,
 )
@@ -28,6 +27,7 @@ from helpers import (
     as_dense,
     identity_measure,
     identity_operator,
+    momentum_matrix,
     random_factored_state,
     random_state,
     random_unitary,
@@ -68,9 +68,7 @@ def test_coefficient_matrix_of_fermion_momentum_pair():
     momentum_coeff[mode_index(1, UP, SPACE), mode_index(7, DOWN, SPACE)] = 1 / np.sqrt(2)
     momentum_coeff[mode_index(7, DOWN, SPACE), mode_index(1, UP, SPACE)] = -1 / np.sqrt(2)
     # compare in the momentum basis, where the pair has exactly two amplitudes
-    from pairmeasure import momentum_representation
-
-    coeff = momentum_representation(state).matrix()
+    coeff = momentum_matrix(state)
     assert np.max(np.abs(coeff - momentum_coeff)) < 1e-12
 
 
@@ -152,12 +150,11 @@ def test_slater_rank_of_single_determinant():
         tensor_state(basis_vector(0, UP, space), basis_vector(1, DOWN, space)),
         Statistics.FERMION,
     )
-    assert slater_rank(det) == 1
+    assert schmidt(det).slater_rank == 1
 
 
 def test_slater_rank_of_fermion_momentum_pair():
     state = sector(momentum_pair(1, 7), Statistics.FERMION)
-    assert slater_rank(state) == 1
     assert schmidt(state).slater_rank == 1
 
 
@@ -174,34 +171,32 @@ def test_slater_rank_of_two_disjoint_determinants():
     combo = TwoParticleState(
         space, (first.amplitudes + second.amplitudes) / np.sqrt(2)
     )
-    assert slater_rank(combo) == 2
+    assert schmidt(combo).slater_rank == 2
     assert schmidt(combo).schmidt_rank == 4
 
 
 def test_slater_rank_rejects_non_antisymmetric_states():
     rng = np.random.default_rng(46)
-    with pytest.raises(ValueError):
-        slater_rank(random_state(rng, SpaceSpec(3, 2)))
-    with pytest.raises(ValueError):
-        slater_rank(sector(random_state(rng, SpaceSpec(3, 2)), Statistics.BOSON))
+    assert schmidt(random_state(rng, SpaceSpec(3, 2))).slater_rank is None
+    bosons = sector(random_state(rng, SpaceSpec(3, 2)), Statistics.BOSON)
+    assert schmidt(bosons).slater_rank is None
 
 
 def test_schmidt_and_slater_rank_reject_the_zero_state():
     zero = TwoParticleState(SpaceSpec(2, 2), np.zeros(16))
-    for report in (schmidt, slater_rank):
-        with pytest.raises(DegenerateInputError, match="zero state"):
-            report(zero)
+    with pytest.raises(DegenerateInputError, match="zero state"):
+        schmidt(zero)
 
 
 def test_slater_rank_invariant_under_shared_basis_rotation():
     rng = np.random.default_rng(47)
     space = SpaceSpec(3, 2)
     state = sector(random_state(rng, space), Statistics.FERMION)
-    base = slater_rank(state)
+    base = schmidt(state).slater_rank
     for _ in range(20):
         rotation = random_unitary(rng, space.total_dim)
         rotated = local_rotation(state, rotation, rotation)
-        assert slater_rank(rotated) == base
+        assert schmidt(rotated).slater_rank == base
 
 
 def test_antisymmetric_states_have_even_schmidt_rank():
@@ -345,8 +340,8 @@ def test_tol_reaches_the_rank_and_antisymmetry_tests():
     assert schmidt(state).schmidt_rank == 2
     assert schmidt(state, tol=1e-5).schmidt_rank == 1
     fermions = sector(state, Statistics.FERMION)
-    assert slater_rank(fermions) == 2
-    assert slater_rank(fermions, tol=1e-5) == 1
+    assert schmidt(fermions).slater_rank == 2
+    assert schmidt(fermions, tol=1e-5).slater_rank == 1
     identity = identity_measure(space)
     for tol, before, after in ((1e-10, 2, 4), (1e-5, 1, 2)):
         evidence = measure_pair(identity, state, Statistics.FERMION, tol).evidence
@@ -356,10 +351,7 @@ def test_tol_reaches_the_rank_and_antisymmetry_tests():
     nearly[0, 0] = 1e-9
     nearly = TwoParticleState(space, nearly.reshape(-1))
     assert schmidt(nearly).slater_rank is None
-    with pytest.raises(ValueError):
-        slater_rank(nearly)
     assert schmidt(nearly, tol=1e-8).slater_rank == 2
-    assert slater_rank(nearly, tol=1e-8) == 2
 
 
 def test_ebm_evidence_zero_test_follows_tol():

@@ -14,7 +14,6 @@ from pairmeasure import (
     basis_vector,
     inner_product,
     mode_index,
-    momentum_representation,
     permute,
     plane_wave,
     tensor_state,
@@ -23,6 +22,7 @@ from pairmeasure import (
 from helpers import (
     as_dense,
     identity_operator,
+    momentum_matrix,
     random_factored_state,
     random_state,
     random_unitary,
@@ -240,19 +240,22 @@ def test_normalize_zero_state_fails():
         TwoParticleState(SpaceSpec(2, 2), np.zeros(16)).normalize()
 
 
+# The momentum representation is read through the dense FFT oracle
+# ``helpers.momentum_matrix``, which the entanglement and relabeling tests
+# compare against; these tests pin the oracle to the plane-wave kets.
 def test_momentum_representation_diagonalizes_plane_wave_products():
     space = SpaceSpec(8, 2)
     state = tensor_state(plane_wave(2, 0, space), plane_wave(5, 1, space))
-    in_momentum = momentum_representation(state)
+    in_momentum = momentum_matrix(state).reshape(-1)
     expected = np.zeros(space.pair_dim, dtype=complex)
     expected[mode_index(2, 0, space) * space.total_dim + mode_index(5, 1, space)] = 1.0
-    assert np.max(np.abs(in_momentum.amplitudes - expected)) < 1e-12
+    assert np.max(np.abs(in_momentum - expected)) < 1e-12
 
 
 def test_momentum_representation_preserves_norm():
     rng = np.random.default_rng(17)
     state = random_state(rng, SpaceSpec(6, 2))
-    assert momentum_representation(state).norm == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(momentum_matrix(state)) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("sites", [8, 5])
@@ -266,8 +269,8 @@ def test_momentum_representation_matches_plane_wave_basis_change(sites):
         for m in range(sites)
         for s in range(space.spin_dim)
     ])
-    expected = (rows @ state.matrix() @ rows.T).reshape(-1)
-    assert np.max(np.abs(momentum_representation(state).amplitudes - expected)) < 1e-12
+    expected = rows @ state.matrix() @ rows.T
+    assert np.max(np.abs(momentum_matrix(state) - expected)) < 1e-12
 
 
 def test_space_spec_refuses_pair_arrays_above_the_budget():
@@ -354,18 +357,12 @@ def test_projectors_from_a_basis_build_their_entries_on_first_read():
     sites=st.integers(1, 6),
     ranks=st.tuples(st.integers(1, 3), st.integers(1, 3)),
 )
-def test_factored_momentum_representation_and_inner_products_match_dense(
-    seed, sites, ranks
-):
+def test_factored_inner_products_match_dense(seed, sites, ranks):
     rng = np.random.default_rng(seed)
     space = SpaceSpec(sites, 2)
     dim = space.total_dim
     state = random_factored_state(rng, space, *(min(rank, dim) for rank in ranks))
     other = random_factored_state(rng, space, *(min(rank, dim) for rank in ranks[::-1]))
-    got = momentum_representation(state)
-    want = momentum_representation(as_dense(state))
-    assert got.left is not None and got.core is state.core
-    assert np.max(np.abs(got.amplitudes - want.amplitudes)) < 1e-12
     expected = np.vdot(state.amplitudes, other.amplitudes)
     for a, b in ((state, other), (as_dense(state), other), (state, as_dense(other))):
         assert abs(inner_product(a, b) - expected) < 1e-12
@@ -378,8 +375,5 @@ def test_factored_momentum_representation_and_inner_products_match_dense(
     )
     for half in (one_sided, permute(one_sided)):
         assert (half.left is None) is not (half.right is None)
-        got = momentum_representation(half)
-        want = momentum_representation(as_dense(half))
-        assert np.max(np.abs(got.amplitudes - want.amplitudes)) < 1e-12
         for a, b in ((half, state), (state, half), (half, as_dense(state))):
             assert abs(inner_product(a, b) - np.vdot(a.amplitudes, b.amplitudes)) < 1e-12

@@ -23,12 +23,10 @@ from pairmeasure import (
     momentum_projector,
     permute,
     plane_wave,
-    relabel_distinguishable,
     scenario_momentum_projection,
     scenario_position_windows,
     schmidt,
     sector,
-    slater_rank,
     tensor_state,
     window_projector,
 )
@@ -720,7 +718,6 @@ def _tol_takers():
     general = SelectiveMeasure(
         *(OneParticleOperator(space, rng.standard_normal((dim, dim))) for _ in "AB")
     )
-    product = tensor_state(plane_wave(1, 0, space), plane_wave(3, 1, space))
     fermion = Statistics.FERMION
     return {
         "classify": lambda tol: classify(general, state, tol),
@@ -728,8 +725,6 @@ def _tol_takers():
         "collapse": lambda tol: collapse(general, state, fermion, tol),
         "is_projector_valued": lambda tol: is_projector_valued(general, tol),
         "schmidt": lambda tol: schmidt(state, tol),
-        "slater_rank": lambda tol: slater_rank(sector(state, fermion), tol),
-        "relabel_distinguishable": lambda tol: relabel_distinguishable(product, (0, 0), tol),
         "scenario_momentum_projection": lambda tol: scenario_momentum_projection(
             space, 1, 3, fermion, tol
         ),

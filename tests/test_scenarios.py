@@ -19,17 +19,14 @@ from pairmeasure import (
     Statistics,
     TwoParticleState,
     VerdictTag,
-    basis_vector,
     classify,
     measure_pair,
     mode_index,
     momentum_projector,
-    momentum_representation,
     parse_measure_file,
     parse_state_file,
     permute,
     plane_wave,
-    relabel_distinguishable,
     scenario_momentum_projection,
     scenario_position_windows,
     schmidt,
@@ -41,8 +38,9 @@ from pairmeasure import (
 )
 from pairmeasure.cli import main
 from pairmeasure.measurement import window_sites
+from pairmeasure.scenarios import _spin_state
 
-from helpers import as_dense, identity_operator, random_unitary
+from helpers import deletion_oracle, identity_operator, momentum_matrix
 
 SPACE = SpaceSpec(8, 2)
 UP, DOWN = 0, 1
@@ -260,33 +258,133 @@ def test_relabel_extracts_the_spin_block():
     assert schmidt(relabeled).entropy == pytest.approx(np.log(2), abs=1e-10)
 
 
-def test_relabel_rejects_support_outside_labels():
-    space = SpaceSpec(4, 2)
-    spread = tensor_state(plane_wave(0, UP, space), plane_wave(1, DOWN, space))
-    with pytest.raises(ValueError):
-        relabel_distinguishable(spread, (0, 1))
+@settings(max_examples=60, deadline=None)
+@given(
+    sites=st.integers(2, 64),
+    modes=st.tuples(st.integers(0, 63), st.integers(0, 63)),
+    centres=st.tuples(st.integers(0, 63), st.integers(0, 63)),
+    same_site=st.booleans(),
+    stat=st.sampled_from(Statistics),
+)
+@example(8, (1, 7), (2, 5), False, Statistics.FERMION)
+@example(2, (0, 1), (1, 1), True, Statistics.BOSON)
+def test_relabeled_states_match_the_deletion_oracle(sites, modes, centres, same_site, stat):
+    # the spin block at the two labels, cut from the dense post-state (in
+    # momenta for the momentum scenario), is the relabeled state, and the
+    # dense post-state has no support off the labels
+    space = SpaceSpec(sites, 2)
+    m_a, m_b = (mode % sites for mode in modes)
+    x_a = centres[0] % sites
+    x_b = x_a if same_site else centres[1] % sites
+    windows = scenario_position_windows(space, m_a, m_b, x_a, x_b, 1, stat)
+    cases = [(windows, windows.post_state.matrix(), (x_a, x_b))]
+    if m_a != m_b:
+        momenta = scenario_momentum_projection(space, m_a, m_b, stat)
+        cases.append((momenta, momentum_matrix(momenta.post_state), (m_a, m_b)))
+    for result, matrix, labels in cases:
+        block, remainder = deletion_oracle(matrix, labels, space.spin_dim)
+        want = block.reshape(-1) / np.linalg.norm(block)
+        assert np.max(np.abs(result.relabeled.amplitudes - want)) < 1e-12, labels
+        assert remainder < 1e-12 * result.post_state.norm, labels
 
 
-def test_relabel_rejects_three_site_support():
+@pytest.mark.parametrize("labels", [(0, 5), (5, 0), (5, 4)])
+@pytest.mark.parametrize("stat", list(Statistics))
+def test_relabel_at_the_lattice_ends_matches_deletion(labels, stat):
+    # at the first and last site one slice before or after each label is
+    # empty; both scenarios' spin states must still be the dense block
+    space = SpaceSpec(6, 2)
+    windows = scenario_position_windows(space, 1, 4, *labels, 1, stat)
+    momenta = scenario_momentum_projection(space, *labels, stat)
+    cases = [(windows, windows.post_state.matrix()), (momenta, momentum_matrix(momenta.post_state))]
+    for result, matrix in cases:
+        block, remainder = deletion_oracle(matrix, labels, space.spin_dim)
+        want = block.reshape(-1) / np.linalg.norm(block)
+        assert np.max(np.abs(result.relabeled.amplitudes - want)) < 1e-12
+        assert remainder < 1e-12 * result.post_state.norm
+
+
+def test_relabel_accepts_exact_two_site_support():
+    # one spin up and one down: the spin state at sites 1 and 3 has no
+    # up-up or down-down amplitude at all, and equal weight on the other two
     space = SpaceSpec(4, 2)
-    amps = np.zeros(64, dtype=complex)
-    for x1, x2 in ((0, 1), (0, 2), (3, 1)):
-        amps[mode_index(x1, UP, space) * 8 + mode_index(x2, DOWN, space)] = 1.0
-    state = TwoParticleState(space, amps / np.linalg.norm(amps))
-    with pytest.raises(ValueError):
-        relabel_distinguishable(state, (0, 1))
+    for stat in Statistics:
+        relabeled = scenario_position_windows(space, 1, None, 1, 3, 1, stat).relabeled
+        amps = relabeled.amplitudes
+        assert amps[UP * 2 + UP] == 0.0 and amps[DOWN * 2 + DOWN] == 0.0
+        assert np.abs(amps[[UP * 2 + DOWN, DOWN * 2 + UP]]) == pytest.approx(
+            [0.5**0.5, 0.5**0.5], abs=1e-12
+        )
+        assert relabeled.norm == pytest.approx(1.0, abs=1e-12)
 
 
 def test_relabel_rejects_zero_state():
-    with pytest.raises(DegenerateInputError):
-        relabel_distinguishable(TwoParticleState(SpaceSpec(2, 2), np.zeros(16)), (0, 1))
+    # an impossible outcome leaves no post-state to read spins off
+    ref = tensor_state(plane_wave(1, UP, SPACE), plane_wave(7, DOWN, SPACE))
+    zero = OneParticleOperator(SPACE, np.zeros((16, 16)))
+    result = measure_pair(SelectiveMeasure(zero, zero), ref, Statistics.FERMION)
+    assert result.post_state_normalized is None
+    assert _spin_state(result) is None
 
 
 def test_relabel_rejects_labels_off_the_lattice():
     space = SpaceSpec(4, 2)
-    state = tensor_state(basis_vector(0, UP, space), basis_vector(3, DOWN, space))
-    with pytest.raises(IndexError):
-        relabel_distinguishable(state, (0, 4))
+    fermion = Statistics.FERMION
+    for label in (-1, 4):
+        calls = (
+            lambda: scenario_position_windows(space, 1, None, label, 2, 1, fermion),
+            lambda: scenario_position_windows(space, 1, None, 0, label, 1, fermion),
+            lambda: scenario_momentum_projection(space, label, 2, fermion),
+            lambda: scenario_momentum_projection(space, 1, label, fermion),
+        )
+        for call in calls:
+            with pytest.raises(IndexError, match="out of range"):
+                call()
+
+
+def test_relabel_rejects_support_outside_labels():
+    # a window of more than one site tags no single site, so no spin state
+    # is handed over, though the outcome is possible
+    space = SpaceSpec(4, 2)
+    for width in (2, space.extrinsic_dim):
+        for stat in Statistics:
+            result = scenario_position_windows(space, 1, None, 0, 2, width, stat)
+            assert result.post_state_normalized is not None
+            assert result.relabeled is None and result.phase_check is None
+
+
+def test_relabel_rejects_three_site_support():
+    # disjoint width-3 windows entangle, but the post-state is spread over
+    # three sites per slot: the block at the centres is not all of it
+    result = scenario_position_windows(SPACE, 1, None, 1, 5, 3, Statistics.FERMION)
+    assert result.verdict.tag is VerdictTag.ENTANGLING_MEASUREMENT
+    assert result.relabeled is None and result.phase_check is None
+    _, remainder = deletion_oracle(result.post_state.matrix(), (1, 5), SPACE.spin_dim)
+    assert remainder > 0.5 * result.post_state.norm
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    sites=st.integers(2, 32),
+    modes=st.tuples(st.integers(0, 31), st.integers(1, 31)),
+    centres=st.tuples(st.integers(0, 31), st.integers(0, 31)),
+    stat=st.sampled_from(Statistics),
+)
+def test_relabeled_state_does_not_depend_on_tol(sites, modes, centres, stat):
+    # the spin state is the post-state's core, so no tol enters it while the
+    # outcome is possible
+    space = SpaceSpec(sites, 2)
+    m_a = modes[0] % sites
+    m_b = (m_a + modes[1] % (sites - 1) + 1) % sites
+    x_a, x_b = (centre % sites for centre in centres)
+    tols = (float(np.finfo(float).eps), 1e-16, 1e-10, 1e-3)
+    for run in (
+        lambda tol: scenario_momentum_projection(space, m_a, m_b, stat, tol),
+        lambda tol: scenario_position_windows(space, m_a, m_b, x_a, x_b, 1, stat, tol),
+    ):
+        states = [run(tol).relabeled.amplitudes for tol in tols]
+        for state in states[1:]:
+            assert np.array_equal(state, states[0])
 
 
 def test_scenarios_need_a_spin_half_factor():
@@ -302,15 +400,6 @@ def test_phase_check_rejects_off_circle_ratios():
 
     with pytest.raises(ValueError):
         PhaseCheck(measured=0.5 + 0.0j, predicted=1.0 + 0.0j, deviation=0.5)
-
-
-def test_relabel_accepts_exact_two_site_support():
-    space = SpaceSpec(4, 2)
-    state = tensor_state(basis_vector(1, UP, space), basis_vector(3, DOWN, space))
-    relabeled = relabel_distinguishable(state, (1, 3))
-    expected = np.zeros(4, dtype=complex)
-    expected[UP * 2 + DOWN] = 1.0
-    assert np.array_equal(relabeled.amplitudes, expected)
 
 
 def test_scenarios_apply_the_measure_twice_and_decompose_twice():
@@ -399,86 +488,6 @@ def test_measure_pair_pads_the_core_spectrum_to_total_dim():
         assert np.max(np.abs(sigma - dense.singular_values)) < 1e-12
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    sites=st.integers(2, 6),
-    labels=st.tuples(st.integers(0, 5), st.integers(0, 5)),
-    ranks=st.tuples(st.integers(1, 2), st.integers(1, 2)),
-    spread=st.sampled_from([None, 0, 1]),
-)
-def test_relabel_of_factored_states_matches_dense(seed, sites, labels, ranks, spread):
-    rng = np.random.default_rng(seed)
-    space = SpaceSpec(sites, 2)
-    dim = space.total_dim
-    labels = tuple(label % sites for label in labels)
-    bases = []
-    for slot, (label, rank) in enumerate(zip(labels, ranks)):
-        if slot == spread:
-            # support on every site of one slot: the relabeling must refuse it
-            bases.append(random_unitary(rng, dim)[:, :rank])
-        else:
-            basis = np.zeros((dim, rank), dtype=complex)
-            basis[2 * label: 2 * label + 2] = random_unitary(rng, 2)[:, :rank]
-            bases.append(basis)
-    core = rng.standard_normal(ranks) + 1j * rng.standard_normal(ranks)
-    state = TwoParticleState.from_factors(space, bases[0], core, bases[1])
-    # permute leaves transposed cores, dense or factored
-    swapped = labels[::-1]
-    cases = [(state, labels), (permute(state), swapped), (permute(as_dense(state)), swapped)]
-    for candidate, tags in cases:
-        want = as_dense(candidate)
-        if spread is not None:
-            for form in (candidate, want):
-                with pytest.raises(ValueError, match="support outside"):
-                    relabel_distinguishable(form, tags)
-        else:
-            got = relabel_distinguishable(candidate, tags)
-            expected = relabel_distinguishable(want, tags)
-            assert np.max(np.abs(got.amplitudes - expected.amplitudes)) < 1e-12
-
-
-def deletion_oracle(matrix, labels, spins):
-    """Spin block and off-label remainder of a dense matrix, with np.delete."""
-    rows = slice(labels[0] * spins, (labels[0] + 1) * spins)
-    cols = slice(labels[1] * spins, (labels[1] + 1) * spins)
-    band = matrix[rows]
-    remainder = np.hypot(
-        np.linalg.norm(np.delete(band, cols, axis=1)),
-        np.linalg.norm(np.delete(matrix, rows, axis=0)),
-    )
-    return band[:, cols], remainder
-
-
-@pytest.mark.parametrize("labels", [(0, 5), (5, 0)])
-@pytest.mark.parametrize("leak", [0.0, 1e-7])
-def test_relabel_at_the_lattice_ends_matches_deletion(labels, leak):
-    # at the first and last site one slice before or after each label is
-    # empty; block and refusal must still be those of the dense matrix
-    rng = np.random.default_rng(47)
-    space = SpaceSpec(6, 2)
-    bases = []
-    for label in labels:
-        basis = np.zeros((12, 2), dtype=complex)
-        basis[2 * label: 2 * label + 2] = random_unitary(rng, 2)
-        basis += leak * (rng.standard_normal((12, 2)) + 1j * rng.standard_normal((12, 2)))
-        bases.append(np.linalg.qr(basis)[0])
-    core = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    state = TwoParticleState.from_factors(space, bases[0], core, bases[1])
-    block, remainder = deletion_oracle(state.matrix(), labels, 2)
-    ratio = remainder / state.norm
-    tols = [1e-10] if leak == 0.0 else [ratio / 2, ratio * 2]
-    for tol in tols:
-        for form in (state, as_dense(state)):
-            if remainder < tol * state.norm:
-                got = relabel_distinguishable(form, labels, tol)
-                want = block.reshape(-1) / np.linalg.norm(block)
-                assert np.max(np.abs(got.amplitudes - want)) < 1e-12
-            else:
-                with pytest.raises(DegenerateInputError, match="support outside"):
-                    relabel_distinguishable(form, labels, tol)
-
-
 def test_state_norms_are_kept_and_match_the_amplitudes():
     states = []
     for stat in Statistics:
@@ -491,7 +500,7 @@ def test_state_norms_are_kept_and_match_the_amplitudes():
     rng = np.random.default_rng(53)
     dense = TwoParticleState(SPACE, rng.standard_normal(256) + 1j * rng.standard_normal(256))
     for base in (states[0], states[5], dense):
-        states += [permute(base), base.normalize(), momentum_representation(base)]
+        states += [permute(base), base.normalize()]
     for state in states:
         first = state.norm
         assert abs(first - np.linalg.norm(state.amplitudes)) <= 1e-14 * first
@@ -505,4 +514,3 @@ def test_scenarios_keep_their_states_factored():
         for state in (result.post_state, result.post_state_normalized,
                       result.event_pair.event_direct, result.event_pair.event_permuted):
             assert state.left.shape == (16, 2) and state.core.shape == (2, 2)
-    assert momentum_representation(momentum.post_state).left is not None
