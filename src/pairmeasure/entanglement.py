@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DegenerateInputError
 from .hilbert import ZERO_TOL, TwoParticleState, _negligible
-from .symmetry import _exchange_sum
+from .symmetry import _exchange_norm
 
 
 @dataclass(frozen=True)
@@ -74,11 +74,11 @@ def schmidt(state: TwoParticleState, tol: float = ZERO_TOL) -> EntanglementRepor
     sigma = np.linalg.svd(state.core / nrm, compute_uv=False)
     rank = _rank(sigma, tol)
     # sigma[0] may round above 1; renormalizing and clamping keeps entropy >= 0.
-    lam = sigma**2 / np.sum(sigma**2)
+    lam = sigma * sigma / sigma.dot(sigma)
     positive = lam[lam > 0.0]
-    entropy = max(0.0, float(-np.sum(positive * np.log(positive))))
+    entropy = max(0.0, -float(positive @ np.log(positive)))
     slater = None
-    if _negligible(np.linalg.norm(_exchange_sum(state, 1.0)), nrm, tol):
+    if _negligible(_exchange_norm(state, 1.0), nrm, tol):
         if rank % 2:
             raise DegenerateInputError(
                 f"singular values fail to pair up ({rank} above tol * sigma_max, "

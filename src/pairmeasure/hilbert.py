@@ -18,6 +18,7 @@ compute one, with the same result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,9 +92,16 @@ def _negligible(value, scale, tol: float):
     return (value < tol * scale) | (scale == 0.0)
 
 
+def _frobenius(arr: np.ndarray) -> float:
+    """Frobenius norm of a whole array: one BLAS dot, for arrays of any size."""
+    return math.sqrt(np.vdot(arr, arr).real)
+
+
 def _freeze(arr: np.ndarray, what: str) -> np.ndarray:
     """Check that ``arr`` is finite, then make it read-only in place."""
-    if not np.isfinite(arr).all():
+    # A finite sum of squared moduli (one BLAS dot, which raises no
+    # floating-point warning) proves every entry finite.
+    if not math.isfinite(_frobenius(arr)) and not np.isfinite(arr).all():
         raise ValueError(f"{what} contains non-finite entries")
     arr.flags.writeable = False
     return arr
@@ -305,7 +313,7 @@ class TwoParticleState:
         """Euclidean norm, computed on first read and kept."""
         if self._norm is None:
             # The bases are isometries, so the core carries the norm.
-            object.__setattr__(self, "_norm", float(np.linalg.norm(self.core)))
+            object.__setattr__(self, "_norm", _frobenius(self.core))
         return self._norm
 
     def matrix(self) -> np.ndarray:
@@ -382,8 +390,12 @@ def _plane_wave_phases(mode: int, sites: int) -> np.ndarray:
     if not 0 <= mode < sites:
         raise IndexError(f"momentum mode {mode} out of range [0, {sites})")
     # Reducing m*x mod L in integers keeps the phase error O(eps), not O(m*x*eps).
-    turns = mode * np.arange(sites) % sites
-    return np.exp(2j * np.pi * turns / sites) / np.sqrt(sites)
+    angles = 2 * np.pi * (mode * np.arange(sites) % sites) / sites
+    phases = np.empty(sites, dtype=complex)
+    np.cos(angles, out=phases.real)
+    np.sin(angles, out=phases.imag)
+    phases /= np.sqrt(sites)
+    return phases
 
 
 def tensor_state(u: SingleParticleVector, v: SingleParticleVector) -> TwoParticleState:

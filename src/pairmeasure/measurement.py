@@ -60,11 +60,12 @@ from .hilbert import (
     SpaceSpec,
     TwoParticleState,
     _change_of_basis,
+    _frobenius,
     _negligible,
     _plane_wave_phases,
     inner_product,
 )
-from .symmetry import _INV_SQRT2, Statistics, _exchange_sum, permute
+from .symmetry import _INV_SQRT2, Statistics, _exchange_norm, permute
 
 
 @dataclass(frozen=True)
@@ -214,7 +215,7 @@ def measure_scale(measure: SelectiveMeasure) -> float:
     """
     scale = 1.0
     for factor in (measure.factor_slot1, measure.factor_slot2):
-        scale *= float(np.max(np.linalg.norm(factor.range_rows, axis=0)))
+        scale *= float((np.abs(factor.range_rows) ** 2).sum(axis=0).max()) ** 0.5
     return scale
 
 
@@ -258,7 +259,7 @@ def _verdict(
         parts = [part for part in parts if part is not None]
         # None left: one projector U U^H in both slots, and ||U U^H||_F = ||U^H||_F.
         cross = reduce(np.matmul, parts) if parts else slot1.range_rows
-        exclusive = _negligible(np.linalg.norm(cross), factor_scale, tol)
+        exclusive = _negligible(_frobenius(cross), factor_scale, tol)
         tag = (VerdictTag.ENTANGLING_MEASUREMENT if exclusive
                else VerdictTag.NON_ORTHOGONAL_EVENTS)
     return Verdict(tag=tag, tolerance_used=tol)
@@ -297,14 +298,14 @@ def _projector_bound(factor: OneParticleOperator) -> float:
     """
     gram = factor._gram
     if gram is not None:
-        error = float(np.linalg.norm(gram - np.eye(len(gram))))
-        skew = float(np.linalg.norm(gram - gram.conj().T))
+        error = _frobenius(gram - np.eye(len(gram)))
+        skew = _frobenius(gram - gram.conj().T)
         return skew + 2.0 * error * (1.0 + error) ** 0.5
     basis, rows = factor.range_basis, factor.range_rows
     gram = rows @ basis
     residual = rows - gram @ basis.conj().T
     excess = gram @ rows - rows
-    hermitian = np.linalg.norm(gram - gram.conj().T) + 2.0 * np.max(
+    hermitian = _frobenius(gram - gram.conj().T) + 2.0 * np.max(
         np.linalg.norm(residual, axis=0)
     )
     return float(max(hermitian, np.max(np.linalg.norm(excess, axis=0))))
@@ -355,7 +356,7 @@ def measure_pair(
     factor_scale = measure_scale(measure)
     scale = factor_scale * ref.norm
     verdict = _verdict(measure, pair, factor_scale, scale, tol)
-    sym_norm = float(np.linalg.norm(_INV_SQRT2 * _exchange_sum(ref, stat.sign)))
+    sym_norm = _INV_SQRT2 * _exchange_norm(ref, stat.sign)
     if _negligible(sym_norm, ref.norm, tol):
         raise DegenerateInputError(
             f"reference state has no {stat.value} sector to measure"
@@ -447,13 +448,14 @@ def momentum_projector(mode1: int, mode2: int, space: SpaceSpec) -> SelectiveMea
     ``plane_wave(mode, s, space)``, and the dense entries are built only
     when read.
     """
+    return SelectiveMeasure(_momentum_factor(mode1, space), _momentum_factor(mode2, space))
+
+
+def _momentum_factor(mode: int, space: SpaceSpec) -> OneParticleOperator:
+    """A ``momentum_projector`` factor: basis column s is ``plane_wave(mode, s, space)``."""
     spins = space.spin_dim
-
-    def factor(mode: int) -> OneParticleOperator:
-        phases = _plane_wave_phases(mode, space.extrinsic_dim)
-        basis = np.zeros((space.total_dim, spins), dtype=complex)
-        for spin in range(spins):
-            basis[spin::spins, spin] = phases
-        return OneParticleOperator(space, None, range_basis=basis)
-
-    return SelectiveMeasure(factor(mode1), factor(mode2))
+    phases = _plane_wave_phases(mode, space.extrinsic_dim)
+    basis = np.zeros((space.total_dim, spins), dtype=complex)
+    for spin in range(spins):
+        basis[spin::spins, spin] = phases
+    return OneParticleOperator(space, None, range_basis=basis)

@@ -17,6 +17,9 @@ down.
   ``dk`` the mode-wavenumber difference and ``dx`` the site separation; the
   scenario measures that ratio and checks it against the prediction.
 
+Both build the reference from columns of plane-wave range bases checked
+when built, so it is neither copied nor checked again (``_reference_state``).
+
 With the momenta or the single sites standing in for particle tags, what
 is left of the collapsed pair is a two-spin state, ``relabeled``: the
 post-state's core in the measure's range bases.
@@ -29,12 +32,13 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import DegenerateInputError
-from .hilbert import ZERO_TOL, SpaceSpec, TwoParticleState, plane_wave
+from .hilbert import ZERO_TOL, SpaceSpec, TwoParticleState
 from .measurement import (
     PhaseCheck,
     ScenarioResult,
     SelectiveMeasure,
     VerdictTag,
+    _momentum_factor,
     measure_pair,
     momentum_projector,
     window_projector,
@@ -44,18 +48,24 @@ from .symmetry import Statistics
 SPIN_UP = 0
 SPIN_DOWN = 1
 
+_UNIT_CORE = np.ones((1, 1), dtype=complex)
+_UNIT_CORE.flags.writeable = False
+
 
 def _require_spin_half(space: SpaceSpec) -> None:
     if space.spin_dim < 2:
         raise ValueError("scenarios need a spin-1/2 factor (spin_dim >= 2)")
 
 
-def _reference_state(u: np.ndarray, v: np.ndarray, space: SpaceSpec) -> TwoParticleState:
-    """|m_a up> x |m_b down> from the kets u, v: (u/|u|) (|u| |v|) (v/|v|)^T."""
-    norm_u, norm_v = float(np.linalg.norm(u)), float(np.linalg.norm(v))
-    return TwoParticleState.from_factors(
-        space, (u / norm_u)[:, None], [[norm_u * norm_v]], (v / norm_v)[:, None]
-    )
+def _reference_state(space: SpaceSpec, a: np.ndarray, b: np.ndarray) -> TwoParticleState:
+    """|m_a up> x |m_b down> = u [[1]] v^T from the plane-wave range bases a and b.
+
+    u and v are read-only column slices (spin up of a, spin down of b) of
+    bases ``hilbert._orthonormal_basis`` checked. A column subset's Gram
+    matrix is a principal sub-block of the checked one, so no check is lost.
+    """
+    up, down = a[:, SPIN_UP : SPIN_UP + 1], b[:, SPIN_DOWN : SPIN_DOWN + 1]
+    return TwoParticleState._fresh(space, _UNIT_CORE, up, down)
 
 
 def _spin_state(result: ScenarioResult) -> TwoParticleState | None:
@@ -72,8 +82,7 @@ def _spin_state(result: ScenarioResult) -> TwoParticleState | None:
     normalized = result.post_state_normalized
     if normalized is None:
         return None
-    spins = normalized.space.spin_dim
-    return TwoParticleState(SpaceSpec(1, spins), normalized.core.reshape(-1))
+    return TwoParticleState._fresh(SpaceSpec(1, normalized.space.spin_dim), normalized.core)
 
 
 def scenario_momentum_projection(
@@ -98,9 +107,7 @@ def scenario_momentum_projection(
     _require_spin_half(space)
     measure = momentum_projector(m_a, m_b, space)
     ref = _reference_state(
-        measure.factor_slot1.range_basis[:, SPIN_UP],
-        measure.factor_slot2.range_basis[:, SPIN_DOWN],
-        space,
+        space, measure.factor_slot1.range_basis, measure.factor_slot2.range_basis
     )
     result = measure_pair(measure, ref, stat, tol)
     return replace(result, relabeled=_spin_state(result))
@@ -131,9 +138,9 @@ def scenario_position_windows(
         m_b = (sites - m_a) % sites
     _require_spin_half(space)
     ref = _reference_state(
-        plane_wave(m_a, SPIN_UP, space).amplitudes,
-        plane_wave(m_b, SPIN_DOWN, space).amplitudes,
         space,
+        _momentum_factor(m_a, space).range_basis,
+        _momentum_factor(m_b, space).range_basis,
     )
     measure = SelectiveMeasure(
         window_projector(x_a, width, space), window_projector(x_b, width, space)

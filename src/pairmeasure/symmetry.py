@@ -8,7 +8,9 @@ orthogonal to its own permutation, and the identity
 
     state = (fermion sector + boson sector)/sqrt(2)
 
-holds for every state regardless.
+holds for every state regardless. ``_exchange_norm`` gives ||C + -C^T|| on
+the factors: in closed form when the two bases are nearly orthogonal, as in
+both worked scenarios, and by one QR of the stacked bases otherwise.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .hilbert import TwoParticleState, _in_bases
+from .hilbert import TwoParticleState, _frobenius, _in_bases
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -43,23 +45,30 @@ def permute(state: TwoParticleState) -> TwoParticleState:
     return TwoParticleState._fresh(state.space, state.core.T, state.right, state.left)
 
 
-def _exchange_sum(state: TwoParticleState, sign: float) -> np.ndarray:
-    """M + sign M^T, whose Frobenius norm is that of C + sign C^T.
+def _exchange_norm(state: TwoParticleState, sign: float) -> float:
+    """||C + sign C^T||_F for C = L K R^T, in two tiers.
 
-    A state with a basis on both sides takes M from one QR of the stacked
-    bases, [L R] = Q T with T = [T_L T_R]: then C = Q M Q^T with
-    M = T_L K T_R^T, and Q is an isometry. The norm thus comes from an
-    (a + b) x (a + b) matrix, never from a difference of squared norms,
-    which would resolve only about 1e-8 relative. Any other state has
-    M = C, the dense coefficient matrix.
+    With isometric bases and X = L^H R (O(n a b)), ||C + sign C^T||^2 =
+    2 ||K||^2 + 2 sign Re tr(K^H X K^T conj(X)), whose trace term is at most
+    ||X||_2^2 ||K||^2 <= ||X||_F^2 ||K||^2. If ||X||_F <= 1/2 the sum lies in
+    [1.5, 2.5] ||K||^2: nothing cancels, and this closed form is accurate to
+    O(eps) relative. Otherwise it can cancel to zero (L = R, K = -sign K^T),
+    where a difference of squares resolves only about 1e-8; then one QR
+    [L R] = Q [T_L T_R] gives C = Q M Q^T with M = T_L K T_R^T, and the norm
+    is that of the (a + b)-square M + sign M^T. Without both bases, M = C.
     """
-    if state.left is None or state.right is None:
+    left, core, right = state.left, state.core, state.right
+    if left is None or right is None:
         coeff = _in_bases(state, None, None)
     else:
-        width = state.left.shape[1]
-        tri = np.linalg.qr(np.hstack([state.left, state.right]), mode="r")
-        coeff = tri[:, :width] @ state.core @ tri[:, width:].T
-    return coeff + sign * coeff.T
+        cross = left.conj().T @ right
+        if _frobenius(cross) <= 0.5:
+            twisted = np.vdot(core, cross @ core.T @ cross.conj()).real
+            return (2.0 * (state.norm**2 + sign * twisted)) ** 0.5
+        width = left.shape[1]
+        tri = np.linalg.qr(np.concatenate([left, right], axis=1), mode="r")
+        coeff = tri[:, :width] @ core @ tri[:, width:].T
+    return _frobenius(coeff + sign * coeff.T)
 
 
 def sector(state: TwoParticleState, stat: Statistics) -> TwoParticleState:

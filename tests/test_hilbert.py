@@ -227,6 +227,19 @@ def test_state_validation():
         TwoParticleState(space, np.full(16, np.nan))
 
 
+def test_finiteness_check_accepts_an_overflowing_sum_and_refuses_non_finite_entries():
+    # The sum of squared moduli of [1e308, 1e308] overflows, so the check
+    # falls back to the entries, which are finite: accepted, with no warning.
+    space = SpaceSpec(1, 2)
+    big = TwoParticleState(space, [1e308, 1e308, 0.0, 0.0])
+    assert big.amplitudes[0] == 1e308 and not big.amplitudes.flags.writeable
+    for entries in ([np.inf, -np.inf, 0.0, 0.0], [np.nan, 1.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="^amplitudes contains non-finite entries$"):
+            TwoParticleState(space, entries)
+        with pytest.raises(ValueError, match="^state contains non-finite entries$"):
+            TwoParticleState._fresh(space, np.array(entries, dtype=complex).reshape(2, 2))
+
+
 def test_amplitudes_are_read_only():
     state = random_state(np.random.default_rng(16), SpaceSpec(2, 2))
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import cmath
 import contextlib
 import io
 import json
@@ -13,11 +14,13 @@ from hypothesis import strategies as st
 import pairmeasure.measurement
 from pairmeasure import (
     DegenerateInputError,
+    EbmEvidence,
     OneParticleOperator,
     SelectiveMeasure,
     SpaceSpec,
     Statistics,
     TwoParticleState,
+    Verdict,
     VerdictTag,
     classify,
     measure_pair,
@@ -169,6 +172,110 @@ def test_position_scenario_phase_is_exact_on_a_large_lattice(stat):
     # dk * dx is reduced mod 2 pi with integers, as are the plane-wave phases
     result = scenario_position_windows(SpaceSpec(2048, 2), 2047, None, 2, 1000, 1, stat)
     assert result.phase_check.deviation < 1e-14
+
+
+def rounding_bound(sites):
+    """Largest error the closed-form test below allows on an O(1) quantity.
+
+    Each such quantity is a product of at most four sums over the n = 2L
+    single-particle modes (a plane-wave Gram entry per slot, each taken
+    twice in a squared norm), which with unit roundoff u = eps/2 carry at
+    most n u each (Higham, Accuracy and Stability, Lemma 3.1), followed by
+    at most 16 further roundings (the phases' angle, cos/sin and 1/sqrt(L),
+    the sector's 1/sqrt(2), a 2 x 2 SVD, sqrt, log): (4 n + 16) u.
+    """
+    return (8 * sites + 16) * np.finfo(float).eps / 2
+
+
+@st.composite
+def closed_form_cases(draw):
+    sites = draw(st.integers(2, 2048))
+    m_a = draw(st.integers(0, sites - 1))
+    m_b = (m_a + draw(st.integers(1, sites - 1))) % sites
+    window_mode_b = draw(st.none() | st.integers(0, sites - 1))
+    width = draw(st.integers(1, min(sites // 2, 8)))
+    centre = draw(st.integers(0, sites - 1))
+    # windows are disjoint when their centres are at least w apart around the ring
+    offset = draw(st.integers(width, sites - width))
+    stat = draw(st.sampled_from(list(Statistics)))
+    tol = 10.0 ** draw(st.floats(-12.0, -4.0))
+    return sites, (m_a, m_b), window_mode_b, centre, offset, width, stat, tol
+
+
+@settings(max_examples=150, deadline=None)
+@given(closed_form_cases())
+@example((2, (0, 1), None, 0, 1, 1, Statistics.FERMION, 1e-12))
+@example((2048, (2047, 0), None, 2, 998, 1, Statistics.BOSON, 1e-12))
+@example((2048, (1, 2047), 5, 0, 1024, 8, Statistics.FERMION, 1e-4))
+@example((1999, (1000, 7), None, 1998, 1, 1, Statistics.BOSON, 1e-10))
+def test_scenarios_match_closed_forms_at_any_lattice_size(case):
+    """Every field of both scenarios against the paper's closed forms.
+
+    Momentum projection (distinct modes): a local operation at probability
+    1/2, Schmidt rank 1 and the spin state |up, down>. Disjoint windows of
+    width w: an entangling measurement at probability w^2/L^2, singular
+    values 1/sqrt(2), entropy ln 2, evidence 1 -> 2 and, at w = 1, the phase
+    -+exp(-i dk dx) between the spin state's two amplitudes.
+    """
+    sites, modes, window_mode_b, centre, offset, width, stat, tol = case
+    space = SpaceSpec(sites, 2)
+    bound = rounding_bound(sites)
+    m_a, m_b = modes
+    result = scenario_momentum_projection(space, m_a, m_b, stat, tol)
+    pair = result.event_pair
+    assert result.verdict == Verdict(VerdictTag.LOCAL_OPERATION, tol)
+    assert abs(result.probability - 0.5) <= bound
+    assert abs(result.post_state.norm ** 2 - 0.5) <= bound
+    assert abs(result.post_state_normalized.norm - 1.0) <= bound
+    assert abs(pair.norm_direct - 1.0) <= bound and pair.norm_permuted <= bound
+    assert abs(pair.event_overlap) <= bound and abs(pair.ref_overlap) <= bound
+    assert abs(result.scale * sites - 1.0) <= bound and result.born_rule
+    report = result.report
+    assert (report.schmidt_rank, report.slater_rank) == (1, None)
+    assert abs(report.singular_values[0] - 1.0) <= bound
+    assert np.all(report.singular_values[1:] <= bound) and report.entropy <= bound
+    assert result.evidence == EbmEvidence(1, 1, False)
+    assert result.phase_check is None
+    expected = np.zeros(4)
+    expected[UP * 2 + DOWN] = 1.0
+    assert np.max(np.abs(result.relabeled.amplitudes - expected)) <= bound
+
+    m_b = window_mode_b
+    x_a, x_b = centre, (centre + offset) % sites
+    result = scenario_position_windows(space, m_a, m_b, x_a, x_b, width, stat, tol)
+    pair = result.event_pair
+    weight = width / sites
+    probability = weight**2
+    assert result.verdict == Verdict(VerdictTag.ENTANGLING_MEASUREMENT, tol)
+    assert abs(result.probability - probability) <= bound * probability
+    assert abs(result.post_state.norm ** 2 - probability) <= bound * probability
+    assert abs(result.post_state_normalized.norm - 1.0) <= bound
+    for norm in (pair.norm_direct, pair.norm_permuted):
+        assert abs(norm - weight) <= bound * weight
+    assert abs(pair.event_overlap) <= bound * probability
+    assert abs(pair.ref_overlap) <= bound * weight
+    assert result.scale == 1.0 and result.born_rule
+    report = result.report
+    assert (report.schmidt_rank, report.slater_rank) == (2, None)
+    assert np.max(np.abs(report.singular_values[:2] - 2**-0.5)) <= bound
+    assert np.all(report.singular_values[2:] <= bound)
+    assert abs(report.entropy - np.log(2)) <= bound
+    assert result.evidence == EbmEvidence(1, 2, True)
+    if width > 1:
+        assert result.phase_check is None and result.relabeled is None
+        return
+    if m_b is None:
+        m_b = (sites - m_a) % sites
+    # -+exp(-i dk dx), dk dx = 2 pi (m_b - m_a)(x_b - x_a)/L, in exact integers mod L
+    turns = (m_b - m_a) * (x_b - x_a) % sites
+    predicted = stat.sign * cmath.exp(-2j * cmath.pi * turns / sites)
+    check = result.phase_check
+    assert abs(check.measured - predicted) <= bound and check.deviation <= bound
+    spins = result.relabeled.amplitudes
+    direct, swapped = spins[UP * 2 + DOWN], spins[DOWN * 2 + UP]
+    assert abs(abs(direct) - 2**-0.5) <= bound
+    assert abs(swapped - predicted * direct) <= bound
+    assert abs(spins[UP * 2 + UP]) <= bound and abs(spins[DOWN * 2 + DOWN]) <= bound
 
 
 def test_position_scenario_same_site_windows_overlap():
@@ -410,7 +517,15 @@ def test_scenarios_apply_the_measure_twice_and_decompose_twice():
         "windows": lambda: scenario_position_windows(
             SPACE, 1, None, 2, 5, 1, Statistics.FERMION
         ),
+        "overlapping windows": lambda: scenario_position_windows(
+            SPACE, 1, None, 2, 2, 1, Statistics.FERMION
+        ),
     }
+    # The reference's sector norm and the Slater test take the closed form
+    # whenever a state's two bases are nearly orthogonal; the post-state of
+    # overlapping windows has the same basis on both sides, so its Slater
+    # test takes the one QR.
+    qr_calls = {"momentum": 0, "windows": 0, "overlapping windows": 1}
     for name, call in calls.items():
         with mock.patch(
             "pairmeasure.measurement.apply_measure",
@@ -421,8 +536,7 @@ def test_scenarios_apply_the_measure_twice_and_decompose_twice():
             call()
         assert (apply.call_count, svd.call_count) == (2, 2), name
         assert report.call_count == 1, name
-        # one QR for the reference's sector norm, one for the Slater test
-        assert qr.call_count == 2, name
+        assert qr.call_count == qr_calls[name], name
 
 
 def test_measure_pair_sizes_and_normalizes_once():

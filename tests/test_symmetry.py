@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pairmeasure import (
     SpaceSpec,
@@ -13,7 +17,10 @@ from pairmeasure import (
     tensor_state,
 )
 
-from helpers import orthogonal_sum_residual, random_state
+from pairmeasure.hilbert import TwoParticleState, _frobenius
+from pairmeasure.symmetry import _exchange_norm
+
+from helpers import orthogonal_sum_residual, random_state, random_unitary
 
 SPACE = SpaceSpec(8, 2)
 UP, DOWN = 0, 1
@@ -109,8 +116,6 @@ def test_sector_preserves_norm_when_overlap_vanishes():
     rng = np.random.default_rng(25)
     space = SpaceSpec(3, 2)
     dim = space.total_dim
-    from pairmeasure import TwoParticleState
-
     for stat in Statistics:
         for _ in range(10):
             coeff = np.triu(
@@ -145,7 +150,72 @@ def test_orthogonal_sum_residual_vanishes_on_random_states():
 
 def test_orthogonal_sum_residual_on_momentum_pair_and_zero():
     assert orthogonal_sum_residual(momentum_pair(1, 7)) < 1e-12
-    from pairmeasure import TwoParticleState
-
     zero = TwoParticleState(SpaceSpec(2, 2), np.zeros(16))
     assert orthogonal_sum_residual(zero) == 0.0
+
+
+def exchange_state(seed, kind, left_rank, right_rank, cross):
+    """A state of the given kind on SpaceSpec(5, 2), n = 10 >= a + b.
+
+    ``mixed`` rotates the first min(a, b) columns of R towards those of L, so
+    ||L^H R||_F = cross exactly in exact arithmetic (capped at sqrt(min(a, b))).
+    ``equal`` has L = R with K = S -+ S^T; ``one-sided`` lacks one basis.
+    """
+    rng = np.random.default_rng(seed)
+    space = SpaceSpec(5, 2)
+    dim = space.total_dim
+    frame = random_unitary(rng, dim)
+
+    def gauss(rows, cols):
+        return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+    if kind == "dense":
+        return TwoParticleState(space, gauss(dim, dim).reshape(-1))
+    if kind == "one-sided":
+        basis = frame[:, :left_rank]
+        if seed % 2:
+            return TwoParticleState._fresh(space, gauss(left_rank, dim), basis, None)
+        return TwoParticleState._fresh(space, gauss(dim, left_rank), None, basis)
+    if kind == "equal":
+        basis = frame[:, :left_rank]
+        square = gauss(left_rank, left_rank)
+        core = square + (1 if seed % 2 else -1) * square.T
+        return TwoParticleState.from_factors(space, basis, core, basis)
+    shared = min(left_rank, right_rank)
+    sine = min(1.0, cross / np.sqrt(shared))
+    left = frame[:, :left_rank]
+    right = frame[:, left_rank : left_rank + right_rank].copy()
+    right[:, :shared] *= np.sqrt(1.0 - sine**2)
+    right[:, :shared] += sine * left[:, :shared]
+    return TwoParticleState.from_factors(space, left, gauss(left_rank, right_rank), right)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sign=st.sampled_from([-1.0, 1.0]),
+    kind=st.sampled_from(["mixed", "mixed", "equal", "one-sided", "dense"]),
+    left_rank=st.integers(1, 5),
+    right_rank=st.integers(1, 5),
+    cross=st.one_of(
+        st.floats(0.0, np.sqrt(5.0)),
+        st.sampled_from([0.0, 0.5 * (1 - 1e-12), 0.5, 0.5 * (1 + 1e-12), 0.49, 0.51]),
+    ),
+)
+@example(seed=1, sign=-1.0, kind="equal", left_rank=4, right_rank=4, cross=0.0)
+@example(seed=2, sign=1.0, kind="equal", left_rank=4, right_rank=4, cross=0.0)
+@example(seed=3, sign=-1.0, kind="mixed", left_rank=3, right_rank=2, cross=0.5 - 1e-12)
+@example(seed=3, sign=-1.0, kind="mixed", left_rank=3, right_rank=2, cross=0.5 + 1e-12)
+def test_exchange_norm_matches_dense_on_both_sides_of_its_switch(
+    seed, sign, kind, left_rank, right_rank, cross
+):
+    state = exchange_state(seed, kind, left_rank, right_rank, cross)
+    coeff = state.matrix()
+    want = np.linalg.norm(coeff + sign * coeff.T)
+    with mock.patch("numpy.linalg.qr", wraps=np.linalg.qr) as qr:
+        got = _exchange_norm(state, sign)
+    assert abs(got - want) <= 1e-13 * np.linalg.norm(coeff)
+    # The closed form runs exactly when both bases exist and ||L^H R||_F <= 1/2.
+    factored = state.left is not None and state.right is not None
+    nearly_orthogonal = factored and _frobenius(state.left.conj().T @ state.right) <= 0.5
+    assert qr.call_count == (factored and not nearly_orthogonal)
