@@ -13,12 +13,15 @@ All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads. Dense arrays
 a factored value builds on first read, and a pair state's norm, are kept
 values computed once from fixed data; two threads reading at once may both
-compute one, with the same result.
+compute one, with the same result. The one shared mutable object is the
+lock-guarded table of checked, read-only bases kept by ``_shared_basis``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +37,9 @@ ZERO_TOL = 1e-10
 # within a few GiB of a desk machine. It admits L = 2048 at spin 1/2
 # (n = 4096) and refuses larger spaces before anything is allocated.
 MAX_PAIR_BYTES = 256 * 2**20
+
+# Bytes of bases ``_shared_basis`` keeps; every mode and site of L = 2048 takes 4 MiB.
+MAX_SHARED_BYTES = 16 * 2**20
 
 
 @dataclass(frozen=True)
@@ -115,22 +121,60 @@ def _frozen_complex(values, shape: tuple[int, ...], what: str) -> np.ndarray:
     return _freeze(arr, what)
 
 
-def _orthonormal_basis(values, dim: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+def _orthonormal_basis(values, dim: int, what: str, copy=True) -> tuple[np.ndarray, np.ndarray]:
     """A checked, read-only copy U of an n x r matrix with orthonormal columns.
 
-    Returns U and its r x r Gram matrix U^H U, which the check forms.
+    Returns U and its r x r Gram matrix U^H U, which the check forms. With
+    ``copy=False``, ``values`` is a complex array just built here, frozen in place.
     """
     shape = np.shape(values)
     if len(shape) != 2 or shape[0] != dim or shape[1] > dim:
         raise DimensionMismatchError(
             f"{what} has shape {shape}, expected ({dim}, r) with r <= {dim}"
         )
-    basis = _frozen_complex(values, shape, what)
+    basis = _frozen_complex(values, shape, what) if copy else _freeze(values, what)
     gram = basis.conj().T @ basis
     error = np.max(np.abs(gram - np.eye(shape[1])), initial=0.0)
     if not _negligible(error, 1.0, ZERO_TOL):
         raise ValueError(f"{what} columns are not orthonormal")
     return basis, gram
+
+
+def _label(value, what: str) -> int:
+    """``value`` as an int, or one TypeError that names it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer, got {value!r}") from None
+
+
+_shared: dict = {}  # (build, space, labels) -> (U, U^H U), least recently used first
+_shared_bytes = 0
+_shared_lock = threading.Lock()
+
+
+def _shared_basis(build, space: SpaceSpec, *labels: int) -> tuple[np.ndarray, np.ndarray]:
+    """U = build(space, *labels) and U^H U, checked once and shared read-only.
+
+    ``build`` makes a new complex n x r array from its arguments alone. The least
+    recently used entries are evicted to keep ``MAX_SHARED_BYTES``; a larger U is not kept.
+    """
+    global _shared_bytes
+    key = (build, space, labels)
+    with _shared_lock:
+        entry = _shared.pop(key, None)
+        if entry is None:
+            entry = _orthonormal_basis(build(space, *labels), space.total_dim, "basis", False)
+            entry[1].flags.writeable = False
+            size = entry[0].nbytes + entry[1].nbytes
+            if size > MAX_SHARED_BYTES:
+                return entry
+            _shared_bytes += size
+        _shared[key] = entry
+        while _shared_bytes > MAX_SHARED_BYTES:
+            basis, gram = _shared.pop(next(iter(_shared)))
+            _shared_bytes -= basis.nbytes + gram.nbytes
+    return entry
 
 
 @dataclass(frozen=True)
@@ -181,26 +225,24 @@ class OneParticleOperator:
         self._setup(space, entries, range_basis)
 
     @classmethod
-    def _fresh(cls, space: SpaceSpec, entries: np.ndarray) -> OneParticleOperator:
-        """A dense operator on an n x n array just computed here, frozen in place."""
+    def _fresh(cls, space: SpaceSpec, entries, basis=None, gram=None) -> OneParticleOperator:
+        """Dense ``entries`` frozen in place, or a projector on a ``_shared_basis`` entry."""
         op = cls.__new__(cls)
-        op._setup(space, _freeze(entries, "entries"), None)
+        op._setup(space, None if entries is None else _freeze(entries, "entries"), basis, gram)
         return op
 
-    def _setup(self, space, entries, range_basis) -> None:
+    def _setup(self, space, entries, basis, gram=None) -> None:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "_entries", entries)
-        # U^H U of a projector built from its basis alone, else None.
-        object.__setattr__(self, "_gram", None)
-        if range_basis is None:
+        if basis is None:
             if entries is None:
                 raise ValueError("an operator needs entries or a range_basis")
             rows = entries
         else:
-            basis, gram = _orthonormal_basis(range_basis, space.total_dim, "range_basis")
+            if gram is None:  # a caller's basis, copied and checked
+                basis, gram = _orthonormal_basis(basis, space.total_dim, "range_basis")
             if entries is None:
                 rows = basis.conj().T
-                object.__setattr__(self, "_gram", gram)
             else:
                 rows = basis.conj().T @ entries
                 residual = basis @ rows
@@ -210,8 +252,9 @@ class OneParticleOperator:
                 ):
                     raise ValueError("range_basis does not span the range of entries")
             rows.flags.writeable = False
-            range_basis = basis
-        object.__setattr__(self, "range_basis", range_basis)
+        # U^H U of a projector built from its basis alone, else None.
+        object.__setattr__(self, "_gram", None if entries is not None else gram)
+        object.__setattr__(self, "range_basis", basis)
         object.__setattr__(self, "range_rows", rows)
 
     @property

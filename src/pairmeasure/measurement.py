@@ -61,8 +61,10 @@ from .hilbert import (
     TwoParticleState,
     _change_of_basis,
     _frobenius,
+    _label,
     _negligible,
     _plane_wave_phases,
+    _shared_basis,
     inner_product,
 )
 from .symmetry import _INV_SQRT2, Statistics, _exchange_norm, permute
@@ -425,9 +427,15 @@ def window_sites(center: int, width: int, sites: int) -> list[int]:
 def window_projector(center: int, width: int, space: SpaceSpec) -> OneParticleOperator:
     """Projector onto a contiguous window of lattice sites, identity on spin.
 
-    Its range basis is the window's coordinate columns; the dense entries
-    are built only when read.
+    Its range basis, the window's coordinate columns, is shared read-only per
+    integer label (``hilbert._shared_basis``); the dense entries are built only when read.
     """
+    labels = _label(center, "window center"), _label(width, "window width")
+    basis = _shared_basis(_window_basis, space, *labels)
+    return OneParticleOperator._fresh(space, None, *basis)
+
+
+def _window_basis(space: SpaceSpec, center: int, width: int) -> np.ndarray:
     spins = space.spin_dim
     modes = [
         site * spins + spin
@@ -436,7 +444,7 @@ def window_projector(center: int, width: int, space: SpaceSpec) -> OneParticleOp
     ]
     basis = np.zeros((space.total_dim, len(modes)), dtype=complex)
     basis[modes, np.arange(len(modes))] = 1.0
-    return OneParticleOperator(space, None, range_basis=basis)
+    return basis
 
 
 def momentum_projector(mode1: int, mode2: int, space: SpaceSpec) -> SelectiveMeasure:
@@ -445,17 +453,18 @@ def momentum_projector(mode1: int, mode2: int, space: SpaceSpec) -> SelectiveMea
     Each factor is the rank-one projector onto a plane-wave momentum ket on
     the extrinsic factor, tensored with the identity on spin; its range
     basis is that ket tensored with the spin basis, column ``s`` being
-    ``plane_wave(mode, s, space)``, and the dense entries are built only
-    when read.
+    ``plane_wave(mode, s, space)``, shared read-only per integer mode, and
+    the dense entries are built only when read.
     """
-    return SelectiveMeasure(_momentum_factor(mode1, space), _momentum_factor(mode2, space))
+    modes = _label(mode1, "momentum mode"), _label(mode2, "momentum mode")
+    bases = [_shared_basis(_plane_wave_basis, space, mode) for mode in modes]
+    return SelectiveMeasure(*(OneParticleOperator._fresh(space, None, *pair) for pair in bases))
 
 
-def _momentum_factor(mode: int, space: SpaceSpec) -> OneParticleOperator:
-    """A ``momentum_projector`` factor: basis column s is ``plane_wave(mode, s, space)``."""
+def _plane_wave_basis(space: SpaceSpec, mode: int) -> np.ndarray:
     spins = space.spin_dim
     phases = _plane_wave_phases(mode, space.extrinsic_dim)
     basis = np.zeros((space.total_dim, spins), dtype=complex)
     for spin in range(spins):
         basis[spin::spins, spin] = phases
-    return OneParticleOperator(space, None, range_basis=basis)
+    return basis

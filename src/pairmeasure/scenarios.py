@@ -17,8 +17,9 @@ down.
   ``dk`` the mode-wavenumber difference and ``dx`` the site separation; the
   scenario measures that ratio and checks it against the prediction.
 
-Both build the reference from columns of plane-wave range bases checked
-when built, so it is neither copied nor checked again (``_reference_state``).
+Both build the reference from columns of plane-wave range bases, checked
+once per integer label and shared read-only across calls, so it is neither
+copied nor checked again (``_reference_state``); each call measures in full.
 
 With the momenta or the single sites standing in for particle tags, what
 is left of the collapsed pair is a two-spin state, ``relabeled``: the
@@ -32,13 +33,13 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import DegenerateInputError
-from .hilbert import ZERO_TOL, SpaceSpec, TwoParticleState
+from .hilbert import ZERO_TOL, SpaceSpec, TwoParticleState, _label, _shared_basis
 from .measurement import (
     PhaseCheck,
     ScenarioResult,
     SelectiveMeasure,
     VerdictTag,
-    _momentum_factor,
+    _plane_wave_basis,
     measure_pair,
     momentum_projector,
     window_projector,
@@ -57,13 +58,15 @@ def _require_spin_half(space: SpaceSpec) -> None:
         raise ValueError("scenarios need a spin-1/2 factor (spin_dim >= 2)")
 
 
-def _reference_state(space: SpaceSpec, a: np.ndarray, b: np.ndarray) -> TwoParticleState:
+def _reference_state(space: SpaceSpec, m_a: int, m_b: int) -> TwoParticleState:
     """|m_a up> x |m_b down> = u [[1]] v^T from the plane-wave range bases a and b.
 
     u and v are read-only column slices (spin up of a, spin down of b) of
-    bases ``hilbert._orthonormal_basis`` checked. A column subset's Gram
-    matrix is a principal sub-block of the checked one, so no check is lost.
+    the bases of m_a and m_b that ``hilbert._shared_basis`` checked. A column
+    subset's Gram matrix is a principal sub-block of the checked one, so no
+    check is lost.
     """
+    a, b = (_shared_basis(_plane_wave_basis, space, mode)[0] for mode in (m_a, m_b))
     up, down = a[:, SPIN_UP : SPIN_UP + 1], b[:, SPIN_DOWN : SPIN_DOWN + 1]
     return TwoParticleState._fresh(space, _UNIT_CORE, up, down)
 
@@ -100,15 +103,14 @@ def scenario_momentum_projection(
     reference kets are columns of the projectors' range bases, so the
     relabeled spin state is the post-state's core (``_spin_state``).
     """
+    m_a, m_b = _label(m_a, "m_a"), _label(m_b, "m_b")
     if m_a == m_b:
         raise DegenerateInputError(
             "momentum projection needs distinct modes to label the particles"
         )
     _require_spin_half(space)
     measure = momentum_projector(m_a, m_b, space)
-    ref = _reference_state(
-        space, measure.factor_slot1.range_basis, measure.factor_slot2.range_basis
-    )
+    ref = _reference_state(space, m_a, m_b)
     result = measure_pair(measure, ref, stat, tol)
     return replace(result, relabeled=_spin_state(result))
 
@@ -134,14 +136,10 @@ def scenario_position_windows(
     has neither a phase check nor a relabeled state.
     """
     sites = space.extrinsic_dim
-    if m_b is None:
-        m_b = (sites - m_a) % sites
+    m_a = _label(m_a, "m_a")
+    m_b = (sites - m_a) % sites if m_b is None else _label(m_b, "m_b")
     _require_spin_half(space)
-    ref = _reference_state(
-        space,
-        _momentum_factor(m_a, space).range_basis,
-        _momentum_factor(m_b, space).range_basis,
-    )
+    ref = _reference_state(space, m_a, m_b)
     measure = SelectiveMeasure(
         window_projector(x_a, width, space), window_projector(x_b, width, space)
     )

@@ -1,6 +1,12 @@
 """Seeded random generators and oracles shared by the test modules."""
 
+import contextlib
+import dataclasses
+import enum
+
 import numpy as np
+
+from pairmeasure import hilbert
 
 from pairmeasure import (
     OneParticleOperator,
@@ -145,3 +151,43 @@ def deletion_oracle(matrix, labels, spins):
         np.linalg.norm(np.delete(matrix, rows, axis=0)),
     )
     return band[:, cols], remainder
+
+
+@contextlib.contextmanager
+def empty_basis_table():
+    """Run with hilbert's table of shared bases emptied; the old one comes back after."""
+    saved = hilbert._shared, hilbert._shared_bytes
+    hilbert._shared, hilbert._shared_bytes = {}, 0
+    try:
+        yield
+    finally:
+        hilbert._shared, hilbert._shared_bytes = saved
+
+
+def assert_table_holds_bases_only(budget):
+    """hilbert's table holds (U, U^H U) arrays only, r < n, and counts their bytes exactly."""
+    sizes = []
+    for basis, gram in hilbert._shared.values():
+        assert type(basis) is np.ndarray and type(gram) is np.ndarray
+        rank = basis.shape[1]
+        assert gram.shape == (rank, rank) and rank < basis.shape[0]
+        sizes.append(basis.nbytes + gram.nbytes)
+    assert hilbert._shared_bytes == sum(sizes) <= budget
+
+
+def result_bits(value) -> tuple:
+    """Every field of a result, down to array bytes and float bits, for ``==``."""
+    if isinstance(value, np.ndarray):
+        return (value.shape, value.dtype.str, value.tobytes())
+    if isinstance(value, (float, complex)):
+        return (type(value).__name__, complex(value).real.hex(), complex(value).imag.hex())
+    if isinstance(value, TwoParticleState):
+        fields = (value.left, value.core, value.right, value.norm)
+        return ("state",) + tuple(map(result_bits, fields))
+    if dataclasses.is_dataclass(value):
+        fields = (getattr(value, field.name) for field in dataclasses.fields(value))
+        return (type(value).__name__,) + tuple(map(result_bits, fields))
+    if isinstance(value, enum.Enum):
+        return (value.value,)
+    assert value is None or isinstance(value, (bool, int, str)), type(value)
+    return (value,)

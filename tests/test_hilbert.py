@@ -1,8 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pairmeasure import hilbert
 from pairmeasure import (
     DimensionMismatchError,
     InputTooLargeError,
@@ -14,13 +18,17 @@ from pairmeasure import (
     basis_vector,
     inner_product,
     mode_index,
+    momentum_projector,
     permute,
     plane_wave,
     tensor_state,
+    window_projector,
 )
 
 from helpers import (
     as_dense,
+    assert_table_holds_bases_only,
+    empty_basis_table,
     identity_operator,
     momentum_matrix,
     random_factored_state,
@@ -390,3 +398,83 @@ def test_factored_inner_products_match_dense(seed, sites, ranks):
         assert (half.left is None) is not (half.right is None)
         for a, b in ((half, state), (state, half), (half, as_dense(state))):
             assert abs(inner_product(a, b) - np.vdot(a.amplitudes, b.amplitudes)) < 1e-12
+
+
+def test_built_bases_are_checked_in_place_and_caller_bases_are_copied():
+    rng = np.random.default_rng(23)
+    basis = random_unitary(rng, 6)[:, :2]
+    fresh = basis.copy()
+    checked, gram = hilbert._orthonormal_basis(fresh, 6, "range_basis", copy=False)
+    assert checked is fresh and not fresh.flags.writeable
+    assert np.max(np.abs(gram - np.eye(2))) < 1e-15
+    for bad, error in ((2.0 * basis, "orthonormal"), (np.full((6, 2), np.nan + 0j), "non-finite")):
+        with pytest.raises(ValueError, match=error):
+            hilbert._orthonormal_basis(bad, 6, "range_basis", copy=False)
+    # the public constructor copies: a caller's later write changes nothing
+    mine = basis.copy()
+    op = OneParticleOperator(SpaceSpec(3, 2), None, range_basis=mine)
+    mine[0, 0] = 7.0
+    assert op.range_basis is not mine and np.array_equal(op.range_basis, basis)
+
+
+def test_projectors_on_equal_labels_share_one_read_only_basis():
+    space = SpaceSpec(6, 2)
+    builds = {
+        "window": lambda space: window_projector(2, 3, space),
+        "momentum": lambda space: momentum_projector(1, 4, space).factor_slot2,
+    }
+    with empty_basis_table():
+        for name, build in builds.items():
+            first, second = build(space), build(SpaceSpec(6, 2))
+            assert first is not second, name
+            assert first.range_basis is second.range_basis, name
+            assert first._gram is second._gram, name
+            assert build(SpaceSpec(7, 2)).range_basis is not first.range_basis, name
+            for part in (first.range_basis, first._gram, first.range_rows):
+                assert not part.flags.writeable
+                with pytest.raises(ValueError):
+                    part[0, 0] = 0.0
+
+
+def _table_labels():
+    return [labels for _, _, labels in hilbert._shared]
+
+
+def test_the_table_keeps_its_byte_budget_and_evicts_the_least_recent(monkeypatch):
+    space = SpaceSpec(8, 2)
+    with empty_basis_table():
+        window_projector(0, 1, space)
+        size = hilbert._shared_bytes
+        monkeypatch.setattr(hilbert, "MAX_SHARED_BYTES", 3 * size)
+        window_projector(1, 1, space)
+        window_projector(2, 1, space)
+        window_projector(0, 1, space)  # a hit: center 0 is now the most recent
+        window_projector(3, 1, space)  # evicts center 1
+        assert _table_labels() == [(2, 1), (0, 1), (3, 1)]
+        assert_table_holds_bases_only(3 * size)
+        # a basis above the budget is built, checked and returned, not kept
+        whole = window_projector(0, 8, space)
+        assert not whole.range_basis.flags.writeable
+        assert np.array_equal(whole.entries, np.eye(16))
+        assert window_projector(0, 8, space).range_basis is not whole.range_basis
+        assert _table_labels() == [(2, 1), (0, 1), (3, 1)]
+        # any traffic stays within the budget
+        for mode in range(8):
+            for width in (1, 2, 3):
+                momentum_projector(mode, (mode + width) % 8, space)
+                window_projector(mode, width, space)
+                assert_table_holds_bases_only(3 * size)
+
+
+def test_reading_entries_leaves_no_dense_array_for_the_next_call():
+    space = SpaceSpec(8, 2)
+    with empty_basis_table():
+        for build in (lambda: window_projector(2, 3, space),
+                      lambda: momentum_projector(1, 5, space).factor_slot1):
+            op = build()
+            entries = weakref.ref(op.entries)
+            del op
+            gc.collect()
+            assert entries() is None
+            assert build()._entries is None
+        assert_table_holds_bases_only(hilbert.MAX_SHARED_BYTES)

@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -30,12 +33,14 @@ from pairmeasure import (
     tensor_state,
     window_projector,
 )
+from pairmeasure.hilbert import ZERO_TOL
 from pairmeasure.measurement import window_sites
 
 from helpers import (
     as_dense,
     brute_force_verdict,
     decision_margins,
+    empty_basis_table,
     identity_measure,
     identity_operator,
     random_factored_state,
@@ -43,6 +48,7 @@ from helpers import (
     random_state,
     random_unitary,
     random_vector,
+    result_bits,
 )
 
 SPACE = SpaceSpec(8, 2)
@@ -743,3 +749,126 @@ def test_every_public_tol_must_be_finite_and_positive(name, tol):
     # a non-finite or non-positive tol would silently pass or fail every zero test
     with pytest.raises(ValueError, match="finite and positive"):
         TOL_TAKERS[name](tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sites=st.integers(2, 12),
+    labels=st.tuples(*(st.integers(0, 11) for _ in range(4))),
+    width=st.integers(1, 3),
+    stat=st.sampled_from(Statistics),
+)
+def test_scenarios_give_the_same_bits_from_an_empty_and_a_warm_table(
+    sites, labels, width, stat
+):
+    # bases are shared across calls, results never: a basis read from the
+    # table is the one an empty table would build, so nothing moves
+    space = SpaceSpec(sites, 2)
+    m_a, m_b, x_a, x_b = (label % sites for label in labels)
+    calls = [
+        lambda: scenario_position_windows(space, m_a, None, x_a, x_b, width, stat),
+        lambda: scenario_position_windows(space, m_a, m_b, x_a, x_b, width, stat),
+    ]
+    if m_a != m_b:
+        calls.append(lambda: scenario_momentum_projection(space, m_a, m_b, stat))
+    cold = []
+    for call in calls:
+        with empty_basis_table():
+            cold.append(result_bits(call()))
+    with empty_basis_table():
+        for call in calls:
+            call()
+        assert [result_bits(call()) for call in calls] == cold
+
+
+def _unshared(factor):
+    """The same projector on a private copy of its basis, as built before bases were shared."""
+    return OneParticleOperator(factor.space, None, range_basis=np.array(factor.range_basis))
+
+
+def test_equal_labels_share_one_basis_and_measure_as_two_copies_do():
+    # both slots hold the same basis object, so changes of basis between
+    # them take their identity shortcut; the numbers stay those of two
+    # separately built copies
+    space = SpaceSpec(8, 2)
+    for stat in Statistics:
+        for m_a, m_b in [(1, 1), (1, 7), (3, 5)]:
+            ref = momentum_pair(m_a, m_b, space)
+            measures = [momentum_projector(m, m, space) for m in (m_a, m_b, m_a + 1)]
+            measures += [
+                SelectiveMeasure(window_projector(x, width, space),
+                                 window_projector(x, width, space))
+                for x, width in [(2, 1), (7, 3)]
+            ]
+            for measure in measures:
+                slot1, slot2 = measure.factor_slot1, measure.factor_slot2
+                assert slot1.range_basis is slot2.range_basis
+                copies = SelectiveMeasure(_unshared(slot1), _unshared(slot2))
+                assert result_bits(measure_pair(measure, ref, stat)) == result_bits(
+                    measure_pair(copies, ref, stat)
+                )
+                assert classify(measure, ref).tag is brute_force_verdict(measure, ref, ZERO_TOL)
+        # --xa 2 --xb 2: the scenario's measure on its own reference state
+        up = plane_wave(1, UP, space).amplitudes[:, None]
+        down = plane_wave(7, DOWN, space).amplitudes[:, None]
+        ref = TwoParticleState.from_factors(space, up, np.ones((1, 1)), down)
+        window = window_projector(2, 1, space)
+        expected = measure_pair(SelectiveMeasure(_unshared(window), _unshared(window)), ref, stat)
+        result = scenario_position_windows(space, 1, None, 2, 2, 1, stat)
+        assert result.verdict.tag is VerdictTag.NON_ORTHOGONAL_EVENTS
+        assert result_bits(replace(result, phase_check=None, relabeled=None)) == result_bits(
+            expected
+        )
+
+
+def test_labels_must_be_integers_and_errors_do_not_depend_on_the_table():
+    space = SpaceSpec(5, 2)
+    fermion = Statistics.FERMION
+    cases = [
+        (lambda: window_projector(2.0, 1, space), TypeError,
+         "window center must be an integer, got 2.0"),
+        (lambda: window_projector(2, np.float64(1.0), space), TypeError,
+         f"window width must be an integer, got {np.float64(1.0)!r}"),
+        (lambda: momentum_projector(2.0, 3, space), TypeError,
+         "momentum mode must be an integer, got 2.0"),
+        (lambda: momentum_projector(2, "3", space), TypeError,
+         "momentum mode must be an integer, got '3'"),
+        (lambda: scenario_momentum_projection(space, 1.0, 2, fermion), TypeError,
+         "m_a must be an integer, got 1.0"),
+        (lambda: scenario_momentum_projection(space, 1, 2.5, fermion), TypeError,
+         "m_b must be an integer, got 2.5"),
+        (lambda: scenario_position_windows(space, 1, 2.0, 0, 1, 1, fermion), TypeError,
+         "m_b must be an integer, got 2.0"),
+        (lambda: scenario_position_windows(space, 1, None, 0, 1.0, 1, fermion), TypeError,
+         "window center must be an integer, got 1.0"),
+        (lambda: scenario_position_windows(space, 1, None, 0, 1, 1.0, fermion), TypeError,
+         "window width must be an integer, got 1.0"),
+        (lambda: momentum_projector(5, 1, space), IndexError,
+         "momentum mode 5 out of range [0, 5)"),
+        (lambda: momentum_projector(1, -1, space), IndexError,
+         "momentum mode -1 out of range [0, 5)"),
+        (lambda: scenario_position_windows(space, 5, None, 0, 1, 1, fermion), IndexError,
+         "momentum mode 5 out of range [0, 5)"),
+        (lambda: window_projector(5, 1, space), IndexError,
+         "window center 5 out of range [0, 5)"),
+        (lambda: scenario_position_windows(space, 1, None, 0, -1, 1, fermion), IndexError,
+         "window center -1 out of range [0, 5)"),
+        (lambda: window_projector(0, 0, space), ValueError,
+         "window width must be >= 1, got 0"),
+        (lambda: scenario_position_windows(space, 1, None, 0, 1, -2, fermion), ValueError,
+         "window width must be >= 1, got -2"),
+    ]
+    for warm in (False, True):
+        with empty_basis_table():
+            if warm:
+                for label in range(5):
+                    momentum_projector(label, label, space)
+                    for width in (1, 2, 3):
+                        window_projector(label, width, space)
+            for call, error, message in cases:
+                with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                    call()
+    # integers of any integer type name the same labels
+    assert momentum_projector(np.int64(2), 3, space).factor_slot1.range_basis is (
+        momentum_projector(2, 3, space).factor_slot1.range_basis
+    )

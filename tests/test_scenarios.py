@@ -2,7 +2,9 @@ import cmath
 import contextlib
 import io
 import json
+import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
 
@@ -12,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pairmeasure.measurement
+from pairmeasure import hilbert
 from pairmeasure import (
     DegenerateInputError,
     EbmEvidence,
@@ -43,7 +46,14 @@ from pairmeasure.cli import main
 from pairmeasure.measurement import window_sites
 from pairmeasure.scenarios import _spin_state
 
-from helpers import deletion_oracle, identity_operator, momentum_matrix
+from helpers import (
+    assert_table_holds_bases_only,
+    deletion_oracle,
+    empty_basis_table,
+    identity_operator,
+    momentum_matrix,
+    result_bits,
+)
 
 SPACE = SpaceSpec(8, 2)
 UP, DOWN = 0, 1
@@ -537,6 +547,63 @@ def test_scenarios_apply_the_measure_twice_and_decompose_twice():
         assert (apply.call_count, svd.call_count) == (2, 2), name
         assert report.call_count == 1, name
         assert qr.call_count == qr_calls[name], name
+
+
+def test_scenarios_build_and_check_each_basis_once_per_process():
+    # two plane-wave bases, plus two window bases for the position scenario;
+    # the same call again finds all of them in the table
+    calls = {
+        "momentum": (lambda: scenario_momentum_projection(SPACE, 1, 5, Statistics.FERMION), 2),
+        "windows": (lambda: scenario_position_windows(
+            SPACE, 1, None, 2, 5, 1, Statistics.FERMION
+        ), 4),
+    }
+    for name, (call, cold) in calls.items():
+        with empty_basis_table(), mock.patch(
+            "pairmeasure.hilbert._orthonormal_basis", wraps=hilbert._orthonormal_basis
+        ) as check:
+            call()
+            assert check.call_count == cold, name
+            check.reset_mock()
+            call()
+            assert check.call_count == 0, name
+
+
+def test_threads_sharing_the_table_get_the_serial_results(monkeypatch):
+    space = SpaceSpec(16, 2)
+    rng = np.random.default_rng(17)
+    cases = []
+    for index in range(64):
+        stat = Statistics.FERMION if index % 2 == 0 else Statistics.BOSON
+        m_a, m_b = (int(mode) for mode in rng.choice(16, 2, replace=False))
+        x_a, x_b = (int(site) for site in rng.choice(16, 2, replace=False))
+        window_mode = int(rng.integers(16))
+        cases.append((space, m_a, m_b, window_mode, x_a, x_b, stat))
+
+    def run(space, m_a, m_b, window_mode, x_a, x_b, stat):
+        return result_bits(scenario_momentum_projection(space, m_a, m_b, stat)), result_bits(
+            scenario_position_windows(space, window_mode, None, x_a, x_b, 1, stat)
+        )
+
+    serial = [run(*case) for case in cases]
+    # room for 8 of the 16 x 2 bases: the threads evict each other's entries
+    budget = 8 * (32 * 2 + 2 * 2) * 16
+    monkeypatch.setattr(hilbert, "MAX_SHARED_BYTES", budget)
+    orders = [rng.permutation(64) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the table's updates too
+    try:
+        with empty_basis_table(), ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [
+                pool.submit(lambda order: {i: run(*cases[i]) for i in order}, order)
+                for order in orders
+            ]
+            runs = [future.result(timeout=120) for future in futures]
+            assert_table_holds_bases_only(budget)
+    finally:
+        sys.setswitchinterval(interval)
+    for results in runs:
+        assert [results[i] for i in range(64)] == serial
 
 
 def test_measure_pair_sizes_and_normalizes_once():
