@@ -143,7 +143,8 @@ def _run_classify(args: argparse.Namespace, stat: Statistics) -> ScenarioResult:
     result = measure_pair(measure, state, stat, args.tol)
     # Warnings go with a report only, so that a failure stays one stderr line.
     for tag, factor in (("A", measure.factor_slot1), ("B", measure.factor_slot2)):
-        if not np.any(factor.entries):
+        # A = U W with U isometric is zero exactly when its range rows W are.
+        if not np.any(factor.range_rows):
             print(f"warning: factor {tag} has no entries; the measure annihilates "
                   "every state", file=sys.stderr)
     return result
@@ -156,11 +157,8 @@ def run(args: argparse.Namespace) -> int:
         if args.command == "classify":
             result = _run_classify(args, stat)
         elif args.command == "momentum-scenario":
-            mode_b = args.mode_b
-            if mode_b is None:
-                mode_b = (args.lattice - args.mode_a) % args.lattice
             result = scenario_momentum_projection(
-                SpaceSpec(args.lattice, 2), args.mode_a, mode_b, stat, args.tol
+                SpaceSpec(args.lattice, 2), args.mode_a, args.mode_b, stat, args.tol
             )
         else:
             result = scenario_position_windows(

@@ -9,6 +9,12 @@ either a small orthonormal one or absent, meaning the identity on that side
 this level; the exchange structure is layered on top by
 :mod:`pairmeasure.symmetry`.
 
+Every basis, a pair-state side or an operator's range basis, is one
+``_Basis``: read-only columns that passed the orthonormality check, with
+the Gram matrix U^H U that check formed. ``_IDENTITY`` stands for a side
+without a basis. Changes of basis, U^H and U^H V, are formed on demand by
+that type alone.
+
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads. Dense arrays
 a factored value builds on first read, and a pair state's norm, are kept
@@ -79,6 +85,7 @@ class SpaceSpec:
 
 def mode_index(extrinsic: int, spin: int, space: SpaceSpec) -> int:
     """Flat single-particle mode index for (extrinsic, spin)."""
+    extrinsic, spin = _label(extrinsic, "extrinsic index"), _label(spin, "spin index")
     if not 0 <= extrinsic < space.extrinsic_dim:
         raise IndexError(f"extrinsic index {extrinsic} out of range [0, {space.extrinsic_dim})")
     if not 0 <= spin < space.spin_dim:
@@ -121,23 +128,59 @@ def _frozen_complex(values, shape: tuple[int, ...], what: str) -> np.ndarray:
     return _freeze(arr, what)
 
 
-def _orthonormal_basis(values, dim: int, what: str, copy=True) -> tuple[np.ndarray, np.ndarray]:
-    """A checked, read-only copy U of an n x r matrix with orthonormal columns.
+@dataclass(frozen=True, eq=False, slots=True)
+class _Basis:
+    """A read-only n x r matrix U with orthonormal columns, and U^H U.
 
-    Returns U and its r x r Gram matrix U^H U, which the check forms. With
-    ``copy=False``, ``values`` is a complex array just built here, frozen in place.
+    :meth:`checked` is the constructor that checks: shape, finiteness and
+    U^H U = I entrywise to ``ZERO_TOL``, at O(n r^2); it keeps the Gram
+    matrix U^H U it forms. The plain constructor takes parts of a basis
+    already checked. ``_IDENTITY`` is the side with no basis (U = I,
+    ``matrix`` None). This type alone forms U^H and U^H V.
     """
-    shape = np.shape(values)
-    if len(shape) != 2 or shape[0] != dim or shape[1] > dim:
-        raise DimensionMismatchError(
-            f"{what} has shape {shape}, expected ({dim}, r) with r <= {dim}"
-        )
-    basis = _frozen_complex(values, shape, what) if copy else _freeze(values, what)
-    gram = basis.conj().T @ basis
-    error = np.max(np.abs(gram - np.eye(shape[1])), initial=0.0)
-    if not _negligible(error, 1.0, ZERO_TOL):
-        raise ValueError(f"{what} columns are not orthonormal")
-    return basis, gram
+
+    matrix: np.ndarray | None
+    gram: np.ndarray | None
+
+    @classmethod
+    def checked(cls, values, dim: int, what: str, copy: bool = True) -> _Basis:
+        """The basis on a checked copy of ``values``.
+
+        With ``copy=False``, ``values`` is a complex array just built here,
+        checked and frozen in place.
+        """
+        shape = np.shape(values)
+        if len(shape) != 2 or shape[0] != dim or shape[1] > dim:
+            raise DimensionMismatchError(
+                f"{what} has shape {shape}, expected ({dim}, r) with r <= {dim}"
+            )
+        matrix = _frozen_complex(values, shape, what) if copy else _freeze(values, what)
+        gram = matrix.conj().T @ matrix
+        error = np.max(np.abs(gram - np.eye(shape[1])), initial=0.0)
+        if not _negligible(error, 1.0, ZERO_TOL):
+            raise ValueError(f"{what} columns are not orthonormal")
+        gram.flags.writeable = False
+        return cls(matrix, gram)
+
+    def columns(self, index: slice) -> _Basis:
+        """The columns ``index`` of U, with the principal block of the checked U^H U."""
+        return _Basis(self.matrix[:, index], self.gram[index, index])
+
+    def to(self, other: _Basis) -> np.ndarray | None:
+        """U^H V for ``other`` = V, mapping coefficients in V to U; None for one object."""
+        if self is other:
+            return None
+        if self.matrix is None:
+            return other.matrix
+        adjoint = self.matrix.conj().T
+        return adjoint if other.matrix is None else adjoint @ other.matrix
+
+    def restrict(self, rows: np.ndarray) -> np.ndarray:
+        """rows U: an operator's rows on this basis's coordinates."""
+        return rows if self.matrix is None else rows @ self.matrix
+
+
+_IDENTITY = _Basis(None, None)
 
 
 def _label(value, what: str) -> int:
@@ -148,13 +191,13 @@ def _label(value, what: str) -> int:
         raise TypeError(f"{what} must be an integer, got {value!r}") from None
 
 
-_shared: dict = {}  # (build, space, labels) -> (U, U^H U), least recently used first
+_shared: dict = {}  # (build, space, labels) -> _Basis, least recently used first
 _shared_bytes = 0
 _shared_lock = threading.Lock()
 
 
-def _shared_basis(build, space: SpaceSpec, *labels: int) -> tuple[np.ndarray, np.ndarray]:
-    """U = build(space, *labels) and U^H U, checked once and shared read-only.
+def _shared_basis(build, space: SpaceSpec, *labels: int) -> _Basis:
+    """The basis build(space, *labels), checked once and shared read-only.
 
     ``build`` makes a new complex n x r array from its arguments alone. The least
     recently used entries are evicted to keep ``MAX_SHARED_BYTES``; a larger U is not kept.
@@ -162,19 +205,18 @@ def _shared_basis(build, space: SpaceSpec, *labels: int) -> tuple[np.ndarray, np
     global _shared_bytes
     key = (build, space, labels)
     with _shared_lock:
-        entry = _shared.pop(key, None)
-        if entry is None:
-            entry = _orthonormal_basis(build(space, *labels), space.total_dim, "basis", False)
-            entry[1].flags.writeable = False
-            size = entry[0].nbytes + entry[1].nbytes
+        basis = _shared.pop(key, None)
+        if basis is None:
+            basis = _Basis.checked(build(space, *labels), space.total_dim, "basis", copy=False)
+            size = basis.matrix.nbytes + basis.gram.nbytes
             if size > MAX_SHARED_BYTES:
-                return entry
+                return basis
             _shared_bytes += size
-        _shared[key] = entry
+        _shared[key] = basis
         while _shared_bytes > MAX_SHARED_BYTES:
-            basis, gram = _shared.pop(next(iter(_shared)))
-            _shared_bytes -= basis.nbytes + gram.nbytes
-    return entry
+            evicted = _shared.pop(next(iter(_shared)))
+            _shared_bytes -= evicted.matrix.nbytes + evicted.gram.nbytes
+    return basis
 
 
 @dataclass(frozen=True)
@@ -216,36 +258,34 @@ class OneParticleOperator:
     range_basis: np.ndarray | None = field(repr=False)
     range_rows: np.ndarray = field(repr=False)
 
-    def __init__(
-        self, space: SpaceSpec, entries, range_basis: np.ndarray | None = None
-    ):
+    def __init__(self, space: SpaceSpec, entries, range_basis: np.ndarray | None = None):
         dim = space.total_dim
         if entries is not None:
             entries = _frozen_complex(entries, (dim, dim), "entries")
-        self._setup(space, entries, range_basis)
+        basis = _IDENTITY
+        if range_basis is not None:
+            basis = _Basis.checked(range_basis, dim, "range_basis")
+        self._setup(space, entries, basis)
 
     @classmethod
-    def _fresh(cls, space: SpaceSpec, entries, basis=None, gram=None) -> OneParticleOperator:
+    def _fresh(cls, space: SpaceSpec, entries, basis: _Basis = _IDENTITY) -> OneParticleOperator:
         """Dense ``entries`` frozen in place, or a projector on a ``_shared_basis`` entry."""
         op = cls.__new__(cls)
-        op._setup(space, None if entries is None else _freeze(entries, "entries"), basis, gram)
+        op._setup(space, None if entries is None else _freeze(entries, "entries"), basis)
         return op
 
-    def _setup(self, space, entries, basis, gram=None) -> None:
+    def _setup(self, space, entries, basis: _Basis) -> None:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "_entries", entries)
-        if basis is None:
+        if basis is _IDENTITY:
             if entries is None:
                 raise ValueError("an operator needs entries or a range_basis")
             rows = entries
         else:
-            if gram is None:  # a caller's basis, copied and checked
-                basis, gram = _orthonormal_basis(basis, space.total_dim, "range_basis")
-            if entries is None:
-                rows = basis.conj().T
-            else:
-                rows = basis.conj().T @ entries
-                residual = basis @ rows
+            rows = basis.to(_IDENTITY)
+            if entries is not None:
+                rows = rows @ entries
+                residual = basis.matrix @ rows
                 residual -= entries
                 if not _negligible(
                     np.linalg.norm(residual), np.linalg.norm(entries), ZERO_TOL
@@ -253,15 +293,17 @@ class OneParticleOperator:
                     raise ValueError("range_basis does not span the range of entries")
             rows.flags.writeable = False
         # U^H U of a projector built from its basis alone, else None.
-        object.__setattr__(self, "_gram", None if entries is not None else gram)
-        object.__setattr__(self, "range_basis", basis)
+        object.__setattr__(self, "_gram", None if entries is not None else basis.gram)
+        object.__setattr__(self, "_basis", basis)
+        object.__setattr__(self, "range_basis", basis.matrix)
         object.__setattr__(self, "range_rows", rows)
 
     @property
     def entries(self) -> np.ndarray:
         """The dense n x n matrix, read-only; a projector builds it on first read."""
         if self._entries is None:
-            entries = self.range_basis @ self.range_basis.conj().T
+            # A projector's range rows are U^H.
+            entries = self.range_basis @ self.range_rows
             entries.flags.writeable = False
             object.__setattr__(self, "_entries", entries)
         return self._entries
@@ -278,11 +320,12 @@ class TwoParticleState:
 
     The coefficient matrix is C = L K R^T. ``left`` is an n x a and
     ``right`` an n x b matrix with orthonormal columns, or None for the
-    identity on that side alone (a = n or b = n); ``core`` is a x b. The
-    constructor builds a dense state, with no basis on either side and the
-    n x n ``core`` C; :meth:`from_factors` builds one with both. A measure
-    gives each side of its result the range basis of that side's factor,
-    if it has one. The package's algebra works on the factors.
+    identity on that side alone (a = n or b = n): the columns of the
+    ``_Basis`` that side holds. ``core`` is a x b. The constructor builds a
+    dense state, with no basis on either side and the n x n ``core`` C;
+    :meth:`from_factors` builds one with both. A measure gives each side of
+    its result the range basis of that side's factor, if it has one. The
+    package's algebra works on the factors.
     ``amplitudes`` and ``matrix()`` read the same values in every case: a
     state with a basis builds them on first read, at most at O(n^2 (a + b)),
     and keeps them. ``norm`` is likewise computed on first read and kept.
@@ -296,7 +339,7 @@ class TwoParticleState:
     def __init__(self, space: SpaceSpec, amplitudes):
         amps = _frozen_complex(amplitudes, (space.pair_dim,), "amplitudes")
         dim = space.total_dim
-        self._setup(space, None, amps.reshape(dim, dim), None)
+        self._setup(space, _IDENTITY, amps.reshape(dim, dim), _IDENTITY)
         object.__setattr__(self, "_amplitudes", amps)
 
     @classmethod
@@ -307,9 +350,8 @@ class TwoParticleState:
         orthonormality to ``ZERO_TOL``, at O(n (a^2 + b^2)).
         """
         dim = space.total_dim
-        left, _ = _orthonormal_basis(left, dim, "left")
-        right, _ = _orthonormal_basis(right, dim, "right")
-        core = _frozen_complex(core, (left.shape[1], right.shape[1]), "core")
+        left, right = _Basis.checked(left, dim, "left"), _Basis.checked(right, dim, "right")
+        core = _frozen_complex(core, (left.matrix.shape[1], right.matrix.shape[1]), "core")
         return cls._fresh(space, core, left, right)
 
     @classmethod
@@ -317,28 +359,27 @@ class TwoParticleState:
         cls,
         space: SpaceSpec,
         core: np.ndarray,
-        left: np.ndarray | None = None,
-        right: np.ndarray | None = None,
+        left: _Basis = _IDENTITY,
+        right: _Basis = _IDENTITY,
     ) -> TwoParticleState:
-        """A state on arrays computed here, checked and frozen in place, not copied.
+        """A state on a core computed here, checked and frozen in place, not copied.
 
-        ``left`` and ``right`` are each None (the identity on that side) or an
-        orthonormal basis. A part that is already read-only belongs to an
-        existing state or operator, so it has been checked and is taken as it
-        is.
+        A core that is already read-only belongs to an existing state, so it
+        has been checked and is taken as it is.
         """
-        for part in (left, core, right):
-            if part is not None and part.flags.writeable:
-                _freeze(part, "state")
+        if core.flags.writeable:
+            _freeze(core, "state")
         state = cls.__new__(cls)
         state._setup(space, left, core, right)
         return state
 
-    def _setup(self, space, left, core, right) -> None:
+    def _setup(self, space, left: _Basis, core, right: _Basis) -> None:
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "_left", left)
+        object.__setattr__(self, "_right", right)
+        object.__setattr__(self, "left", left.matrix)
         object.__setattr__(self, "core", core)
-        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "right", right.matrix)
         object.__setattr__(self, "_amplitudes", None)
         object.__setattr__(self, "_norm", None)
 
@@ -346,7 +387,7 @@ class TwoParticleState:
     def amplitudes(self) -> np.ndarray:
         """Flat slot-1-major amplitudes, read-only; built on first read if factored."""
         if self._amplitudes is None:
-            amps = _in_bases(self, None, None).reshape(-1)
+            amps = _in_bases(self, _IDENTITY, _IDENTITY).reshape(-1)
             amps.flags.writeable = False
             object.__setattr__(self, "_amplitudes", amps)
         return self._amplitudes
@@ -373,31 +414,18 @@ class TwoParticleState:
         nrm = self.norm
         if nrm == 0.0:
             raise DegenerateInputError("cannot normalize a zero state")
-        return TwoParticleState._fresh(self.space, self.core / nrm, self.left, self.right)
+        return TwoParticleState._fresh(self.space, self.core / nrm, self._left, self._right)
 
 
-def _change_of_basis(to: np.ndarray | None, frm: np.ndarray | None) -> np.ndarray | None:
-    """to^H frm, which maps coefficients in ``frm`` to ``to``; None is the identity."""
-    if to is frm:
-        return None
-    if to is None:
-        return frm
-    if frm is None:
-        return to.conj().T
-    return to.conj().T @ frm
-
-
-def _in_bases(
-    state: TwoParticleState, left: np.ndarray | None, right: np.ndarray | None
-) -> np.ndarray:
+def _in_bases(state: TwoParticleState, left: _Basis, right: _Basis) -> np.ndarray:
     """left^H C conj(right): the state's coefficients in the product basis (left, right).
 
-    None is the identity basis, so ``_in_bases(state, None, None)`` is the
-    dense coefficient matrix. Bases the state already uses cost nothing.
+    ``_in_bases(state, _IDENTITY, _IDENTITY)`` is the dense coefficient
+    matrix. Bases the state already uses cost nothing.
     """
     core = state.core
-    rows = _change_of_basis(left, state.left)
-    cols = _change_of_basis(right, state.right)
+    rows = left.to(state._left)
+    cols = right.to(state._right)
     if rows is not None:
         core = rows @ core
     if cols is not None:
@@ -418,14 +446,28 @@ def plane_wave(mode: int, spin: int, space: SpaceSpec) -> SingleParticleVector:
     Mode ``m`` carries wavenumber 2*pi*m/L over the L = extrinsic_dim sites:
     amplitude exp(2i*pi*m*x/L)/sqrt(L) at site x, zero at the other spins.
     The family over m = 0..L-1 is an orthonormal basis of the extrinsic
-    factor, and mode L-m realizes "-k" for mode m.
+    factor, and mode L-m realizes "-k" for mode m. The ket is column ``spin``
+    of the mode's plane-wave basis, shared read-only per integer mode.
     """
-    phases = _plane_wave_phases(mode, space.extrinsic_dim)
+    basis = _plane_waves(space, mode)
+    spin = _label(spin, "spin index")
     if not 0 <= spin < space.spin_dim:
         raise IndexError(f"spin index {spin} out of range [0, {space.spin_dim})")
-    amps = np.zeros(space.total_dim, dtype=complex)
-    amps[spin:: space.spin_dim] = phases
-    return SingleParticleVector(space, amps)
+    return SingleParticleVector(space, basis.matrix[:, spin])
+
+
+def _plane_waves(space: SpaceSpec, mode: int) -> _Basis:
+    """The basis whose column s is the plane wave of integer ``mode`` at spin s, shared."""
+    return _shared_basis(_plane_wave_basis, space, _label(mode, "momentum mode"))
+
+
+def _plane_wave_basis(space: SpaceSpec, mode: int) -> np.ndarray:
+    spins = space.spin_dim
+    phases = _plane_wave_phases(mode, space.extrinsic_dim)
+    basis = np.zeros((space.total_dim, spins), dtype=complex)
+    for spin in range(spins):
+        basis[spin::spins, spin] = phases
+    return basis
 
 
 def _plane_wave_phases(mode: int, sites: int) -> np.ndarray:
@@ -455,5 +497,5 @@ def inner_product(a: TwoParticleState, b: TwoParticleState) -> complex:
     """
     if a.space != b.space:
         raise DimensionMismatchError("inner_product operands live in different spaces")
-    return complex(np.vdot(a.core, _in_bases(b, a.left, a.right)))
+    return complex(np.vdot(a.core, _in_bases(b, a._left, a._right)))
 

@@ -17,6 +17,15 @@ Classification rule, with A and B the factors of slots 1 and 2:
   both as a coherent superposition
 * both nonzero, A^H B nonzero    -> NonOrthogonalEvents
 
+The paper's abstract places entanglement by measurement "when the operator
+M_m has two-particle events that are not mutually exclusive". Here
+"exclusive" is a property of the measure, A^H B = 0; "both nonzero" is the
+other sense, both slot assignments occurring on the state. The
+``entangled_by_measure`` field of ``EbmEvidence`` compares slot Schmidt
+ranks, not Slater ranks: on ``position-scenario --xa 2 --xb 2 --width 1``
+the verdict is NonOrthogonalEvents, the post-state has Schmidt rank 2 and
+Slater rank 1 (one determinant), and the flag is True (rank 1 -> 2).
+
 Every zero test is ``hilbert._negligible`` against a scale: an event norm
 against scale = the product of the factors' max column norms times the
 reference-state norm, ||A^H B||_F against that product alone. Verdicts
@@ -59,11 +68,11 @@ from .hilbert import (
     OneParticleOperator,
     SpaceSpec,
     TwoParticleState,
-    _change_of_basis,
+    _IDENTITY,
     _frobenius,
     _label,
     _negligible,
-    _plane_wave_phases,
+    _plane_waves,
     _shared_basis,
     inner_product,
 )
@@ -194,17 +203,11 @@ def apply_measure(measure: SelectiveMeasure, state: TwoParticleState) -> TwoPart
     """
     if measure.space != state.space:
         raise DimensionMismatchError("measure and state live in different spaces")
-    left = measure.factor_slot1.range_rows
-    right = measure.factor_slot2.range_rows
-    if state.left is not None:
-        left = left @ state.left
-    if state.right is not None:
-        right = right @ state.right
+    slot1, slot2 = measure.factor_slot1, measure.factor_slot2
+    left = state._left.restrict(slot1.range_rows)
+    right = state._right.restrict(slot2.range_rows)
     return TwoParticleState._fresh(
-        measure.space,
-        left @ state.core @ right.T,
-        measure.factor_slot1.range_basis,
-        measure.factor_slot2.range_basis,
+        measure.space, left @ state.core @ right.T, slot1._basis, slot2._basis
     )
 
 
@@ -255,7 +258,7 @@ def _verdict(
         slot1, slot2 = measure.factor_slot1, measure.factor_slot2
         parts = [
             None if slot1._gram is not None else slot1.range_rows.conj().T,
-            _change_of_basis(slot1.range_basis, slot2.range_basis),
+            slot1._basis.to(slot2._basis),
             None if slot2._gram is not None else slot2.range_rows,
         ]
         parts = [part for part in parts if part is not None]
@@ -305,7 +308,7 @@ def _projector_bound(factor: OneParticleOperator) -> float:
         return skew + 2.0 * error * (1.0 + error) ** 0.5
     basis, rows = factor.range_basis, factor.range_rows
     gram = rows @ basis
-    residual = rows - gram @ basis.conj().T
+    residual = rows - gram @ factor._basis.to(_IDENTITY)
     excess = gram @ rows - rows
     hermitian = _frobenius(gram - gram.conj().T) + 2.0 * np.max(
         np.linalg.norm(residual, axis=0)
@@ -364,7 +367,7 @@ def measure_pair(
             f"reference state has no {stat.value} sector to measure"
         )
     core = _INV_SQRT2 * (direct.core + stat.sign * permuted.core)
-    raw = TwoParticleState._fresh(measure.space, core, direct.left, direct.right)
+    raw = TwoParticleState._fresh(measure.space, core, direct._left, direct._right)
     norm = raw.norm
     normalized = report = evidence = None
     if not _negligible(norm, factor_scale * sym_norm, tol):
@@ -414,6 +417,7 @@ def window_sites(center: int, width: int, sites: int) -> list[int]:
     For even widths the extra site falls on the right; widths of at least
     the lattice size cap to the full lattice.
     """
+    center, width = _label(center, "window center"), _label(width, "window width")
     if width < 1:
         raise ValueError(f"window width must be >= 1, got {width}")
     if not 0 <= center < sites:
@@ -431,8 +435,7 @@ def window_projector(center: int, width: int, space: SpaceSpec) -> OneParticleOp
     integer label (``hilbert._shared_basis``); the dense entries are built only when read.
     """
     labels = _label(center, "window center"), _label(width, "window width")
-    basis = _shared_basis(_window_basis, space, *labels)
-    return OneParticleOperator._fresh(space, None, *basis)
+    return OneParticleOperator._fresh(space, None, _shared_basis(_window_basis, space, *labels))
 
 
 def _window_basis(space: SpaceSpec, center: int, width: int) -> np.ndarray:
@@ -456,15 +459,5 @@ def momentum_projector(mode1: int, mode2: int, space: SpaceSpec) -> SelectiveMea
     ``plane_wave(mode, s, space)``, shared read-only per integer mode, and
     the dense entries are built only when read.
     """
-    modes = _label(mode1, "momentum mode"), _label(mode2, "momentum mode")
-    bases = [_shared_basis(_plane_wave_basis, space, mode) for mode in modes]
-    return SelectiveMeasure(*(OneParticleOperator._fresh(space, None, *pair) for pair in bases))
-
-
-def _plane_wave_basis(space: SpaceSpec, mode: int) -> np.ndarray:
-    spins = space.spin_dim
-    phases = _plane_wave_phases(mode, space.extrinsic_dim)
-    basis = np.zeros((space.total_dim, spins), dtype=complex)
-    for spin in range(spins):
-        basis[spin::spins, spin] = phases
-    return basis
+    bases = [_plane_waves(space, mode) for mode in (mode1, mode2)]
+    return SelectiveMeasure(*(OneParticleOperator._fresh(space, None, basis) for basis in bases))

@@ -33,13 +33,12 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import DegenerateInputError
-from .hilbert import ZERO_TOL, SpaceSpec, TwoParticleState, _label, _shared_basis
+from .hilbert import ZERO_TOL, SpaceSpec, TwoParticleState, _label, _plane_waves
 from .measurement import (
     PhaseCheck,
     ScenarioResult,
     SelectiveMeasure,
     VerdictTag,
-    _plane_wave_basis,
     measure_pair,
     momentum_projector,
     window_projector,
@@ -58,16 +57,22 @@ def _require_spin_half(space: SpaceSpec) -> None:
         raise ValueError("scenarios need a spin-1/2 factor (spin_dim >= 2)")
 
 
+def _modes(space: SpaceSpec, m_a: int, m_b: int | None) -> tuple[int, int]:
+    """The two integer modes; ``m_b`` None is the opposite momentum, mode L - m_a."""
+    m_a = _label(m_a, "m_a")
+    sites = space.extrinsic_dim
+    return m_a, (sites - m_a) % sites if m_b is None else _label(m_b, "m_b")
+
+
 def _reference_state(space: SpaceSpec, m_a: int, m_b: int) -> TwoParticleState:
     """|m_a up> x |m_b down> = u [[1]] v^T from the plane-wave range bases a and b.
 
-    u and v are read-only column slices (spin up of a, spin down of b) of
-    the bases of m_a and m_b that ``hilbert._shared_basis`` checked. A column
-    subset's Gram matrix is a principal sub-block of the checked one, so no
-    check is lost.
+    u and v are columns (spin up of a, spin down of b) of the bases of m_a
+    and m_b that ``hilbert._shared_basis`` checked, read-only views with the
+    principal blocks of the checked Gram matrices, so no check is lost.
     """
-    a, b = (_shared_basis(_plane_wave_basis, space, mode)[0] for mode in (m_a, m_b))
-    up, down = a[:, SPIN_UP : SPIN_UP + 1], b[:, SPIN_DOWN : SPIN_DOWN + 1]
+    a, b = (_plane_waves(space, mode) for mode in (m_a, m_b))
+    up, down = a.columns(slice(SPIN_UP, SPIN_UP + 1)), b.columns(slice(SPIN_DOWN, SPIN_DOWN + 1))
     return TwoParticleState._fresh(space, _UNIT_CORE, up, down)
 
 
@@ -91,19 +96,21 @@ def _spin_state(result: ScenarioResult) -> TwoParticleState | None:
 def scenario_momentum_projection(
     space: SpaceSpec,
     m_a: int,
-    m_b: int,
+    m_b: int | None,
     stat: Statistics,
     tol: float = ZERO_TOL,
 ) -> ScenarioResult:
     """Project both slots onto their own momentum modes.
 
-    With distinct modes the permuted event vanishes and the verdict is
-    LocalOperation: the collapsed pair is the direct event alone, at
-    probability 1/2, and the momenta now serve as particle labels. The
-    reference kets are columns of the projectors' range bases, so the
-    relabeled spin state is the post-state's core (``_spin_state``).
+    ``m_b`` defaults to the opposite momentum of ``m_a`` (lattice mode
+    L - m_a), as in :func:`scenario_position_windows`. With distinct modes
+    the permuted event vanishes and the verdict is LocalOperation: the
+    collapsed pair is the direct event alone, at probability 1/2, and the
+    momenta now serve as particle labels. The reference kets are columns of
+    the projectors' range bases, so the relabeled spin state is the
+    post-state's core (``_spin_state``).
     """
-    m_a, m_b = _label(m_a, "m_a"), _label(m_b, "m_b")
+    m_a, m_b = _modes(space, m_a, m_b)
     if m_a == m_b:
         raise DegenerateInputError(
             "momentum projection needs distinct modes to label the particles"
@@ -136,8 +143,7 @@ def scenario_position_windows(
     has neither a phase check nor a relabeled state.
     """
     sites = space.extrinsic_dim
-    m_a = _label(m_a, "m_a")
-    m_b = (sites - m_a) % sites if m_b is None else _label(m_b, "m_b")
+    m_a, m_b = _modes(space, m_a, m_b)
     _require_spin_half(space)
     ref = _reference_state(space, m_a, m_b)
     measure = SelectiveMeasure(

@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .hilbert import TwoParticleState, _frobenius, _in_bases
+from .hilbert import _IDENTITY, TwoParticleState, _frobenius, _in_bases
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -42,7 +42,7 @@ def permute(state: TwoParticleState) -> TwoParticleState:
     L K R^T becomes R K^T L^T: the factors swap and the core is transposed,
     as a view, so nothing is copied.
     """
-    return TwoParticleState._fresh(state.space, state.core.T, state.right, state.left)
+    return TwoParticleState._fresh(state.space, state.core.T, state._right, state._left)
 
 
 def _exchange_norm(state: TwoParticleState, sign: float) -> float:
@@ -56,13 +56,14 @@ def _exchange_norm(state: TwoParticleState, sign: float) -> float:
     where a difference of squares resolves only about 1e-8; then one QR
     [L R] = Q [T_L T_R] gives C = Q M Q^T with M = T_L K T_R^T, and the norm
     is that of the (a + b)-square M + sign M^T. Without both bases, M = C.
+    One basis object on both sides has X = I, so it takes the QR.
     """
     left, core, right = state.left, state.core, state.right
-    if left is None or right is None:
-        coeff = _in_bases(state, None, None)
+    if _IDENTITY in (state._left, state._right):
+        coeff = _in_bases(state, _IDENTITY, _IDENTITY)
     else:
-        cross = left.conj().T @ right
-        if _frobenius(cross) <= 0.5:
+        cross = state._left.to(state._right)
+        if cross is not None and _frobenius(cross) <= 0.5:
             twisted = np.vdot(core, cross @ core.T @ cross.conj()).real
             return (2.0 * (state.norm**2 + sign * twisted)) ** 0.5
         width = left.shape[1]

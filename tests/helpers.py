@@ -165,9 +165,11 @@ def empty_basis_table():
 
 
 def assert_table_holds_bases_only(budget):
-    """hilbert's table holds (U, U^H U) arrays only, r < n, and counts their bytes exactly."""
+    """hilbert's table holds `_Basis` entries only, r < n, and counts their bytes exactly."""
     sizes = []
-    for basis, gram in hilbert._shared.values():
+    for entry in hilbert._shared.values():
+        assert type(entry) is hilbert._Basis
+        basis, gram = entry.matrix, entry.gram
         assert type(basis) is np.ndarray and type(gram) is np.ndarray
         rank = basis.shape[1]
         assert gram.shape == (rank, rank) and rank < basis.shape[0]

@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -24,6 +25,7 @@ from pairmeasure import (
     tensor_state,
     window_projector,
 )
+from pairmeasure.measurement import window_sites
 
 from helpers import (
     as_dense,
@@ -179,6 +181,27 @@ def test_plane_wave_range_errors():
         plane_wave(4, 0, space)
     with pytest.raises(IndexError):
         plane_wave(0, 2, space)
+
+
+@pytest.mark.parametrize(
+    "call, label, message",
+    [
+        (lambda label: plane_wave(label, 0, SpaceSpec(8, 2)).amplitudes, 2.5,
+         "momentum mode must be an integer, got 2.5"),
+        (lambda label: mode_index(label, 0, SpaceSpec(8, 2)), 1.0,
+         "extrinsic index must be an integer, got 1.0"),
+        (lambda label: window_sites(label, 3, 8), 2.0,
+         "window center must be an integer, got 2.0"),
+    ],
+    ids=["plane_wave", "mode_index", "window_sites"],
+)
+def test_labels_must_be_integers(call, label, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$") as raised:
+        call(label)
+    assert raised.value.__cause__ is None and raised.value.__suppress_context__
+    # a numpy integer is a label like a Python int
+    want, got = call(int(label)), call(np.int64(label))
+    assert type(got) is type(want) and np.array_equal(got, want)
 
 
 def test_inner_product_of_normalized_state_is_one():
@@ -404,12 +427,12 @@ def test_built_bases_are_checked_in_place_and_caller_bases_are_copied():
     rng = np.random.default_rng(23)
     basis = random_unitary(rng, 6)[:, :2]
     fresh = basis.copy()
-    checked, gram = hilbert._orthonormal_basis(fresh, 6, "range_basis", copy=False)
-    assert checked is fresh and not fresh.flags.writeable
-    assert np.max(np.abs(gram - np.eye(2))) < 1e-15
+    checked = hilbert._Basis.checked(fresh, 6, "range_basis", copy=False)
+    assert checked.matrix is fresh and not fresh.flags.writeable
+    assert np.max(np.abs(checked.gram - np.eye(2))) < 1e-15
     for bad, error in ((2.0 * basis, "orthonormal"), (np.full((6, 2), np.nan + 0j), "non-finite")):
         with pytest.raises(ValueError, match=error):
-            hilbert._orthonormal_basis(bad, 6, "range_basis", copy=False)
+            hilbert._Basis.checked(bad, 6, "range_basis", copy=False)
     # the public constructor copies: a caller's later write changes nothing
     mine = basis.copy()
     op = OneParticleOperator(SpaceSpec(3, 2), None, range_basis=mine)

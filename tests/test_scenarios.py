@@ -121,6 +121,22 @@ def test_momentum_scenario_relabels_to_up_down_product():
 def test_momentum_scenario_rejects_equal_modes():
     with pytest.raises(DegenerateInputError):
         scenario_momentum_projection(SPACE, 4, 4, Statistics.FERMION)
+    # the opposite momentum of modes 0 and L/2 is the mode itself
+    for mode in (0, 4):
+        with pytest.raises(DegenerateInputError):
+            scenario_momentum_projection(SPACE, mode, None, Statistics.FERMION)
+
+
+@pytest.mark.parametrize("sites", [3, 5, 8, 17])
+def test_momentum_scenario_defaults_to_the_opposite_mode(sites):
+    space = SpaceSpec(sites, 2)
+    for m_a in range(1, sites):
+        if 2 * m_a == sites:
+            continue
+        for stat in Statistics:
+            default = scenario_momentum_projection(space, m_a, None, stat)
+            opposite = scenario_momentum_projection(space, m_a, sites - m_a, stat)
+            assert result_bits(default) == result_bits(opposite)
 
 
 def test_position_scenario_fermion_phase():
@@ -559,8 +575,8 @@ def test_scenarios_build_and_check_each_basis_once_per_process():
         ), 4),
     }
     for name, (call, cold) in calls.items():
-        with empty_basis_table(), mock.patch(
-            "pairmeasure.hilbert._orthonormal_basis", wraps=hilbert._orthonormal_basis
+        with empty_basis_table(), mock.patch.object(
+            hilbert._Basis, "checked", wraps=hilbert._Basis.checked
         ) as check:
             call()
             assert check.call_count == cold, name

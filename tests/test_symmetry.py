@@ -17,7 +17,7 @@ from pairmeasure import (
     tensor_state,
 )
 
-from pairmeasure.hilbert import TwoParticleState, _frobenius
+from pairmeasure.hilbert import _IDENTITY, TwoParticleState, _Basis, _frobenius
 from pairmeasure.symmetry import _exchange_norm
 
 from helpers import orthogonal_sum_residual, random_state, random_unitary
@@ -173,9 +173,10 @@ def exchange_state(seed, kind, left_rank, right_rank, cross):
         return TwoParticleState(space, gauss(dim, dim).reshape(-1))
     if kind == "one-sided":
         basis = frame[:, :left_rank]
+        checked = _Basis.checked(basis, dim, "basis")
         if seed % 2:
-            return TwoParticleState._fresh(space, gauss(left_rank, dim), basis, None)
-        return TwoParticleState._fresh(space, gauss(dim, left_rank), None, basis)
+            return TwoParticleState._fresh(space, gauss(left_rank, dim), checked, _IDENTITY)
+        return TwoParticleState._fresh(space, gauss(dim, left_rank), _IDENTITY, checked)
     if kind == "equal":
         basis = frame[:, :left_rank]
         square = gauss(left_rank, left_rank)
