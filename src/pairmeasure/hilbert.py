@@ -11,9 +11,10 @@ this level; the exchange structure is layered on top by
 
 Every basis, a pair-state side or an operator's range basis, is one
 ``_Basis``: read-only columns that passed the orthonormality check, with
-the Gram matrix U^H U that check formed. ``_IDENTITY`` stands for a side
-without a basis. Changes of basis, U^H and U^H V, are formed on demand by
-that type alone.
+the Gram matrix U^H U that check formed. A checked basis also keeps its
+projector's entry bound and largest row norm, so a measurement reads them.
+``_IDENTITY`` stands for a side without a basis. Changes of basis, U^H and
+U^H V, are formed on demand by that type alone.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads. Dense arrays
@@ -134,13 +135,27 @@ class _Basis:
 
     :meth:`checked` is the constructor that checks: shape, finiteness and
     U^H U = I entrywise to ``ZERO_TOL``, at O(n r^2); it keeps the Gram
-    matrix U^H U it forms. The plain constructor takes parts of a basis
-    already checked. ``_IDENTITY`` is the side with no basis (U = I,
+    matrix U^H U it forms, and two numbers the projector U U^H needs on
+    every measurement (:func:`_projector_values`, O(n r)):
+
+    * ``projector_bound`` is ``measurement._projector_bound`` for
+      P = U U^H, that is W = U^H: there G = W U is this Gram matrix,
+      R = W - G U^H = (I - G) U^H and G W - W = (G - I) U^H. With
+      e = ||G - I||_F, the columns of U^H have norm at most
+      ||U||_2 <= sqrt(1 + e), so those of R and of (G - I) U^H at most
+      e sqrt(1 + e), and the bound is ||G - G^H||_F + 2 e sqrt(1 + e).
+    * ``row_norm`` is the largest row 2-norm of U: the largest column norm
+      of U^H, and so of U U^H.
+
+    The plain constructor takes parts of a basis already checked and keeps
+    neither number. ``_IDENTITY`` is the side with no basis (U = I,
     ``matrix`` None). This type alone forms U^H and U^H V.
     """
 
     matrix: np.ndarray | None
     gram: np.ndarray | None
+    projector_bound: float | None = None
+    row_norm: float | None = None
 
     @classmethod
     def checked(cls, values, dim: int, what: str, copy: bool = True) -> _Basis:
@@ -160,7 +175,7 @@ class _Basis:
         if not _negligible(error, 1.0, ZERO_TOL):
             raise ValueError(f"{what} columns are not orthonormal")
         gram.flags.writeable = False
-        return cls(matrix, gram)
+        return cls(matrix, gram, *_projector_values(matrix, gram))
 
     def columns(self, index: slice) -> _Basis:
         """The columns ``index`` of U, with the principal block of the checked U^H U."""
@@ -181,6 +196,14 @@ class _Basis:
 
 
 _IDENTITY = _Basis(None, None)
+
+
+def _projector_values(matrix: np.ndarray, gram: np.ndarray) -> tuple[float, float]:
+    """``_Basis.projector_bound`` and ``row_norm`` of U = ``matrix`` with Gram U^H U."""
+    error = _frobenius(gram - np.eye(len(gram)))
+    skew = _frobenius(gram - gram.conj().T)
+    row_norm = float((np.abs(matrix) ** 2).sum(axis=1).max()) ** 0.5
+    return skew + 2.0 * error * (1.0 + error) ** 0.5, row_norm
 
 
 def _label(value, what: str) -> int:
@@ -249,9 +272,9 @@ class OneParticleOperator:
 
     With ``entries=None`` the operator is the orthogonal projector U U^H:
     only the basis is checked (O(n r^2)), ``range_rows`` is U^H, the dense
-    ``entries`` are built on first read, and the check's Gram matrix U^H U
-    is kept to decide the Born-rule flag (see
-    ``measurement.is_projector_valued``).
+    ``entries`` are built on first read, and the basis keeps what its check
+    formed for the Born-rule flag and the zero-test scale (see
+    ``measurement.is_projector_valued`` and ``measurement.measure_scale``).
     """
 
     space: SpaceSpec

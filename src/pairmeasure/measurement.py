@@ -216,11 +216,16 @@ def measure_scale(measure: SelectiveMeasure) -> float:
 
     Columns of a Kronecker product factorize, so its largest column 2-norm
     is the product of the factors' largest column 2-norms. A range basis is
-    an isometry, so each factor's column norms are read off its range rows.
+    an isometry, so a factor's column norms are those of its range rows.
+    For a projector built from its basis alone the rows are U^H, and its
+    basis keeps their largest column norm (``hilbert._Basis.row_norm``).
     """
     scale = 1.0
     for factor in (measure.factor_slot1, measure.factor_slot2):
-        scale *= float((np.abs(factor.range_rows) ** 2).sum(axis=0).max()) ** 0.5
+        if factor._gram is not None:
+            scale *= factor._basis.row_norm
+        else:
+            scale *= float((np.abs(factor.range_rows) ** 2).sum(axis=0).max()) ** 0.5
     return scale
 
 
@@ -294,18 +299,11 @@ def _projector_bound(factor: OneParticleOperator) -> float:
     of U Y at most the largest column norm of Y. U W equals the entries to
     the tolerance checked at construction.
 
-    A projector built from its basis alone has W = U^H, so G = U^H U is the
-    Gram matrix its construction formed, R = (I - G) U^H and G W - W =
-    (G - I) U^H. With e = ||G - I||_F, the columns of U^H have norm at most
-    ||U||_2 <= sqrt(1 + e), so those of R and of G W - W at most
-    e sqrt(1 + e), and the bound is ||G - G^H||_F + 2 e sqrt(1 + e), read
-    off G at O(r^2).
+    A projector built from its basis alone has W = U^H, and its basis keeps
+    this bound, read off its Gram matrix (``hilbert._Basis.projector_bound``).
     """
-    gram = factor._gram
-    if gram is not None:
-        error = _frobenius(gram - np.eye(len(gram)))
-        skew = _frobenius(gram - gram.conj().T)
-        return skew + 2.0 * error * (1.0 + error) ** 0.5
+    if factor._gram is not None:
+        return factor._basis.projector_bound
     basis, rows = factor.range_basis, factor.range_rows
     gram = rows @ basis
     residual = rows - gram @ factor._basis.to(_IDENTITY)
@@ -322,11 +320,11 @@ def is_projector_valued(measure: SelectiveMeasure, tol: float = ZERO_TOL) -> boo
     Only then is the squared event norm a Born-rule probability. Both tests
     are entrywise, to ``tol``. A factor with a range basis passes at once
     when the bound of :func:`_projector_bound` is below ``tol``: O(n r^2),
-    or O(r^2) from the construction's Gram U^H U for a projector built from
-    its basis alone, as ``window_projector`` and ``momentum_projector``
-    build them. Such a pass refers to the exact U W (U U^H): below a
-    ``tol`` of about 1e-16 it can say True where an entrywise test on the
-    rounded ``entries`` says False. Other factors are tested on the entries.
+    or kept with the basis for a projector built from its basis alone, as
+    ``window_projector`` and ``momentum_projector`` build them. Such a pass
+    refers to the exact U W (U U^H): below a ``tol`` of about 1e-16 it can
+    say True where an entrywise test on the rounded ``entries`` says False.
+    Other factors are tested on the entries.
     """
     for factor in (measure.factor_slot1, measure.factor_slot2):
         if factor.range_basis is not None and _negligible(

@@ -19,7 +19,8 @@ down.
 
 Both build the reference from columns of plane-wave range bases, checked
 once per integer label and shared read-only across calls, so it is neither
-copied nor checked again (``_reference_state``); each call measures in full.
+copied nor checked again (``_reference_state``); the momentum scenario takes
+them from its measure's own factors. Each call measures in full.
 
 With the momenta or the single sites standing in for particle tags, what
 is left of the collapsed pair is a two-spin state, ``relabeled``: the
@@ -33,7 +34,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import DegenerateInputError
-from .hilbert import ZERO_TOL, SpaceSpec, TwoParticleState, _label, _plane_waves
+from .hilbert import ZERO_TOL, SpaceSpec, TwoParticleState, _Basis, _label, _plane_waves
 from .measurement import (
     PhaseCheck,
     ScenarioResult,
@@ -64,14 +65,13 @@ def _modes(space: SpaceSpec, m_a: int, m_b: int | None) -> tuple[int, int]:
     return m_a, (sites - m_a) % sites if m_b is None else _label(m_b, "m_b")
 
 
-def _reference_state(space: SpaceSpec, m_a: int, m_b: int) -> TwoParticleState:
-    """|m_a up> x |m_b down> = u [[1]] v^T from the plane-wave range bases a and b.
+def _reference_state(space: SpaceSpec, a: _Basis, b: _Basis) -> TwoParticleState:
+    """|m_a up> x |m_b down> = u [[1]] v^T from the plane-wave bases a and b.
 
     u and v are columns (spin up of a, spin down of b) of the bases of m_a
     and m_b that ``hilbert._shared_basis`` checked, read-only views with the
     principal blocks of the checked Gram matrices, so no check is lost.
     """
-    a, b = (_plane_waves(space, mode) for mode in (m_a, m_b))
     up, down = a.columns(slice(SPIN_UP, SPIN_UP + 1)), b.columns(slice(SPIN_DOWN, SPIN_DOWN + 1))
     return TwoParticleState._fresh(space, _UNIT_CORE, up, down)
 
@@ -117,7 +117,7 @@ def scenario_momentum_projection(
         )
     _require_spin_half(space)
     measure = momentum_projector(m_a, m_b, space)
-    ref = _reference_state(space, m_a, m_b)
+    ref = _reference_state(space, measure.factor_slot1._basis, measure.factor_slot2._basis)
     result = measure_pair(measure, ref, stat, tol)
     return replace(result, relabeled=_spin_state(result))
 
@@ -145,7 +145,7 @@ def scenario_position_windows(
     sites = space.extrinsic_dim
     m_a, m_b = _modes(space, m_a, m_b)
     _require_spin_half(space)
-    ref = _reference_state(space, m_a, m_b)
+    ref = _reference_state(space, _plane_waves(space, m_a), _plane_waves(space, m_b))
     measure = SelectiveMeasure(
         window_projector(x_a, width, space), window_projector(x_b, width, space)
     )

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pairmeasure import hilbert
 from pairmeasure import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -34,7 +35,7 @@ from pairmeasure import (
     window_projector,
 )
 from pairmeasure.hilbert import ZERO_TOL
-from pairmeasure.measurement import window_sites
+from pairmeasure.measurement import _projector_bound, window_sites
 
 from helpers import (
     as_dense,
@@ -588,6 +589,71 @@ def test_the_born_flag_of_a_near_orthonormal_basis_is_never_too_lenient():
             assert not flag or error < tol, (delta, tol)
             answers.add(flag)
     assert answers == {True, False}
+
+
+def _bound_from_gram(gram):
+    """The Born-flag bound of a projector built from its basis, from its Gram matrix."""
+    error = hilbert._frobenius(gram - np.eye(len(gram)))
+    skew = hilbert._frobenius(gram - gram.conj().T)
+    return skew + 2.0 * error * (1.0 + error) ** 0.5
+
+
+def _column_scale(factor):
+    """A factor's largest column norm, from its range rows."""
+    return float((np.abs(factor.range_rows) ** 2).sum(axis=0).max()) ** 0.5
+
+
+def test_built_bases_keep_the_projector_bound_and_column_scale_of_their_arrays():
+    # a projector built from its basis alone reads both numbers off the basis;
+    # they must be the formulas on its Gram matrix and range rows, bit for bit,
+    # also past numpy's 8-wide summation blocks (r up to 24)
+    checked = 0
+    with empty_basis_table():
+        for sites in (2, 3, 5, 8, 17, 128, 1000, 2047):
+            for spins in (1, 2, 3):
+                if (sites * spins) ** 2 * 16 > hilbert.MAX_PAIR_BYTES:
+                    continue
+                space = SpaceSpec(sites, spins)
+                factors = [
+                    window_projector(center, width, space)
+                    for width in range(1, 9)
+                    for center in sorted({0, sites // 2, sites - 1})
+                ]
+                factors += [
+                    momentum_projector(mode, mode, space).factor_slot1
+                    for mode in sorted({0, 1 % sites, sites // 3, sites // 2, sites - 1})
+                ]
+                for factor in factors:
+                    basis = factor._basis
+                    gram = basis.matrix.conj().T @ basis.matrix
+                    assert np.array_equal(factor._gram, gram)
+                    bound, scale = _bound_from_gram(factor._gram), _column_scale(factor)
+                    assert basis.projector_bound == bound and _projector_bound(factor) == bound
+                    assert basis.row_norm == scale
+                    assert measure_scale(SelectiveMeasure(factor, factor)) == scale * scale
+                    checked += 1
+    assert checked == 625
+
+
+def test_factors_with_entries_size_and_flag_themselves_from_their_arrays():
+    # a caller basis with entries keeps the numbers of its own projector U U^H,
+    # which are not those of the factor; a dense factor has no basis to keep them
+    rng = np.random.default_rng(44)
+    space = SpaceSpec(3, 2)
+    basis = random_unitary(rng, 6)[:, :2]
+    projector = basis @ basis.conj().T
+    scaled = OneParticleOperator(space, 2.0 * projector, range_basis=basis)
+    assert scaled._basis.projector_bound < ZERO_TOL and scaled._basis.row_norm <= 1.0
+    assert _column_scale(scaled) > 1.0
+    dense = OneParticleOperator(space, 2.0 * projector)
+    assert dense._basis.row_norm is None and dense._basis.projector_bound is None
+    for factor in (scaled, dense):
+        measure, scale = SelectiveMeasure(factor, factor), _column_scale(factor)
+        assert measure_scale(measure) == scale * scale
+        assert is_projector_valued(measure) is False
+    for factor in (OneParticleOperator(space, projector, range_basis=basis),
+                   OneParticleOperator(space, projector)):
+        assert is_projector_valued(SelectiveMeasure(factor, factor)) is True
 
 
 @settings(max_examples=80, deadline=None)

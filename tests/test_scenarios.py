@@ -585,6 +585,30 @@ def test_scenarios_build_and_check_each_basis_once_per_process():
             assert check.call_count == 0, name
 
 
+def test_scenarios_form_each_projector_bound_and_scale_once_per_process():
+    # the Born-flag bound and the column scale are formed with each new basis,
+    # once for equal windows; a warm call reads them
+    calls = {
+        "momentum": (lambda: scenario_momentum_projection(SPACE, 1, 5, Statistics.FERMION), 2),
+        "windows": (lambda: scenario_position_windows(
+            SPACE, 1, None, 2, 5, 1, Statistics.FERMION
+        ), 4),
+        "equal windows": (lambda: scenario_position_windows(
+            SPACE, 1, None, 2, 2, 1, Statistics.BOSON
+        ), 3),
+    }
+    for name, (call, cold) in calls.items():
+        with empty_basis_table(), mock.patch.object(
+            hilbert, "_projector_values", wraps=hilbert._projector_values
+        ) as derive:
+            result = call()
+            assert derive.call_count == cold, name
+            derive.reset_mock()
+            call()
+            assert derive.call_count == 0, name
+            assert result.born_rule is True, name
+
+
 def test_threads_sharing_the_table_get_the_serial_results(monkeypatch):
     space = SpaceSpec(16, 2)
     rng = np.random.default_rng(17)
