@@ -192,7 +192,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--statistics", choices=["fermion", "boson"], default="fermion",
                         help="exchange statistics of the pair")
     parser.add_argument("--tol", type=float, default=ZERO_TOL, metavar="REAL",
-                        help="relative tolerance for zero and rank tests "
+                        help="relative tolerance for zero and rank tests, in (0, 1) "
                              f"(default {ZERO_TOL:g})")
     parser.add_argument("--output", choices=["text", "json"], default="text",
                         help="report format")
@@ -270,6 +270,8 @@ def _check_args(args: argparse.Namespace) -> None:
     """The value checks argparse cannot make; a bad value exits 2."""
     if not 0 < args.tol < np.inf:
         _flag_error("--tol must be finite and positive")
+    if args.tol >= 1:
+        _flag_error("--tol must be below 1")
     if args.command == "classify":
         return
     if args.lattice < 2:

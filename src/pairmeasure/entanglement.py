@@ -15,6 +15,12 @@ Every ``tol`` is the package's one relative tolerance (default
 verdict's zero tests: a singular value counts toward a rank unless it is
 negligible against sigma_max, and a state is antisymmetric when
 ||C + C^T|| is negligible against ||C||.
+
+:func:`schmidt` is one SVD of the normalized core and the private report
+builder ``_report``, which turns that spectrum into the report.
+``measurement.measure_pair`` calls ``_report`` on a spectrum from the one
+SVD call it shares with the direct event's rank, so its report is the one
+``schmidt`` gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -71,14 +77,18 @@ def schmidt(state: TwoParticleState, tol: float = ZERO_TOL) -> EntanglementRepor
     nrm = state.norm
     if nrm == 0.0:
         raise DegenerateInputError("zero state has no Schmidt decomposition")
-    sigma = np.linalg.svd(state.core / nrm, compute_uv=False)
+    return _report(state, np.linalg.svd(state.core / nrm, compute_uv=False), tol)
+
+
+def _report(state: TwoParticleState, sigma: np.ndarray, tol: float) -> EntanglementReport:
+    """The Schmidt report of a nonzero ``state`` whose normalized core has spectrum ``sigma``."""
     rank = _rank(sigma, tol)
     # sigma[0] may round above 1; renormalizing and clamping keeps entropy >= 0.
     lam = sigma * sigma / sigma.dot(sigma)
     positive = lam[lam > 0.0]
     entropy = max(0.0, -float(positive @ np.log(positive)))
     slater = None
-    if _negligible(_exchange_norm(state, 1.0), nrm, tol):
+    if _negligible(_exchange_norm(state, 1.0), state.norm, tol):
         if rank % 2:
             raise DegenerateInputError(
                 f"singular values fail to pair up ({rank} above tol * sigma_max, "

@@ -98,11 +98,13 @@ def _negligible(value, scale, tol: float):
     """The package's one zero test: value < tol * scale, or scale == 0.
 
     Elementwise on arrays. Every zero, rank, antisymmetry, support and
-    projector test goes through it, so ``tol`` means the same everywhere;
-    a ``tol`` that is not finite and positive raises ValueError.
+    projector test goes through it, so ``tol`` means the same everywhere.
+    A ``tol`` outside (0, 1) raises ValueError: from 1 up a value is
+    negligible against a scale it reaches, such as a singular value against
+    sigma_max or a sector norm against its state's norm.
     """
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    if not 0 < tol < 1:
+        raise ValueError(f"tolerance must be finite and positive and below 1, got {tol}")
     return (value < tol * scale) | (scale == 0.0)
 
 
@@ -111,12 +113,19 @@ def _frobenius(arr: np.ndarray) -> float:
     return math.sqrt(np.vdot(arr, arr).real)
 
 
-def _freeze(arr: np.ndarray, what: str) -> np.ndarray:
-    """Check that ``arr`` is finite, then make it read-only in place."""
+def _finite_norm(arr: np.ndarray, what: str) -> float:
+    """The Frobenius norm of ``arr``, after checking that every entry is finite."""
     # A finite sum of squared moduli (one BLAS dot, which raises no
     # floating-point warning) proves every entry finite.
-    if not math.isfinite(_frobenius(arr)) and not np.isfinite(arr).all():
+    norm = _frobenius(arr)
+    if not math.isfinite(norm) and not np.isfinite(arr).all():
         raise ValueError(f"{what} contains non-finite entries")
+    return norm
+
+
+def _freeze(arr: np.ndarray, what: str) -> np.ndarray:
+    """Check that ``arr`` is finite, then make it read-only in place."""
+    _finite_norm(arr, what)
     arr.flags.writeable = False
     return arr
 
@@ -351,7 +360,9 @@ class TwoParticleState:
     package's algebra works on the factors.
     ``amplitudes`` and ``matrix()`` read the same values in every case: a
     state with a basis builds them on first read, at most at O(n^2 (a + b)),
-    and keeps them. ``norm`` is likewise computed on first read and kept.
+    and keeps them. ``norm`` is the Frobenius norm of the core: a core the
+    package computes keeps the one its finiteness check formed, any other
+    state computes it on first read and keeps it.
     """
 
     space: SpaceSpec
@@ -387,16 +398,19 @@ class TwoParticleState:
     ) -> TwoParticleState:
         """A state on a core computed here, checked and frozen in place, not copied.
 
-        A core that is already read-only belongs to an existing state, so it
-        has been checked and is taken as it is.
+        The check's Frobenius norm is the state's ``norm``, kept. A core that
+        is already read-only belongs to an existing state, so it has been
+        checked and is taken as it is.
         """
+        norm = None
         if core.flags.writeable:
-            _freeze(core, "state")
+            norm = _finite_norm(core, "state")
+            core.flags.writeable = False
         state = cls.__new__(cls)
-        state._setup(space, left, core, right)
+        state._setup(space, left, core, right, norm)
         return state
 
-    def _setup(self, space, left: _Basis, core, right: _Basis) -> None:
+    def _setup(self, space, left: _Basis, core, right: _Basis, norm=None) -> None:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "_left", left)
         object.__setattr__(self, "_right", right)
@@ -404,7 +418,7 @@ class TwoParticleState:
         object.__setattr__(self, "core", core)
         object.__setattr__(self, "right", right.matrix)
         object.__setattr__(self, "_amplitudes", None)
-        object.__setattr__(self, "_norm", None)
+        object.__setattr__(self, "_norm", norm)
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -417,7 +431,7 @@ class TwoParticleState:
 
     @property
     def norm(self) -> float:
-        """Euclidean norm, computed on first read and kept."""
+        """Euclidean norm, kept from the core's check or computed on first read."""
         if self._norm is None:
             # The bases are isometries, so the core carries the norm.
             object.__setattr__(self, "_norm", _frobenius(self.core))

@@ -36,10 +36,12 @@ rank and antisymmetry tests of the Schmidt report (see
 :mod:`pairmeasure.entanglement`).
 
 :func:`measure_pair` is the one place that goes from the two events to
-results: verdict, collapse, post-state Schmidt report (``schmidt`` of the
-raw post-state), before/after rank evidence and Born-rule flag.
-:func:`collapse` reads part of its result; :func:`classify` needs no
-sector and runs the verdict rule alone.
+results: verdict, collapse, post-state Schmidt report, before/after rank
+evidence and Born-rule flag. One SVD call on the stack of the normalized
+post-state's core and the direct event's core gives both spectra, and
+``entanglement._report`` turns the first into the report ``schmidt`` of
+the post-state would give. :func:`collapse` reads part of its result;
+:func:`classify` needs no sector and runs the verdict rule alone.
 
 Every event lies in range(A) x range(B) of the factors A and B. With range
 bases U_A, U_B (see ``OneParticleOperator.range_basis``) an event is
@@ -61,7 +63,7 @@ from functools import reduce
 
 import numpy as np
 
-from .entanglement import EbmEvidence, EntanglementReport, _rank, schmidt
+from .entanglement import EbmEvidence, EntanglementReport, _rank, _report
 from .errors import DegenerateInputError, DimensionMismatchError
 from .hilbert import (
     ZERO_TOL,
@@ -103,9 +105,9 @@ class EventPair:
     ``event_permuted`` the measure applied to the permuted reference state.
     ``event_overlap`` is the inner product of the two events themselves;
     ``ref_overlap`` is the inner product of the reference state with the
-    permuted event. Both go through ``inner_product``. The two coincide for
-    projector-valued measures but can differ for general operators, so both
-    are kept. Both events are held in the same bases, those of the measure's
+    permuted event. The two coincide for projector-valued measures but can
+    differ for general operators, so both are kept (see :func:`events`).
+    Both events are held in the same bases, those of the measure's
     factors (the identity on a side whose factor has none), so their
     r_A x r_B cores are directly comparable and carry their norms and
     overlap: ``event_overlap`` needs no change of basis.
@@ -230,16 +232,30 @@ def measure_scale(measure: SelectiveMeasure) -> float:
 
 
 def events(measure: SelectiveMeasure, ref_state: TwoParticleState) -> EventPair:
-    """Compute both events of the measure on a distinguishable reference state."""
+    """Compute both events of the measure on a distinguishable reference state.
+
+    ``event_overlap`` is ``inner_product(direct, permuted)``, the vdot of the
+    two cores. For two projectors built from their bases alone, W = U^H on
+    both sides, the direct core is U_A^H L K (U_B^H R)^T, so <ref|U_A K_p
+    U_B^T> = vdot(U_A^H L K (U_B^H R)^T, K_p): the same sum with its terms
+    grouped differently, and ``ref_overlap`` is taken equal to it. Any other
+    measure computes ``inner_product(ref_state, permuted)``.
+    """
+    slot1, slot2 = measure.factor_slot1, measure.factor_slot2
     direct = apply_measure(measure, ref_state)
     permuted = apply_measure(measure, permute(ref_state))
+    event_overlap = inner_product(direct, permuted)
+    if slot1._gram is not None and slot2._gram is not None:
+        ref_overlap = event_overlap
+    else:
+        ref_overlap = inner_product(ref_state, permuted)
     return EventPair(
         event_direct=direct,
         event_permuted=permuted,
         norm_direct=direct.norm,
         norm_permuted=permuted.norm,
-        event_overlap=inner_product(direct, permuted),
-        ref_overlap=inner_product(ref_state, permuted),
+        event_overlap=event_overlap,
+        ref_overlap=ref_overlap,
     )
 
 
@@ -351,9 +367,18 @@ def measure_pair(
     verdict, the collapse by linearity, M(ref -+ P ref)/sqrt(2) = (direct -+
     permuted)/sqrt(2), the report ``schmidt(post_state, tol)`` and the
     before/after rank evidence all follow from those two events, computed on
-    their r_A x r_B cores. ``tol`` drives every zero, rank and antisymmetry
-    test. Raises DegenerateInputError when ``ref`` has no ``stat`` sector.
+    their r_A x r_B cores; one SVD call gives the spectra of the normalized
+    post-state and of the direct event. ``tol`` drives every zero, rank and
+    antisymmetry test. Raises DegenerateInputError when ``ref`` has no
+    ``stat`` sector.
     """
+    return ScenarioResult(**_pair_results(measure, ref, stat, tol))
+
+
+def _pair_results(
+    measure: SelectiveMeasure, ref: TwoParticleState, stat: Statistics, tol: float
+) -> dict:
+    """The fields of :func:`measure_pair`'s result, which the scenarios add to."""
     pair = events(measure, ref)
     direct, permuted = pair.event_direct, pair.event_permuted
     factor_scale = measure_scale(measure)
@@ -370,12 +395,14 @@ def measure_pair(
     normalized = report = evidence = None
     if not _negligible(norm, factor_scale * sym_norm, tol):
         normalized = raw.normalize()
-        report = schmidt(raw, tol)
+        # Both cores are r_A x r_B in the measure's bases: one SVD call.
+        spectra = np.linalg.svd(np.array([normalized.core, direct.core]), compute_uv=False)
+        report = _report(raw, spectra[0], tol)
         if not _negligible(pair.norm_direct, scale, tol):
-            before = _rank(np.linalg.svd(direct.core, compute_uv=False), tol)
+            before = _rank(spectra[1], tol)
             after = report.schmidt_rank
             evidence = EbmEvidence(before, after, after > before)
-    return ScenarioResult(
+    return dict(
         verdict=verdict,
         probability=0.0 if normalized is None else norm**2,
         post_state=raw,

@@ -29,8 +29,6 @@ post-state's core in the measure's range bases.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .errors import DegenerateInputError
@@ -40,7 +38,7 @@ from .measurement import (
     ScenarioResult,
     SelectiveMeasure,
     VerdictTag,
-    measure_pair,
+    _pair_results,
     momentum_projector,
     window_projector,
 )
@@ -76,7 +74,7 @@ def _reference_state(space: SpaceSpec, a: _Basis, b: _Basis) -> TwoParticleState
     return TwoParticleState._fresh(space, _UNIT_CORE, up, down)
 
 
-def _spin_state(result: ScenarioResult) -> TwoParticleState | None:
+def _spin_state(normalized: TwoParticleState | None) -> TwoParticleState | None:
     """The collapsed pair's spin state, its two extrinsic labels as particle tags.
 
     The measure's labels are range bases: column s of a ``momentum_projector``
@@ -87,7 +85,6 @@ def _spin_state(result: ScenarioResult) -> TwoParticleState | None:
     support off the labels is exactly zero; the normalized post-state's core
     is read as a state over one site. None for an impossible outcome.
     """
-    normalized = result.post_state_normalized
     if normalized is None:
         return None
     return TwoParticleState._fresh(SpaceSpec(1, normalized.space.spin_dim), normalized.core)
@@ -118,8 +115,8 @@ def scenario_momentum_projection(
     _require_spin_half(space)
     measure = momentum_projector(m_a, m_b, space)
     ref = _reference_state(space, measure.factor_slot1._basis, measure.factor_slot2._basis)
-    result = measure_pair(measure, ref, stat, tol)
-    return replace(result, relabeled=_spin_state(result))
+    fields = _pair_results(measure, ref, stat, tol)
+    return ScenarioResult(**fields, relabeled=_spin_state(fields["post_state_normalized"]))
 
 
 def scenario_position_windows(
@@ -149,10 +146,10 @@ def scenario_position_windows(
     measure = SelectiveMeasure(
         window_projector(x_a, width, space), window_projector(x_b, width, space)
     )
-    result = measure_pair(measure, ref, stat, tol)
+    fields = _pair_results(measure, ref, stat, tol)
     phase_check = None
-    relabeled = _spin_state(result) if width == 1 else None
-    if relabeled is not None and result.verdict.tag is VerdictTag.ENTANGLING_MEASUREMENT:
+    relabeled = _spin_state(fields["post_state_normalized"]) if width == 1 else None
+    if relabeled is not None and fields["verdict"].tag is VerdictTag.ENTANGLING_MEASUREMENT:
         spins = relabeled.matrix()
         measured = complex(spins[SPIN_DOWN, SPIN_UP] / spins[SPIN_UP, SPIN_DOWN])
         # dk * dx = 2*pi*(m_b - m_a)*(x_b - x_a)/L, reduced mod 2*pi exactly.
@@ -163,4 +160,4 @@ def scenario_position_windows(
             predicted=predicted,
             deviation=float(abs(measured - predicted)),
         )
-    return replace(result, phase_check=phase_check, relabeled=relabeled)
+    return ScenarioResult(**fields, phase_check=phase_check, relabeled=relabeled)

@@ -9,8 +9,10 @@ orthogonal to its own permutation, and the identity
     state = (fermion sector + boson sector)/sqrt(2)
 
 holds for every state regardless. ``_exchange_norm`` gives ||C + -C^T|| on
-the factors: in closed form when the two bases are nearly orthogonal, as in
-both worked scenarios, and by one QR of the stacked bases otherwise.
+the factors: sqrt(2) ||C|| when the two bases are exactly orthogonal
+(disjoint supports, such as opposite spins or disjoint windows), a closed
+form when they are nearly orthogonal, as in both worked scenarios, and one
+QR of the stacked bases otherwise.
 """
 
 from __future__ import annotations
@@ -56,13 +58,17 @@ def _exchange_norm(state: TwoParticleState, sign: float) -> float:
     where a difference of squares resolves only about 1e-8; then one QR
     [L R] = Q [T_L T_R] gives C = Q M Q^T with M = T_L K T_R^T, and the norm
     is that of the (a + b)-square M + sign M^T. Without both bases, M = C.
-    One basis object on both sides has X = I, so it takes the QR.
+    One basis object on both sides has X = I, so it takes the QR. When X is
+    exactly zero, the trace term is an exact zero and the closed form is
+    sqrt(2) ||K||, returned without forming it.
     """
     left, core, right = state.left, state.core, state.right
     if _IDENTITY in (state._left, state._right):
         coeff = _in_bases(state, _IDENTITY, _IDENTITY)
     else:
         cross = state._left.to(state._right)
+        if cross is not None and not np.count_nonzero(cross):
+            return (2.0 * state.norm**2) ** 0.5
         if cross is not None and _frobenius(cross) <= 0.5:
             twisted = np.vdot(core, cross @ core.T @ cross.conj()).real
             return (2.0 * (state.norm**2 + sign * twisted)) ** 0.5

@@ -1,0 +1,163 @@
+"""SHA-256 of every result field over a seeded sweep, for bit-identity claims.
+
+Usage, from the root of a checkout:
+
+    python tests/bits_sweep.py --seed 5
+    python tests/bits_sweep.py --seed 5 --omit ref_overlap
+    python tests/bits_sweep.py --seed 5 --list > cases.txt
+
+The sweep runs both scenarios over a seeded draw of lattice sizes, modes,
+windows, statistics and tolerances, and ``measure_pair`` on seeded random
+measures (factors built from a basis alone, given with entries and a basis,
+dense projectors, dense general matrices, windows and momenta) and states
+(dense and factored). Each result, or the error its call raises, becomes
+``helpers.result_bits``: every field down to array bytes and float bits.
+The last line printed is the SHA-256 of all of them and the case count, so
+two checkouts that print the same line for a seed agree bit for bit on
+every case.
+
+``--omit NAME`` (repeatable) leaves out every result field of that name,
+such as ``ref_overlap``, to show that a change moves that field alone.
+``--list`` also prints one line per case, its label and its own digest,
+for ``diff`` between checkouts.
+
+The package is taken from ``src/`` of the checkout. The file name does not
+match ``test_*.py``, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
+
+import numpy as np  # noqa: E402
+
+from helpers import random_factored_state, random_state, random_unitary, result_bits  # noqa: E402
+from pairmeasure import (  # noqa: E402
+    OneParticleOperator,
+    SelectiveMeasure,
+    SpaceSpec,
+    Statistics,
+    TwoParticleState,
+    measure_pair,
+    momentum_projector,
+    scenario_momentum_projection,
+    scenario_position_windows,
+    window_projector,
+)
+
+SCENARIO_CASES = 600
+PAIR_CASES = 400
+FACTOR_KINDS = ("basis", "entries and basis", "dense projector", "dense", "window", "momentum")
+
+
+def _bits(value, omit: frozenset) -> tuple:
+    """``result_bits(value)`` with the fields named in ``omit`` left out."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, TwoParticleState):
+        return (type(value).__name__,) + tuple(
+            ("omitted",) if field.name in omit else _bits(getattr(value, field.name), omit)
+            for field in dataclasses.fields(value)
+        )
+    return result_bits(value)
+
+
+def _tol(rng) -> float:
+    return 1e-10 if rng.random() < 0.5 else float(10.0 ** rng.uniform(-14, -2))
+
+
+def _scenario_case(rng):
+    sites = int(rng.choice([2, 3, 4, 5, 7, 8, 16, 31, 64, 128]))
+    stat = Statistics.BOSON if rng.random() < 0.5 else Statistics.FERMION
+    m_a, m_b, x_a, x_b = (int(label) for label in rng.integers(0, sites, size=4))
+    m_b = None if rng.random() < 0.3 else m_b
+    tol = _tol(rng)
+    space = SpaceSpec(sites, 2)
+    if rng.random() < 0.4:
+        label = f"momentum L={sites} m=({m_a}, {m_b}) {stat.value} tol={tol!r}"
+        return label, lambda: scenario_momentum_projection(space, m_a, m_b, stat, tol)
+    width = int(rng.choice([1, 1, 2, 3, sites]))
+    label = (f"windows L={sites} m=({m_a}, {m_b}) x=({x_a}, {x_b}) w={width} "
+             f"{stat.value} tol={tol!r}")
+    return label, lambda: scenario_position_windows(space, m_a, m_b, x_a, x_b, width, stat, tol)
+
+
+def _factor(rng, space: SpaceSpec, kind: str) -> OneParticleOperator:
+    dim = space.total_dim
+    basis = random_unitary(rng, dim)[:, : int(rng.integers(0, dim + 1))]
+    if kind == "basis":
+        return OneParticleOperator(space, None, range_basis=basis)
+    if kind == "entries and basis":
+        return OneParticleOperator(space, basis @ basis.conj().T, range_basis=basis)
+    if kind == "dense projector":
+        return OneParticleOperator(space, basis @ basis.conj().T)
+    if kind == "window":
+        sites = space.extrinsic_dim
+        center, width = int(rng.integers(0, sites)), int(rng.integers(1, sites + 1))
+        return window_projector(center, width, space)
+    gauss = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return OneParticleOperator(space, gauss)
+
+
+def _pair_case(rng):
+    space = SpaceSpec(int(rng.integers(1, 5)), 2)
+    dim = space.total_dim
+    kinds = [str(kind) for kind in rng.choice(FACTOR_KINDS, size=2)]
+    if kinds[0] == "momentum" or kinds[1] == "momentum":
+        modes = rng.integers(0, space.extrinsic_dim, size=2)
+        measure = momentum_projector(int(modes[0]), int(modes[1]), space)
+        kinds = ["momentum", "momentum"]
+    else:
+        measure = SelectiveMeasure(*(_factor(rng, space, kind) for kind in kinds))
+    if rng.random() < 0.5:
+        state, state_kind = random_state(rng, space), "dense"
+    else:
+        ranks = (int(rank) for rank in rng.integers(1, dim + 1, size=2))
+        state, state_kind = random_factored_state(rng, space, *ranks), "factored"
+    stat = Statistics.BOSON if rng.random() < 0.5 else Statistics.FERMION
+    tol = _tol(rng)
+    label = f"measure_pair dim={dim} {kinds} {state_kind} {stat.value} tol={tol!r}"
+    return label, lambda: measure_pair(measure, state, stat, tol)
+
+
+def sweep(seed: int, omit: frozenset):
+    """(label, bits) of every case, in order."""
+    rng = np.random.default_rng(seed)
+    cases = [_scenario_case(rng) for _ in range(SCENARIO_CASES)]
+    cases += [_pair_case(rng) for _ in range(PAIR_CASES)]
+    for label, call in cases:
+        try:
+            bits = _bits(call(), omit)
+        except (ArithmeticError, LookupError, ValueError) as exc:
+            bits = ("raised", type(exc).__name__, str(exc))
+        yield label, bits
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--omit", action="append", default=[], metavar="NAME",
+                        help="leave out every result field of this name")
+    parser.add_argument("--list", action="store_true",
+                        help="print each case's label and digest too")
+    args = parser.parse_args(argv)
+    total = hashlib.sha256()
+    count = 0
+    for label, bits in sweep(args.seed, frozenset(args.omit)):
+        text = repr(bits).encode()
+        total.update(text + b"\n")
+        count += 1
+        if args.list:
+            print(f"{hashlib.sha256(text).hexdigest()[:16]}  {label}")
+    omitted = f" omit={','.join(args.omit)}" if args.omit else ""
+    print(f"sha256 {total.hexdigest()}  cases={count} seed={args.seed}{omitted}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

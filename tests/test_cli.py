@@ -438,6 +438,27 @@ def test_non_finite_tolerance_exits_2(value, capsys):
     assert capsys.readouterr().err == "error: --tol must be finite and positive\n"
 
 
+@pytest.mark.parametrize("value", ["1", "1.0", "5"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["momentum-scenario", "--lattice", "8", "--mode-a", "1"],
+        ["position-scenario"],
+        ["classify", "--state", str(FIXTURES / "momentum_state.txt"),
+         "--measure", str(FIXTURES / "momentum_measure.txt")],
+    ],
+)
+def test_tolerance_of_1_or_more_exits_2(command, value, capsys):
+    # from 1 up every value is negligible against a scale it reaches; at 5
+    # momentum-scenario used to exit 3 blaming the reference's fermion sector
+    with pytest.raises(SystemExit) as excinfo:
+        main([*command, "--tol", value])
+    assert excinfo.value.code == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --tol must be below 1\n"
+
+
 def test_reports_list_singular_values_up_to_the_schmidt_rank(capsys):
     for command, rank in (("momentum-scenario", 1), ("position-scenario", 2)):
         _, out, _ = run_cli(capsys, [command, "--output", "json"])
@@ -597,8 +618,11 @@ def test_classify_runs_end_in_a_report_or_one_error_line(
                 handle.write("amp 0 one 1 0\n")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["classify", "--state", state_path, "--measure", measure_path,
-                         "--tol", repr(tol)])
+            try:
+                code = main(["classify", "--state", state_path, "--measure", measure_path,
+                             "--tol", repr(tol)])
+            except SystemExit as exc:
+                code = exc.code
     assert code in (EXIT_OK, EXIT_PARSE, EXIT_DEGENERATE)
     assert code == EXIT_OK or out.getvalue() == ""
     lines = err.getvalue().splitlines()

@@ -1,6 +1,7 @@
 import gc
 import re
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -269,6 +270,36 @@ def test_finiteness_check_accepts_an_overflowing_sum_and_refuses_non_finite_entr
             TwoParticleState(space, entries)
         with pytest.raises(ValueError, match="^state contains non-finite entries$"):
             TwoParticleState._fresh(space, np.array(entries, dtype=complex).reshape(2, 2))
+
+
+def test_a_computed_core_keeps_the_norm_its_check_formed():
+    # one dot per computed core: the finiteness check's Frobenius norm is the
+    # state's norm; a core taken from an existing state computes it on read
+    rng = np.random.default_rng(19)
+    space = SpaceSpec(3, 2)
+    dim = space.total_dim
+    measure = SelectiveMeasure(*(
+        OneParticleOperator(space, None, range_basis=random_unitary(rng, dim)[:, :rank])
+        for rank in (2, 3)
+    ))
+    state = random_factored_state(rng, space, 2, 3)
+    computed = [
+        apply_measure(measure, state),
+        apply_measure(measure, as_dense(state)),
+        state.normalize(),
+        tensor_state(random_vector(rng, space), random_vector(rng, space)),
+    ]
+    for kept in computed:
+        assert kept._norm is not None
+        assert kept.norm == hilbert._frobenius(kept.core)
+    core = rng.standard_normal((dim, dim)) + 0j
+    with mock.patch.object(hilbert, "_frobenius", wraps=hilbert._frobenius) as frobenius:
+        fresh = TwoParticleState._fresh(space, core)
+        assert fresh.norm == fresh.norm == pytest.approx(np.linalg.norm(core), rel=1e-15)
+    assert frobenius.call_count == 1
+    swapped = permute(state)
+    assert swapped._norm is None
+    assert swapped.norm == hilbert._frobenius(swapped.core)
 
 
 def test_amplitudes_are_read_only():

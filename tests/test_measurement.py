@@ -20,6 +20,7 @@ from pairmeasure import (
     classify,
     collapse,
     events,
+    inner_product,
     is_projector_valued,
     measure_pair,
     measure_scale,
@@ -34,7 +35,8 @@ from pairmeasure import (
     tensor_state,
     window_projector,
 )
-from pairmeasure.hilbert import ZERO_TOL
+from pairmeasure.entanglement import EbmEvidence, _rank
+from pairmeasure.hilbert import ZERO_TOL, _negligible
 from pairmeasure.measurement import _projector_bound, window_sites
 
 from helpers import (
@@ -388,6 +390,36 @@ def test_event_and_ref_overlap_coincide_for_projector_measures():
         assert pair.event_overlap == pytest.approx(pair.ref_overlap, abs=1e-12)
 
 
+def test_ref_overlap_is_the_event_overlap_for_projectors_built_from_their_bases():
+    # <ref|U_A K_p U_B^T> is vdot(direct core, K_p), the event overlap's own
+    # sum, only when both factors have rows U^H; a factor given with entries
+    # keeps the inner product with the reference
+    rng = np.random.default_rng(41)
+    space = SpaceSpec(4, 2)
+    dim = space.total_dim
+    for rank1, rank2 in [(1, 1), (2, 3), (3, 2), (dim, 4)]:
+        bases = [random_unitary(rng, dim)[:, :rank] for rank in (rank1, rank2)]
+        built = [OneParticleOperator(space, None, range_basis=basis) for basis in bases]
+        given = [
+            OneParticleOperator(space, basis @ basis.conj().T, range_basis=basis)
+            for basis in bases
+        ]
+        for state in (random_state(rng, space), random_factored_state(rng, space, 2, 3)):
+            pair = events(SelectiveMeasure(*built), state)
+            assert pair.ref_overlap == pair.event_overlap
+            assert pair.ref_overlap == pytest.approx(
+                inner_product(state, pair.event_permuted), abs=1e-13
+            )
+            for measure in (
+                SelectiveMeasure(given[0], built[1]),
+                SelectiveMeasure(built[0], given[1]),
+                SelectiveMeasure(*given),
+            ):
+                pair = events(measure, state)
+                assert pair.ref_overlap == inner_product(state, pair.event_permuted)
+                assert pair.ref_overlap == pytest.approx(pair.event_overlap, abs=1e-13)
+
+
 def test_event_and_ref_overlap_differ_for_general_measures():
     rng = np.random.default_rng(40)
     space = SpaceSpec(4, 2)
@@ -694,6 +726,65 @@ def test_factored_states_match_dense_states(
     )
 
 
+def _factor_of_kind(rng, space, kind, rank):
+    """A factor built from its basis alone, given with entries and a basis, or dense."""
+    dim = space.total_dim
+    basis = random_unitary(rng, dim)[:, :rank]
+    if kind == "basis":
+        return OneParticleOperator(space, None, range_basis=basis)
+    if kind == "entries and basis":
+        return OneParticleOperator(space, basis @ basis.conj().T, range_basis=basis)
+    if kind == "dense projector":
+        return OneParticleOperator(space, basis @ basis.conj().T)
+    return OneParticleOperator(
+        space, rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sites=st.integers(1, 3),
+    kinds=st.tuples(*(st.sampled_from(
+        ["basis", "entries and basis", "dense projector", "dense"]) for _ in "AB")),
+    ranks=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    state_ranks=st.one_of(st.none(), st.tuples(st.integers(1, 6), st.integers(1, 6))),
+    stat=st.sampled_from(Statistics),
+    tol_exponent=st.floats(-14, -1),
+)
+def test_measure_pair_reports_what_schmidt_and_the_direct_rank_give(
+    seed, sites, kinds, ranks, state_ranks, stat, tol_exponent
+):
+    # one SVD call gives both spectra: the report is schmidt's and the
+    # evidence's before-rank that of the direct event's own SVD, bit for bit
+    rng = np.random.default_rng(seed)
+    space = SpaceSpec(sites, 2)
+    dim = space.total_dim
+    measure = SelectiveMeasure(*(
+        _factor_of_kind(rng, space, kind, min(rank, dim)) for kind, rank in zip(kinds, ranks)
+    ))
+    if state_ranks is None:
+        state = random_state(rng, space)
+    else:
+        state = random_factored_state(rng, space, *(min(rank, dim) for rank in state_ranks))
+    tol = 10.0**tol_exponent
+    try:
+        result = measure_pair(measure, state, stat, tol)
+    except DegenerateInputError:
+        assume(False)
+    direct = result.event_pair.event_direct
+    if result.report is None:
+        assert result.evidence is None
+        return
+    assert result_bits(result.report) == result_bits(schmidt(result.post_state, tol))
+    if _negligible(result.event_pair.norm_direct, result.scale, tol):
+        assert result.evidence is None
+        return
+    before = _rank(np.linalg.svd(direct.core, compute_uv=False), tol)
+    after = result.report.schmidt_rank
+    assert result_bits(result.evidence) == result_bits(EbmEvidence(before, after, after > before))
+
+
 def test_factored_doubly_occupied_reference_has_no_fermion_sector():
     rng = np.random.default_rng(42)
     space = SpaceSpec(4, 2)
@@ -814,6 +905,15 @@ TOL_TAKERS = _tol_takers()
 def test_every_public_tol_must_be_finite_and_positive(name, tol):
     # a non-finite or non-positive tol would silently pass or fail every zero test
     with pytest.raises(ValueError, match="finite and positive"):
+        TOL_TAKERS[name](tol)
+
+
+@pytest.mark.parametrize("tol", [1.0, 5.0])
+@pytest.mark.parametrize("name", sorted(TOL_TAKERS))
+def test_every_public_tol_must_be_below_1(name, tol):
+    # from 1 up a value is negligible against a scale it reaches: at tol 5 the
+    # momentum scenario called its reference's fermion sector missing
+    with pytest.raises(ValueError, match="finite and positive and below 1, got"):
         TOL_TAKERS[name](tol)
 
 

@@ -457,7 +457,7 @@ def test_relabel_rejects_zero_state():
     zero = OneParticleOperator(SPACE, np.zeros((16, 16)))
     result = measure_pair(SelectiveMeasure(zero, zero), ref, Statistics.FERMION)
     assert result.post_state_normalized is None
-    assert _spin_state(result) is None
+    assert _spin_state(result.post_state_normalized) is None
 
 
 def test_relabel_rejects_labels_off_the_lattice():
@@ -536,8 +536,9 @@ def test_phase_check_rejects_off_circle_ratios():
 
 
 def test_scenarios_apply_the_measure_twice_and_decompose_twice():
-    # two events, then one SVD of the post-state, made by the one schmidt
-    # call, and one of the direct event
+    # two events, then one SVD call on the stack of the post-state's and the
+    # direct event's r_A x r_B cores, whose first spectrum the one report
+    # builder turns into the report
     calls = {
         "momentum": lambda: scenario_momentum_projection(SPACE, 1, 5, Statistics.FERMION),
         "windows": lambda: scenario_position_windows(
@@ -557,10 +558,11 @@ def test_scenarios_apply_the_measure_twice_and_decompose_twice():
             "pairmeasure.measurement.apply_measure",
             wraps=pairmeasure.measurement.apply_measure,
         ) as apply, mock.patch("numpy.linalg.svd", wraps=np.linalg.svd) as svd, mock.patch(
-            "pairmeasure.measurement.schmidt", wraps=pairmeasure.measurement.schmidt
+            "pairmeasure.measurement._report", wraps=pairmeasure.measurement._report
         ) as report, mock.patch("numpy.linalg.qr", wraps=np.linalg.qr) as qr:
             call()
-        assert (apply.call_count, svd.call_count) == (2, 2), name
+        assert (apply.call_count, svd.call_count) == (2, 1), name
+        assert svd.call_args.args[0].shape == (2, 2, 2), name
         assert report.call_count == 1, name
         assert qr.call_count == qr_calls[name], name
 

@@ -17,7 +17,8 @@ from pairmeasure import (
     tensor_state,
 )
 
-from pairmeasure.hilbert import _IDENTITY, TwoParticleState, _Basis, _frobenius
+from pairmeasure.hilbert import _IDENTITY, TwoParticleState, _Basis, _frobenius, _plane_waves
+from pairmeasure.scenarios import _reference_state
 from pairmeasure.symmetry import _exchange_norm
 
 from helpers import orthogonal_sum_residual, random_state, random_unitary
@@ -220,3 +221,43 @@ def test_exchange_norm_matches_dense_on_both_sides_of_its_switch(
     factored = state.left is not None and state.right is not None
     nearly_orthogonal = factored and _frobenius(state.left.conj().T @ state.right) <= 0.5
     assert qr.call_count == (factored and not nearly_orthogonal)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sign=st.sampled_from([-1.0, 1.0]),
+    left_rank=st.integers(1, 5),
+    right_rank=st.integers(1, 5),
+)
+def test_exchange_norm_on_disjoint_supports_is_the_exact_closed_form(
+    seed, sign, left_rank, right_rank
+):
+    # bases on disjoint coordinates have L^H R exactly zero, as opposite spins
+    # or disjoint windows do: the trace term is an exact zero and is not formed
+    rng = np.random.default_rng(seed)
+    space = SpaceSpec(5, 2)
+    dim = space.total_dim
+    left, right = np.zeros((dim, left_rank), complex), np.zeros((dim, right_rank), complex)
+    rows = rng.permutation(dim)
+    left[rows[:5]] = random_unitary(rng, 5)[:, :left_rank]
+    right[rows[5:]] = random_unitary(rng, 5)[:, :right_rank]
+    core = rng.standard_normal((left_rank, right_rank)) + 1j * rng.standard_normal(
+        (left_rank, right_rank)
+    )
+    state = TwoParticleState.from_factors(space, left, core, right)
+    assert not np.count_nonzero(state.left.conj().T @ state.right)
+    coeff = state.matrix()
+    got = _exchange_norm(state, sign)
+    assert got == (2.0 * state.norm**2) ** 0.5
+    assert abs(got - np.linalg.norm(coeff + sign * coeff.T)) <= 1e-13 * np.linalg.norm(coeff)
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_exchange_norm_of_an_opposite_spin_reference_is_the_exact_closed_form(sign):
+    space = SpaceSpec(8, 2)
+    state = _reference_state(space, _plane_waves(space, 3), _plane_waves(space, 3))
+    coeff = state.matrix()
+    got = _exchange_norm(state, sign)
+    assert got == (2.0 * state.norm**2) ** 0.5
+    assert abs(got - np.linalg.norm(coeff + sign * coeff.T)) <= 1e-13
