@@ -11,10 +11,10 @@ this level; the exchange structure is layered on top by
 
 Every basis, a pair-state side or an operator's range basis, is one
 ``_Basis``: read-only columns that passed the orthonormality check, with
-the Gram matrix U^H U that check formed. A checked basis also keeps its
-projector's entry bound and largest row norm, so a measurement reads them.
-``_IDENTITY`` stands for a side without a basis. Changes of basis, U^H and
-U^H V, are formed on demand by that type alone.
+the U^H and the Gram matrix U^H U that check formed. A checked basis also
+keeps its projector's entry bound and largest row norm, so a measurement
+reads them. ``_IDENTITY`` stands for a side without a basis. Changes of
+basis U^H V are formed on demand by that type alone.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads. Dense arrays
@@ -45,7 +45,9 @@ ZERO_TOL = 1e-10
 # (n = 4096) and refuses larger spaces before anything is allocated.
 MAX_PAIR_BYTES = 256 * 2**20
 
-# Bytes of bases ``_shared_basis`` keeps; every mode and site of L = 2048 takes 4 MiB.
+# Bytes of bases ``_shared_basis`` keeps, U and U^H of each. A momentum mode
+# or a one-site window takes 256 KiB at L = 2048 (n x 2 twice), so 64 fit;
+# every mode and site of L = 128 takes 4 MiB.
 MAX_SHARED_BYTES = 16 * 2**20
 
 
@@ -130,22 +132,29 @@ def _freeze(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
-def _frozen_complex(values, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """A checked, read-only complex copy of caller-supplied ``values``."""
+def _complex_copy(values, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """A complex copy of caller-supplied ``values``, refused unless it has ``shape``."""
     arr = np.array(values, dtype=complex)
     if arr.shape != shape:
         raise DimensionMismatchError(f"{what} has shape {arr.shape}, expected {shape}")
-    return _freeze(arr, what)
+    return arr
+
+
+def _frozen_complex(values, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """A checked, read-only complex copy of caller-supplied ``values``."""
+    return _freeze(_complex_copy(values, shape, what), what)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
 class _Basis:
-    """A read-only n x r matrix U with orthonormal columns, and U^H U.
+    """A read-only n x r matrix U with orthonormal columns, U^H and U^H U.
 
     :meth:`checked` is the constructor that checks: shape, finiteness and
-    U^H U = I entrywise to ``ZERO_TOL``, at O(n r^2); it keeps the Gram
-    matrix U^H U it forms, and two numbers the projector U U^H needs on
-    every measurement (:func:`_projector_values`, O(n r)):
+    U^H U = I entrywise to ``ZERO_TOL``, at O(n r^2). It keeps the
+    conjugate of U it forms for that, as ``adjoint`` = U^H, a read-only
+    transposed view laid out as ``matrix.conj().T``, so no measurement
+    copies U again; the Gram matrix U^H U; and two numbers the projector
+    U U^H needs on every measurement (:func:`_projector_values`, O(n r)):
 
     * ``projector_bound`` is ``measurement._projector_bound`` for
       P = U U^H, that is W = U^H: there G = W U is this Gram matrix,
@@ -163,6 +172,7 @@ class _Basis:
 
     matrix: np.ndarray | None
     gram: np.ndarray | None
+    adjoint: np.ndarray | None
     projector_bound: float | None = None
     row_norm: float | None = None
 
@@ -179,16 +189,23 @@ class _Basis:
                 f"{what} has shape {shape}, expected ({dim}, r) with r <= {dim}"
             )
         matrix = _frozen_complex(values, shape, what) if copy else _freeze(values, what)
-        gram = matrix.conj().T @ matrix
+        conj = matrix.conj()
+        conj.flags.writeable = False
+        gram = conj.T @ matrix
         error = np.max(np.abs(gram - np.eye(shape[1])), initial=0.0)
         if not _negligible(error, 1.0, ZERO_TOL):
             raise ValueError(f"{what} columns are not orthonormal")
         gram.flags.writeable = False
-        return cls(matrix, gram, *_projector_values(matrix, gram))
+        return cls(matrix, gram, conj.T, *_projector_values(matrix, gram))
 
     def columns(self, index: slice) -> _Basis:
-        """The columns ``index`` of U, with the principal block of the checked U^H U."""
-        return _Basis(self.matrix[:, index], self.gram[index, index])
+        """The columns ``index`` of U, with views of the checked U^H and U^H U."""
+        return _Basis(self.matrix[:, index], self.gram[index, index], self.adjoint[index])
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays a checked basis keeps: U, U^H and U^H U."""
+        return self.matrix.nbytes + self.adjoint.nbytes + self.gram.nbytes
 
     def to(self, other: _Basis) -> np.ndarray | None:
         """U^H V for ``other`` = V, mapping coefficients in V to U; None for one object."""
@@ -196,15 +213,14 @@ class _Basis:
             return None
         if self.matrix is None:
             return other.matrix
-        adjoint = self.matrix.conj().T
-        return adjoint if other.matrix is None else adjoint @ other.matrix
+        return self.adjoint if other.matrix is None else self.adjoint @ other.matrix
 
     def restrict(self, rows: np.ndarray) -> np.ndarray:
         """rows U: an operator's rows on this basis's coordinates."""
         return rows if self.matrix is None else rows @ self.matrix
 
 
-_IDENTITY = _Basis(None, None)
+_IDENTITY = _Basis(None, None, None)
 
 
 def _projector_values(matrix: np.ndarray, gram: np.ndarray) -> tuple[float, float]:
@@ -232,7 +248,8 @@ def _shared_basis(build, space: SpaceSpec, *labels: int) -> _Basis:
     """The basis build(space, *labels), checked once and shared read-only.
 
     ``build`` makes a new complex n x r array from its arguments alone. The least
-    recently used entries are evicted to keep ``MAX_SHARED_BYTES``; a larger U is not kept.
+    recently used entries are evicted to keep ``MAX_SHARED_BYTES`` of ``_Basis.nbytes``; a
+    basis larger than that is not kept.
     """
     global _shared_bytes
     key = (build, space, labels)
@@ -240,14 +257,14 @@ def _shared_basis(build, space: SpaceSpec, *labels: int) -> _Basis:
         basis = _shared.pop(key, None)
         if basis is None:
             basis = _Basis.checked(build(space, *labels), space.total_dim, "basis", copy=False)
-            size = basis.matrix.nbytes + basis.gram.nbytes
+            size = basis.nbytes
             if size > MAX_SHARED_BYTES:
                 return basis
             _shared_bytes += size
         _shared[key] = basis
         while _shared_bytes > MAX_SHARED_BYTES:
             evicted = _shared.pop(next(iter(_shared)))
-            _shared_bytes -= evicted.matrix.nbytes + evicted.gram.nbytes
+            _shared_bytes -= evicted.nbytes
     return basis
 
 
@@ -360,9 +377,10 @@ class TwoParticleState:
     package's algebra works on the factors.
     ``amplitudes`` and ``matrix()`` read the same values in every case: a
     state with a basis builds them on first read, at most at O(n^2 (a + b)),
-    and keeps them. ``norm`` is the Frobenius norm of the core: a core the
-    package computes keeps the one its finiteness check formed, any other
-    state computes it on first read and keeps it.
+    and keeps them. ``norm`` is the Frobenius norm of the core: the dense
+    constructor and a core the package computes keep the one their
+    finiteness check formed, a ``from_factors`` state computes it on first
+    read and keeps it.
     """
 
     space: SpaceSpec
@@ -371,9 +389,11 @@ class TwoParticleState:
     right: np.ndarray | None = field(repr=False)
 
     def __init__(self, space: SpaceSpec, amplitudes):
-        amps = _frozen_complex(amplitudes, (space.pair_dim,), "amplitudes")
+        amps = _complex_copy(amplitudes, (space.pair_dim,), "amplitudes")
+        norm = _finite_norm(amps, "amplitudes")
+        amps.flags.writeable = False
         dim = space.total_dim
-        self._setup(space, _IDENTITY, amps.reshape(dim, dim), _IDENTITY)
+        self._setup(space, _IDENTITY, amps.reshape(dim, dim), _IDENTITY, norm)
         object.__setattr__(self, "_amplitudes", amps)
 
     @classmethod
@@ -431,7 +451,7 @@ class TwoParticleState:
 
     @property
     def norm(self) -> float:
-        """Euclidean norm, kept from the core's check or computed on first read."""
+        """Euclidean norm, kept from the finiteness check or computed on first read."""
         if self._norm is None:
             # The bases are isometries, so the core carries the norm.
             object.__setattr__(self, "_norm", _frobenius(self.core))

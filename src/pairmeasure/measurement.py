@@ -40,7 +40,9 @@ results: verdict, collapse, post-state Schmidt report, before/after rank
 evidence and Born-rule flag. One SVD call on the stack of the normalized
 post-state's core and the direct event's core gives both spectra, and
 ``entanglement._report`` turns the first into the report ``schmidt`` of
-the post-state would give. :func:`collapse` reads part of its result;
+the post-state would give. The cross product U_A^H U_B of the factors'
+range bases is formed once, for the verdict and for that report's Slater
+test, since the post-state is held in those bases. :func:`collapse` reads part of its result;
 :func:`classify` needs no sector and runs the verdict rule alone.
 
 Every event lies in range(A) x range(B) of the factors A and B. With range
@@ -260,7 +262,12 @@ def events(measure: SelectiveMeasure, ref_state: TwoParticleState) -> EventPair:
 
 
 def _verdict(
-    measure: SelectiveMeasure, pair: EventPair, factor_scale: float, scale: float, tol: float
+    measure: SelectiveMeasure,
+    pair: EventPair,
+    factor_scale: float,
+    scale: float,
+    tol: float,
+    cross: np.ndarray | None = None,
 ) -> Verdict:
     """The one verdict rule (module docstring), for every entry point.
 
@@ -268,6 +275,8 @@ def _verdict(
     W_A^H (U_A^H U_B) W_B for A = U_A W_A, the identity for a missing basis.
     A factor built from its basis alone has W = U^H with orthonormal rows,
     so it is left out: two such factors cost O(n r_A r_B), no n x n array.
+    The middle factor is ``cross`` when the caller formed it
+    (``_Basis.to``), else formed here.
     """
     direct_zero = _negligible(pair.norm_direct, scale, tol)
     permuted_zero = _negligible(pair.norm_permuted, scale, tol)
@@ -279,7 +288,7 @@ def _verdict(
         slot1, slot2 = measure.factor_slot1, measure.factor_slot2
         parts = [
             None if slot1._gram is not None else slot1.range_rows.conj().T,
-            slot1._basis.to(slot2._basis),
+            slot1._basis.to(slot2._basis) if cross is None else cross,
             None if slot2._gram is not None else slot2.range_rows,
         ]
         parts = [part for part in parts if part is not None]
@@ -383,7 +392,10 @@ def _pair_results(
     direct, permuted = pair.event_direct, pair.event_permuted
     factor_scale = measure_scale(measure)
     scale = factor_scale * ref.norm
-    verdict = _verdict(measure, pair, factor_scale, scale, tol)
+    # U_A^H U_B, formed once: the verdict's middle factor, and X of the
+    # post-state's Slater test, whose bases are the measure's.
+    cross = direct._left.to(direct._right)
+    verdict = _verdict(measure, pair, factor_scale, scale, tol, cross)
     sym_norm = _INV_SQRT2 * _exchange_norm(ref, stat.sign)
     if _negligible(sym_norm, ref.norm, tol):
         raise DegenerateInputError(
@@ -397,7 +409,7 @@ def _pair_results(
         normalized = raw.normalize()
         # Both cores are r_A x r_B in the measure's bases: one SVD call.
         spectra = np.linalg.svd(np.array([normalized.core, direct.core]), compute_uv=False)
-        report = _report(raw, spectra[0], tol)
+        report = _report(raw, spectra[0], tol, cross)
         if not _negligible(pair.norm_direct, scale, tol):
             before = _rank(spectra[1], tol)
             after = report.schmidt_rank

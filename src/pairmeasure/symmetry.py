@@ -12,7 +12,9 @@ holds for every state regardless. ``_exchange_norm`` gives ||C + -C^T|| on
 the factors: sqrt(2) ||C|| when the two bases are exactly orthogonal
 (disjoint supports, such as opposite spins or disjoint windows), a closed
 form when they are nearly orthogonal, as in both worked scenarios, and one
-QR of the stacked bases otherwise.
+QR of the stacked bases otherwise. The Slater test of
+``entanglement._report`` needs no value when the bases are nearly
+orthogonal: ||C + C^T|| is then at least sqrt(1.5) ||C||.
 """
 
 from __future__ import annotations
@@ -47,7 +49,9 @@ def permute(state: TwoParticleState) -> TwoParticleState:
     return TwoParticleState._fresh(state.space, state.core.T, state._right, state._left)
 
 
-def _exchange_norm(state: TwoParticleState, sign: float) -> float:
+def _exchange_norm(
+    state: TwoParticleState, sign: float, cross: np.ndarray | None = None
+) -> float:
     """||C + sign C^T||_F for C = L K R^T, in two tiers.
 
     With isometric bases and X = L^H R (O(n a b)), ||C + sign C^T||^2 =
@@ -60,13 +64,15 @@ def _exchange_norm(state: TwoParticleState, sign: float) -> float:
     is that of the (a + b)-square M + sign M^T. Without both bases, M = C.
     One basis object on both sides has X = I, so it takes the QR. When X is
     exactly zero, the trace term is an exact zero and the closed form is
-    sqrt(2) ||K||, returned without forming it.
+    sqrt(2) ||K||, returned without forming it. ``cross`` is X when the
+    caller has formed it (``_Basis.to``), else it is formed here.
     """
     left, core, right = state.left, state.core, state.right
     if _IDENTITY in (state._left, state._right):
         coeff = _in_bases(state, _IDENTITY, _IDENTITY)
     else:
-        cross = state._left.to(state._right)
+        if cross is None:
+            cross = state._left.to(state._right)
         if cross is not None and not np.count_nonzero(cross):
             return (2.0 * state.norm**2) ** 0.5
         if cross is not None and _frobenius(cross) <= 0.5:

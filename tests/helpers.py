@@ -165,15 +165,20 @@ def empty_basis_table():
 
 
 def assert_table_holds_bases_only(budget):
-    """hilbert's table holds `_Basis` entries only, r < n, and counts their bytes exactly."""
+    """hilbert's table holds `_Basis` entries only, r < n, and counts their bytes exactly.
+
+    Each entry's bytes are U, its kept conjugate (read-only, equal to
+    ``U.conj()``, held as the transposed view ``adjoint``) and U^H U.
+    """
     sizes = []
     for entry in hilbert._shared.values():
         assert type(entry) is hilbert._Basis
-        basis, gram = entry.matrix, entry.gram
+        basis, gram, conj = entry.matrix, entry.gram, entry.adjoint.T
         assert type(basis) is np.ndarray and type(gram) is np.ndarray
         rank = basis.shape[1]
         assert gram.shape == (rank, rank) and rank < basis.shape[0]
-        sizes.append(basis.nbytes + gram.nbytes)
+        assert not conj.flags.writeable and np.array_equal(conj, basis.conj())
+        sizes.append(basis.nbytes + conj.nbytes + gram.nbytes)
     assert hilbert._shared_bytes == sum(sizes) <= budget
 
 

@@ -302,6 +302,17 @@ def test_a_computed_core_keeps_the_norm_its_check_formed():
     assert swapped.norm == hilbert._frobenius(swapped.core)
 
 
+def test_the_dense_constructor_keeps_the_norm_its_check_formed():
+    rng = np.random.default_rng(29)
+    space = SpaceSpec(4, 2)
+    amps = rng.standard_normal(space.pair_dim) + 1j * rng.standard_normal(space.pair_dim)
+    with mock.patch.object(hilbert, "_frobenius", wraps=hilbert._frobenius) as frobenius:
+        state = TwoParticleState(space, amps)
+        norm = state.norm
+    assert frobenius.call_count == 1
+    assert norm == hilbert._frobenius(state.core)
+
+
 def test_amplitudes_are_read_only():
     state = random_state(np.random.default_rng(16), SpaceSpec(2, 2))
     with pytest.raises(ValueError):
@@ -532,3 +543,21 @@ def test_reading_entries_leaves_no_dense_array_for_the_next_call():
             assert entries() is None
             assert build()._entries is None
         assert_table_holds_bases_only(hilbert.MAX_SHARED_BYTES)
+
+
+def test_projectors_built_from_a_basis_read_the_adjoint_its_check_kept():
+    # range_rows is the shared basis's own U^H, laid out as U.conj().T: the
+    # same read-only array on every call, so no call copies U
+    space = SpaceSpec(6, 2)
+    builds = {
+        "window": lambda: window_projector(2, 3, space),
+        "momentum": lambda: momentum_projector(1, 4, space).factor_slot1,
+    }
+    with empty_basis_table():
+        for name, build in builds.items():
+            first, second = build(), build()
+            rows = first.range_rows
+            assert rows is second.range_rows is first._basis.adjoint, name
+            assert not rows.flags.writeable, name
+            want = first.range_basis.conj().T
+            assert np.array_equal(rows, want) and rows.strides == want.strides, name

@@ -4,6 +4,7 @@ import io
 import json
 import sys
 import tempfile
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
@@ -565,6 +566,52 @@ def test_scenarios_apply_the_measure_twice_and_decompose_twice():
         assert svd.call_args.args[0].shape == (2, 2, 2), name
         assert report.call_count == 1, name
         assert qr.call_count == qr_calls[name], name
+
+
+def test_a_scenario_call_forms_the_cross_product_of_its_measure_bases_once():
+    # U_A^H U_B is the verdict's middle factor and X of the post-state's
+    # Slater test; the call forms it once and hands it to both
+    calls = {
+        "momentum": (lambda: scenario_momentum_projection(SPACE, 1, 5, Statistics.FERMION),
+                     lambda: momentum_projector(1, 5, SPACE)),
+        "windows": (lambda: scenario_position_windows(SPACE, 1, None, 2, 5, 1, Statistics.FERMION),
+                    lambda: SelectiveMeasure(window_projector(2, 1, SPACE),
+                                             window_projector(5, 1, SPACE))),
+    }
+    for name, (call, build) in calls.items():
+        with empty_basis_table():
+            measure = build()
+            bases = measure.factor_slot1._basis, measure.factor_slot2._basis
+            with mock.patch.object(
+                hilbert._Basis, "to", autospec=True, side_effect=hilbert._Basis.to
+            ) as to:
+                result = call()
+            crossed = [args for args, _ in to.call_args_list if args == bases]
+            assert len(crossed) == 1, name
+            assert result.post_state._left is bases[0], name
+
+
+def test_a_warm_scenario_call_allocates_no_basis_sized_array():
+    # at L = 2048 one n x 2 complex array is 128 KiB; a warm call reads every
+    # U, U^H and U^H U from the table and allocates only r-sized arrays
+    space = SpaceSpec(2048, 2)
+    limit = space.total_dim * 2 * np.dtype(complex).itemsize
+    calls = {
+        "momentum": lambda: scenario_momentum_projection(space, 3, None, Statistics.FERMION),
+        "windows": lambda: scenario_position_windows(
+            space, 3, None, 100, 900, 1, Statistics.FERMION
+        ),
+    }
+    with empty_basis_table():
+        for name, call in calls.items():
+            call()
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < limit, (name, peak)
 
 
 def test_scenarios_build_and_check_each_basis_once_per_process():

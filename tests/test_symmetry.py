@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pairmeasure import (
@@ -13,11 +13,20 @@ from pairmeasure import (
     mode_index,
     permute,
     plane_wave,
+    schmidt,
     sector,
     tensor_state,
 )
 
-from pairmeasure.hilbert import _IDENTITY, TwoParticleState, _Basis, _frobenius, _plane_waves
+from pairmeasure.entanglement import _antisymmetric
+from pairmeasure.hilbert import (
+    _IDENTITY,
+    TwoParticleState,
+    _Basis,
+    _frobenius,
+    _negligible,
+    _plane_waves,
+)
 from pairmeasure.scenarios import _reference_state
 from pairmeasure.symmetry import _exchange_norm
 
@@ -261,3 +270,32 @@ def test_exchange_norm_of_an_opposite_spin_reference_is_the_exact_closed_form(si
     got = _exchange_norm(state, sign)
     assert got == (2.0 * state.norm**2) ** 0.5
     assert abs(got - np.linalg.norm(coeff + sign * coeff.T)) <= 1e-13
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    left_rank=st.integers(1, 5),
+    right_rank=st.integers(1, 5),
+    cross=st.one_of(st.floats(0.0, 0.5), st.sampled_from([0.0, 0.5 * (1 - 1e-12), 0.5])),
+    tol=st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.sampled_from([1e-300, 1e-10, 0.5, 1.0 - 2**-53]),
+    ),
+    given_cross=st.booleans(),
+)
+def test_slater_test_of_nearly_orthogonal_bases_needs_no_trace_term(
+    seed, left_rank, right_rank, cross, tol, given_cross
+):
+    # ||L^H R||_F <= 1/2 puts ||C + C^T||^2 at least 1.5 ||K||^2, and no tol
+    # below 1 makes that negligible against ||K||: the test answers no at
+    # once, as the closed form would, whether the caller formed X or not
+    state = exchange_state(seed, "mixed", left_rank, right_rank, cross)
+    x = state._left.to(state._right)
+    assume(_frobenius(x) <= 0.5 and state.norm > 0.0)
+    want = _negligible(_exchange_norm(state, 1.0), state.norm, tol)
+    with mock.patch("pairmeasure.entanglement._exchange_norm") as exchange_norm:
+        got = _antisymmetric(state, tol, x if given_cross else None)
+    assert got == want and not got
+    assert exchange_norm.call_count == 0
+    assert schmidt(state, tol).slater_rank is None
