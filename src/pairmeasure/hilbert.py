@@ -13,15 +13,17 @@ Every basis, a pair-state side or an operator's range basis, is one
 ``_Basis``: read-only columns that passed the orthonormality check, with
 the U^H and the Gram matrix U^H U that check formed. A checked basis also
 keeps its projector's entry bound and largest row norm, so a measurement
-reads them. ``_IDENTITY`` stands for a side without a basis. Changes of
-basis U^H V are formed on demand by that type alone.
+reads them, and its one-column sub-bases once formed, views of those
+arrays. ``_IDENTITY`` stands for a side without a basis. Changes of basis
+U^H V are formed on demand by that type alone.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads. Dense arrays
-a factored value builds on first read, and a pair state's norm, are kept
-values computed once from fixed data; two threads reading at once may both
-compute one, with the same result. The one shared mutable object is the
-lock-guarded table of checked, read-only bases kept by ``_shared_basis``.
+a factored value builds on first read, a pair state's norm and a basis's
+column views are kept values computed once from fixed data; two threads
+reading at once may both compute one, with the same result. The one shared
+mutable object is the lock-guarded table of checked, read-only bases kept
+by ``_shared_basis``.
 """
 
 from __future__ import annotations
@@ -166,7 +168,8 @@ class _Basis:
       of U^H, and so of U U^H.
 
     The plain constructor takes parts of a basis already checked and keeps
-    neither number. ``_IDENTITY`` is the side with no basis (U = I,
+    neither number. :meth:`column` keeps the one-column sub-bases, views
+    that add no bytes. ``_IDENTITY`` is the side with no basis (U = I,
     ``matrix`` None). This type alone forms U^H and U^H V.
     """
 
@@ -175,6 +178,7 @@ class _Basis:
     adjoint: np.ndarray | None
     projector_bound: float | None = None
     row_norm: float | None = None
+    _columns: tuple | None = field(default=None, repr=False)
 
     @classmethod
     def checked(cls, values, dim: int, what: str, copy: bool = True) -> _Basis:
@@ -198,9 +202,15 @@ class _Basis:
         gram.flags.writeable = False
         return cls(matrix, gram, conj.T, *_projector_values(matrix, gram))
 
-    def columns(self, index: slice) -> _Basis:
-        """The columns ``index`` of U, with views of the checked U^H and U^H U."""
-        return _Basis(self.matrix[:, index], self.gram[index, index], self.adjoint[index])
+    def column(self, index: int) -> _Basis:
+        """Column ``index`` of U, with views of the checked U^H and U^H U; all kept."""
+        if self._columns is None:
+            split = tuple(
+                _Basis(self.matrix[:, s:s + 1], self.gram[s:s + 1, s:s + 1], self.adjoint[s:s + 1])
+                for s in range(self.matrix.shape[1])
+            )
+            object.__setattr__(self, "_columns", split)
+        return self._columns[index]
 
     @property
     def nbytes(self) -> int:
@@ -324,8 +334,6 @@ class OneParticleOperator:
         return op
 
     def _setup(self, space, entries, basis: _Basis) -> None:
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "_entries", entries)
         if basis is _IDENTITY:
             if entries is None:
                 raise ValueError("an operator needs entries or a range_basis")
@@ -340,12 +348,12 @@ class OneParticleOperator:
                     np.linalg.norm(residual), np.linalg.norm(entries), ZERO_TOL
                 ):
                     raise ValueError("range_basis does not span the range of entries")
-            rows.flags.writeable = False
-        # U^H U of a projector built from its basis alone, else None.
-        object.__setattr__(self, "_gram", None if entries is not None else basis.gram)
-        object.__setattr__(self, "_basis", basis)
-        object.__setattr__(self, "range_basis", basis.matrix)
-        object.__setattr__(self, "range_rows", rows)
+                rows.flags.writeable = False
+        # _gram: U^H U of a projector built from its basis alone, else None.
+        vars(self).update(
+            space=space, _entries=entries, _gram=None if entries is not None else basis.gram,
+            _basis=basis, range_basis=basis.matrix, range_rows=rows,
+        )
 
     @property
     def entries(self) -> np.ndarray:
@@ -378,9 +386,9 @@ class TwoParticleState:
     ``amplitudes`` and ``matrix()`` read the same values in every case: a
     state with a basis builds them on first read, at most at O(n^2 (a + b)),
     and keeps them. ``norm`` is the Frobenius norm of the core: the dense
-    constructor and a core the package computes keep the one their
-    finiteness check formed, a ``from_factors`` state computes it on first
-    read and keeps it.
+    constructor, :meth:`from_factors` and a core the package computes keep
+    the one their finiteness check formed; a state on a core that was
+    already checked is given it, or computes it on first read and keeps it.
     """
 
     space: SpaceSpec
@@ -405,8 +413,10 @@ class TwoParticleState:
         """
         dim = space.total_dim
         left, right = _Basis.checked(left, dim, "left"), _Basis.checked(right, dim, "right")
-        core = _frozen_complex(core, (left.matrix.shape[1], right.matrix.shape[1]), "core")
-        return cls._fresh(space, core, left, right)
+        core = _complex_copy(core, (left.matrix.shape[1], right.matrix.shape[1]), "core")
+        norm = _finite_norm(core, "core")
+        core.flags.writeable = False
+        return cls._fresh(space, core, left, right, norm)
 
     @classmethod
     def _fresh(
@@ -415,14 +425,15 @@ class TwoParticleState:
         core: np.ndarray,
         left: _Basis = _IDENTITY,
         right: _Basis = _IDENTITY,
+        norm: float | None = None,
     ) -> TwoParticleState:
         """A state on a core computed here, checked and frozen in place, not copied.
 
         The check's Frobenius norm is the state's ``norm``, kept. A core that
-        is already read-only belongs to an existing state, so it has been
-        checked and is taken as it is.
+        is already read-only has been checked, by an existing state or as a
+        constant, and is taken as it is, with its Frobenius norm ``norm`` when
+        the caller knows it.
         """
-        norm = None
         if core.flags.writeable:
             norm = _finite_norm(core, "state")
             core.flags.writeable = False
@@ -431,14 +442,10 @@ class TwoParticleState:
         return state
 
     def _setup(self, space, left: _Basis, core, right: _Basis, norm=None) -> None:
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "_left", left)
-        object.__setattr__(self, "_right", right)
-        object.__setattr__(self, "left", left.matrix)
-        object.__setattr__(self, "core", core)
-        object.__setattr__(self, "right", right.matrix)
-        object.__setattr__(self, "_amplitudes", None)
-        object.__setattr__(self, "_norm", norm)
+        vars(self).update(
+            space=space, _left=left, _right=right, left=left.matrix, core=core,
+            right=right.matrix, _amplitudes=None, _norm=norm,
+        )
 
     @property
     def amplitudes(self) -> np.ndarray:

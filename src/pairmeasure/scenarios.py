@@ -20,7 +20,9 @@ down.
 Both build the reference from columns of plane-wave range bases, checked
 once per integer label and shared read-only across calls, so it is neither
 copied nor checked again (``_reference_state``); the momentum scenario takes
-them from its measure's own factors. Each call measures in full.
+them from its measure's own factors. Each basis keeps its column views and
+the unit core its norm, so a warm call builds no basis and forms no norm for
+the reference. Each call measures in full.
 
 With the momenta or the single sites standing in for particle tags, what
 is left of the collapsed pair is a two-spin state, ``relabeled``: the
@@ -28,6 +30,8 @@ post-state's core in the measure's range bases.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -68,10 +72,11 @@ def _reference_state(space: SpaceSpec, a: _Basis, b: _Basis) -> TwoParticleState
 
     u and v are columns (spin up of a, spin down of b) of the bases of m_a
     and m_b that ``hilbert._shared_basis`` checked, read-only views with the
-    principal blocks of the checked Gram matrices, so no check is lost.
+    principal blocks of the checked Gram matrices, so no check is lost. The
+    bases keep those views (``_Basis.column``), and the norm of [[1]] is
+    exactly 1.
     """
-    up, down = a.columns(slice(SPIN_UP, SPIN_UP + 1)), b.columns(slice(SPIN_DOWN, SPIN_DOWN + 1))
-    return TwoParticleState._fresh(space, _UNIT_CORE, up, down)
+    return TwoParticleState._fresh(space, _UNIT_CORE, a.column(SPIN_UP), b.column(SPIN_DOWN), 1.0)
 
 
 def _spin_state(normalized: TwoParticleState | None) -> TwoParticleState | None:
@@ -87,7 +92,13 @@ def _spin_state(normalized: TwoParticleState | None) -> TwoParticleState | None:
     """
     if normalized is None:
         return None
-    return TwoParticleState._fresh(SpaceSpec(1, normalized.space.spin_dim), normalized.core)
+    return TwoParticleState._fresh(_one_site(normalized.space.spin_dim), normalized.core)
+
+
+@functools.cache
+def _one_site(spins: int) -> SpaceSpec:
+    """The space of one site with ``spins`` spin states, formed once per spin count."""
+    return SpaceSpec(1, spins)
 
 
 def scenario_momentum_projection(

@@ -168,7 +168,9 @@ def assert_table_holds_bases_only(budget):
     """hilbert's table holds `_Basis` entries only, r < n, and counts their bytes exactly.
 
     Each entry's bytes are U, its kept conjugate (read-only, equal to
-    ``U.conj()``, held as the transposed view ``adjoint``) and U^H U.
+    ``U.conj()``, held as the transposed view ``adjoint``) and U^H U. Its
+    kept one-column sub-bases add none: each part is a read-only view of
+    the entry's own array.
     """
     sizes = []
     for entry in hilbert._shared.values():
@@ -178,6 +180,12 @@ def assert_table_holds_bases_only(budget):
         rank = basis.shape[1]
         assert gram.shape == (rank, rank) and rank < basis.shape[0]
         assert not conj.flags.writeable and np.array_equal(conj, basis.conj())
+        assert entry._columns is None or len(entry._columns) == rank
+        for column in entry._columns or ():
+            for part, whole in ((column.matrix, basis), (column.adjoint, entry.adjoint),
+                                (column.gram, gram)):
+                assert part.base is not None and not part.flags.writeable
+                assert np.shares_memory(part, whole)
         sizes.append(basis.nbytes + conj.nbytes + gram.nbytes)
     assert hilbert._shared_bytes == sum(sizes) <= budget
 

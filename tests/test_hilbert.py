@@ -313,6 +313,22 @@ def test_the_dense_constructor_keeps_the_norm_its_check_formed():
     assert norm == hilbert._frobenius(state.core)
 
 
+def test_from_factors_keeps_the_norm_its_core_check_formed():
+    # one dot on the core: its finiteness check's norm is the state's norm
+    rng = np.random.default_rng(31)
+    space = SpaceSpec(4, 2)
+    dim = space.total_dim
+    left, right = random_unitary(rng, dim)[:, :2], random_unitary(rng, dim)[:, :3]
+    core = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    with mock.patch.object(hilbert, "_frobenius", wraps=hilbert._frobenius) as frobenius:
+        state = TwoParticleState.from_factors(space, left, core, right)
+        norm = state.norm
+    on_core = [args for args, _ in frobenius.call_args_list
+               if np.shares_memory(args[0], state.core)]
+    assert len(on_core) == 1
+    assert norm == hilbert._frobenius(state.core)
+
+
 def test_amplitudes_are_read_only():
     state = random_state(np.random.default_rng(16), SpaceSpec(2, 2))
     with pytest.raises(ValueError):

@@ -14,7 +14,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pairmeasure.entanglement
 import pairmeasure.measurement
+import pairmeasure.scenarios
+import pairmeasure.symmetry
 from pairmeasure import hilbert
 from pairmeasure import (
     DegenerateInputError,
@@ -658,6 +661,66 @@ def test_scenarios_form_each_projector_bound_and_scale_once_per_process():
             assert result.born_rule is True, name
 
 
+def _warm_calls():
+    return {
+        "momentum": lambda: scenario_momentum_projection(SPACE, 1, 5, Statistics.FERMION),
+        "windows": lambda: scenario_position_windows(
+            SPACE, 1, None, 2, 5, 1, Statistics.FERMION
+        ),
+    }
+
+
+def test_a_warm_scenario_call_builds_no_basis_and_no_reference_norm():
+    # the reference's kets are column views its bases keep, and the norm of
+    # its unit core is known, so no _Basis is constructed and no norm of the
+    # unit core is formed on a warm call
+    unit = pairmeasure.scenarios._UNIT_CORE
+    # every module that binds the name, so no call escapes the count
+    modules = (hilbert, pairmeasure.symmetry, pairmeasure.measurement, pairmeasure.entanglement)
+    for name, call in _warm_calls().items():
+        with empty_basis_table(), contextlib.ExitStack() as stack:
+            call()
+            init = stack.enter_context(mock.patch.object(
+                hilbert._Basis, "__init__", autospec=True, side_effect=hilbert._Basis.__init__
+            ))
+            norms = [stack.enter_context(mock.patch.object(
+                module, "_frobenius", wraps=hilbert._frobenius
+            )) for module in modules]
+            call()
+            assert init.call_count == 0, name
+            for norm in norms:
+                assert not any(np.shares_memory(args[0], unit)
+                               for args, _ in norm.call_args_list), name
+
+
+def test_the_reference_reads_kept_column_views_of_its_table_entries():
+    made = []
+    reference = pairmeasure.scenarios._reference_state
+
+    def record(*args):
+        made.append(reference(*args))
+        return made[-1]
+
+    modes = {"momentum": (1, 5), "windows": (1, 7)}
+    for name, call in _warm_calls().items():
+        made.clear()
+        with empty_basis_table(), mock.patch.object(
+            pairmeasure.scenarios, "_reference_state", side_effect=record
+        ):
+            call()
+            call()
+            first, second = made
+            assert second._left is first._left and second._right is first._right, name
+            entries = [hilbert._plane_waves(SPACE, mode) for mode in modes[name]]
+            for side, entry, spin in zip((first._left, first._right), entries, (UP, DOWN)):
+                assert side is entry.column(spin), name
+                for part, whole in ((side.matrix, entry.matrix), (side.adjoint, entry.adjoint),
+                                    (side.gram, entry.gram)):
+                    assert not part.flags.writeable, name
+                    assert np.shares_memory(part, whole), name
+            assert_table_holds_bases_only(hilbert.MAX_SHARED_BYTES)
+
+
 def test_threads_sharing_the_table_get_the_serial_results(monkeypatch):
     space = SpaceSpec(16, 2)
     rng = np.random.default_rng(17)
@@ -676,7 +739,8 @@ def test_threads_sharing_the_table_get_the_serial_results(monkeypatch):
 
     serial = [run(*case) for case in cases]
     # room for 8 of the 16 x 2 bases: the threads evict each other's entries
-    budget = 8 * (32 * 2 + 2 * 2) * 16
+    # and race on first reads of a new entry's column views
+    budget = 8 * hilbert._plane_waves(space, 0).nbytes
     monkeypatch.setattr(hilbert, "MAX_SHARED_BYTES", budget)
     orders = [rng.permutation(64) for _ in range(4)]
     interval = sys.getswitchinterval()
