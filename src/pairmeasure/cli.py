@@ -12,8 +12,8 @@ Reports list the post-state's singular values up to its Schmidt rank; the
 rest are zero up to roundoff.
 
 Exit codes: 0 success, 2 unreadable or malformed input, 3 degenerate input
-or a space too large for dense storage, 1 when stdout closes before the
-report is written (nothing more is printed).
+or a request for an array above the memory budget (``hilbert._budget``), 1
+when stdout closes before the report is written (nothing more is printed).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .errors import DegenerateInputError, InputTooLargeError, ParseError
+from .errors import DegenerateInputError, ParseError
 from .fileio import _format_float as _fmt
 from .fileio import parse_measure_file, parse_state_file
 from .hilbert import ZERO_TOL, SpaceSpec, _negligible
@@ -174,7 +174,7 @@ def run(args: argparse.Namespace) -> int:
     except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (DegenerateInputError, IndexError, InputTooLargeError) as exc:
+    except (DegenerateInputError, IndexError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     try:

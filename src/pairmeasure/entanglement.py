@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError
-from .hilbert import _IDENTITY, ZERO_TOL, TwoParticleState, _frobenius, _negligible
+from .hilbert import _IDENTITY, ZERO_TOL, TwoParticleState, _budget, _frobenius, _negligible
 from .symmetry import _exchange_norm
 
 
@@ -102,6 +102,7 @@ def _report(
                 "straddles the threshold, so there is no Slater count at this tol"
             )
         slater = rank // 2
+    _budget(state.space.total_dim, "a padded spectrum", itemsize=8)
     padded = np.zeros(state.space.total_dim)
     padded[: sigma.size] = sigma
     return EntanglementReport(

@@ -14,9 +14,10 @@ class DegenerateInputError(ValueError):
 
 
 class InputTooLargeError(MemoryError):
-    """A space whose dense pair arrays would exceed the memory budget.
+    """A request for an array that grows with the space, above the memory budget.
 
-    Raised before anything is allocated; see ``hilbert.MAX_PAIR_BYTES``.
+    Raised where such an array would be allocated, before it is; see
+    ``hilbert.MAX_PAIR_BYTES``.
     """
 
 

@@ -27,7 +27,7 @@ import os
 import numpy as np
 
 from .errors import ParseError
-from .hilbert import OneParticleOperator, SpaceSpec, TwoParticleState
+from .hilbert import OneParticleOperator, SpaceSpec, TwoParticleState, _budget
 from .measurement import SelectiveMeasure
 
 
@@ -86,6 +86,7 @@ def _parse(
         if space is None:
             space = _parse_header(number, fields)
             dim = space.total_dim
+            _budget(space.pair_dim, f"a dense {kind} on {dim} modes")
             matrices = {tag: np.zeros((dim, dim), dtype=complex) for tag in tags}
             continue
         if fields[0] == "dim":

@@ -10,27 +10,23 @@ this level; the exchange structure is layered on top by
 :mod:`pairmeasure.symmetry`.
 
 Every basis, a pair-state side or an operator's range basis, is one
-``_Basis``: read-only columns that passed the orthonormality check, with
-the U^H and the Gram matrix U^H U that check formed. A checked basis also
-keeps its projector's entry bound and largest row norm, so a measurement
-reads them, and its one-column sub-bases once formed, views of those
-arrays. ``_IDENTITY`` stands for a side without a basis. Changes of basis
-U^H V are formed on demand by that type alone.
+``_Basis``: checked dense columns, or the two kinds the paper's setups use,
+coordinate kets and plane waves, held in closed form by their labels, whose
+products are exact (see ``_Basis``). Each array that grows with the space is
+refused above ``MAX_PAIR_BYTES`` where it would be allocated (``_budget``).
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads. Dense arrays
-a factored value builds on first read, a pair state's norm and a basis's
-column views are kept values computed once from fixed data; two threads
-reading at once may both compute one, with the same result. The one shared
-mutable object is the lock-guarded table of checked, read-only bases kept
-by ``_shared_basis``.
+a value builds on first read and a pair state's norm are kept values
+computed once from fixed data; two threads reading at once may both compute
+one, with the same result. The module keeps no shared mutable state.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,17 +36,12 @@ from .errors import DegenerateInputError, DimensionMismatchError, InputTooLargeE
 # Default tolerance for "is this zero" tests on O(1) desk-scale quantities.
 ZERO_TOL = 1e-10
 
-# Largest dense pair array (pair_dim complex128 amplitudes) a space may ask
-# for. States read from files or given as arrays are dense, and a call on
-# them holds several such arrays at once, so 256 MiB each keeps a call
-# within a few GiB of a desk machine. It admits L = 2048 at spin 1/2
-# (n = 4096) and refuses larger spaces before anything is allocated.
+# Largest array that grows with the space a call may allocate (n x n pair
+# amplitudes or operator entries, a dense n x r basis, an n-long spectrum).
+# A call holds several at once, so 256 MiB each keeps it within a few GiB.
+# Dense pair arrays fit up to L = 2048 at spin 1/2; the scenarios, whose
+# largest array is the report's n-long spectrum of floats, up to L = 2^24.
 MAX_PAIR_BYTES = 256 * 2**20
-
-# Bytes of bases ``_shared_basis`` keeps, U and U^H of each. A momentum mode
-# or a one-site window takes 256 KiB at L = 2048 (n x 2 twice), so 64 fit;
-# every mode and site of L = 128 takes 4 MiB.
-MAX_SHARED_BYTES = 16 * 2**20
 
 
 @dataclass(frozen=True)
@@ -70,12 +61,6 @@ class SpaceSpec:
             raise ValueError(f"extrinsic_dim must be >= 1, got {self.extrinsic_dim}")
         if self.spin_dim < 1:
             raise ValueError(f"spin_dim must be >= 1, got {self.spin_dim}")
-        pair_bytes = self.pair_dim * np.dtype(complex).itemsize
-        if pair_bytes > MAX_PAIR_BYTES:
-            raise InputTooLargeError(
-                f"a dense pair state on {self.extrinsic_dim} sites x {self.spin_dim} "
-                f"spins needs {pair_bytes} bytes, above the {MAX_PAIR_BYTES}-byte budget"
-            )
 
     @property
     def total_dim(self) -> int:
@@ -86,6 +71,13 @@ class SpaceSpec:
     def pair_dim(self) -> int:
         """Dimension of the distinguishable two-particle space."""
         return self.total_dim ** 2
+
+
+def _budget(count: int, what: str, itemsize: int = 16) -> None:
+    """InputTooLargeError naming ``what`` if ``count`` items exceed ``MAX_PAIR_BYTES``."""
+    size = count * itemsize
+    if size > MAX_PAIR_BYTES:
+        raise InputTooLargeError(f"{what} needs {size} bytes, above the {MAX_PAIR_BYTES}-byte budget")
 
 
 def mode_index(extrinsic: int, spin: int, space: SpaceSpec) -> int:
@@ -147,98 +139,162 @@ def _frozen_complex(values, shape: tuple[int, ...], what: str) -> np.ndarray:
     return _freeze(_complex_copy(values, shape, what), what)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(eq=False, slots=True)
 class _Basis:
-    """A read-only n x r matrix U with orthonormal columns, U^H and U^H U.
+    """An n x r matrix U with orthonormal columns, dense or in closed form.
 
-    :meth:`checked` is the constructor that checks: shape, finiteness and
-    U^H U = I entrywise to ``ZERO_TOL``, at O(n r^2). It keeps the
-    conjugate of U it forms for that, as ``adjoint`` = U^H, a read-only
-    transposed view laid out as ``matrix.conj().T``, so no measurement
-    copies U again; the Gram matrix U^H U; and two numbers the projector
-    U U^H needs on every measurement (:func:`_projector_values`, O(n r)):
+    * Dense: :meth:`checked` checks ``matrix`` (shape, finiteness, U^H U = I
+      entrywise to ``ZERO_TOL``, at O(n r^2)) and keeps U^H as ``adjoint``.
+    * Coordinate columns: column j is the unit ket of mode ``labels[j]``.
+    * Plane-wave columns (:meth:`plane_waves`, on ``sites`` = L): column j is
+      ``plane_wave(m, s)`` for ``labels[j]`` = m * spin_dim + s.
 
-    * ``projector_bound`` is ``measurement._projector_bound`` for
-      P = U U^H, that is W = U^H: there G = W U is this Gram matrix,
-      R = W - G U^H = (I - G) U^H and G W - W = (G - I) U^H. With
-      e = ||G - I||_F, the columns of U^H have norm at most
-      ||U||_2 <= sqrt(1 + e), so those of R and of (G - I) U^H at most
-      e sqrt(1 + e), and the bound is ||G - G^H||_F + 2 e sqrt(1 + e).
-    * ``row_norm`` is the largest row 2-norm of U: the largest column norm
-      of U^H, and so of U U^H.
+    Closed-form columns of one kind are equal when their labels are and
+    orthogonal otherwise, and a plane wave's entries on a coordinate ket are
+    its phases, so :meth:`to` forms U^H V between them exactly. Their Gram
+    matrix is exactly I, so the entry bound of their projector U U^H
+    (``measurement._projector_bound``) is 0; ``row_norm`` is 1 for
+    coordinates and 1/sqrt(L) for plane waves. Their dense ``matrix`` and
+    ``adjoint`` are built only when read. ``_IDENTITY`` is the side with no
+    basis (U = I, ``matrix`` None). This type alone forms U^H and U^H V.
 
-    The plain constructor takes parts of a basis already checked and keeps
-    neither number. :meth:`column` keeps the one-column sub-bases, views
-    that add no bytes. ``_IDENTITY`` is the side with no basis (U = I,
-    ``matrix`` None). This type alone forms U^H and U^H V.
+    Nothing assigns to a basis after construction but its own first reads.
+    It is not a frozen dataclass because every scenario call builds several:
+    a frozen one took 0.9 us to construct against 0.2 us (CPython 3.11 on a
+    shared 2-vCPU x86-64 host).
     """
 
-    matrix: np.ndarray | None
-    gram: np.ndarray | None
-    adjoint: np.ndarray | None
-    projector_bound: float | None = None
-    row_norm: float | None = None
-    _columns: tuple | None = field(default=None, repr=False)
+    dim: int
+    labels: tuple[int, ...] | None = None
+    sites: int | None = None
+    _matrix: np.ndarray | None = field(default=None, repr=False)
+    _adjoint: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
-    def checked(cls, values, dim: int, what: str, copy: bool = True) -> _Basis:
-        """The basis on a checked copy of ``values``.
-
-        With ``copy=False``, ``values`` is a complex array just built here,
-        checked and frozen in place.
-        """
+    def checked(cls, values, dim: int, what: str) -> _Basis:
+        """The dense basis on a checked copy of ``values``."""
         shape = np.shape(values)
         if len(shape) != 2 or shape[0] != dim or shape[1] > dim:
             raise DimensionMismatchError(
                 f"{what} has shape {shape}, expected ({dim}, r) with r <= {dim}"
             )
-        matrix = _frozen_complex(values, shape, what) if copy else _freeze(values, what)
-        conj = matrix.conj()
-        conj.flags.writeable = False
-        gram = conj.T @ matrix
-        error = np.max(np.abs(gram - np.eye(shape[1])), initial=0.0)
+        basis = cls(dim, _matrix=_frozen_complex(values, shape, what))
+        error = np.max(np.abs(basis.adjoint @ basis.matrix - np.eye(shape[1])), initial=0.0)
         if not _negligible(error, 1.0, ZERO_TOL):
             raise ValueError(f"{what} columns are not orthonormal")
-        gram.flags.writeable = False
-        return cls(matrix, gram, conj.T, *_projector_values(matrix, gram))
+        return basis
 
-    def column(self, index: int) -> _Basis:
-        """Column ``index`` of U, with views of the checked U^H and U^H U; all kept."""
-        if self._columns is None:
-            split = tuple(
-                _Basis(self.matrix[:, s:s + 1], self.gram[s:s + 1, s:s + 1], self.adjoint[s:s + 1])
-                for s in range(self.matrix.shape[1])
-            )
-            object.__setattr__(self, "_columns", split)
-        return self._columns[index]
+    @classmethod
+    def plane_waves(cls, space: SpaceSpec, mode: int, spins) -> _Basis:
+        """Plane-wave columns of integer momentum ``mode``, one per spin in ``spins``."""
+        mode = _label(mode, "momentum mode")
+        sites = space.extrinsic_dim
+        if not 0 <= mode < sites:
+            raise IndexError(f"momentum mode {mode} out of range [0, {sites})")
+        return cls(space.total_dim, tuple([mode * space.spin_dim + s for s in spins]), sites)
 
     @property
-    def nbytes(self) -> int:
-        """Bytes of the arrays a checked basis keeps: U, U^H and U^H U."""
-        return self.matrix.nbytes + self.adjoint.nbytes + self.gram.nbytes
+    def matrix(self) -> np.ndarray | None:
+        """U, read-only; a closed-form basis builds it on first read."""
+        if self._matrix is None and self.labels is not None:
+            rank = len(self.labels)
+            _budget(self.dim * rank, "a dense basis")
+            matrix = np.zeros((self.dim, rank), dtype=complex)
+            if self.sites is None:
+                matrix[list(self.labels), np.arange(rank)] = 1.0
+            else:
+                # the steps of _closed_product, on every site at once
+                sites, spins = self.sites, self.dim // self.sites
+                for column, label in enumerate(self.labels):
+                    mode, spin = divmod(label, spins)
+                    angles = 2 * np.pi * (mode * np.arange(sites) % sites) / sites
+                    matrix[spin::spins, column] = np.exp(1j * angles) * (1.0 / math.sqrt(sites))
+            matrix.flags.writeable = False
+            self._matrix = matrix
+        return self._matrix
+
+    @property
+    def adjoint(self) -> np.ndarray | None:
+        """U^H, read-only, laid out as ``matrix.conj().T``; built on first read."""
+        if self._adjoint is None and self is not _IDENTITY:
+            conj = self.matrix.conj()
+            conj.flags.writeable = False
+            self._adjoint = conj.T
+        return self._adjoint
+
+    @property
+    def rank(self) -> int:
+        """r, the number of columns."""
+        return self.matrix.shape[1] if self.labels is None else len(self.labels)
+
+    @property
+    def row_norm(self) -> float | None:
+        """The largest row 2-norm of a closed-form U, exactly; None for a dense one."""
+        if self.labels is None:
+            return None
+        return 1.0 if self.sites is None else 1.0 / math.sqrt(self.sites)
 
     def to(self, other: _Basis) -> np.ndarray | None:
-        """U^H V for ``other`` = V, mapping coefficients in V to U; None for one object."""
+        """U^H V for ``other`` = V, mapping coefficients in V to U; None for one object.
+
+        Between closed forms it is exact (``_closed_product``). Other pairs
+        multiply the dense arrays.
+        """
         if self is other:
             return None
-        if self.matrix is None:
+        if self is _IDENTITY:
             return other.matrix
-        return self.adjoint if other.matrix is None else self.adjoint @ other.matrix
+        if other is _IDENTITY:
+            return self.adjoint
+        if self.labels is None or other.labels is None:
+            return self.adjoint @ other.matrix
+        if self.sites is not None and other.sites is None:
+            return _closed_product(other, self).conj().T
+        return _closed_product(self, other)
 
-    def restrict(self, rows: np.ndarray) -> np.ndarray:
-        """rows U: an operator's rows on this basis's coordinates."""
-        return rows if self.matrix is None else rows @ self.matrix
+    def beside(self, other: _Basis) -> np.ndarray:
+        """[U V] up to a left isometry, which leaves a QR R factor of it one of [U V].
+
+        For two closed forms of one kind it is the exact 0/1 coordinates of
+        [U V] in the columns of the union of their labels, r + r' wide at
+        most; otherwise [U V] itself.
+        """
+        if self.labels is not None and other.labels is not None and self.sites == other.sites:
+            labels = self.labels + other.labels
+            return np.equal.outer(sorted(set(labels)), labels).astype(complex)
+        return np.concatenate([self.matrix, other.matrix], axis=1)
 
 
-_IDENTITY = _Basis(None, None, None)
+_IDENTITY = _Basis(0)
 
 
-def _projector_values(matrix: np.ndarray, gram: np.ndarray) -> tuple[float, float]:
-    """``_Basis.projector_bound`` and ``row_norm`` of U = ``matrix`` with Gram U^H U."""
-    error = _frobenius(gram - np.eye(len(gram)))
-    skew = _frobenius(gram - gram.conj().T)
-    row_norm = float((np.abs(matrix) ** 2).sum(axis=1).max()) ** 0.5
-    return skew + 2.0 * error * (1.0 + error) ** 0.5, row_norm
+def _closed_product(coords: _Basis, other: _Basis) -> np.ndarray:
+    """U^H V for closed-form bases, U = ``coords`` plane waves only if V is too.
+
+    Of one kind (equal ``sites``) it is the 0/1 selection of equal labels.
+    For coordinate columns U and plane-wave columns V, the wave of mode m and
+    spin s has exp(2i*pi*(m*x mod L)/L)/sqrt(L) on the coordinate ket (x, s)
+    and zero on the other spins, with m*x reduced in Python integers, which
+    do not overflow at any L, and the rounding steps of the dense columns
+    (``_Basis.matrix``). Exact, at O(r + r') for one kind, O(r r') for two.
+    """
+    _budget(len(coords.labels) * len(other.labels), "a change of basis")
+    product = np.zeros((len(coords.labels), len(other.labels)), dtype=complex)
+    if coords.sites == other.sites:
+        columns = {label: column for column, label in enumerate(other.labels)}
+        for row, label in enumerate(coords.labels):
+            if label in columns:
+                product[row, columns[label]] = 1.0
+        return product
+    sites, spins = other.sites, other.dim // other.sites
+    scale = 1.0 / math.sqrt(sites)
+    for column, label in enumerate(other.labels):
+        mode, spin = divmod(label, spins)
+        for row, coord in enumerate(coords.labels):
+            site, coord_spin = divmod(coord, spins)
+            if coord_spin == spin:
+                product[row, column] = cmath.exp(2j * math.pi * (mode * site % sites) / sites) * scale
+    return product
 
 
 def _label(value, what: str) -> int:
@@ -247,35 +303,6 @@ def _label(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise TypeError(f"{what} must be an integer, got {value!r}") from None
-
-
-_shared: dict = {}  # (build, space, labels) -> _Basis, least recently used first
-_shared_bytes = 0
-_shared_lock = threading.Lock()
-
-
-def _shared_basis(build, space: SpaceSpec, *labels: int) -> _Basis:
-    """The basis build(space, *labels), checked once and shared read-only.
-
-    ``build`` makes a new complex n x r array from its arguments alone. The least
-    recently used entries are evicted to keep ``MAX_SHARED_BYTES`` of ``_Basis.nbytes``; a
-    basis larger than that is not kept.
-    """
-    global _shared_bytes
-    key = (build, space, labels)
-    with _shared_lock:
-        basis = _shared.pop(key, None)
-        if basis is None:
-            basis = _Basis.checked(build(space, *labels), space.total_dim, "basis", copy=False)
-            size = basis.nbytes
-            if size > MAX_SHARED_BYTES:
-                return basis
-            _shared_bytes += size
-        _shared[key] = basis
-        while _shared_bytes > MAX_SHARED_BYTES:
-            evicted = _shared.pop(next(iter(_shared)))
-            _shared_bytes -= evicted.nbytes
-    return basis
 
 
 @dataclass(frozen=True)
@@ -307,19 +334,18 @@ class OneParticleOperator:
     without a basis U is the identity and ``range_rows`` is ``entries``.
 
     With ``entries=None`` the operator is the orthogonal projector U U^H:
-    only the basis is checked (O(n r^2)), ``range_rows`` is U^H, the dense
-    ``entries`` are built on first read, and the basis keeps what its check
-    formed for the Born-rule flag and the zero-test scale (see
-    ``measurement.is_projector_valued`` and ``measurement.measure_scale``).
+    only the basis is checked (O(n r^2)) and ``range_rows`` is U^H. Its
+    dense ``entries`` are built on first read, and so are ``range_basis``
+    and ``range_rows`` of a closed-form basis (``_Basis``), which the
+    measurement algebra reads in closed form instead.
     """
 
     space: SpaceSpec
-    range_basis: np.ndarray | None = field(repr=False)
-    range_rows: np.ndarray = field(repr=False)
 
     def __init__(self, space: SpaceSpec, entries, range_basis: np.ndarray | None = None):
         dim = space.total_dim
         if entries is not None:
+            _budget(space.pair_dim, "a dense operator")
             entries = _frozen_complex(entries, (dim, dim), "entries")
         basis = _IDENTITY
         if range_basis is not None:
@@ -328,38 +354,42 @@ class OneParticleOperator:
 
     @classmethod
     def _fresh(cls, space: SpaceSpec, entries, basis: _Basis = _IDENTITY) -> OneParticleOperator:
-        """Dense ``entries`` frozen in place, or a projector on a ``_shared_basis`` entry."""
+        """Dense ``entries`` frozen in place, or the projector on ``basis``."""
         op = cls.__new__(cls)
         op._setup(space, None if entries is None else _freeze(entries, "entries"), basis)
         return op
 
     def _setup(self, space, entries, basis: _Basis) -> None:
+        # _rows: the range rows W = U^H entries, None for a projector built
+        # from its basis alone (W = U^H, read off the basis).
+        rows = entries
         if basis is _IDENTITY:
             if entries is None:
                 raise ValueError("an operator needs entries or a range_basis")
-            rows = entries
-        else:
-            rows = basis.to(_IDENTITY)
-            if entries is not None:
-                rows = rows @ entries
-                residual = basis.matrix @ rows
-                residual -= entries
-                if not _negligible(
-                    np.linalg.norm(residual), np.linalg.norm(entries), ZERO_TOL
-                ):
-                    raise ValueError("range_basis does not span the range of entries")
-                rows.flags.writeable = False
-        # _gram: U^H U of a projector built from its basis alone, else None.
-        vars(self).update(
-            space=space, _entries=entries, _gram=None if entries is not None else basis.gram,
-            _basis=basis, range_basis=basis.matrix, range_rows=rows,
-        )
+        elif entries is not None:
+            rows = basis.adjoint @ entries
+            residual = basis.matrix @ rows
+            residual -= entries
+            if not _negligible(np.linalg.norm(residual), np.linalg.norm(entries), ZERO_TOL):
+                raise ValueError("range_basis does not span the range of entries")
+            rows.flags.writeable = False
+        vars(self).update(space=space, _entries=entries, _basis=basis, _rows=rows)
+
+    @property
+    def range_basis(self) -> np.ndarray | None:
+        """U, read-only, or None without a basis."""
+        return self._basis.matrix
+
+    @property
+    def range_rows(self) -> np.ndarray:
+        """W = U^H entries, read-only: U^H for a projector built from its basis alone."""
+        return self._basis.adjoint if self._rows is None else self._rows
 
     @property
     def entries(self) -> np.ndarray:
         """The dense n x n matrix, read-only; a projector builds it on first read."""
         if self._entries is None:
-            # A projector's range rows are U^H.
+            _budget(self.space.pair_dim, "a dense operator")
             entries = self.range_basis @ self.range_rows
             entries.flags.writeable = False
             object.__setattr__(self, "_entries", entries)
@@ -378,12 +408,12 @@ class TwoParticleState:
     The coefficient matrix is C = L K R^T. ``left`` is an n x a and
     ``right`` an n x b matrix with orthonormal columns, or None for the
     identity on that side alone (a = n or b = n): the columns of the
-    ``_Basis`` that side holds. ``core`` is a x b. The constructor builds a
-    dense state, with no basis on either side and the n x n ``core`` C;
-    :meth:`from_factors` builds one with both. A measure gives each side of
-    its result the range basis of that side's factor, if it has one. The
-    package's algebra works on the factors.
-    ``amplitudes`` and ``matrix()`` read the same values in every case: a
+    ``_Basis`` that side holds, built on first read for a closed-form one.
+    ``core`` is a x b. The constructor builds a dense state, with no basis
+    on either side and the n x n ``core`` C; :meth:`from_factors` builds one
+    with both. A measure gives each side of its result the range basis of
+    that side's factor, if it has one. The package's algebra works on the
+    factors. ``amplitudes`` and ``matrix()`` read the same values in every case: a
     state with a basis builds them on first read, at most at O(n^2 (a + b)),
     and keeps them. ``norm`` is the Frobenius norm of the core: the dense
     constructor, :meth:`from_factors` and a core the package computes keep
@@ -392,11 +422,10 @@ class TwoParticleState:
     """
 
     space: SpaceSpec
-    left: np.ndarray | None = field(repr=False)
     core: np.ndarray = field(repr=False)
-    right: np.ndarray | None = field(repr=False)
 
     def __init__(self, space: SpaceSpec, amplitudes):
+        _budget(space.pair_dim, "a dense pair array")
         amps = _complex_copy(amplitudes, (space.pair_dim,), "amplitudes")
         norm = _finite_norm(amps, "amplitudes")
         amps.flags.writeable = False
@@ -413,20 +442,14 @@ class TwoParticleState:
         """
         dim = space.total_dim
         left, right = _Basis.checked(left, dim, "left"), _Basis.checked(right, dim, "right")
-        core = _complex_copy(core, (left.matrix.shape[1], right.matrix.shape[1]), "core")
+        core = _complex_copy(core, (left.rank, right.rank), "core")
         norm = _finite_norm(core, "core")
         core.flags.writeable = False
         return cls._fresh(space, core, left, right, norm)
 
     @classmethod
-    def _fresh(
-        cls,
-        space: SpaceSpec,
-        core: np.ndarray,
-        left: _Basis = _IDENTITY,
-        right: _Basis = _IDENTITY,
-        norm: float | None = None,
-    ) -> TwoParticleState:
+    def _fresh(cls, space: SpaceSpec, core: np.ndarray, left: _Basis = _IDENTITY,
+               right: _Basis = _IDENTITY, norm: float | None = None) -> TwoParticleState:
         """A state on a core computed here, checked and frozen in place, not copied.
 
         The check's Frobenius norm is the state's ``norm``, kept. A core that
@@ -443,14 +466,24 @@ class TwoParticleState:
 
     def _setup(self, space, left: _Basis, core, right: _Basis, norm=None) -> None:
         vars(self).update(
-            space=space, _left=left, _right=right, left=left.matrix, core=core,
-            right=right.matrix, _amplitudes=None, _norm=norm,
+            space=space, _left=left, _right=right, core=core, _amplitudes=None, _norm=norm
         )
+
+    @property
+    def left(self) -> np.ndarray | None:
+        """L, read-only, or None for the identity."""
+        return self._left.matrix
+
+    @property
+    def right(self) -> np.ndarray | None:
+        """R, read-only, or None for the identity."""
+        return self._right.matrix
 
     @property
     def amplitudes(self) -> np.ndarray:
         """Flat slot-1-major amplitudes, read-only; built on first read if factored."""
         if self._amplitudes is None:
+            _budget(self.space.pair_dim, "a dense pair array")
             amps = _in_bases(self, _IDENTITY, _IDENTITY).reshape(-1)
             amps.flags.writeable = False
             object.__setattr__(self, "_amplitudes", amps)
@@ -510,47 +543,17 @@ def plane_wave(mode: int, spin: int, space: SpaceSpec) -> SingleParticleVector:
     Mode ``m`` carries wavenumber 2*pi*m/L over the L = extrinsic_dim sites:
     amplitude exp(2i*pi*m*x/L)/sqrt(L) at site x, zero at the other spins.
     The family over m = 0..L-1 is an orthonormal basis of the extrinsic
-    factor, and mode L-m realizes "-k" for mode m. The ket is column ``spin``
-    of the mode's plane-wave basis, shared read-only per integer mode.
+    factor, and mode L-m realizes "-k" for mode m. Labels must be integers.
     """
-    basis = _plane_waves(space, mode)
-    spin = _label(spin, "spin index")
-    if not 0 <= spin < space.spin_dim:
-        raise IndexError(f"spin index {spin} out of range [0, {space.spin_dim})")
-    return SingleParticleVector(space, basis.matrix[:, spin])
-
-
-def _plane_waves(space: SpaceSpec, mode: int) -> _Basis:
-    """The basis whose column s is the plane wave of integer ``mode`` at spin s, shared."""
-    return _shared_basis(_plane_wave_basis, space, _label(mode, "momentum mode"))
-
-
-def _plane_wave_basis(space: SpaceSpec, mode: int) -> np.ndarray:
-    spins = space.spin_dim
-    phases = _plane_wave_phases(mode, space.extrinsic_dim)
-    basis = np.zeros((space.total_dim, spins), dtype=complex)
-    for spin in range(spins):
-        basis[spin::spins, spin] = phases
-    return basis
-
-
-def _plane_wave_phases(mode: int, sites: int) -> np.ndarray:
-    """exp(2i*pi*mode*x/L)/sqrt(L) over the L sites x: one plane wave's amplitudes."""
-    if not 0 <= mode < sites:
-        raise IndexError(f"momentum mode {mode} out of range [0, {sites})")
-    # Reducing m*x mod L in integers keeps the phase error O(eps), not O(m*x*eps).
-    angles = 2 * np.pi * (mode * np.arange(sites) % sites) / sites
-    phases = np.empty(sites, dtype=complex)
-    np.cos(angles, out=phases.real)
-    np.sin(angles, out=phases.imag)
-    phases /= np.sqrt(sites)
-    return phases
+    waves = _Basis.plane_waves(space, mode, range(space.spin_dim))
+    return SingleParticleVector(space, waves.matrix[:, mode_index(0, spin, space)])
 
 
 def tensor_state(u: SingleParticleVector, v: SingleParticleVector) -> TwoParticleState:
     """Product state with ``u`` in slot 1 and ``v`` in slot 2."""
     if u.space != v.space:
         raise DimensionMismatchError("tensor_state factors live in different spaces")
+    _budget(u.space.pair_dim, "a dense pair array")
     return TwoParticleState._fresh(u.space, np.outer(u.amplitudes, v.amplitudes))
 
 
@@ -562,4 +565,3 @@ def inner_product(a: TwoParticleState, b: TwoParticleState) -> complex:
     if a.space != b.space:
         raise DimensionMismatchError("inner_product operands live in different spaces")
     return complex(np.vdot(a.core, _in_bases(b, a._left, a._right)))
-

@@ -73,11 +73,11 @@ from .hilbert import (
     SpaceSpec,
     TwoParticleState,
     _IDENTITY,
+    _Basis,
+    _budget,
     _frobenius,
     _label,
     _negligible,
-    _plane_waves,
-    _shared_basis,
     inner_product,
 )
 from .symmetry import _INV_SQRT2, Statistics, _exchange_norm, permute
@@ -203,16 +203,25 @@ def apply_measure(measure: SelectiveMeasure, state: TwoParticleState) -> TwoPart
     On C = L K R^T it computes the core (W_A L) K (W_B R)^T with W = U^H A,
     at O(n r a), and returns the state (U_A, core, U_B). Each side uses its
     own factor's range basis, or the identity where that factor has none;
-    a side of ``state`` without a basis takes L or R as the identity.
+    a side of ``state`` without a basis takes L or R as the identity. For a
+    projector built from its basis alone W L = U^H L is a change of basis,
+    exact and O(r a) between closed-form bases (``hilbert._Basis.to``).
     """
     if measure.space != state.space:
         raise DimensionMismatchError("measure and state live in different spaces")
     slot1, slot2 = measure.factor_slot1, measure.factor_slot2
-    left = state._left.restrict(slot1.range_rows)
-    right = state._right.restrict(slot2.range_rows)
-    return TwoParticleState._fresh(
-        measure.space, left @ state.core @ right.T, slot1._basis, slot2._basis
-    )
+    left, right = _rows_on(slot1, state._left), _rows_on(slot2, state._right)
+    _budget(len(left) * len(right), "an event core")
+    core = left @ state.core @ right.T
+    return TwoParticleState._fresh(measure.space, core, slot1._basis, slot2._basis)
+
+
+def _rows_on(factor: OneParticleOperator, side) -> np.ndarray:
+    """W S: the factor's range rows on a state side's basis S."""
+    if factor._rows is not None:
+        return factor._rows if side is _IDENTITY else factor._rows @ side.matrix
+    rows = factor._basis.to(side)  # W = U^H; None for U = S, where U^H S = I
+    return np.eye(side.rank) if rows is None else rows
 
 
 def measure_scale(measure: SelectiveMeasure) -> float:
@@ -221,15 +230,15 @@ def measure_scale(measure: SelectiveMeasure) -> float:
     Columns of a Kronecker product factorize, so its largest column 2-norm
     is the product of the factors' largest column 2-norms. A range basis is
     an isometry, so a factor's column norms are those of its range rows.
-    For a projector built from its basis alone the rows are U^H, and its
-    basis keeps their largest column norm (``hilbert._Basis.row_norm``).
+    For a projector built from a closed-form basis alone the rows are U^H,
+    whose largest column norm is exact (``hilbert._Basis.row_norm``).
     """
     scale = 1.0
     for factor in (measure.factor_slot1, measure.factor_slot2):
-        if factor._gram is not None:
-            scale *= factor._basis.row_norm
-        else:
-            scale *= float((np.abs(factor.range_rows) ** 2).sum(axis=0).max()) ** 0.5
+        norm = factor._basis.row_norm if factor._rows is None else None
+        if norm is None:
+            norm = float((np.abs(factor.range_rows) ** 2).sum(axis=0).max()) ** 0.5
+        scale *= norm
     return scale
 
 
@@ -243,11 +252,10 @@ def events(measure: SelectiveMeasure, ref_state: TwoParticleState) -> EventPair:
     grouped differently, and ``ref_overlap`` is taken equal to it. Any other
     measure computes ``inner_product(ref_state, permuted)``.
     """
-    slot1, slot2 = measure.factor_slot1, measure.factor_slot2
     direct = apply_measure(measure, ref_state)
     permuted = apply_measure(measure, permute(ref_state))
     event_overlap = inner_product(direct, permuted)
-    if slot1._gram is not None and slot2._gram is not None:
+    if measure.factor_slot1._rows is None and measure.factor_slot2._rows is None:
         ref_overlap = event_overlap
     else:
         ref_overlap = inner_product(ref_state, permuted)
@@ -261,14 +269,8 @@ def events(measure: SelectiveMeasure, ref_state: TwoParticleState) -> EventPair:
     )
 
 
-def _verdict(
-    measure: SelectiveMeasure,
-    pair: EventPair,
-    factor_scale: float,
-    scale: float,
-    tol: float,
-    cross: np.ndarray | None = None,
-) -> Verdict:
+def _verdict(measure: SelectiveMeasure, pair: EventPair, factor_scale: float, scale: float,
+             tol: float, cross: np.ndarray | None = None) -> Verdict:
     """The one verdict rule (module docstring), for every entry point.
 
     ||A^H B||_F, tested only when both events are nonzero, is that of
@@ -287,13 +289,13 @@ def _verdict(
     else:
         slot1, slot2 = measure.factor_slot1, measure.factor_slot2
         parts = [
-            None if slot1._gram is not None else slot1.range_rows.conj().T,
+            None if slot1._rows is None else slot1.range_rows.conj().T,
             slot1._basis.to(slot2._basis) if cross is None else cross,
-            None if slot2._gram is not None else slot2.range_rows,
+            None if slot2._rows is None else slot2.range_rows,
         ]
         parts = [part for part in parts if part is not None]
-        # None left: one projector U U^H in both slots, and ||U U^H||_F = ||U^H||_F.
-        cross = reduce(np.matmul, parts) if parts else slot1.range_rows
+        # None left: one projector U U^H in both slots, and ||U U^H||_F = ||I_r||_F.
+        cross = reduce(np.matmul, parts) if parts else np.eye(slot1._basis.rank)
         exclusive = _negligible(_frobenius(cross), factor_scale, tol)
         tag = (VerdictTag.ENTANGLING_MEASUREMENT if exclusive
                else VerdictTag.NON_ORTHOGONAL_EVENTS)
@@ -324,11 +326,11 @@ def _projector_bound(factor: OneParticleOperator) -> float:
     of U Y at most the largest column norm of Y. U W equals the entries to
     the tolerance checked at construction.
 
-    A projector built from its basis alone has W = U^H, and its basis keeps
-    this bound, read off its Gram matrix (``hilbert._Basis.projector_bound``).
+    A projector built from a closed-form basis alone is U U^H exactly: its
+    G is I and R is 0 (``hilbert._Basis``), so the bound is 0.
     """
-    if factor._gram is not None:
-        return factor._basis.projector_bound
+    if factor._rows is None and factor._basis.labels is not None:
+        return 0.0
     basis, rows = factor.range_basis, factor.range_rows
     gram = rows @ basis
     residual = rows - gram @ factor._basis.to(_IDENTITY)
@@ -345,14 +347,14 @@ def is_projector_valued(measure: SelectiveMeasure, tol: float = ZERO_TOL) -> boo
     Only then is the squared event norm a Born-rule probability. Both tests
     are entrywise, to ``tol``. A factor with a range basis passes at once
     when the bound of :func:`_projector_bound` is below ``tol``: O(n r^2),
-    or kept with the basis for a projector built from its basis alone, as
-    ``window_projector`` and ``momentum_projector`` build them. Such a pass
-    refers to the exact U W (U U^H): below a ``tol`` of about 1e-16 it can
-    say True where an entrywise test on the rounded ``entries`` says False.
-    Other factors are tested on the entries.
+    or exactly 0 for a projector built from a closed-form basis alone, as
+    ``window_projector`` and ``momentum_projector`` build them, which so
+    pass at every ``tol``. Such a pass refers to the exact U W (U U^H): below
+    a ``tol`` of about 1e-16 it can say True where an entrywise test on the
+    rounded ``entries`` says False. Other factors are tested on the entries.
     """
     for factor in (measure.factor_slot1, measure.factor_slot2):
-        if factor.range_basis is not None and _negligible(
+        if factor._basis is not _IDENTITY and _negligible(
             _projector_bound(factor), 1.0, tol
         ):
             continue
@@ -462,29 +464,19 @@ def window_sites(center: int, width: int, sites: int) -> list[int]:
     if width >= sites:
         return list(range(sites))
     half = (width - 1) // 2
-    return sorted((center + offset) % sites for offset in range(-half, width - half))
+    return sorted([(center + offset) % sites for offset in range(-half, width - half)])
 
 
 def window_projector(center: int, width: int, space: SpaceSpec) -> OneParticleOperator:
     """Projector onto a contiguous window of lattice sites, identity on spin.
 
-    Its range basis, the window's coordinate columns, is shared read-only per
-    integer label (``hilbert._shared_basis``); the dense entries are built only when read.
+    Its range basis is the window's coordinate columns, held in closed form
+    (``hilbert._Basis``); the dense basis and entries are built only when read.
     """
-    labels = _label(center, "window center"), _label(width, "window width")
-    return OneParticleOperator._fresh(space, None, _shared_basis(_window_basis, space, *labels))
-
-
-def _window_basis(space: SpaceSpec, center: int, width: int) -> np.ndarray:
     spins = space.spin_dim
-    modes = [
-        site * spins + spin
-        for site in window_sites(center, width, space.extrinsic_dim)
-        for spin in range(spins)
-    ]
-    basis = np.zeros((space.total_dim, len(modes)), dtype=complex)
-    basis[modes, np.arange(len(modes))] = 1.0
-    return basis
+    sites = window_sites(center, width, space.extrinsic_dim)
+    modes = tuple([site * spins + spin for site in sites for spin in range(spins)])
+    return OneParticleOperator._fresh(space, None, _Basis(space.total_dim, modes))
 
 
 def momentum_projector(mode1: int, mode2: int, space: SpaceSpec) -> SelectiveMeasure:
@@ -493,8 +485,11 @@ def momentum_projector(mode1: int, mode2: int, space: SpaceSpec) -> SelectiveMea
     Each factor is the rank-one projector onto a plane-wave momentum ket on
     the extrinsic factor, tensored with the identity on spin; its range
     basis is that ket tensored with the spin basis, column ``s`` being
-    ``plane_wave(mode, s, space)``, shared read-only per integer mode, and
-    the dense entries are built only when read.
+    ``plane_wave(mode, s, space)``, held in closed form, and the dense
+    basis and entries are built only when read.
     """
-    bases = [_plane_waves(space, mode) for mode in (mode1, mode2)]
-    return SelectiveMeasure(*(OneParticleOperator._fresh(space, None, basis) for basis in bases))
+    spins = range(space.spin_dim)
+    return SelectiveMeasure(*(
+        OneParticleOperator._fresh(space, None, _Basis.plane_waves(space, mode, spins))
+        for mode in (mode1, mode2)
+    ))

@@ -17,12 +17,12 @@ down.
   ``dk`` the mode-wavenumber difference and ``dx`` the site separation; the
   scenario measures that ratio and checks it against the prediction.
 
-Both build the reference from columns of plane-wave range bases, checked
-once per integer label and shared read-only across calls, so it is neither
-copied nor checked again (``_reference_state``); the momentum scenario takes
-them from its measure's own factors. Each basis keeps its column views and
-the unit core its norm, so a warm call builds no basis and forms no norm for
-the reference. Each call measures in full.
+Both build the reference factored, on one plane-wave column per side and
+a unit core (``_reference_state``). The reference and the measures hold
+their bases in closed form (``hilbert._Basis``), so every change of basis
+is exact and a call costs O(w * spins) at any lattice size, reading no
+n-long array except the report's zero-padded spectrum. Each call measures
+in full.
 
 With the momenta or the single sites standing in for particle tags, what
 is left of the collapsed pair is a two-spin state, ``relabeled``: the
@@ -31,12 +31,10 @@ post-state's core in the measure's range bases.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .errors import DegenerateInputError
-from .hilbert import ZERO_TOL, SpaceSpec, TwoParticleState, _Basis, _label, _plane_waves
+from .hilbert import ZERO_TOL, SpaceSpec, TwoParticleState, _Basis, _label
 from .measurement import (
     PhaseCheck,
     ScenarioResult,
@@ -67,16 +65,15 @@ def _modes(space: SpaceSpec, m_a: int, m_b: int | None) -> tuple[int, int]:
     return m_a, (sites - m_a) % sites if m_b is None else _label(m_b, "m_b")
 
 
-def _reference_state(space: SpaceSpec, a: _Basis, b: _Basis) -> TwoParticleState:
-    """|m_a up> x |m_b down> = u [[1]] v^T from the plane-wave bases a and b.
+def _reference_state(space: SpaceSpec, m_a: int, m_b: int) -> TwoParticleState:
+    """|m_a up> x |m_b down> = u [[1]] v^T, on closed-form plane-wave columns.
 
-    u and v are columns (spin up of a, spin down of b) of the bases of m_a
-    and m_b that ``hilbert._shared_basis`` checked, read-only views with the
-    principal blocks of the checked Gram matrices, so no check is lost. The
-    bases keep those views (``_Basis.column``), and the norm of [[1]] is
-    exactly 1.
+    u and v are ``plane_wave(m_a, up)`` and ``plane_wave(m_b, down)``, held
+    by their labels, and the norm of [[1]] is exactly 1.
     """
-    return TwoParticleState._fresh(space, _UNIT_CORE, a.column(SPIN_UP), b.column(SPIN_DOWN), 1.0)
+    up = _Basis.plane_waves(space, m_a, (SPIN_UP,))
+    down = _Basis.plane_waves(space, m_b, (SPIN_DOWN,))
+    return TwoParticleState._fresh(space, _UNIT_CORE, up, down, 1.0)
 
 
 def _spin_state(normalized: TwoParticleState | None) -> TwoParticleState | None:
@@ -92,13 +89,7 @@ def _spin_state(normalized: TwoParticleState | None) -> TwoParticleState | None:
     """
     if normalized is None:
         return None
-    return TwoParticleState._fresh(_one_site(normalized.space.spin_dim), normalized.core)
-
-
-@functools.cache
-def _one_site(spins: int) -> SpaceSpec:
-    """The space of one site with ``spins`` spin states, formed once per spin count."""
-    return SpaceSpec(1, spins)
+    return TwoParticleState._fresh(SpaceSpec(1, normalized.space.spin_dim), normalized.core)
 
 
 def scenario_momentum_projection(
@@ -125,7 +116,7 @@ def scenario_momentum_projection(
         )
     _require_spin_half(space)
     measure = momentum_projector(m_a, m_b, space)
-    ref = _reference_state(space, measure.factor_slot1._basis, measure.factor_slot2._basis)
+    ref = _reference_state(space, m_a, m_b)
     fields = _pair_results(measure, ref, stat, tol)
     return ScenarioResult(**fields, relabeled=_spin_state(fields["post_state_normalized"]))
 
@@ -153,7 +144,7 @@ def scenario_position_windows(
     sites = space.extrinsic_dim
     m_a, m_b = _modes(space, m_a, m_b)
     _require_spin_half(space)
-    ref = _reference_state(space, _plane_waves(space, m_a), _plane_waves(space, m_b))
+    ref = _reference_state(space, m_a, m_b)
     measure = SelectiveMeasure(
         window_projector(x_a, width, space), window_projector(x_b, width, space)
     )

@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .hilbert import _IDENTITY, TwoParticleState, _frobenius, _in_bases
+from .hilbert import _IDENTITY, TwoParticleState, _budget, _frobenius, _in_bases
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -44,9 +44,9 @@ def permute(state: TwoParticleState) -> TwoParticleState:
     """Swap the two tensor slots: amplitude(i, j) -> amplitude(j, i).
 
     L K R^T becomes R K^T L^T: the factors swap and the core is transposed,
-    as a view, so nothing is copied.
+    as a view, so nothing is copied, and the state's norm is kept.
     """
-    return TwoParticleState._fresh(state.space, state.core.T, state._right, state._left)
+    return TwoParticleState._fresh(state.space, state.core.T, state._right, state._left, state._norm)
 
 
 def _exchange_norm(
@@ -62,12 +62,14 @@ def _exchange_norm(
     where a difference of squares resolves only about 1e-8; then one QR
     [L R] = Q [T_L T_R] gives C = Q M Q^T with M = T_L K T_R^T, and the norm
     is that of the (a + b)-square M + sign M^T. Without both bases, M = C.
-    One basis object on both sides has X = I, so it takes the QR. When X is
-    exactly zero, the trace term is an exact zero and the closed form is
-    sqrt(2) ||K||, returned without forming it. ``cross`` is X when the
-    caller has formed it (``_Basis.to``), else it is formed here.
+    One basis object on both sides has X = I, so it takes the QR, which for
+    two closed-form bases of one kind runs on the exact coordinates of
+    [L R] in their columns' union (``_Basis.beside``). When X is exactly
+    zero, the trace term is an exact zero and the closed form is sqrt(2)
+    ||K||, returned without forming it. ``cross`` is X when the caller has
+    formed it (``_Basis.to``), else it is formed here.
     """
-    left, core, right = state.left, state.core, state.right
+    core = state.core
     if _IDENTITY in (state._left, state._right):
         coeff = _in_bases(state, _IDENTITY, _IDENTITY)
     else:
@@ -78,8 +80,8 @@ def _exchange_norm(
         if cross is not None and _frobenius(cross) <= 0.5:
             twisted = np.vdot(core, cross @ core.T @ cross.conj()).real
             return (2.0 * (state.norm**2 + sign * twisted)) ** 0.5
-        width = left.shape[1]
-        tri = np.linalg.qr(np.concatenate([left, right], axis=1), mode="r")
+        width = core.shape[0]
+        tri = np.linalg.qr(state._left.beside(state._right), mode="r")
         coeff = tri[:, :width] @ core @ tri[:, width:].T
     return _frobenius(coeff + sign * coeff.T)
 
@@ -92,6 +94,7 @@ def sector(state: TwoParticleState, stat: Statistics) -> TwoParticleState:
     exclusion of a doubly occupied mode) comes back as a legitimate zero
     vector.
     """
+    _budget(state.space.pair_dim, "a dense pair array")
     coeff = state.matrix()
     return TwoParticleState._fresh(state.space, _INV_SQRT2 * (coeff + stat.sign * coeff.T))
 

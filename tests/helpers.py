@@ -1,12 +1,9 @@
 """Seeded random generators and oracles shared by the test modules."""
 
-import contextlib
 import dataclasses
 import enum
 
 import numpy as np
-
-from pairmeasure import hilbert
 
 from pairmeasure import (
     OneParticleOperator,
@@ -151,43 +148,6 @@ def deletion_oracle(matrix, labels, spins):
         np.linalg.norm(np.delete(matrix, rows, axis=0)),
     )
     return band[:, cols], remainder
-
-
-@contextlib.contextmanager
-def empty_basis_table():
-    """Run with hilbert's table of shared bases emptied; the old one comes back after."""
-    saved = hilbert._shared, hilbert._shared_bytes
-    hilbert._shared, hilbert._shared_bytes = {}, 0
-    try:
-        yield
-    finally:
-        hilbert._shared, hilbert._shared_bytes = saved
-
-
-def assert_table_holds_bases_only(budget):
-    """hilbert's table holds `_Basis` entries only, r < n, and counts their bytes exactly.
-
-    Each entry's bytes are U, its kept conjugate (read-only, equal to
-    ``U.conj()``, held as the transposed view ``adjoint``) and U^H U. Its
-    kept one-column sub-bases add none: each part is a read-only view of
-    the entry's own array.
-    """
-    sizes = []
-    for entry in hilbert._shared.values():
-        assert type(entry) is hilbert._Basis
-        basis, gram, conj = entry.matrix, entry.gram, entry.adjoint.T
-        assert type(basis) is np.ndarray and type(gram) is np.ndarray
-        rank = basis.shape[1]
-        assert gram.shape == (rank, rank) and rank < basis.shape[0]
-        assert not conj.flags.writeable and np.array_equal(conj, basis.conj())
-        assert entry._columns is None or len(entry._columns) == rank
-        for column in entry._columns or ():
-            for part, whole in ((column.matrix, basis), (column.adjoint, entry.adjoint),
-                                (column.gram, gram)):
-                assert part.base is not None and not part.flags.writeable
-                assert np.shares_memory(part, whole)
-        sizes.append(basis.nbytes + conj.nbytes + gram.nbytes)
-    assert hilbert._shared_bytes == sum(sizes) <= budget
 
 
 def result_bits(value) -> tuple:

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pairmeasure.measurement
+from pairmeasure import hilbert
 from pairmeasure import (
     OneParticleOperator,
     SelectiveMeasure,
@@ -305,6 +306,25 @@ def test_momentum_scenario_json_at_tiny_tol_is_a_local_operation(capsys, stat, t
     assert payload["phase"] is None
 
 
+@pytest.mark.parametrize("argv", [
+    ["momentum-scenario"],
+    ["position-scenario", "--width", "3", "--xa", "2", "--xb", "9"],
+], ids=["momentum", "windows width 3"])
+def test_scenarios_at_tol_1e_16_build_no_dense_array(capsys, argv):
+    # the projectors' closed-form bases have a projector bound of exactly 0,
+    # so the Born-rule flag holds at any tol without the n x n entries (and
+    # their n^3 square) or a dense basis
+    dense = [
+        mock.patch.object(owner, name, new_callable=mock.PropertyMock)
+        for owner, name in ((OneParticleOperator, "entries"), (hilbert._Basis, "matrix"))
+    ]
+    with dense[0] as entries, dense[1] as matrix:
+        code, out, err = run_cli(capsys, argv + ["--lattice", "512", "--tol", "1e-16"])
+    assert code == EXIT_OK and err == ""
+    assert "\nprobability: " in out
+    assert entries.call_count == matrix.call_count == 0
+
+
 @pytest.mark.parametrize("stat", ["fermion", "boson"])
 def test_position_scenario_at_tiny_tol_hands_over_the_checked_spin_state(capsys, stat):
     # the width-1 spin state is the post-state's core at any tol; its
@@ -477,10 +497,20 @@ def test_impossible_outcome_prints_no_phase_or_spin_state(capsys):
 
 @pytest.mark.parametrize("command", ["momentum-scenario", "position-scenario"])
 def test_lattice_above_the_memory_budget_exits_3(command, capsys):
-    # about 64 TB of dense pair amplitudes: refused before anything is allocated
-    code, out, err = run_cli(capsys, [command, "--lattice", "1000000"])
+    # L = 2^25: a scenario holds no dense pair array, but its report's
+    # n-long spectrum of floats would take 512 MiB; refused before allocation
+    code, out, err = run_cli(capsys, [command, "--lattice", str(2**25)])
     assert code == EXIT_DEGENERATE and out == ""
     assert err.startswith("error:") and "budget" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["momentum-scenario", "position-scenario"])
+def test_lattice_above_the_dense_pair_budget_runs(command, capsys):
+    # dense pair arrays stop at L = 2048; the scenarios, which build none, do not
+    for lattice in ("4096", "1000000"):
+        code, out, err = run_cli(capsys, [command, "--lattice", lattice, "--output", "json"])
+        assert code == EXIT_OK and err == ""
+        assert json.loads(out)["verdict"] in ("LocalOperation", "EntanglingMeasurement")
 
 
 def test_dim_header_above_the_memory_budget_exits_3(tmp_path, capsys):

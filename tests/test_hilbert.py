@@ -15,6 +15,7 @@ from pairmeasure import (
     OneParticleOperator,
     SelectiveMeasure,
     SpaceSpec,
+    Statistics,
     TwoParticleState,
     apply_measure,
     basis_vector,
@@ -23,6 +24,8 @@ from pairmeasure import (
     momentum_projector,
     permute,
     plane_wave,
+    scenario_momentum_projection,
+    sector,
     tensor_state,
     window_projector,
 )
@@ -30,8 +33,6 @@ from pairmeasure.measurement import window_sites
 
 from helpers import (
     as_dense,
-    assert_table_holds_bases_only,
-    empty_basis_table,
     identity_operator,
     momentum_matrix,
     random_factored_state,
@@ -298,8 +299,8 @@ def test_a_computed_core_keeps_the_norm_its_check_formed():
         assert fresh.norm == fresh.norm == pytest.approx(np.linalg.norm(core), rel=1e-15)
     assert frobenius.call_count == 1
     swapped = permute(state)
-    assert swapped._norm is None
-    assert swapped.norm == hilbert._frobenius(swapped.core)
+    assert swapped._norm is state._norm is not None
+    assert swapped.norm == pytest.approx(hilbert._frobenius(swapped.core), rel=1e-15)
 
 
 def test_the_dense_constructor_keeps_the_norm_its_check_formed():
@@ -376,10 +377,31 @@ def test_momentum_representation_matches_plane_wave_basis_change(sites):
 
 
 def test_space_spec_refuses_pair_arrays_above_the_budget():
-    # terabyte-sized spaces: the refusal must come before any allocation
+    # a space of any size is a shape; each site that would allocate an array
+    # growing with it refuses above the budget, before allocating anything
+    stat = Statistics.FERMION
     for extrinsic in (10**6, 2**40):
-        with pytest.raises(InputTooLargeError):
-            SpaceSpec(extrinsic, 2)
+        space = SpaceSpec(extrinsic, 2)
+        requests = [
+            lambda: TwoParticleState(space, []),
+            lambda: OneParticleOperator(space, []),
+            lambda: window_projector(0, 1, space).entries,
+            lambda: momentum_projector(0, 1, space).factor_slot2.entries,
+        ]
+        if extrinsic == 10**6:
+            # the scenario holds no n x n array, so it runs; its dense reads do not
+            post_state = scenario_momentum_projection(space, 1, None, stat).post_state
+            requests += [lambda: post_state.amplitudes, lambda: sector(post_state, stat)]
+        else:
+            # an n x 2 basis and the scenario's n-long spectrum are too large too
+            requests += [
+                lambda: plane_wave(1, 0, space),
+                lambda: window_projector(0, 1, space).range_basis,
+                lambda: scenario_momentum_projection(space, 1, None, stat),
+            ]
+        for request in requests:
+            with pytest.raises(InputTooLargeError, match="budget"):
+                request()
     assert SpaceSpec(2048, 2).pair_dim * 16 == 256 * 2**20
 
 
@@ -481,16 +503,70 @@ def test_factored_inner_products_match_dense(seed, sites, ranks):
             assert abs(inner_product(a, b) - np.vdot(a.amplitudes, b.amplitudes)) < 1e-12
 
 
+def _closed_form_bases(space):
+    """Plane-wave and coordinate bases of ``space``, full-lattice windows included."""
+    sites, spins = space.extrinsic_dim, space.spin_dim
+    bases = [
+        hilbert._Basis.plane_waves(space, mode, chosen)
+        for mode in sorted({0, sites // 2, sites - 1})
+        for chosen in (range(spins), (spins - 1,))
+    ]
+    bases += [
+        window_projector(center, width, space)._basis
+        for center, width in [(0, 1), (sites - 1, 2), (sites // 2, 3), (1 % sites, sites)]
+    ]
+    return bases
+
+
+def _dense(basis, dim):
+    return np.eye(dim) if basis is hilbert._IDENTITY else basis.matrix
+
+
+@pytest.mark.parametrize("spins", [1, 2, 3])
+@pytest.mark.parametrize("sites", [1, 2, 3, 5, 8])
+def test_closed_form_changes_of_basis_match_their_dense_products(sites, spins):
+    # every kind pair of _Basis.to against U^H V of the dense matrices: two
+    # closed forms build no dense array, and agree to roundoff with it
+    space = SpaceSpec(sites, spins)
+    dim = space.total_dim
+    rng = np.random.default_rng(31 * sites + spins)
+    closed = _closed_form_bases(space)
+    for index in range(len(closed)):
+        for second in _closed_form_bases(space):
+            first = _closed_form_bases(space)[index]
+            got = first.to(second)
+            assert first._matrix is None and second._matrix is None
+            assert got.shape == (len(first.labels), len(second.labels))
+            want = first.matrix.conj().T @ second.matrix
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-15
+            if first.sites == second.sites:
+                # [U V] up to a left isometry: the same Gram matrix
+                beside = first.beside(second)
+                stacked = np.concatenate([first.matrix, second.matrix], axis=1)
+                gram = beside.conj().T @ beside
+                assert np.max(np.abs(gram - stacked.conj().T @ stacked)) <= 1e-15
+    dense = hilbert._Basis.checked(random_unitary(rng, dim)[:, : min(2, dim)], dim, "basis")
+    for first in closed + [dense, hilbert._IDENTITY]:
+        for second in (dense, hilbert._IDENTITY, closed[0], closed[-1]):
+            got = first.to(second)
+            if first is second:
+                assert got is None
+                continue
+            want = _dense(first, dim).conj().T @ _dense(second, dim)
+            assert np.max(np.abs(got - want)) <= 1e-15
+
+
 def test_built_bases_are_checked_in_place_and_caller_bases_are_copied():
     rng = np.random.default_rng(23)
     basis = random_unitary(rng, 6)[:, :2]
+    # the package builds no dense basis it must check: its own are closed forms
     fresh = basis.copy()
-    checked = hilbert._Basis.checked(fresh, 6, "range_basis", copy=False)
-    assert checked.matrix is fresh and not fresh.flags.writeable
-    assert np.max(np.abs(checked.gram - np.eye(2))) < 1e-15
+    checked = hilbert._Basis.checked(fresh, 6, "range_basis")
+    assert checked.matrix is not fresh and not checked.matrix.flags.writeable
+    assert np.max(np.abs(checked.adjoint @ checked.matrix - np.eye(2))) < 1e-15
     for bad, error in ((2.0 * basis, "orthonormal"), (np.full((6, 2), np.nan + 0j), "non-finite")):
         with pytest.raises(ValueError, match=error):
-            hilbert._Basis.checked(bad, 6, "range_basis", copy=False)
+            hilbert._Basis.checked(bad, 6, "range_basis")
     # the public constructor copies: a caller's later write changes nothing
     mine = basis.copy()
     op = OneParticleOperator(SpaceSpec(3, 2), None, range_basis=mine)
@@ -498,82 +574,30 @@ def test_built_bases_are_checked_in_place_and_caller_bases_are_copied():
     assert op.range_basis is not mine and np.array_equal(op.range_basis, basis)
 
 
-def test_projectors_on_equal_labels_share_one_read_only_basis():
-    space = SpaceSpec(6, 2)
-    builds = {
-        "window": lambda space: window_projector(2, 3, space),
-        "momentum": lambda space: momentum_projector(1, 4, space).factor_slot2,
-    }
-    with empty_basis_table():
-        for name, build in builds.items():
-            first, second = build(space), build(SpaceSpec(6, 2))
-            assert first is not second, name
-            assert first.range_basis is second.range_basis, name
-            assert first._gram is second._gram, name
-            assert build(SpaceSpec(7, 2)).range_basis is not first.range_basis, name
-            for part in (first.range_basis, first._gram, first.range_rows):
-                assert not part.flags.writeable
-                with pytest.raises(ValueError):
-                    part[0, 0] = 0.0
-
-
-def _table_labels():
-    return [labels for _, _, labels in hilbert._shared]
-
-
-def test_the_table_keeps_its_byte_budget_and_evicts_the_least_recent(monkeypatch):
-    space = SpaceSpec(8, 2)
-    with empty_basis_table():
-        window_projector(0, 1, space)
-        size = hilbert._shared_bytes
-        monkeypatch.setattr(hilbert, "MAX_SHARED_BYTES", 3 * size)
-        window_projector(1, 1, space)
-        window_projector(2, 1, space)
-        window_projector(0, 1, space)  # a hit: center 0 is now the most recent
-        window_projector(3, 1, space)  # evicts center 1
-        assert _table_labels() == [(2, 1), (0, 1), (3, 1)]
-        assert_table_holds_bases_only(3 * size)
-        # a basis above the budget is built, checked and returned, not kept
-        whole = window_projector(0, 8, space)
-        assert not whole.range_basis.flags.writeable
-        assert np.array_equal(whole.entries, np.eye(16))
-        assert window_projector(0, 8, space).range_basis is not whole.range_basis
-        assert _table_labels() == [(2, 1), (0, 1), (3, 1)]
-        # any traffic stays within the budget
-        for mode in range(8):
-            for width in (1, 2, 3):
-                momentum_projector(mode, (mode + width) % 8, space)
-                window_projector(mode, width, space)
-                assert_table_holds_bases_only(3 * size)
-
-
 def test_reading_entries_leaves_no_dense_array_for_the_next_call():
     space = SpaceSpec(8, 2)
-    with empty_basis_table():
-        for build in (lambda: window_projector(2, 3, space),
-                      lambda: momentum_projector(1, 5, space).factor_slot1):
-            op = build()
-            entries = weakref.ref(op.entries)
-            del op
-            gc.collect()
-            assert entries() is None
-            assert build()._entries is None
-        assert_table_holds_bases_only(hilbert.MAX_SHARED_BYTES)
+    for build in (lambda: window_projector(2, 3, space),
+                  lambda: momentum_projector(1, 5, space).factor_slot1):
+        op = build()
+        entries = weakref.ref(op.entries)
+        del op
+        gc.collect()
+        assert entries() is None
+        assert build()._entries is None
 
 
 def test_projectors_built_from_a_basis_read_the_adjoint_its_check_kept():
-    # range_rows is the shared basis's own U^H, laid out as U.conj().T: the
-    # same read-only array on every call, so no call copies U
+    # range_rows is the basis's own U^H, laid out as U.conj().T: built once
+    # on first read and kept read-only, so no later read copies U
     space = SpaceSpec(6, 2)
     builds = {
         "window": lambda: window_projector(2, 3, space),
         "momentum": lambda: momentum_projector(1, 4, space).factor_slot1,
     }
-    with empty_basis_table():
-        for name, build in builds.items():
-            first, second = build(), build()
-            rows = first.range_rows
-            assert rows is second.range_rows is first._basis.adjoint, name
-            assert not rows.flags.writeable, name
-            want = first.range_basis.conj().T
-            assert np.array_equal(rows, want) and rows.strides == want.strides, name
+    for name, build in builds.items():
+        first = build()
+        rows = first.range_rows
+        assert rows is first.range_rows is first._basis.adjoint, name
+        assert not rows.flags.writeable, name
+        want = first.range_basis.conj().T
+        assert np.array_equal(rows, want) and rows.strides == want.strides, name

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pairmeasure import hilbert
 from pairmeasure import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -37,13 +36,12 @@ from pairmeasure import (
 )
 from pairmeasure.entanglement import EbmEvidence, _rank
 from pairmeasure.hilbert import ZERO_TOL, _negligible
-from pairmeasure.measurement import _projector_bound, window_sites
+from pairmeasure.measurement import window_sites
 
 from helpers import (
     as_dense,
     brute_force_verdict,
     decision_margins,
-    empty_basis_table,
     identity_measure,
     identity_operator,
     random_factored_state,
@@ -623,62 +621,21 @@ def test_the_born_flag_of_a_near_orthonormal_basis_is_never_too_lenient():
     assert answers == {True, False}
 
 
-def _bound_from_gram(gram):
-    """The Born-flag bound of a projector built from its basis, from its Gram matrix."""
-    error = hilbert._frobenius(gram - np.eye(len(gram)))
-    skew = hilbert._frobenius(gram - gram.conj().T)
-    return skew + 2.0 * error * (1.0 + error) ** 0.5
-
-
 def _column_scale(factor):
     """A factor's largest column norm, from its range rows."""
     return float((np.abs(factor.range_rows) ** 2).sum(axis=0).max()) ** 0.5
 
 
-def test_built_bases_keep_the_projector_bound_and_column_scale_of_their_arrays():
-    # a projector built from its basis alone reads both numbers off the basis;
-    # they must be the formulas on its Gram matrix and range rows, bit for bit,
-    # also past numpy's 8-wide summation blocks (r up to 24)
-    checked = 0
-    with empty_basis_table():
-        for sites in (2, 3, 5, 8, 17, 128, 1000, 2047):
-            for spins in (1, 2, 3):
-                if (sites * spins) ** 2 * 16 > hilbert.MAX_PAIR_BYTES:
-                    continue
-                space = SpaceSpec(sites, spins)
-                factors = [
-                    window_projector(center, width, space)
-                    for width in range(1, 9)
-                    for center in sorted({0, sites // 2, sites - 1})
-                ]
-                factors += [
-                    momentum_projector(mode, mode, space).factor_slot1
-                    for mode in sorted({0, 1 % sites, sites // 3, sites // 2, sites - 1})
-                ]
-                for factor in factors:
-                    basis = factor._basis
-                    gram = basis.matrix.conj().T @ basis.matrix
-                    assert np.array_equal(factor._gram, gram)
-                    bound, scale = _bound_from_gram(factor._gram), _column_scale(factor)
-                    assert basis.projector_bound == bound and _projector_bound(factor) == bound
-                    assert basis.row_norm == scale
-                    assert measure_scale(SelectiveMeasure(factor, factor)) == scale * scale
-                    checked += 1
-    assert checked == 625
-
-
 def test_factors_with_entries_size_and_flag_themselves_from_their_arrays():
-    # a caller basis with entries keeps the numbers of its own projector U U^H,
-    # which are not those of the factor; a dense factor has no basis to keep them
+    # a caller basis with entries sizes and flags the factor from its range
+    # rows, not from the projector U U^H its basis spans
     rng = np.random.default_rng(44)
     space = SpaceSpec(3, 2)
     basis = random_unitary(rng, 6)[:, :2]
     projector = basis @ basis.conj().T
     scaled = OneParticleOperator(space, 2.0 * projector, range_basis=basis)
-    assert scaled._basis.projector_bound < ZERO_TOL and scaled._basis.row_norm <= 1.0
     assert _column_scale(scaled) > 1.0
     dense = OneParticleOperator(space, 2.0 * projector)
-    assert dense._basis.row_norm is None and dense._basis.projector_bound is None
     for factor in (scaled, dense):
         measure, scale = SelectiveMeasure(factor, factor), _column_scale(factor)
         assert measure_scale(measure) == scale * scale
@@ -927,8 +884,8 @@ def test_every_public_tol_must_be_below_1(name, tol):
 def test_scenarios_give_the_same_bits_from_an_empty_and_a_warm_table(
     sites, labels, width, stat
 ):
-    # bases are shared across calls, results never: a basis read from the
-    # table is the one an empty table would build, so nothing moves
+    # no table of bases is left: each call builds its own, so a call gives
+    # the same bits as the same call before it
     space = SpaceSpec(sites, 2)
     m_a, m_b, x_a, x_b = (label % sites for label in labels)
     calls = [
@@ -937,25 +894,20 @@ def test_scenarios_give_the_same_bits_from_an_empty_and_a_warm_table(
     ]
     if m_a != m_b:
         calls.append(lambda: scenario_momentum_projection(space, m_a, m_b, stat))
-    cold = []
-    for call in calls:
-        with empty_basis_table():
-            cold.append(result_bits(call()))
-    with empty_basis_table():
-        for call in calls:
-            call()
-        assert [result_bits(call()) for call in calls] == cold
+    cold = [result_bits(call()) for call in calls]
+    assert [result_bits(call()) for call in calls] == cold
 
 
 def _unshared(factor):
-    """The same projector on a private copy of its basis, as built before bases were shared."""
+    """The same projector on a dense, checked copy of its basis."""
     return OneParticleOperator(factor.space, None, range_basis=np.array(factor.range_basis))
 
 
 def test_equal_labels_share_one_basis_and_measure_as_two_copies_do():
-    # both slots hold the same basis object, so changes of basis between
-    # them take their identity shortcut; the numbers stay those of two
-    # separately built copies
+    # equal labels in both slots build two closed-form bases whose change of
+    # basis is the exact identity selection; one operator in both slots takes
+    # the identity shortcut instead. The numbers stay those of two copies on
+    # dense, checked bases.
     space = SpaceSpec(8, 2)
     for stat in Statistics:
         for m_a, m_b in [(1, 1), (1, 7), (3, 5)]:
@@ -968,11 +920,10 @@ def test_equal_labels_share_one_basis_and_measure_as_two_copies_do():
             ]
             for measure in measures:
                 slot1, slot2 = measure.factor_slot1, measure.factor_slot2
-                assert slot1.range_basis is slot2.range_basis
                 copies = SelectiveMeasure(_unshared(slot1), _unshared(slot2))
-                assert result_bits(measure_pair(measure, ref, stat)) == result_bits(
-                    measure_pair(copies, ref, stat)
-                )
+                bits = result_bits(measure_pair(measure, ref, stat))
+                assert bits == result_bits(measure_pair(copies, ref, stat))
+                assert bits == result_bits(measure_pair(SelectiveMeasure(slot1, slot1), ref, stat))
                 assert classify(measure, ref).tag is brute_force_verdict(measure, ref, ZERO_TOL)
         # --xa 2 --xb 2: the scenario's measure on its own reference state
         up = plane_wave(1, UP, space).amplitudes[:, None]
@@ -1024,17 +975,9 @@ def test_labels_must_be_integers_and_errors_do_not_depend_on_the_table():
         (lambda: scenario_position_windows(space, 1, None, 0, 1, -2, fermion), ValueError,
          "window width must be >= 1, got -2"),
     ]
-    for warm in (False, True):
-        with empty_basis_table():
-            if warm:
-                for label in range(5):
-                    momentum_projector(label, label, space)
-                    for width in (1, 2, 3):
-                        window_projector(label, width, space)
-            for call, error, message in cases:
-                with pytest.raises(error, match=f"^{re.escape(message)}$"):
-                    call()
+    for call, error, message in cases:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
     # integers of any integer type name the same labels
-    assert momentum_projector(np.int64(2), 3, space).factor_slot1.range_basis is (
-        momentum_projector(2, 3, space).factor_slot1.range_basis
-    )
+    assert np.array_equal(momentum_projector(np.int64(2), 3, space).factor_slot1.range_basis,
+                          momentum_projector(2, 3, space).factor_slot1.range_basis)

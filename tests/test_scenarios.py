@@ -2,10 +2,9 @@ import cmath
 import contextlib
 import io
 import json
-import sys
+import math
 import tempfile
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
 
@@ -51,9 +50,7 @@ from pairmeasure.measurement import window_sites
 from pairmeasure.scenarios import _spin_state
 
 from helpers import (
-    assert_table_holds_bases_only,
     deletion_oracle,
-    empty_basis_table,
     identity_operator,
     momentum_matrix,
     result_bits,
@@ -204,22 +201,18 @@ def test_position_scenario_phase_is_exact_on_a_large_lattice(stat):
     assert result.phase_check.deviation < 1e-14
 
 
-def rounding_bound(sites):
-    """Largest error the closed-form test below allows on an O(1) quantity.
-
-    Each such quantity is a product of at most four sums over the n = 2L
-    single-particle modes (a plane-wave Gram entry per slot, each taken
-    twice in a squared norm), which with unit roundoff u = eps/2 carry at
-    most n u each (Higham, Accuracy and Stability, Lemma 3.1), followed by
-    at most 16 further roundings (the phases' angle, cos/sin and 1/sqrt(L),
-    the sector's 1/sqrt(2), a 2 x 2 SVD, sqrt, log): (4 n + 16) u.
-    """
-    return (8 * sites + 16) * np.finfo(float).eps / 2
+# Largest error the closed-form test below allows on an O(1) quantity. The
+# scenarios form no n-long sum: every change of basis between their bases is
+# exact (the 0/1 selections and the phases of ``hilbert._Basis.to``), so
+# what is left is a fixed chain of roundings on r x r cores (the phases'
+# angle, cos/sin and 1/sqrt(L), the sector's 1/sqrt(2), a 2 x 2 SVD, sqrt,
+# log, sums of at most 2w terms), a few eps at any lattice size.
+CLOSED_FORM_BOUND = 16 * np.finfo(float).eps
 
 
 @st.composite
 def closed_form_cases(draw):
-    sites = draw(st.integers(2, 2048))
+    sites = draw(st.integers(2, 2048) | st.integers(2049, 2**20))
     m_a = draw(st.integers(0, sites - 1))
     m_b = (m_a + draw(st.integers(1, sites - 1))) % sites
     window_mode_b = draw(st.none() | st.integers(0, sites - 1))
@@ -228,7 +221,8 @@ def closed_form_cases(draw):
     # windows are disjoint when their centres are at least w apart around the ring
     offset = draw(st.integers(width, sites - width))
     stat = draw(st.sampled_from(list(Statistics)))
-    tol = 10.0 ** draw(st.floats(-12.0, -4.0))
+    # a window's event norm is w/L against a scale of 1: keep tol below it
+    tol = 10.0 ** draw(st.floats(-12.0, min(-4.0, -1.0 - math.log10(sites))))
     return sites, (m_a, m_b), window_mode_b, centre, offset, width, stat, tol
 
 
@@ -238,6 +232,12 @@ def closed_form_cases(draw):
 @example((2048, (2047, 0), None, 2, 998, 1, Statistics.BOSON, 1e-12))
 @example((2048, (1, 2047), 5, 0, 1024, 8, Statistics.FERMION, 1e-4))
 @example((1999, (1000, 7), None, 1998, 1, 1, Statistics.BOSON, 1e-10))
+@example((1000003, (1, 1000002), None, 0, 500001, 1, Statistics.FERMION, 1e-12))
+@example((1000003, (999999, 4), 17, 1000002, 3, 3, Statistics.BOSON, 1e-10))
+@example((2**20 - 1, (2**19, 2**20 - 2), None, 7, 2**19 + 5, 1, Statistics.BOSON, 1e-12))
+@example((2**20 - 1, (3, 2**19 - 1), 2**20 - 3, 2**20 - 2, 8, 8, Statistics.FERMION, 1e-8))
+@example((2**20, (2**20 - 1, 1), None, 2**20 - 1, 2**19, 1, Statistics.FERMION, 1e-12))
+@example((2**20, (12345, 2**19), 999, 5, 3, 3, Statistics.BOSON, 1e-10))
 def test_scenarios_match_closed_forms_at_any_lattice_size(case):
     """Every field of both scenarios against the paper's closed forms.
 
@@ -245,11 +245,12 @@ def test_scenarios_match_closed_forms_at_any_lattice_size(case):
     1/2, Schmidt rank 1 and the spin state |up, down>. Disjoint windows of
     width w: an entangling measurement at probability w^2/L^2, singular
     values 1/sqrt(2), entropy ln 2, evidence 1 -> 2 and, at w = 1, the phase
-    -+exp(-i dk dx) between the spin state's two amplitudes.
+    -+exp(-i dk dx) between the spin state's two amplitudes. Each to a few
+    eps (``CLOSED_FORM_BOUND``), relative to the quantity's size.
     """
     sites, modes, window_mode_b, centre, offset, width, stat, tol = case
     space = SpaceSpec(sites, 2)
-    bound = rounding_bound(sites)
+    bound = CLOSED_FORM_BOUND
     m_a, m_b = modes
     result = scenario_momentum_projection(space, m_a, m_b, stat, tol)
     pair = result.event_pair
@@ -575,28 +576,33 @@ def test_a_scenario_call_forms_the_cross_product_of_its_measure_bases_once():
     # U_A^H U_B is the verdict's middle factor and X of the post-state's
     # Slater test; the call forms it once and hands it to both
     calls = {
-        "momentum": (lambda: scenario_momentum_projection(SPACE, 1, 5, Statistics.FERMION),
-                     lambda: momentum_projector(1, 5, SPACE)),
-        "windows": (lambda: scenario_position_windows(SPACE, 1, None, 2, 5, 1, Statistics.FERMION),
-                    lambda: SelectiveMeasure(window_projector(2, 1, SPACE),
-                                             window_projector(5, 1, SPACE))),
+        "momentum": lambda: scenario_momentum_projection(SPACE, 1, 5, Statistics.FERMION),
+        "windows": lambda: scenario_position_windows(SPACE, 1, None, 2, 5, 1, Statistics.FERMION),
     }
-    for name, (call, build) in calls.items():
-        with empty_basis_table():
-            measure = build()
-            bases = measure.factor_slot1._basis, measure.factor_slot2._basis
-            with mock.patch.object(
-                hilbert._Basis, "to", autospec=True, side_effect=hilbert._Basis.to
-            ) as to:
-                result = call()
-            crossed = [args for args, _ in to.call_args_list if args == bases]
-            assert len(crossed) == 1, name
-            assert result.post_state._left is bases[0], name
+    pair_results = pairmeasure.scenarios._pair_results
+    for name, call in calls.items():
+        measures = []
+
+        def record(measure, *args):
+            measures.append(measure)
+            return pair_results(measure, *args)
+
+        # the measure the call builds, and every change of basis it forms
+        with mock.patch.object(
+            hilbert._Basis, "to", autospec=True, side_effect=hilbert._Basis.to
+        ) as to, mock.patch.object(pairmeasure.scenarios, "_pair_results", side_effect=record):
+            result = call()
+        (measure,) = measures
+        bases = measure.factor_slot1._basis, measure.factor_slot2._basis
+        crossed = [args for args, _ in to.call_args_list if args == bases]
+        assert len(crossed) == 1, name
+        assert result.post_state._left is bases[0], name
 
 
 def test_a_warm_scenario_call_allocates_no_basis_sized_array():
-    # at L = 2048 one n x 2 complex array is 128 KiB; a warm call reads every
-    # U, U^H and U^H U from the table and allocates only r-sized arrays
+    # at L = 2048 one n x 2 complex array is 128 KiB; a call holds its bases
+    # in closed form and allocates only r-sized arrays and the report's
+    # n-long spectrum of floats, half of one n-long complex column
     space = SpaceSpec(2048, 2)
     limit = space.total_dim * 2 * np.dtype(complex).itemsize
     calls = {
@@ -605,158 +611,41 @@ def test_a_warm_scenario_call_allocates_no_basis_sized_array():
             space, 3, None, 100, 900, 1, Statistics.FERMION
         ),
     }
-    with empty_basis_table():
-        for name, call in calls.items():
+    for name, call in calls.items():
+        call()
+        tracemalloc.start()
+        try:
             call()
-            tracemalloc.start()
-            try:
-                call()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < limit, (name, peak)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, (name, peak)
 
 
-def test_scenarios_build_and_check_each_basis_once_per_process():
-    # two plane-wave bases, plus two window bases for the position scenario;
-    # the same call again finds all of them in the table
+def test_a_cold_scenario_call_at_a_million_sites_allocates_no_complex_column():
+    # L = 2^20, n = 2^21: one n-long complex column is 32 MiB. A first call
+    # with these labels builds its bases in closed form, O(w * spins), and
+    # its one n-long array is the report's spectrum of 8-byte floats.
+    space = SpaceSpec(2**20, 2)
+    limit = space.total_dim * np.dtype(complex).itemsize
     calls = {
-        "momentum": (lambda: scenario_momentum_projection(SPACE, 1, 5, Statistics.FERMION), 2),
-        "windows": (lambda: scenario_position_windows(
-            SPACE, 1, None, 2, 5, 1, Statistics.FERMION
-        ), 4),
-    }
-    for name, (call, cold) in calls.items():
-        with empty_basis_table(), mock.patch.object(
-            hilbert._Basis, "checked", wraps=hilbert._Basis.checked
-        ) as check:
-            call()
-            assert check.call_count == cold, name
-            check.reset_mock()
-            call()
-            assert check.call_count == 0, name
-
-
-def test_scenarios_form_each_projector_bound_and_scale_once_per_process():
-    # the Born-flag bound and the column scale are formed with each new basis,
-    # once for equal windows; a warm call reads them
-    calls = {
-        "momentum": (lambda: scenario_momentum_projection(SPACE, 1, 5, Statistics.FERMION), 2),
-        "windows": (lambda: scenario_position_windows(
-            SPACE, 1, None, 2, 5, 1, Statistics.FERMION
-        ), 4),
-        "equal windows": (lambda: scenario_position_windows(
-            SPACE, 1, None, 2, 2, 1, Statistics.BOSON
-        ), 3),
-    }
-    for name, (call, cold) in calls.items():
-        with empty_basis_table(), mock.patch.object(
-            hilbert, "_projector_values", wraps=hilbert._projector_values
-        ) as derive:
-            result = call()
-            assert derive.call_count == cold, name
-            derive.reset_mock()
-            call()
-            assert derive.call_count == 0, name
-            assert result.born_rule is True, name
-
-
-def _warm_calls():
-    return {
-        "momentum": lambda: scenario_momentum_projection(SPACE, 1, 5, Statistics.FERMION),
-        "windows": lambda: scenario_position_windows(
-            SPACE, 1, None, 2, 5, 1, Statistics.FERMION
+        "momentum": lambda: scenario_momentum_projection(space, 5, None, Statistics.FERMION),
+        "windows, width 1": lambda: scenario_position_windows(
+            space, 7, None, 10, 2**19, 1, Statistics.BOSON
+        ),
+        "windows, width 3": lambda: scenario_position_windows(
+            space, 2**20 - 1, 3, 2**20 - 1, 100, 3, Statistics.FERMION
         ),
     }
-
-
-def test_a_warm_scenario_call_builds_no_basis_and_no_reference_norm():
-    # the reference's kets are column views its bases keep, and the norm of
-    # its unit core is known, so no _Basis is constructed and no norm of the
-    # unit core is formed on a warm call
-    unit = pairmeasure.scenarios._UNIT_CORE
-    # every module that binds the name, so no call escapes the count
-    modules = (hilbert, pairmeasure.symmetry, pairmeasure.measurement, pairmeasure.entanglement)
-    for name, call in _warm_calls().items():
-        with empty_basis_table(), contextlib.ExitStack() as stack:
-            call()
-            init = stack.enter_context(mock.patch.object(
-                hilbert._Basis, "__init__", autospec=True, side_effect=hilbert._Basis.__init__
-            ))
-            norms = [stack.enter_context(mock.patch.object(
-                module, "_frobenius", wraps=hilbert._frobenius
-            )) for module in modules]
-            call()
-            assert init.call_count == 0, name
-            for norm in norms:
-                assert not any(np.shares_memory(args[0], unit)
-                               for args, _ in norm.call_args_list), name
-
-
-def test_the_reference_reads_kept_column_views_of_its_table_entries():
-    made = []
-    reference = pairmeasure.scenarios._reference_state
-
-    def record(*args):
-        made.append(reference(*args))
-        return made[-1]
-
-    modes = {"momentum": (1, 5), "windows": (1, 7)}
-    for name, call in _warm_calls().items():
-        made.clear()
-        with empty_basis_table(), mock.patch.object(
-            pairmeasure.scenarios, "_reference_state", side_effect=record
-        ):
-            call()
-            call()
-            first, second = made
-            assert second._left is first._left and second._right is first._right, name
-            entries = [hilbert._plane_waves(SPACE, mode) for mode in modes[name]]
-            for side, entry, spin in zip((first._left, first._right), entries, (UP, DOWN)):
-                assert side is entry.column(spin), name
-                for part, whole in ((side.matrix, entry.matrix), (side.adjoint, entry.adjoint),
-                                    (side.gram, entry.gram)):
-                    assert not part.flags.writeable, name
-                    assert np.shares_memory(part, whole), name
-            assert_table_holds_bases_only(hilbert.MAX_SHARED_BYTES)
-
-
-def test_threads_sharing_the_table_get_the_serial_results(monkeypatch):
-    space = SpaceSpec(16, 2)
-    rng = np.random.default_rng(17)
-    cases = []
-    for index in range(64):
-        stat = Statistics.FERMION if index % 2 == 0 else Statistics.BOSON
-        m_a, m_b = (int(mode) for mode in rng.choice(16, 2, replace=False))
-        x_a, x_b = (int(site) for site in rng.choice(16, 2, replace=False))
-        window_mode = int(rng.integers(16))
-        cases.append((space, m_a, m_b, window_mode, x_a, x_b, stat))
-
-    def run(space, m_a, m_b, window_mode, x_a, x_b, stat):
-        return result_bits(scenario_momentum_projection(space, m_a, m_b, stat)), result_bits(
-            scenario_position_windows(space, window_mode, None, x_a, x_b, 1, stat)
-        )
-
-    serial = [run(*case) for case in cases]
-    # room for 8 of the 16 x 2 bases: the threads evict each other's entries
-    # and race on first reads of a new entry's column views
-    budget = 8 * hilbert._plane_waves(space, 0).nbytes
-    monkeypatch.setattr(hilbert, "MAX_SHARED_BYTES", budget)
-    orders = [rng.permutation(64) for _ in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often, inside the table's updates too
-    try:
-        with empty_basis_table(), ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [
-                pool.submit(lambda order: {i: run(*cases[i]) for i in order}, order)
-                for order in orders
-            ]
-            runs = [future.result(timeout=120) for future in futures]
-            assert_table_holds_bases_only(budget)
-    finally:
-        sys.setswitchinterval(interval)
-    for results in runs:
-        assert [results[i] for i in range(64)] == serial
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            result = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, (name, peak)
+        assert result.born_rule and result.report.singular_values.shape == (space.total_dim,)
 
 
 def test_measure_pair_sizes_and_normalizes_once():

@@ -25,7 +25,6 @@ from pairmeasure.hilbert import (
     _Basis,
     _frobenius,
     _negligible,
-    _plane_waves,
 )
 from pairmeasure.scenarios import _reference_state
 from pairmeasure.symmetry import _exchange_norm
@@ -265,7 +264,7 @@ def test_exchange_norm_on_disjoint_supports_is_the_exact_closed_form(
 @pytest.mark.parametrize("sign", [-1.0, 1.0])
 def test_exchange_norm_of_an_opposite_spin_reference_is_the_exact_closed_form(sign):
     space = SpaceSpec(8, 2)
-    state = _reference_state(space, _plane_waves(space, 3), _plane_waves(space, 3))
+    state = _reference_state(space, 3, 3)
     coeff = state.matrix()
     got = _exchange_norm(state, sign)
     assert got == (2.0 * state.norm**2) ** 0.5
