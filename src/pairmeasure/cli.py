@@ -19,7 +19,6 @@ when stdout closes before the report is written (nothing more is printed).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import NoReturn
@@ -27,11 +26,9 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import DegenerateInputError, ParseError
-from .fileio import _format_float as _fmt
-from .fileio import parse_measure_file, parse_state_file
 from .hilbert import ZERO_TOL, SpaceSpec, _negligible
+from .hilbert import _format_float as _fmt
 from .measurement import ScenarioResult, measure_pair
-from .scenarios import scenario_momentum_projection, scenario_position_windows
 from .symmetry import Statistics
 
 EXIT_OK = 0
@@ -41,6 +38,8 @@ EXIT_DEGENERATE = 3
 
 def _json_text(value) -> str:
     """Serialize with deterministic key order and fixed float formatting."""
+    import json  # only JSON reports load it
+
     if isinstance(value, float):
         return _fmt(value)
     if isinstance(value, list):
@@ -132,6 +131,8 @@ def _text_report(result: ScenarioResult) -> str:
 
 
 def _run_classify(args: argparse.Namespace, stat: Statistics) -> ScenarioResult:
+    from .fileio import parse_measure_file, parse_state_file
+
     state = parse_state_file(args.state)
     measure = parse_measure_file(args.measure)
     if measure.space != state.space:
@@ -157,10 +158,14 @@ def run(args: argparse.Namespace) -> int:
         if args.command == "classify":
             result = _run_classify(args, stat)
         elif args.command == "momentum-scenario":
+            from .scenarios import scenario_momentum_projection
+
             result = scenario_momentum_projection(
                 SpaceSpec(args.lattice, 2), args.mode_a, args.mode_b, stat, args.tol
             )
         else:
+            from .scenarios import scenario_position_windows
+
             result = scenario_position_windows(
                 SpaceSpec(args.lattice, 2),
                 args.mode_a,

@@ -27,7 +27,7 @@ import os
 import numpy as np
 
 from .errors import ParseError
-from .hilbert import OneParticleOperator, SpaceSpec, TwoParticleState, _budget
+from .hilbert import OneParticleOperator, SpaceSpec, TwoParticleState, _budget, _format_float
 from .measurement import SelectiveMeasure
 
 
@@ -117,10 +117,6 @@ def parse_measure_file(path: str | os.PathLike) -> SelectiveMeasure:
         OneParticleOperator._fresh(space, matrices["A"]),
         OneParticleOperator._fresh(space, matrices["B"]),
     )
-
-
-def _format_float(value: float) -> str:
-    return format(float(value), ".17g")
 
 
 def _write(

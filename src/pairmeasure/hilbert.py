@@ -305,6 +305,11 @@ def _label(value, what: str) -> int:
         raise TypeError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _format_float(value: float) -> str:
+    """``value`` with 17 significant digits, enough to round-trip a double (files, reports)."""
+    return format(float(value), ".17g")
+
+
 @dataclass(frozen=True)
 class SingleParticleVector:
     """Dense complex vector over the single-particle modes of ``space``."""
@@ -550,11 +555,30 @@ def plane_wave(mode: int, spin: int, space: SpaceSpec) -> SingleParticleVector:
 
 
 def tensor_state(u: SingleParticleVector, v: SingleParticleVector) -> TwoParticleState:
-    """Product state with ``u`` in slot 1 and ``v`` in slot 2."""
+    """Product state with ``u`` in slot 1 and ``v`` in slot 2, held factored at O(n).
+
+    The state is u/|u| [[|u| |v|]] (v/|v|)^T. The side of a zero ``u`` or
+    ``v`` holds the unit ket of mode 0 instead, and the core is then [[0]].
+    """
     if u.space != v.space:
         raise DimensionMismatchError("tensor_state factors live in different spaces")
-    _budget(u.space.pair_dim, "a dense pair array")
-    return TwoParticleState._fresh(u.space, np.outer(u.amplitudes, v.amplitudes))
+    u_norm, v_norm = u.norm, v.norm
+    core = np.array([[u_norm * v_norm]], dtype=complex)
+    return TwoParticleState._fresh(
+        u.space, core, _unit_column(u, u_norm), _unit_column(v, v_norm)
+    )
+
+
+def _unit_column(vector: SingleParticleVector, norm: float) -> _Basis:
+    """The one-column basis of ``vector`` / ``norm``, or of mode 0 for the zero vector.
+
+    A unit column by construction, so it skips :meth:`_Basis.checked`.
+    """
+    if norm == 0.0:
+        return _Basis(vector.space.total_dim, (0,))
+    column = (vector.amplitudes / norm).reshape(-1, 1)
+    column.flags.writeable = False
+    return _Basis(vector.space.total_dim, _matrix=column)
 
 
 def inner_product(a: TwoParticleState, b: TwoParticleState) -> complex:

@@ -14,6 +14,7 @@ from pairmeasure import (
     InputTooLargeError,
     OneParticleOperator,
     SelectiveMeasure,
+    SingleParticleVector,
     SpaceSpec,
     Statistics,
     TwoParticleState,
@@ -125,12 +126,49 @@ def test_tensor_state_is_bilinear():
     space = SpaceSpec(4, 2)
     u, u2, v = (random_vector(rng, space) for _ in range(3))
     alpha = 0.3 - 1.7j
-    from pairmeasure import SingleParticleVector
-
     combo = SingleParticleVector(space, alpha * u.amplitudes + u2.amplitudes)
     left = tensor_state(combo, v).amplitudes
     right = alpha * tensor_state(u, v).amplitudes + tensor_state(u2, v).amplitudes
     assert np.max(np.abs(left - right)) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sites=st.integers(1, 6),
+    spins=st.integers(1, 3),
+    scales=st.tuples(*[st.sampled_from([0.0, 1e-50, 1.0, 1e50])] * 2),
+)
+def test_tensor_state_matches_np_outer(seed, sites, spins, scales):
+    rng = np.random.default_rng(seed)
+    space = SpaceSpec(sites, spins)
+    u, v = (SingleParticleVector(space, scale * random_vector(rng, space).amplitudes)
+            for scale in scales)
+    state = tensor_state(u, v)
+    expected = np.outer(u.amplitudes, v.amplitudes)
+    # one rounding for u/|u|, |u| |v|, v/|v| and each of the two products
+    bound = 8 * np.finfo(float).eps * np.outer(np.abs(u.amplitudes), np.abs(v.amplitudes))
+    assert np.all(np.abs(state.matrix() - expected) <= bound)
+    assert state.core.shape == (1, 1)
+    assert state.norm == u.norm * v.norm
+    # a zero factor's side is the unit ket of mode 0, under the core [[0]]
+    for vector, side in ((u, state.left), (v, state.right)):
+        unit = np.zeros((space.total_dim, 1))
+        if vector.norm == 0.0:
+            unit[0, 0] = 1.0
+            assert state.core[0, 0] == 0.0
+        else:
+            unit = vector.amplitudes[:, None] / vector.norm
+        assert np.array_equal(side, unit)
+
+
+def test_tensor_state_holds_no_dense_pair_array():
+    space = SpaceSpec(2**16, 2)
+    state = tensor_state(plane_wave(1, 0, space), plane_wave(2**16 - 1, 1, space))
+    assert state.core.shape == (1, 1) and state.left.shape == (space.total_dim, 1)
+    assert state.norm == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(InputTooLargeError):
+        state.amplitudes
 
 
 def test_plane_wave_zero_mode_is_uniform():
