@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError
-from .hilbert import _IDENTITY, ZERO_TOL, TwoParticleState, _budget, _frobenius, _negligible
+from .hilbert import ZERO_TOL, TwoParticleState, _budget, _negligible
 from .symmetry import _exchange_norm
 
 
@@ -80,21 +80,15 @@ def schmidt(state: TwoParticleState, tol: float = ZERO_TOL) -> EntanglementRepor
     return _report(state, np.linalg.svd(state.core / nrm, compute_uv=False), tol)
 
 
-def _report(
-    state: TwoParticleState, sigma: np.ndarray, tol: float, cross: np.ndarray | None = None
-) -> EntanglementReport:
-    """The Schmidt report of a nonzero ``state`` whose normalized core has spectrum ``sigma``.
-
-    ``cross`` is X = L^H R of the state's bases when the caller has formed
-    it, else the Slater test forms it (``_antisymmetric``).
-    """
+def _report(state: TwoParticleState, sigma: np.ndarray, tol: float) -> EntanglementReport:
+    """The Schmidt report of a nonzero ``state`` whose normalized core has spectrum ``sigma``."""
     rank = _rank(sigma, tol)
     # sigma[0] may round above 1; renormalizing and clamping keeps entropy >= 0.
     lam = sigma * sigma / sigma.dot(sigma)
     positive = lam[lam > 0.0]
     entropy = max(0.0, -float(positive @ np.log(positive)))
     slater = None
-    if _antisymmetric(state, tol, cross):
+    if _negligible(_exchange_norm(state, 1.0), state.norm, tol):
         if rank % 2:
             raise DegenerateInputError(
                 f"singular values fail to pair up ({rank} above tol * sigma_max, "
@@ -112,19 +106,3 @@ def _report(
         slater_rank=slater,
     )
 
-
-def _antisymmetric(state: TwoParticleState, tol: float, cross: np.ndarray | None) -> bool:
-    """The Slater test of a nonzero ``state``: ||C + C^T|| negligible against ||C||.
-
-    With bases on both sides and X = L^H R (``cross``, formed here when
-    None), ||X||_F <= 1/2 puts ||C + C^T||^2 at least 1.5 ||K||^2
-    (``symmetry._exchange_norm``), which is not negligible against ||K||
-    at any tol below 1: the answer is no, without the closed form's trace
-    term. Other states take the tiers of ``_exchange_norm``.
-    """
-    if _IDENTITY not in (state._left, state._right):
-        if cross is None:
-            cross = state._left.to(state._right)
-        if cross is not None and _frobenius(cross) <= 0.5:
-            return False
-    return _negligible(_exchange_norm(state, 1.0, cross), state.norm, tol)

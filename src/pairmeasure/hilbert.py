@@ -144,7 +144,7 @@ class _Basis:
     """An n x r matrix U with orthonormal columns, dense or in closed form.
 
     * Dense: :meth:`checked` checks ``matrix`` (shape, finiteness, U^H U = I
-      entrywise to ``ZERO_TOL``, at O(n r^2)) and keeps U^H as ``adjoint``.
+      entrywise to ``ZERO_TOL``, at O(n r^2)).
     * Coordinate columns: column j is the unit ket of mode ``labels[j]``.
     * Plane-wave columns (:meth:`plane_waves`, on ``sites`` = L): column j is
       ``plane_wave(m, s)`` for ``labels[j]`` = m * spin_dim + s.
@@ -154,9 +154,9 @@ class _Basis:
     its phases, so :meth:`to` forms U^H V between them exactly. Their Gram
     matrix is exactly I, so the entry bound of their projector U U^H
     (``measurement._projector_bound``) is 0; ``row_norm`` is 1 for
-    coordinates and 1/sqrt(L) for plane waves. Their dense ``matrix`` and
-    ``adjoint`` are built only when read. ``_IDENTITY`` is the side with no
-    basis (U = I, ``matrix`` None). This type alone forms U^H and U^H V.
+    coordinates and 1/sqrt(L) for plane waves. Their dense ``matrix`` is
+    built only when read. ``_IDENTITY`` is the side with no basis (U = I,
+    ``matrix`` None). This type alone forms U^H and U^H V; it keeps neither.
 
     Nothing assigns to a basis after construction but its own first reads.
     It is not a frozen dataclass because every scenario call builds several:
@@ -168,7 +168,6 @@ class _Basis:
     labels: tuple[int, ...] | None = None
     sites: int | None = None
     _matrix: np.ndarray | None = field(default=None, repr=False)
-    _adjoint: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def checked(cls, values, dim: int, what: str) -> _Basis:
@@ -214,13 +213,11 @@ class _Basis:
         return self._matrix
 
     @property
-    def adjoint(self) -> np.ndarray | None:
-        """U^H, read-only, laid out as ``matrix.conj().T``; built on first read."""
-        if self._adjoint is None and self is not _IDENTITY:
-            conj = self.matrix.conj()
-            conj.flags.writeable = False
-            self._adjoint = conj.T
-        return self._adjoint
+    def adjoint(self) -> np.ndarray:
+        """U^H, read-only, laid out as ``matrix.conj().T``; formed on each read."""
+        conj = self.matrix.conj()
+        conj.flags.writeable = False
+        return conj.T
 
     @property
     def rank(self) -> int:

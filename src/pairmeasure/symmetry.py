@@ -10,11 +10,10 @@ orthogonal to its own permutation, and the identity
 
 holds for every state regardless. ``_exchange_norm`` gives ||C + -C^T|| on
 the factors: sqrt(2) ||C|| when the two bases are exactly orthogonal
-(disjoint supports, such as opposite spins or disjoint windows), a closed
-form when they are nearly orthogonal, as in both worked scenarios, and one
-QR of the stacked bases otherwise. The Slater test of
-``entanglement._report`` needs no value when the bases are nearly
-orthogonal: ||C + C^T|| is then at least sqrt(1.5) ||C||.
+(disjoint supports, such as opposite spins or disjoint windows, as in both
+worked scenarios), a closed form when they are nearly orthogonal, and one
+QR of the stacked bases otherwise. It sizes a sector for ``measure_pair``
+and is the Slater test of ``entanglement._report``.
 """
 
 from __future__ import annotations
@@ -49,9 +48,7 @@ def permute(state: TwoParticleState) -> TwoParticleState:
     return TwoParticleState._fresh(state.space, state.core.T, state._right, state._left, state._norm)
 
 
-def _exchange_norm(
-    state: TwoParticleState, sign: float, cross: np.ndarray | None = None
-) -> float:
+def _exchange_norm(state: TwoParticleState, sign: float) -> float:
     """||C + sign C^T||_F for C = L K R^T, in two tiers.
 
     With isometric bases and X = L^H R (O(n a b)), ||C + sign C^T||^2 =
@@ -66,15 +63,13 @@ def _exchange_norm(
     two closed-form bases of one kind runs on the exact coordinates of
     [L R] in their columns' union (``_Basis.beside``). When X is exactly
     zero, the trace term is an exact zero and the closed form is sqrt(2)
-    ||K||, returned without forming it. ``cross`` is X when the caller has
-    formed it (``_Basis.to``), else it is formed here.
+    ||K||, returned without forming it.
     """
     core = state.core
     if _IDENTITY in (state._left, state._right):
         coeff = _in_bases(state, _IDENTITY, _IDENTITY)
     else:
-        if cross is None:
-            cross = state._left.to(state._right)
+        cross = state._left.to(state._right)
         if cross is not None and not np.count_nonzero(cross):
             return (2.0 * state.norm**2) ** 0.5
         if cross is not None and _frobenius(cross) <= 0.5:

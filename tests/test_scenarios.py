@@ -17,7 +17,6 @@ import pairmeasure.entanglement
 import pairmeasure.measurement
 import pairmeasure.scenarios
 import pairmeasure.symmetry
-from pairmeasure import hilbert
 from pairmeasure import (
     DegenerateInputError,
     EbmEvidence,
@@ -570,33 +569,6 @@ def test_scenarios_apply_the_measure_twice_and_decompose_twice():
         assert svd.call_args.args[0].shape == (2, 2, 2), name
         assert report.call_count == 1, name
         assert qr.call_count == qr_calls[name], name
-
-
-def test_a_scenario_call_forms_the_cross_product_of_its_measure_bases_once():
-    # U_A^H U_B is the verdict's middle factor and X of the post-state's
-    # Slater test; the call forms it once and hands it to both
-    calls = {
-        "momentum": lambda: scenario_momentum_projection(SPACE, 1, 5, Statistics.FERMION),
-        "windows": lambda: scenario_position_windows(SPACE, 1, None, 2, 5, 1, Statistics.FERMION),
-    }
-    pair_results = pairmeasure.scenarios._pair_results
-    for name, call in calls.items():
-        measures = []
-
-        def record(measure, *args):
-            measures.append(measure)
-            return pair_results(measure, *args)
-
-        # the measure the call builds, and every change of basis it forms
-        with mock.patch.object(
-            hilbert._Basis, "to", autospec=True, side_effect=hilbert._Basis.to
-        ) as to, mock.patch.object(pairmeasure.scenarios, "_pair_results", side_effect=record):
-            result = call()
-        (measure,) = measures
-        bases = measure.factor_slot1._basis, measure.factor_slot2._basis
-        crossed = [args for args, _ in to.call_args_list if args == bases]
-        assert len(crossed) == 1, name
-        assert result.post_state._left is bases[0], name
 
 
 def test_a_warm_scenario_call_allocates_no_basis_sized_array():

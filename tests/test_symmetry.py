@@ -18,7 +18,6 @@ from pairmeasure import (
     tensor_state,
 )
 
-from pairmeasure.entanglement import _antisymmetric
 from pairmeasure.hilbert import (
     _IDENTITY,
     TwoParticleState,
@@ -283,20 +282,14 @@ def test_exchange_norm_of_an_opposite_spin_reference_is_the_exact_closed_form(si
         st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
         st.sampled_from([1e-300, 1e-10, 0.5, 1.0 - 2**-53]),
     ),
-    given_cross=st.booleans(),
 )
-def test_slater_test_of_nearly_orthogonal_bases_needs_no_trace_term(
-    seed, left_rank, right_rank, cross, tol, given_cross
+def test_states_on_nearly_orthogonal_bases_are_not_antisymmetric(
+    seed, left_rank, right_rank, cross, tol
 ):
     # ||L^H R||_F <= 1/2 puts ||C + C^T||^2 at least 1.5 ||K||^2, and no tol
-    # below 1 makes that negligible against ||K||: the test answers no at
-    # once, as the closed form would, whether the caller formed X or not
+    # below 1 makes that negligible against ||K||: the Slater test says no
     state = exchange_state(seed, "mixed", left_rank, right_rank, cross)
     x = state._left.to(state._right)
     assume(_frobenius(x) <= 0.5 and state.norm > 0.0)
-    want = _negligible(_exchange_norm(state, 1.0), state.norm, tol)
-    with mock.patch("pairmeasure.entanglement._exchange_norm") as exchange_norm:
-        got = _antisymmetric(state, tol, x if given_cross else None)
-    assert got == want and not got
-    assert exchange_norm.call_count == 0
+    assert not _negligible(_exchange_norm(state, 1.0), state.norm, tol)
     assert schmidt(state, tol).slater_rank is None
