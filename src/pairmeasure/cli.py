@@ -93,7 +93,7 @@ def _text_report(result: ScenarioResult) -> str:
         f"  event overlap: {_fmt_complex(pair.event_overlap)}",
     ]
     mismatch = abs(pair.event_overlap - pair.ref_overlap)
-    if not _negligible(mismatch, result.scale**2, tol):
+    if not _negligible(mismatch, result.scale * result.scale, tol):
         lines.append(
             "  note: reference overlap "
             f"{_fmt_complex(pair.ref_overlap)} disagrees with the event overlap "

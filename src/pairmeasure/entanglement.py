@@ -74,10 +74,7 @@ def schmidt(state: TwoParticleState, tol: float = ZERO_TOL) -> EntanglementRepor
     does an antisymmetric state whose degenerate pairs do not all lie on
     one side of tol * sigma_max.
     """
-    nrm = state.norm
-    if nrm == 0.0:
-        raise DegenerateInputError("zero state has no Schmidt decomposition")
-    return _report(state, np.linalg.svd(state.core / nrm, compute_uv=False), tol)
+    return _report(state, np.linalg.svd(state.normalize().core, compute_uv=False), tol)
 
 
 def _report(state: TwoParticleState, sigma: np.ndarray, tol: float) -> EntanglementReport:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,25 +106,30 @@ def _negligible(value, scale, tol: float):
 
 
 def _frobenius(arr: np.ndarray) -> float:
-    """Frobenius norm of a whole array: one BLAS dot, for arrays of any size."""
-    return math.sqrt(np.vdot(arr, arr).real)
+    """Frobenius norm of a whole array: one BLAS dot, for arrays of any size.
+
+    A dot whose squares may have under- or overflowed (zero, subnormal or
+    infinite) is formed again on the array scaled exactly by a power of two.
+    """
+    total = np.vdot(arr, arr).real
+    if sys.float_info.min <= total < math.inf or not (total or np.count_nonzero(arr)):
+        return math.sqrt(total)
+    largest = float(np.max(np.abs(arr)))
+    if not math.isfinite(largest):
+        return largest
+    unit = math.ldexp(1.0, min(-math.frexp(largest)[1], 1000))
+    scaled = arr * unit
+    return math.sqrt(np.vdot(scaled, scaled).real) / unit
 
 
-def _finite_norm(arr: np.ndarray, what: str) -> float:
-    """The Frobenius norm of ``arr``, after checking that every entry is finite."""
-    # A finite sum of squared moduli (one BLAS dot, which raises no
-    # floating-point warning) proves every entry finite.
+def _freeze(arr: np.ndarray, what: str) -> float:
+    """Check that every entry of ``arr`` is finite, make it read-only in place, return its norm."""
+    # A finite norm (BLAS dots raise no floating-point warning) proves every entry finite.
     norm = _frobenius(arr)
     if not math.isfinite(norm) and not np.isfinite(arr).all():
         raise ValueError(f"{what} contains non-finite entries")
-    return norm
-
-
-def _freeze(arr: np.ndarray, what: str) -> np.ndarray:
-    """Check that ``arr`` is finite, then make it read-only in place."""
-    _finite_norm(arr, what)
     arr.flags.writeable = False
-    return arr
+    return norm
 
 
 def _complex_copy(values, shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -136,7 +142,9 @@ def _complex_copy(values, shape: tuple[int, ...], what: str) -> np.ndarray:
 
 def _frozen_complex(values, shape: tuple[int, ...], what: str) -> np.ndarray:
     """A checked, read-only complex copy of caller-supplied ``values``."""
-    return _freeze(_complex_copy(values, shape, what), what)
+    arr = _complex_copy(values, shape, what)
+    _freeze(arr, what)
+    return arr
 
 
 @dataclass(eq=False, slots=True)
@@ -320,7 +328,7 @@ class SingleParticleVector:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return _frobenius(self.amplitudes)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -357,8 +365,10 @@ class OneParticleOperator:
     @classmethod
     def _fresh(cls, space: SpaceSpec, entries, basis: _Basis = _IDENTITY) -> OneParticleOperator:
         """Dense ``entries`` frozen in place, or the projector on ``basis``."""
+        if entries is not None:
+            _freeze(entries, "entries")
         op = cls.__new__(cls)
-        op._setup(space, None if entries is None else _freeze(entries, "entries"), basis)
+        op._setup(space, entries, basis)
         return op
 
     def _setup(self, space, entries, basis: _Basis) -> None:
@@ -429,8 +439,7 @@ class TwoParticleState:
     def __init__(self, space: SpaceSpec, amplitudes):
         _budget(space.pair_dim, "a dense pair array")
         amps = _complex_copy(amplitudes, (space.pair_dim,), "amplitudes")
-        norm = _finite_norm(amps, "amplitudes")
-        amps.flags.writeable = False
+        norm = _freeze(amps, "amplitudes")
         dim = space.total_dim
         self._setup(space, _IDENTITY, amps.reshape(dim, dim), _IDENTITY, norm)
         object.__setattr__(self, "_amplitudes", amps)
@@ -445,8 +454,7 @@ class TwoParticleState:
         dim = space.total_dim
         left, right = _Basis.checked(left, dim, "left"), _Basis.checked(right, dim, "right")
         core = _complex_copy(core, (left.rank, right.rank), "core")
-        norm = _finite_norm(core, "core")
-        core.flags.writeable = False
+        norm = _freeze(core, "core")
         return cls._fresh(space, core, left, right, norm)
 
     @classmethod
@@ -460,8 +468,7 @@ class TwoParticleState:
         the caller knows it.
         """
         if core.flags.writeable:
-            norm = _finite_norm(core, "state")
-            core.flags.writeable = False
+            norm = _freeze(core, "state")
         state = cls.__new__(cls)
         state._setup(space, left, core, right, norm)
         return state
@@ -510,10 +517,12 @@ class TwoParticleState:
 
     def normalize(self) -> TwoParticleState:
         """Unit-norm copy with the core rescaled; DegenerateInputError if zero."""
-        nrm = self.norm
+        nrm, core = self.norm, self.core
         if nrm == 0.0:
             raise DegenerateInputError("cannot normalize a zero state")
-        return TwoParticleState._fresh(self.space, self.core / nrm, self._left, self._right)
+        if nrm < sys.float_info.min:  # 1/nrm overflows; a power of two scales exactly
+            nrm, core = nrm * 2.0**600, core * 2.0**600
+        return TwoParticleState._fresh(self.space, core / nrm, self._left, self._right)
 
 
 def _in_bases(state: TwoParticleState, left: _Basis, right: _Basis) -> np.ndarray:

@@ -6,25 +6,15 @@ with the slot permutation, and applying it to a symmetrized pair state
 splits into two events: the measure acting on the distinguishable reference
 state, and the measure acting on its permutation.
 
-Classification rule, with A and B the factors of slots 1 and 2:
-
-* both events (numerically) zero -> BothZero
-* exactly one zero               -> LocalOperation: the measurement
-  distinguishes the particles without creating entanglement
-* both nonzero, A^H B zero       -> EntanglingMeasurement: range(A) and
-  range(B) are orthogonal, so the events A x B and B x A are mutually
-  exclusive on every state, and the collapsed symmetrized state keeps
-  both as a coherent superposition
-* both nonzero, A^H B nonzero    -> NonOrthogonalEvents
-
-The paper's abstract places entanglement by measurement "when the operator
-M_m has two-particle events that are not mutually exclusive". Here
-"exclusive" is a property of the measure, A^H B = 0; "both nonzero" is the
-other sense, both slot assignments occurring on the state. The
-``entangled_by_measure`` field of ``EbmEvidence`` compares slot Schmidt
-ranks, not Slater ranks: on ``position-scenario --xa 2 --xb 2 --width 1``
-the verdict is NonOrthogonalEvents, the post-state has Schmidt rank 2 and
-Slater rank 1 (one determinant), and the flag is True (rank 1 -> 2).
+``VerdictTag`` states the classification rule. The paper's abstract
+places entanglement by measurement "when the operator M_m has two-particle
+events that are not mutually exclusive". Here "exclusive" is a property of
+the measure, A^H B = 0; "both nonzero" is the other sense, both slot
+assignments occurring on the state. The ``entangled_by_measure`` field of
+``EbmEvidence`` compares slot Schmidt ranks, not Slater ranks: on
+``position-scenario --xa 2 --xb 2 --width 1`` the verdict is
+NonOrthogonalEvents, the post-state has Schmidt rank 2 and Slater rank 1
+(one determinant), and the flag is True (rank 1 -> 2).
 
 Every zero test is ``hilbert._negligible`` against a scale: an event norm
 against scale = the product of the factors' max column norms times the
@@ -36,12 +26,8 @@ rank and antisymmetry tests of the Schmidt report (see
 :mod:`pairmeasure.entanglement`).
 
 :func:`measure_pair` is the one place that goes from the two events to
-results: verdict, collapse, post-state Schmidt report, before/after rank
-evidence and Born-rule flag. One SVD call on the stack of the normalized
-post-state's core and the direct event's core gives both spectra, and
-``entanglement._report`` turns the first into the report ``schmidt`` of
-the post-state would give. :func:`collapse` reads part of its result;
-:func:`classify` needs no sector and runs the verdict rule alone.
+results; :func:`collapse` reads part of its result, and :func:`classify`
+needs no sector and runs the verdict rule alone.
 
 Every event lies in range(A) x range(B) of the factors A and B. With range
 bases U_A, U_B (see ``OneParticleOperator.range_basis``) an event is
@@ -122,6 +108,19 @@ class EventPair:
 
 
 class VerdictTag(Enum):
+    """The classification rule, with A and B the factors of slots 1 and 2.
+
+    * ``BOTH_ZERO`` ("BothZero"): both events are (numerically) zero.
+    * ``LOCAL_OPERATION`` ("LocalOperation"): exactly one is zero; the
+      measurement distinguishes the particles without creating entanglement.
+    * ``ENTANGLING_MEASUREMENT`` ("EntanglingMeasurement"): both are nonzero
+      and A^H B is zero. range(A) and range(B) are orthogonal, so the events
+      A x B and B x A are mutually exclusive on every state, and the
+      collapsed symmetrized state keeps both as a coherent superposition.
+    * ``NON_ORTHOGONAL_EVENTS`` ("NonOrthogonalEvents"): both are nonzero
+      and A^H B is not zero.
+    """
+
     BOTH_ZERO = "BothZero"
     LOCAL_OPERATION = "LocalOperation"
     ENTANGLING_MEASUREMENT = "EntanglingMeasurement"
@@ -130,6 +129,8 @@ class VerdictTag(Enum):
 
 @dataclass(frozen=True)
 class Verdict:
+    """A classification: its ``tag`` and the relative ``tolerance_used`` by its zero tests."""
+
     tag: VerdictTag
     tolerance_used: float
 
@@ -411,7 +412,7 @@ def _pair_results(
             evidence = EbmEvidence(before, after, after > before)
     return dict(
         verdict=verdict,
-        probability=0.0 if normalized is None else norm**2,
+        probability=0.0 if normalized is None else norm * norm,
         post_state=raw,
         post_state_normalized=normalized,
         report=report,

@@ -53,11 +53,6 @@ _UNIT_CORE = np.ones((1, 1), dtype=complex)
 _UNIT_CORE.flags.writeable = False
 
 
-def _require_spin_half(space: SpaceSpec) -> None:
-    if space.spin_dim < 2:
-        raise ValueError("scenarios need a spin-1/2 factor (spin_dim >= 2)")
-
-
 def _modes(space: SpaceSpec, m_a: int, m_b: int | None) -> tuple[int, int]:
     """The two integer modes; ``m_b`` None is the opposite momentum, mode L - m_a."""
     m_a = _label(m_a, "m_a")
@@ -71,6 +66,8 @@ def _reference_state(space: SpaceSpec, m_a: int, m_b: int) -> TwoParticleState:
     u and v are ``plane_wave(m_a, up)`` and ``plane_wave(m_b, down)``, held
     by their labels, and the norm of [[1]] is exactly 1.
     """
+    if space.spin_dim < 2:
+        raise ValueError("scenarios need a spin-1/2 factor (spin_dim >= 2)")
     up = _Basis.plane_waves(space, m_a, (SPIN_UP,))
     down = _Basis.plane_waves(space, m_b, (SPIN_DOWN,))
     return TwoParticleState._fresh(space, _UNIT_CORE, up, down, 1.0)
@@ -114,9 +111,8 @@ def scenario_momentum_projection(
         raise DegenerateInputError(
             "momentum projection needs distinct modes to label the particles"
         )
-    _require_spin_half(space)
-    measure = momentum_projector(m_a, m_b, space)
     ref = _reference_state(space, m_a, m_b)
+    measure = momentum_projector(m_a, m_b, space)
     fields = _pair_results(measure, ref, stat, tol)
     return ScenarioResult(**fields, relabeled=_spin_state(fields["post_state_normalized"]))
 
@@ -143,7 +139,6 @@ def scenario_position_windows(
     """
     sites = space.extrinsic_dim
     m_a, m_b = _modes(space, m_a, m_b)
-    _require_spin_half(space)
     ref = _reference_state(space, m_a, m_b)
     measure = SelectiveMeasure(
         window_projector(x_a, width, space), window_projector(x_b, width, space)

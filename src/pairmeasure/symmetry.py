@@ -18,6 +18,7 @@ and is the Slater test of ``entanglement._report``.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
@@ -63,18 +64,21 @@ def _exchange_norm(state: TwoParticleState, sign: float) -> float:
     two closed-form bases of one kind runs on the exact coordinates of
     [L R] in their columns' union (``_Basis.beside``). When X is exactly
     zero, the trace term is an exact zero and the closed form is sqrt(2)
-    ||K||, returned without forming it.
+    ||K||, returned without forming it. A norm whose square would under- or
+    overflow is taken out first.
     """
-    core = state.core
+    core, norm = state.core, state.norm
+    if not 1e-150 < norm < 1e150 and 0.0 < norm < math.inf:
+        return norm * _exchange_norm(state.normalize(), sign)
     if _IDENTITY in (state._left, state._right):
         coeff = _in_bases(state, _IDENTITY, _IDENTITY)
     else:
         cross = state._left.to(state._right)
         if cross is not None and not np.count_nonzero(cross):
-            return (2.0 * state.norm**2) ** 0.5
+            return (2.0 * norm**2) ** 0.5
         if cross is not None and _frobenius(cross) <= 0.5:
             twisted = np.vdot(core, cross @ core.T @ cross.conj()).real
-            return (2.0 * (state.norm**2 + sign * twisted)) ** 0.5
+            return (2.0 * (norm**2 + sign * twisted)) ** 0.5
         width = core.shape[0]
         tri = np.linalg.qr(state._left.beside(state._right), mode="r")
         coeff = tri[:, :width] @ core @ tri[:, width:].T

@@ -699,3 +699,27 @@ def test_scenario_runs_end_in_a_report_or_one_error_line(
         assert out.getvalue() == ""
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("scale", ["1e-310", "1e-200", "1e200", "1e300"])
+def test_classify_measures_a_state_of_tiny_or_huge_norm_as_its_unit_multiple(
+    capsys, tmp_path, scale
+):
+    # the squares of these norms under- or overflow a double; the report is
+    # that of the unit-scale state, without a traceback or a zero-state refusal
+    reports = {}
+    for amplitude in ("1", scale):
+        state = tmp_path / f"state_{amplitude}.txt"
+        state.write_text(f"dim 8 2\namp 4 11 {amplitude} 0\namp 5 10 -{amplitude} 0\n")
+        code, out, err = run_cli(capsys, [
+            "classify", "--state", str(state),
+            "--measure", str(FIXTURES / "position_measure.txt"),
+        ])
+        assert (code, err) == (EXIT_OK, ""), amplitude
+        reports[amplitude] = dict(line.split(": ", 1) for line in out.splitlines() if ": " in line)
+    unit, scaled = reports["1"], reports[scale]
+    for key in ("verdict", "post-state Schmidt rank", "Slater rank"):
+        assert scaled[key] == unit[key], key
+    spectra = [[float(x) for x in report["post-state singular values"].split()]
+               for report in (unit, scaled)]
+    assert np.allclose(*spectra, rtol=1e-12)

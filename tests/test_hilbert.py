@@ -137,7 +137,7 @@ def test_tensor_state_is_bilinear():
     seed=st.integers(0, 2**32 - 1),
     sites=st.integers(1, 6),
     spins=st.integers(1, 3),
-    scales=st.tuples(*[st.sampled_from([0.0, 1e-50, 1.0, 1e50])] * 2),
+    scales=st.tuples(*[st.sampled_from([0.0, 1e-100, 1e-50, 1.0, 1e50, 1e100])] * 2),
 )
 def test_tensor_state_matches_np_outer(seed, sites, spins, scales):
     rng = np.random.default_rng(seed)
@@ -379,6 +379,27 @@ def test_normalize_zero_state_fails():
 
     with pytest.raises(DegenerateInputError):
         TwoParticleState(SpaceSpec(2, 2), np.zeros(16)).normalize()
+
+
+@pytest.mark.parametrize("scale", [1e-310, 1e-200, 1e200])
+def test_norms_of_entries_whose_squares_under_or_overflow(scale):
+    eps = np.finfo(float).eps
+    space = SpaceSpec(2, 2)
+    full = TwoParticleState(space, np.full(space.pair_dim, scale))
+    assert abs(full.norm - 4.0 * scale) <= 4 * eps * 4.0 * scale
+    assert np.array_equal(full.normalize().core, np.full((4, 4), 0.25))
+    if scale < np.finfo(float).tiny:
+        return  # subnormal entries carry fewer than 53 bits
+    rng = np.random.default_rng(37)
+    amps = rng.standard_normal(space.pair_dim) + 1j * rng.standard_normal(space.pair_dim)
+    state = TwoParticleState(space, scale * amps)
+    want = scale * np.linalg.norm(amps)
+    assert 0.0 < state.norm < np.inf
+    assert abs(state.norm - want) <= 8 * eps * want
+    assert abs(state.normalize().norm - 1.0) <= 4 * eps
+    vector = SingleParticleVector(space, scale * amps[: space.total_dim])
+    want = scale * np.linalg.norm(amps[: space.total_dim])
+    assert abs(vector.norm - want) <= 8 * eps * want
 
 
 # The momentum representation is read through the dense FFT oracle

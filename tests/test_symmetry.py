@@ -6,16 +6,20 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pairmeasure import (
+    SelectiveMeasure,
     SpaceSpec,
     Statistics,
     basis_vector,
     inner_product,
+    measure_pair,
     mode_index,
+    momentum_projector,
     permute,
     plane_wave,
     schmidt,
     sector,
     tensor_state,
+    window_projector,
 )
 
 from pairmeasure.hilbert import (
@@ -293,3 +297,45 @@ def test_states_on_nearly_orthogonal_bases_are_not_antisymmetric(
     assume(_frobenius(x) <= 0.5 and state.norm > 0.0)
     assert not _negligible(_exchange_norm(state, 1.0), state.norm, tol)
     assert schmidt(state, tol).slater_rank is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sign=st.sampled_from([-1.0, 1.0]),
+    kind=st.sampled_from(["mixed", "equal", "one-sided", "dense"]),
+    left_rank=st.integers(1, 5),
+    right_rank=st.integers(1, 5),
+    cross=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    scale=st.sampled_from([1e-200, 1e200]),
+)
+def test_exchange_norm_of_tiny_and_huge_states_scales_with_the_state(
+    seed, sign, kind, left_rank, right_rank, cross, scale
+):
+    # the squares of these norms under- or overflow a double, yet the norm,
+    # the Slater test and the sector test answer as on the unscaled state
+    unit = exchange_state(seed, kind, left_rank, right_rank, cross)
+    scaled = TwoParticleState._fresh(unit.space, scale * unit.core, unit._left, unit._right)
+    want = _exchange_norm(unit, sign)
+    assert abs(_exchange_norm(scaled, sign) - scale * want) <= 1e-13 * scale * unit.norm
+    assert _negligible(_exchange_norm(scaled, sign), scaled.norm, 1e-10) == _negligible(
+        want, unit.norm, 1e-10
+    )
+
+
+@pytest.mark.parametrize("stat", list(Statistics))
+def test_a_reference_of_tiny_norm_is_measured_as_its_unit_multiple(stat):
+    space = SpaceSpec(8, 2)
+    unit = _reference_state(space, 1, 6)
+    tiny = TwoParticleState._fresh(space, 1e-200 * unit.core, unit._left, unit._right)
+    measures = {
+        "momentum": momentum_projector(1, 6, space),
+        "windows": SelectiveMeasure(window_projector(2, 1, space), window_projector(5, 1, space)),
+        "overlapping": SelectiveMeasure(window_projector(2, 3, space), window_projector(3, 3, space)),
+    }
+    for name, measure in measures.items():
+        want, got = measure_pair(measure, unit, stat), measure_pair(measure, tiny, stat)
+        assert got.verdict == want.verdict, name
+        assert got.report.schmidt_rank == want.report.schmidt_rank, name
+        assert got.report.slater_rank == want.report.slater_rank, name
+        assert np.allclose(got.report.singular_values, want.report.singular_values), name
