@@ -92,17 +92,19 @@ def mode_index(extrinsic: int, spin: int, space: SpaceSpec) -> int:
 
 
 def _negligible(value, scale, tol: float):
-    """The package's one zero test: value < tol * scale, or scale == 0.
+    """The package's one zero test, elementwise on arrays.
 
-    Elementwise on arrays. Every zero, rank, antisymmetry, support and
-    projector test goes through it, so ``tol`` means the same everywhere.
-    A ``tol`` outside (0, 1) raises ValueError: from 1 up a value is
-    negligible against a scale it reaches, such as a singular value against
-    sigma_max or a sector norm against its state's norm.
+    A value is negligible when it is at most ``tol * scale``, so a zero is
+    negligible against every scale, also one whose product with ``tol``
+    underflows to 0. Every zero, rank, antisymmetry, support and projector
+    test goes through it, so ``tol`` means the same everywhere. A ``tol``
+    outside (0, 1) raises ValueError: from 1 up a value is negligible
+    against a scale it reaches, such as a singular value against sigma_max
+    or a sector norm against its state's norm.
     """
     if not 0 < tol < 1:
         raise ValueError(f"tolerance must be finite and positive and below 1, got {tol}")
-    return (value < tol * scale) | (scale == 0.0)
+    return value <= tol * scale
 
 
 def _frobenius(arr: np.ndarray) -> float:
@@ -132,19 +134,15 @@ def _freeze(arr: np.ndarray, what: str) -> float:
     return norm
 
 
-def _complex_copy(values, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """A complex copy of caller-supplied ``values``, refused unless it has ``shape``."""
+def _checked_copy(values, shape: tuple[int, ...], what: str) -> tuple[np.ndarray, float]:
+    """A read-only complex copy of caller-supplied ``values`` and its norm.
+
+    Refused unless it has ``shape`` and finite entries (``_freeze``).
+    """
     arr = np.array(values, dtype=complex)
     if arr.shape != shape:
         raise DimensionMismatchError(f"{what} has shape {arr.shape}, expected {shape}")
-    return arr
-
-
-def _frozen_complex(values, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """A checked, read-only complex copy of caller-supplied ``values``."""
-    arr = _complex_copy(values, shape, what)
-    _freeze(arr, what)
-    return arr
+    return arr, _freeze(arr, what)
 
 
 @dataclass(eq=False, slots=True)
@@ -185,7 +183,7 @@ class _Basis:
             raise DimensionMismatchError(
                 f"{what} has shape {shape}, expected ({dim}, r) with r <= {dim}"
             )
-        basis = cls(dim, _matrix=_frozen_complex(values, shape, what))
+        basis = cls(dim, _matrix=_checked_copy(values, shape, what)[0])
         error = np.max(np.abs(basis.adjoint @ basis.matrix - np.eye(shape[1])), initial=0.0)
         if not _negligible(error, 1.0, ZERO_TOL):
             raise ValueError(f"{what} columns are not orthonormal")
@@ -323,7 +321,7 @@ class SingleParticleVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = _frozen_complex(self.amplitudes, (self.space.total_dim,), "amplitudes")
+        amps = _checked_copy(self.amplitudes, (self.space.total_dim,), "amplitudes")[0]
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -354,26 +352,27 @@ class OneParticleOperator:
 
     def __init__(self, space: SpaceSpec, entries, range_basis: np.ndarray | None = None):
         dim = space.total_dim
+        norm = None
         if entries is not None:
             _budget(space.pair_dim, "a dense operator")
-            entries = _frozen_complex(entries, (dim, dim), "entries")
+            entries, norm = _checked_copy(entries, (dim, dim), "entries")
         basis = _IDENTITY
         if range_basis is not None:
             basis = _Basis.checked(range_basis, dim, "range_basis")
-        self._setup(space, entries, basis)
+        self._setup(space, entries, basis, norm)
 
     @classmethod
     def _fresh(cls, space: SpaceSpec, entries, basis: _Basis = _IDENTITY) -> OneParticleOperator:
         """Dense ``entries`` frozen in place, or the projector on ``basis``."""
-        if entries is not None:
-            _freeze(entries, "entries")
+        norm = None if entries is None else _freeze(entries, "entries")
         op = cls.__new__(cls)
-        op._setup(space, entries, basis)
+        op._setup(space, entries, basis, norm)
         return op
 
-    def _setup(self, space, entries, basis: _Basis) -> None:
+    def _setup(self, space, entries, basis: _Basis, norm: float | None) -> None:
         # _rows: the range rows W = U^H entries, None for a projector built
-        # from its basis alone (W = U^H, read off the basis).
+        # from its basis alone (W = U^H, read off the basis). ``norm`` is the
+        # Frobenius norm of ``entries`` that their finiteness check formed.
         rows = entries
         if basis is _IDENTITY:
             if entries is None:
@@ -382,7 +381,7 @@ class OneParticleOperator:
             rows = basis.adjoint @ entries
             residual = basis.matrix @ rows
             residual -= entries
-            if not _negligible(np.linalg.norm(residual), np.linalg.norm(entries), ZERO_TOL):
+            if not _negligible(_frobenius(residual), norm, ZERO_TOL):
                 raise ValueError("range_basis does not span the range of entries")
             rows.flags.writeable = False
         vars(self).update(space=space, _entries=entries, _basis=basis, _rows=rows)
@@ -438,8 +437,7 @@ class TwoParticleState:
 
     def __init__(self, space: SpaceSpec, amplitudes):
         _budget(space.pair_dim, "a dense pair array")
-        amps = _complex_copy(amplitudes, (space.pair_dim,), "amplitudes")
-        norm = _freeze(amps, "amplitudes")
+        amps, norm = _checked_copy(amplitudes, (space.pair_dim,), "amplitudes")
         dim = space.total_dim
         self._setup(space, _IDENTITY, amps.reshape(dim, dim), _IDENTITY, norm)
         object.__setattr__(self, "_amplitudes", amps)
@@ -453,8 +451,7 @@ class TwoParticleState:
         """
         dim = space.total_dim
         left, right = _Basis.checked(left, dim, "left"), _Basis.checked(right, dim, "right")
-        core = _complex_copy(core, (left.rank, right.rank), "core")
-        norm = _freeze(core, "core")
+        core, norm = _checked_copy(core, (left.rank, right.rank), "core")
         return cls._fresh(space, core, left, right, norm)
 
     @classmethod
