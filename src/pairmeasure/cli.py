@@ -37,11 +37,11 @@ EXIT_DEGENERATE = 3
 
 
 def _json_text(value) -> str:
-    """Serialize with deterministic key order and fixed float formatting."""
+    """Serialize with deterministic key order and fixed float formatting; inf and nan are null."""
     import json  # only JSON reports load it
 
     if isinstance(value, float):
-        return _fmt(value)
+        return _fmt(value) if np.isfinite(value) else "null"
     if isinstance(value, list):
         return "[" + ", ".join(_json_text(item) for item in value) + "]"
     if isinstance(value, dict):
@@ -167,14 +167,8 @@ def run(args: argparse.Namespace) -> int:
             from .scenarios import scenario_position_windows
 
             result = scenario_position_windows(
-                SpaceSpec(args.lattice, 2),
-                args.mode_a,
-                args.mode_b,
-                args.xa,
-                args.xb,
-                args.width,
-                stat,
-                args.tol,
+                SpaceSpec(args.lattice, 2), args.mode_a, args.mode_b, args.xa, args.xb,
+                args.width, stat, args.tol,
             )
     except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -297,7 +291,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _check_args(args)
-    return run(args)
+    # An overflow ends in one error line or an inf in the report, not in numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return run(args)
 
 
 if __name__ == "__main__":

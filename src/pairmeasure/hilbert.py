@@ -135,10 +135,7 @@ def _freeze(arr: np.ndarray, what: str) -> float:
 
 
 def _checked_copy(values, shape: tuple[int, ...], what: str) -> tuple[np.ndarray, float]:
-    """A read-only complex copy of caller-supplied ``values`` and its norm.
-
-    Refused unless it has ``shape`` and finite entries (``_freeze``).
-    """
+    """A frozen complex copy of ``values``, refused unless of ``shape``, and its norm."""
     arr = np.array(values, dtype=complex)
     if arr.shape != shape:
         raise DimensionMismatchError(f"{what} has shape {arr.shape}, expected {shape}")

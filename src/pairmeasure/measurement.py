@@ -16,12 +16,14 @@ assignments occurring on the state. The ``entangled_by_measure`` field of
 NonOrthogonalEvents, the post-state has Schmidt rank 2 and Slater rank 1
 (one determinant), and the flag is True (rank 1 -> 2).
 
-Every zero test is ``hilbert._negligible`` against a scale: an event norm
-against scale = the product of the factors' max column norms times the
-reference-state norm, ||A^H B||_F against that product alone. Verdicts
-are therefore invariant under global phases and positive rescaling of
-either the state or the measure. The event overlap on the state is
-reported but does not decide the verdict. The same ``tol`` sizes the
+Every zero test is ``hilbert._negligible``, at most ``tol * scale``, so a
+zero is negligible against every scale: an event norm against scale = the
+product of the factors' max column norms times the reference-state norm,
+||A^H B||_F against that product alone. Verdicts are therefore invariant
+under global phases and positive rescaling of either the state or the
+measure while the events neither underflow to zero nor overflow, and
+overflow is refused (DegenerateInputError). The event overlap on the state
+is reported but does not decide the verdict. The same ``tol`` sizes the
 rank and antisymmetry tests of the Schmidt report (see
 :mod:`pairmeasure.entanglement`).
 
@@ -205,6 +207,7 @@ def apply_measure(measure: SelectiveMeasure, state: TwoParticleState) -> TwoPart
     a side of ``state`` without a basis takes L or R as the identity. For a
     projector built from its basis alone W L = U^H L is a change of basis,
     exact and O(r a) between closed-form bases (``hilbert._Basis.to``).
+    A core that overflows a double raises DegenerateInputError.
     """
     if measure.space != state.space:
         raise DimensionMismatchError("measure and state live in different spaces")
@@ -212,7 +215,16 @@ def apply_measure(measure: SelectiveMeasure, state: TwoParticleState) -> TwoPart
     left, right = _rows_on(slot1, state._left), _rows_on(slot2, state._right)
     _budget(len(left) * len(right), "an event core")
     core = left @ state.core @ right.T
-    return TwoParticleState._fresh(measure.space, core, slot1._basis, slot2._basis)
+    return _measured(measure.space, core, slot1._basis, slot2._basis, "an event")
+
+
+def _measured(space, core: np.ndarray, left: _Basis, right: _Basis, what: str) -> TwoParticleState:
+    """The state on a computed core; DegenerateInputError naming ``what`` if it overflowed."""
+    norm = _frobenius(core)
+    if not norm < np.inf:  # of finite factors and state, so an entry or the norm overflowed
+        raise DegenerateInputError(f"{what} overflows a double; rescale the state or the measure")
+    core.flags.writeable = False
+    return TwoParticleState._fresh(space, core, left, right, norm)
 
 
 def _rows_on(factor: OneParticleOperator, side) -> np.ndarray:
@@ -277,6 +289,9 @@ def _verdict(measure: SelectiveMeasure, pair: EventPair, factor_scale: float, sc
     A factor built from its basis alone has W = U^H with orthonormal rows,
     so it is left out: two such factors cost O(n r_A r_B), no n x n array.
     """
+    if not scale < np.inf:
+        raise DegenerateInputError("the scale of the zero tests overflows a double; rescale "
+                                   "the state or the measure")
     direct_zero = _negligible(pair.norm_direct, scale, tol)
     permuted_zero = _negligible(pair.norm_permuted, scale, tol)
     if direct_zero and permuted_zero:
@@ -332,9 +347,7 @@ def _projector_bound(factor: OneParticleOperator) -> float:
     gram = rows @ basis
     residual = rows - gram @ factor._basis.to(_IDENTITY)
     excess = gram @ rows - rows
-    hermitian = _frobenius(gram - gram.conj().T) + 2.0 * np.max(
-        np.linalg.norm(residual, axis=0)
-    )
+    hermitian = _frobenius(gram - gram.conj().T) + 2.0 * np.max(np.linalg.norm(residual, axis=0))
     return float(max(hermitian, np.max(np.linalg.norm(excess, axis=0))))
 
 
@@ -343,7 +356,7 @@ def is_projector_valued(measure: SelectiveMeasure, tol: float = ZERO_TOL) -> boo
 
     Only then is the squared event norm a Born-rule probability. Both tests
     are entrywise, to ``tol``. A factor with a range basis passes at once
-    when the bound of :func:`_projector_bound` is below ``tol``: O(n r^2),
+    when the bound of :func:`_projector_bound` is at most ``tol``: O(n r^2),
     or exactly 0 for a projector built from a closed-form basis alone, as
     ``window_projector`` and ``momentum_projector`` build them, which so
     pass at every ``tol``. Such a pass refers to the exact U W (U U^H): below
@@ -351,9 +364,7 @@ def is_projector_valued(measure: SelectiveMeasure, tol: float = ZERO_TOL) -> boo
     rounded ``entries`` says False. Other factors are tested on the entries.
     """
     for factor in (measure.factor_slot1, measure.factor_slot2):
-        if factor._basis is not _IDENTITY and _negligible(
-            _projector_bound(factor), 1.0, tol
-        ):
+        if factor._basis is not _IDENTITY and _negligible(_projector_bound(factor), 1.0, tol):
             continue
         entries = factor.entries
         if not _negligible(np.max(np.abs(entries - entries.conj().T)), 1.0, tol):
@@ -378,7 +389,7 @@ def measure_pair(
     their r_A x r_B cores; one SVD call gives the spectra of the normalized
     post-state and of the direct event. ``tol`` drives every zero, rank and
     antisymmetry test. Raises DegenerateInputError when ``ref`` has no
-    ``stat`` sector.
+    ``stat`` sector, or when an event, the post-state or the scale overflows.
     """
     return ScenarioResult(**_pair_results(measure, ref, stat, tol))
 
@@ -394,11 +405,9 @@ def _pair_results(
     verdict = _verdict(measure, pair, factor_scale, scale, tol)
     sym_norm = _INV_SQRT2 * _exchange_norm(ref, stat.sign)
     if _negligible(sym_norm, ref.norm, tol):
-        raise DegenerateInputError(
-            f"reference state has no {stat.value} sector to measure"
-        )
+        raise DegenerateInputError(f"reference state has no {stat.value} sector to measure")
     core = _INV_SQRT2 * (direct.core + stat.sign * permuted.core)
-    raw = TwoParticleState._fresh(measure.space, core, direct._left, direct._right)
+    raw = _measured(measure.space, core, direct._left, direct._right, "the post-state")
     norm = raw.norm
     normalized = report = evidence = None
     if not _negligible(norm, factor_scale * sym_norm, tol):
@@ -433,7 +442,7 @@ def collapse(
 
     The collapse part of :func:`measure_pair`, whose errors it raises. The
     raw result equals (direct event -+ permuted event)/sqrt(2) and is
-    computed that way. When its norm falls below tol * scale the outcome is
+    computed that way. When its norm is at most tol * scale the outcome is
     impossible: probability 0 and no normalized state.
     """
     result = measure_pair(measure, ref_state, stat, tol)

@@ -10,7 +10,10 @@ The sweep runs both scenarios over a seeded draw of lattice sizes, modes,
 windows, statistics and tolerances, and ``measure_pair`` on seeded random
 measures (factors built from a basis alone, given with entries and a basis,
 dense projectors, dense general matrices, windows and momenta) and states
-(dense and factored). Each result, or the error its call raises, becomes
+(dense and factored). Its last cases repeat such draws at extreme scales:
+the factors' entries times 1e-160, 1e-100 or 1e100 and the state times
+1e-200 or 1e200 (or 1), where events underflow, go subnormal or overflow;
+numpy's floating-point warnings are off for them. Each result, or the error its call raises, becomes
 ``helpers.result_bits``: every field down to array bytes and float bits.
 The last line printed is the SHA-256 of all of them and the case count, so
 two checkouts that print the same line for a seed agree bit for bit on
@@ -54,6 +57,9 @@ from pairmeasure import (  # noqa: E402
 
 SCENARIO_CASES = 600
 PAIR_CASES = 400
+SCALED_CASES = 300
+FACTOR_SCALES = (1.0, 1e-160, 1e-100, 1e100)
+STATE_SCALES = (1.0, 1e-200, 1e200)
 FACTOR_KINDS = ("basis", "entries and basis", "dense projector", "dense", "window", "momentum")
 
 
@@ -104,7 +110,8 @@ def _factor(rng, space: SpaceSpec, kind: str) -> OneParticleOperator:
     return OneParticleOperator(space, gauss)
 
 
-def _pair_case(rng):
+def _pair_draw(rng):
+    """A random measure, state, statistics and tol, and a label naming them."""
     space = SpaceSpec(int(rng.integers(1, 5)), 2)
     dim = space.total_dim
     kinds = [str(kind) for kind in rng.choice(FACTOR_KINDS, size=2)]
@@ -122,7 +129,35 @@ def _pair_case(rng):
     stat = Statistics.BOSON if rng.random() < 0.5 else Statistics.FERMION
     tol = _tol(rng)
     label = f"measure_pair dim={dim} {kinds} {state_kind} {stat.value} tol={tol!r}"
+    return label, measure, state, stat, tol
+
+
+def _pair_case(rng):
+    label, measure, state, stat, tol = _pair_draw(rng)
     return label, lambda: measure_pair(measure, state, stat, tol)
+
+
+def _scaled_case(rng):
+    label, measure, state, stat, tol = _pair_draw(rng)
+    factor_scale = float(rng.choice(FACTOR_SCALES))
+    state_scale = float(rng.choice(STATE_SCALES))
+
+    def call():
+        with np.errstate(over="ignore", invalid="ignore"):
+            factors = (
+                OneParticleOperator(state.space, factor_scale * factor.entries,
+                                    range_basis=factor.range_basis)
+                for factor in (measure.factor_slot1, measure.factor_slot2)
+            )
+            if state.left is None:
+                scaled = TwoParticleState(state.space, state_scale * state.amplitudes)
+            else:
+                scaled = TwoParticleState.from_factors(
+                    state.space, state.left, state_scale * state.core, state.right
+                )
+            return measure_pair(SelectiveMeasure(*factors), scaled, stat, tol)
+
+    return f"{label} factors x{factor_scale!r} state x{state_scale!r}", call
 
 
 def sweep(seed: int, omit: frozenset):
@@ -130,6 +165,7 @@ def sweep(seed: int, omit: frozenset):
     rng = np.random.default_rng(seed)
     cases = [_scenario_case(rng) for _ in range(SCENARIO_CASES)]
     cases += [_pair_case(rng) for _ in range(PAIR_CASES)]
+    cases += [_scaled_case(rng) for _ in range(SCALED_CASES)]
     for label, call in cases:
         try:
             bits = _bits(call(), omit)

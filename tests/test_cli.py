@@ -21,7 +21,13 @@ from pairmeasure import (
     OneParticleOperator,
     SelectiveMeasure,
     SpaceSpec,
+    Statistics,
     TwoParticleState,
+    classify,
+    measure_pair,
+    momentum_projector,
+    parse_state_file,
+    window_projector,
     write_measure_file,
     write_state_file,
 )
@@ -723,3 +729,82 @@ def test_classify_measures_a_state_of_tiny_or_huge_norm_as_its_unit_multiple(
     spectra = [[float(x) for x in report["post-state singular values"].split()]
                for report in (unit, scaled)]
     assert np.allclose(*spectra, rtol=1e-12)
+
+
+def scaled_factors(kind: str, scale: float) -> SelectiveMeasure:
+    """The fixtures' window or momentum measure at L=8, as dense factors times ``scale``."""
+    space = SpaceSpec(8, 2)
+    if kind == "window":
+        factors = (window_projector(2, 1, space), window_projector(5, 1, space))
+    else:
+        measure = momentum_projector(1, 7, space)
+        factors = (measure.factor_slot1, measure.factor_slot2)
+    return SelectiveMeasure(*(OneParticleOperator(space, scale * f.entries) for f in factors))
+
+
+@pytest.mark.parametrize("statistics", ["fermion", "boson"])
+@pytest.mark.parametrize("kind", ["window", "momentum"])
+@pytest.mark.parametrize("scale", [1e-160, 1e-100, 1e100])
+def test_rescaled_factors_give_the_unit_scale_verdict(capsys, tmp_path, scale, kind, statistics):
+    # an exact zero is negligible against a scale whose product with tol
+    # underflows; at 1e-160 the momentum events are subnormal and move its
+    # Schmidt rank, so the ranks are compared from 1e-100 up
+    state_path = FIXTURES / "position_state.txt"
+    state, stat = parse_state_file(state_path), Statistics(statistics)
+    seen = {}
+    for factor_scale in (1.0, scale):
+        measure = scaled_factors(kind, factor_scale)
+        result = measure_pair(measure, state, stat)
+        assert classify(measure, state).tag is result.verdict.tag
+        measure_path = tmp_path / f"measure_{factor_scale!r}.txt"
+        write_measure_file(measure_path, measure)
+        code, out, err = run_cli(capsys, [
+            "classify", "--state", str(state_path), "--measure", str(measure_path),
+            "--statistics", statistics, "--output", "json",
+        ])
+        assert (code, err) == (EXIT_OK, "")
+        report = json.loads(out)
+        assert report["verdict"] == result.verdict.tag.value
+        ranks = (len(report["singular_values"]), report["slater_rank"])
+        seen[factor_scale] = (report["verdict"], ranks)
+    unit, scaled = seen[1.0], seen[scale]
+    assert scaled[0] == unit[0]
+    if scale >= 1e-100:
+        assert scaled[1] == unit[1]
+
+
+@pytest.mark.parametrize("factor, amplitude, what", [
+    ("1e160", "1", "an event overflows"),
+    ("1e155", "1e-200", "the scale of the zero tests overflows"),
+])
+def test_overflow_exits_3_with_one_stderr_line(tmp_path, factor, amplitude, what):
+    # a child process, so that numpy's floating-point warnings would reach stderr
+    state, measure = tmp_path / "state.txt", tmp_path / "measure.txt"
+    state.write_text(f"dim 8 2\namp 4 11 {amplitude} 0\namp 5 10 {amplitude} 0\n")
+    measure.write_text(f"dim 8 2\nA 4 4 {factor} 0\nA 5 5 {factor} 0\n"
+                       f"B 10 10 {factor} 0\nB 11 11 {factor} 0\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "pairmeasure", "classify", "--state", str(state),
+         "--measure", str(measure)],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert (result.returncode, result.stdout) == (EXIT_DEGENERATE, "")
+    assert result.stderr.startswith(f"error: {what}") and result.stderr.count("\n") == 1
+
+
+def test_json_report_writes_an_overflowing_probability_as_null(capsys, tmp_path):
+    # the squared raw norm of a state with amplitudes 1e200 overflows
+    reports = {}
+    for amplitude in ("1", "1e200"):
+        state = tmp_path / f"state_{amplitude}.txt"
+        state.write_text(f"dim 8 2\namp 4 11 {amplitude} 0\namp 5 10 -{amplitude} 0\n")
+        code, out, err = run_cli(capsys, [
+            "classify", "--state", str(state),
+            "--measure", str(FIXTURES / "position_measure.txt"), "--output", "json",
+        ])
+        assert (code, err) == (EXIT_OK, "")
+        reports[amplitude] = json.loads(out)
+    unit, huge = reports["1"], reports["1e200"]
+    assert huge["probability"] is None and unit["probability"] == pytest.approx(1.0)
+    assert huge["verdict"] == unit["verdict"]
+    assert np.allclose(huge["singular_values"], unit["singular_values"], rtol=1e-12)

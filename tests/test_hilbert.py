@@ -486,6 +486,25 @@ def test_range_basis_is_validated_and_frozen():
     assert plain.range_basis is None and plain.range_rows is plain.entries
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e-170, 1e200])
+def test_range_check_holds_at_every_scale(scale):
+    # both Frobenius norms are scale-safe: a basis that misses the range is
+    # refused where the norms' squares underflow, and one that spans it is
+    # accepted, without a warning, where they overflow
+    rng = np.random.default_rng(19)
+    space = SpaceSpec(3, 2)
+    basis = random_unitary(rng, 6)[:, :2]
+    entries = scale * (basis @ basis.conj().T)
+    op = OneParticleOperator(space, entries, range_basis=basis)
+    assert np.max(np.abs(op.range_basis @ op.range_rows - op.entries)) <= 1e-14 * scale
+    for missing in (basis[:, :1], random_unitary(rng, 6)[:, 2:]):
+        with pytest.raises(ValueError, match="span"):
+            OneParticleOperator(space, entries, range_basis=missing)
+    single = SpaceSpec(2, 1)
+    with pytest.raises(ValueError, match="span"):
+        OneParticleOperator(single, np.diag([scale, 0.0]), range_basis=[[0.0], [1.0]])
+
+
 def test_factored_amplitudes_are_built_once_and_read_only():
     rng = np.random.default_rng(20)
     space = SpaceSpec(3, 2)

@@ -981,3 +981,28 @@ def test_labels_must_be_integers_and_errors_do_not_depend_on_the_table():
     # integers of any integer type name the same labels
     assert np.array_equal(momentum_projector(np.int64(2), 3, space).factor_slot1.range_basis,
                           momentum_projector(2, 3, space).factor_slot1.range_basis)
+
+
+def test_an_overflow_is_refused_where_it_happens():
+    # numpy warns about each overflow on its way; the package refuses it by name
+    space = SpaceSpec(4, 2)
+    ref = tensor_state(plane_wave(1, 0, space), plane_wave(3, 1, space))
+    windows = (window_projector(0, 1, space).entries, window_projector(2, 1, space).entries)
+
+    def scaled(factor, state):
+        measure = SelectiveMeasure(*(OneParticleOperator(space, factor * w) for w in windows))
+        return measure, TwoParticleState.from_factors(space, ref.left, state * ref.core, ref.right)
+
+    identity = identity_measure(SpaceSpec(1, 1))
+    cases = [
+        (scaled(1e160, 1.0), "an event overflows"),
+        (scaled(1e155, 1e-200), "the scale of the zero tests overflows"),
+        ((identity, TwoParticleState(SpaceSpec(1, 1), [1e308])), "the post-state overflows"),
+    ]
+    for (measure, state), message in cases:
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DegenerateInputError, match=f"^{message} a double"):
+                measure_pair(measure, state, Statistics.BOSON)
+            if message != "the post-state overflows":
+                with pytest.raises(DegenerateInputError, match=f"^{message} a double"):
+                    classify(measure, state)
