@@ -221,7 +221,7 @@ def apply_measure(measure: SelectiveMeasure, state: TwoParticleState) -> TwoPart
 def _measured(space, core: np.ndarray, left: _Basis, right: _Basis, what: str) -> TwoParticleState:
     """The state on a computed core; DegenerateInputError naming ``what`` if it overflowed."""
     norm = _frobenius(core)
-    if not norm < np.inf:  # of finite factors and state, so an entry or the norm overflowed
+    if not norm < np.inf:  # the factors and the state are finite: only an overflow gets here
         raise DegenerateInputError(f"{what} overflows a double; rescale the state or the measure")
     core.flags.writeable = False
     return TwoParticleState._fresh(space, core, left, right, norm)

@@ -13,11 +13,11 @@ dense projectors, dense general matrices, windows and momenta) and states
 (dense and factored). Its last cases repeat such draws at extreme scales:
 the factors' entries times 1e-160, 1e-100 or 1e100 and the state times
 1e-200 or 1e200 (or 1), where events underflow, go subnormal or overflow;
-numpy's floating-point warnings are off for them. Each result, or the error its call raises, becomes
-``helpers.result_bits``: every field down to array bytes and float bits.
-The last line printed is the SHA-256 of all of them and the case count, so
-two checkouts that print the same line for a seed agree bit for bit on
-every case.
+numpy's floating-point warnings are off for them. Each result, or the
+error its call raises, becomes ``helpers.result_bits``: every field down
+to array bytes and float bits. The last line printed is the SHA-256 of all
+of them and the case count, so two checkouts that print the same line for
+a seed agree bit for bit on every case.
 
 ``--omit NAME`` (repeatable) leaves out every result field of that name,
 such as ``ref_overlap``, to show that a change moves that field alone.
