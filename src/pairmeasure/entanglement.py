@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError
-from .hilbert import ZERO_TOL, TwoParticleState, _budget, _negligible
+from .hilbert import ZERO_TOL, TwoParticleState, _negligible
 from .symmetry import _exchange_norm
 
 
@@ -38,10 +38,11 @@ from .symmetry import _exchange_norm
 class EntanglementReport:
     """Schmidt data of a normalized pair state.
 
-    ``singular_values`` descend; ``schmidt_rank`` counts those above
-    tol * sigma_max; ``entropy`` is -sum(lam * ln(lam)) in nats over the
-    normalized squared spectrum, with 0*ln(0) = 0; ``slater_rank`` is filled
-    only for antisymmetric states.
+    ``singular_values`` descend: the min(a, b) values of the state's a x b
+    core (n for a dense state), which the n x n coefficient matrix extends
+    only by zeros. ``schmidt_rank`` counts those above tol * sigma_max;
+    ``entropy`` is -sum(lam * ln(lam)) in nats over the normalized squared
+    spectrum, with 0*ln(0) = 0; ``slater_rank`` only for antisymmetric states.
     """
 
     singular_values: np.ndarray
@@ -69,8 +70,8 @@ def schmidt(state: TwoParticleState, tol: float = ZERO_TOL) -> EntanglementRepor
 
     The SVD runs on the state's a x b core, where a side without a basis
     counts n: isometries on either slot leave the nonzero singular values
-    unchanged, so the core gives the spectrum, padded with zeros to
-    ``total_dim`` values. A zero state raises DegenerateInputError, and so
+    unchanged, so the core's min(a, b) values are the spectrum, whatever
+    the size of the space. A zero state raises DegenerateInputError, and so
     does an antisymmetric state whose degenerate pairs do not all lie on
     one side of tol * sigma_max.
     """
@@ -93,13 +94,5 @@ def _report(state: TwoParticleState, sigma: np.ndarray, tol: float) -> Entanglem
                 "straddles the threshold, so there is no Slater count at this tol"
             )
         slater = rank // 2
-    _budget(state.space.total_dim, "a padded spectrum", itemsize=8)
-    padded = np.zeros(state.space.total_dim)
-    padded[: sigma.size] = sigma
-    return EntanglementReport(
-        singular_values=padded,
-        schmidt_rank=rank,
-        entropy=entropy,
-        slater_rank=slater,
-    )
+    return EntanglementReport(sigma, rank, entropy, slater)
 

@@ -38,10 +38,10 @@ from .errors import DegenerateInputError, DimensionMismatchError, InputTooLargeE
 ZERO_TOL = 1e-10
 
 # Largest array that grows with the space a call may allocate (n x n pair
-# amplitudes or operator entries, a dense n x r basis, an n-long spectrum).
-# A call holds several at once, so 256 MiB each keeps it within a few GiB.
-# Dense pair arrays fit up to L = 2048 at spin 1/2; the scenarios, whose
-# largest array is the report's n-long spectrum of floats, up to L = 2^24.
+# amplitudes or operator entries, a dense n x r basis), in complex entries
+# of 16 bytes. A call holds several at once, so 256 MiB each keeps it within
+# a few GiB. Dense pair arrays fit up to L = 2048 at spin 1/2; the
+# scenarios allocate none, so no budget bounds their lattice.
 MAX_PAIR_BYTES = 256 * 2**20
 
 
@@ -74,9 +74,9 @@ class SpaceSpec:
         return self.total_dim ** 2
 
 
-def _budget(count: int, what: str, itemsize: int = 16) -> None:
-    """InputTooLargeError naming ``what`` if ``count`` items exceed ``MAX_PAIR_BYTES``."""
-    size = count * itemsize
+def _budget(count: int, what: str) -> None:
+    """InputTooLargeError naming ``what`` if ``count`` complex items exceed ``MAX_PAIR_BYTES``."""
+    size = count * 16
     if size > MAX_PAIR_BYTES:
         raise InputTooLargeError(f"{what} needs {size} bytes, above the {MAX_PAIR_BYTES}-byte budget")
 

@@ -20,9 +20,8 @@ down.
 Both build the reference factored, on one plane-wave column per side and
 a unit core (``_reference_state``). The reference and the measures hold
 their bases in closed form (``hilbert._Basis``), so every change of basis
-is exact and a call costs O(w * spins) at any lattice size, reading no
-n-long array except the report's zero-padded spectrum. Each call measures
-in full.
+is exact and a call costs O(w * spins) at any lattice size, allocating
+nothing that grows with it. Each call measures in full.
 
 With the momenta or the single sites standing in for particle tags, what
 is left of the collapsed pair is a two-spin state, ``relabeled``: the
@@ -135,7 +134,9 @@ def scenario_position_windows(
     distinguish the particles by position, NonOrthogonalEvents. The phase
     check runs on an EntanglingMeasurement with single-site windows, whose
     collapsed amplitudes are single lattice points. An impossible outcome
-    has neither a phase check nor a relabeled state.
+    has neither a phase check nor a relabeled state. Each event has norm w/L
+    against a scale of 1, so once w/L <= ``tol`` both read zero, BothZero;
+    a smaller ``tol`` restores the verdict.
     """
     sites = space.extrinsic_dim
     m_a, m_b = _modes(space, m_a, m_b)

@@ -125,6 +125,18 @@ def brute_force_verdict(measure: SelectiveMeasure, state: TwoParticleState, tol:
     return VerdictTag.NON_ORTHOGONAL_EVENTS
 
 
+def assert_spectra_match(got: np.ndarray, want: np.ndarray, bound: float = 1e-12) -> None:
+    """Two descending spectra of one state, each as long as its core's shorter side.
+
+    The shorter equals the longer's leading values to ``bound``, and the
+    longer's remaining values are at most ``bound``: the spectra agree once
+    both are padded with zeros.
+    """
+    shorter, longer = sorted((got, want), key=len)
+    assert np.max(np.abs(longer[: len(shorter)] - shorter), initial=0.0) < bound
+    assert np.all(longer[len(shorter) :] <= bound)
+
+
 def momentum_matrix(state: TwoParticleState) -> np.ndarray:
     """The coefficient matrix with both extrinsic indices taken to momentum modes.
 

@@ -502,21 +502,28 @@ def test_impossible_outcome_prints_no_phase_or_spin_state(capsys):
 
 
 @pytest.mark.parametrize("command", ["momentum-scenario", "position-scenario"])
-def test_lattice_above_the_memory_budget_exits_3(command, capsys):
-    # L = 2^25: a scenario holds no dense pair array, but its report's
-    # n-long spectrum of floats would take 512 MiB; refused before allocation
-    code, out, err = run_cli(capsys, [command, "--lattice", str(2**25)])
-    assert code == EXIT_DEGENERATE and out == ""
-    assert err.startswith("error:") and "budget" in err and err.count("\n") == 1
-
-
-@pytest.mark.parametrize("command", ["momentum-scenario", "position-scenario"])
 def test_lattice_above_the_dense_pair_budget_runs(command, capsys):
-    # dense pair arrays stop at L = 2048; the scenarios, which build none, do not
-    for lattice in ("4096", "1000000"):
+    # dense pair arrays stop at L = 2048; the scenarios, which build none and
+    # hold no array that grows with L, do not stop
+    for lattice in ("4096", "1000000", str(2**25)):
         code, out, err = run_cli(capsys, [command, "--lattice", lattice, "--output", "json"])
         assert code == EXIT_OK and err == ""
         assert json.loads(out)["verdict"] in ("LocalOperation", "EntanglingMeasurement")
+
+
+def test_scenarios_run_at_any_lattice(capsys):
+    # A window's event norm is w/L against a scale of 1: at 2^40 it is below
+    # the default tol, so both events read zero, and a smaller tol keeps the verdict
+    for args, verdict in (
+        (["position-scenario", "--lattice", str(10**9 + 7)], "EntanglingMeasurement"),
+        (["position-scenario", "--lattice", str(2**40)], "BothZero"),
+        (["position-scenario", "--lattice", str(2**40), "--tol", "1e-14"],
+         "EntanglingMeasurement"),
+        (["momentum-scenario", "--lattice", str(2**40)], "LocalOperation"),
+    ):
+        code, out, err = run_cli(capsys, args + ["--output", "json"])
+        assert code == EXIT_OK and err == "", args
+        assert json.loads(out)["verdict"] == verdict, args
 
 
 def test_dim_header_above_the_memory_budget_exits_3(tmp_path, capsys):

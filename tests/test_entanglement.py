@@ -25,6 +25,7 @@ from pairmeasure import (
 
 from helpers import (
     as_dense,
+    assert_spectra_match,
     identity_measure,
     identity_operator,
     momentum_matrix,
@@ -327,7 +328,7 @@ def test_schmidt_of_factored_states_matches_dense(seed, sites, rank, exchange):
     assert got.schmidt_rank == want.schmidt_rank
     assert got.slater_rank == want.slater_rank
     assert (got.slater_rank is not None) is (exchange == -1.0)
-    assert np.max(np.abs(got.singular_values - want.singular_values)) < 1e-12
+    assert_spectra_match(got.singular_values, want.singular_values)
     assert got.entropy == pytest.approx(want.entropy, abs=1e-12)
 
 

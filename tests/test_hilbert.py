@@ -18,6 +18,7 @@ from pairmeasure import (
     SpaceSpec,
     Statistics,
     TwoParticleState,
+    VerdictTag,
     apply_measure,
     basis_vector,
     inner_product,
@@ -447,16 +448,18 @@ def test_space_spec_refuses_pair_arrays_above_the_budget():
             lambda: window_projector(0, 1, space).entries,
             lambda: momentum_projector(0, 1, space).factor_slot2.entries,
         ]
+        # the scenario holds no array that grows with the space, so it runs
+        # at every size; its dense reads do not
+        result = scenario_momentum_projection(space, 1, None, stat)
+        assert result.verdict.tag is VerdictTag.LOCAL_OPERATION
+        post_state = result.post_state
         if extrinsic == 10**6:
-            # the scenario holds no n x n array, so it runs; its dense reads do not
-            post_state = scenario_momentum_projection(space, 1, None, stat).post_state
             requests += [lambda: post_state.amplitudes, lambda: sector(post_state, stat)]
         else:
-            # an n x 2 basis and the scenario's n-long spectrum are too large too
+            # an n x 2 basis is too large too
             requests += [
                 lambda: plane_wave(1, 0, space),
                 lambda: window_projector(0, 1, space).range_basis,
-                lambda: scenario_momentum_projection(space, 1, None, stat),
             ]
         for request in requests:
             with pytest.raises(InputTooLargeError, match="budget"):

@@ -40,6 +40,7 @@ from pairmeasure.measurement import window_sites
 
 from helpers import (
     as_dense,
+    assert_spectra_match,
     brute_force_verdict,
     decision_margins,
     identity_measure,
@@ -484,8 +485,7 @@ def assert_results_match(got, want):
     assert np.max(np.abs(got.post_state.amplitudes - want.post_state.amplitudes)) < 1e-12
     assert (got.report is None) is (want.report is None)
     if want.report is not None:
-        assert got.report.singular_values.shape == want.report.singular_values.shape
-        assert np.max(np.abs(got.report.singular_values - want.report.singular_values)) < 1e-12
+        assert_spectra_match(got.report.singular_values, want.report.singular_values)
         assert got.report.entropy == pytest.approx(want.report.entropy, abs=1e-12)
         assert got.report.schmidt_rank == want.report.schmidt_rank
         assert got.report.slater_rank == want.report.slater_rank

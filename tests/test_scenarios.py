@@ -18,6 +18,7 @@ import pairmeasure.measurement
 import pairmeasure.scenarios
 import pairmeasure.symmetry
 from pairmeasure import (
+    ZERO_TOL,
     DegenerateInputError,
     EbmEvidence,
     OneParticleOperator,
@@ -49,6 +50,8 @@ from pairmeasure.measurement import window_sites
 from pairmeasure.scenarios import _spin_state
 
 from helpers import (
+    as_dense,
+    assert_spectra_match,
     deletion_oracle,
     identity_operator,
     momentum_matrix,
@@ -211,7 +214,7 @@ CLOSED_FORM_BOUND = 16 * np.finfo(float).eps
 
 @st.composite
 def closed_form_cases(draw):
-    sites = draw(st.integers(2, 2048) | st.integers(2049, 2**20))
+    sites = draw(st.integers(2, 2048) | st.integers(2049, 2**20) | st.integers(2**20 + 1, 2**40))
     m_a = draw(st.integers(0, sites - 1))
     m_b = (m_a + draw(st.integers(1, sites - 1))) % sites
     window_mode_b = draw(st.none() | st.integers(0, sites - 1))
@@ -221,7 +224,7 @@ def closed_form_cases(draw):
     offset = draw(st.integers(width, sites - width))
     stat = draw(st.sampled_from(list(Statistics)))
     # a window's event norm is w/L against a scale of 1: keep tol below it
-    tol = 10.0 ** draw(st.floats(-12.0, min(-4.0, -1.0 - math.log10(sites))))
+    tol = 10.0 ** draw(st.floats(-15.0, min(-4.0, -1.0 - math.log10(sites))))
     return sites, (m_a, m_b), window_mode_b, centre, offset, width, stat, tol
 
 
@@ -237,6 +240,8 @@ def closed_form_cases(draw):
 @example((2**20 - 1, (3, 2**19 - 1), 2**20 - 3, 2**20 - 2, 8, 8, Statistics.FERMION, 1e-8))
 @example((2**20, (2**20 - 1, 1), None, 2**20 - 1, 2**19, 1, Statistics.FERMION, 1e-12))
 @example((2**20, (12345, 2**19), 999, 5, 3, 3, Statistics.BOSON, 1e-10))
+@example((2**40, (2**40 - 1, 1), None, 0, 2**39, 1, Statistics.FERMION, 1e-14))
+@example((2**40 - 1, (12345, 2**39), 2**40 - 2, 2**40 - 2, 8, 8, Statistics.BOSON, 1e-15))
 def test_scenarios_match_closed_forms_at_any_lattice_size(case):
     """Every field of both scenarios against the paper's closed forms.
 
@@ -573,8 +578,7 @@ def test_scenarios_apply_the_measure_twice_and_decompose_twice():
 
 def test_a_warm_scenario_call_allocates_no_basis_sized_array():
     # at L = 2048 one n x 2 complex array is 128 KiB; a call holds its bases
-    # in closed form and allocates only r-sized arrays and the report's
-    # n-long spectrum of floats, half of one n-long complex column
+    # in closed form and allocates only r-sized arrays
     space = SpaceSpec(2048, 2)
     limit = space.total_dim * 2 * np.dtype(complex).itemsize
     calls = {
@@ -595,29 +599,35 @@ def test_a_warm_scenario_call_allocates_no_basis_sized_array():
 
 
 def test_a_cold_scenario_call_at_a_million_sites_allocates_no_complex_column():
-    # L = 2^20, n = 2^21: one n-long complex column is 32 MiB. A first call
-    # with these labels builds its bases in closed form, O(w * spins), and
-    # its one n-long array is the report's spectrum of 8-byte floats.
-    space = SpaceSpec(2**20, 2)
-    limit = space.total_dim * np.dtype(complex).itemsize
-    calls = {
-        "momentum": lambda: scenario_momentum_projection(space, 5, None, Statistics.FERMION),
-        "windows, width 1": lambda: scenario_position_windows(
-            space, 7, None, 10, 2**19, 1, Statistics.BOSON
-        ),
-        "windows, width 3": lambda: scenario_position_windows(
-            space, 2**20 - 1, 3, 2**20 - 1, 100, 3, Statistics.FERMION
-        ),
-    }
-    for name, call in calls.items():
-        tracemalloc.start()
-        try:
-            result = call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < limit, (name, peak)
-        assert result.born_rule and result.report.singular_values.shape == (space.total_dim,)
+    # At L = 2^20, n = 2^21, one n-long complex column is 32 MiB. A first
+    # call with these labels builds its bases in closed form, O(w * spins),
+    # and reports its core's spectrum, so what it allocates does not grow
+    # with L: the same fixed peak holds at L = 2^40. There a window's event
+    # norm w/L is below the default tol, which the smaller tol keeps under it.
+    limit = 64 * 2**10
+    for sites, tol in ((2**20, ZERO_TOL), (2**40, 1e-14)):
+        space = SpaceSpec(sites, 2)
+        calls = {
+            "momentum": lambda: scenario_momentum_projection(
+                space, 5, None, Statistics.FERMION, tol
+            ),
+            "windows, width 1": lambda: scenario_position_windows(
+                space, 7, None, 10, sites // 2, 1, Statistics.BOSON, tol
+            ),
+            "windows, width 3": lambda: scenario_position_windows(
+                space, sites - 1, 3, sites - 1, 100, 3, Statistics.FERMION, tol
+            ),
+        }
+        for name, call in calls.items():
+            tracemalloc.start()
+            try:
+                result = call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < limit, (sites, name, peak)
+            core = result.post_state_normalized.core
+            assert result.born_rule and result.report.singular_values.shape == (min(core.shape),)
 
 
 def test_measure_pair_sizes_and_normalizes_once():
@@ -670,17 +680,16 @@ def test_impossible_outcome_reports_no_phase_and_no_relabeled_state():
         assert result.phase_check is None and result.relabeled is None
 
 
-def test_measure_pair_pads_the_core_spectrum_to_total_dim():
+def test_scenarios_report_their_two_core_singular_values():
     for result in (
         scenario_momentum_projection(SPACE, 1, 5, Statistics.FERMION),
         scenario_position_windows(SPACE, 1, None, 2, 5, 1, Statistics.BOSON),
     ):
-        dense = schmidt(result.post_state_normalized)
+        dense = schmidt(as_dense(result.post_state_normalized))
         sigma = result.report.singular_values
-        # both measures have 2 x 2 cores: two computed values, then exact zeros
-        assert sigma.shape == (SPACE.total_dim,)
-        assert np.all(sigma[2:] == 0.0)
-        assert np.max(np.abs(sigma - dense.singular_values)) < 1e-12
+        # both measures have 2 x 2 cores; the dense spectrum has total_dim values
+        assert sigma.shape == (2,) and dense.singular_values.shape == (SPACE.total_dim,)
+        assert_spectra_match(sigma, dense.singular_values)
 
 
 def test_state_norms_are_kept_and_match_the_amplitudes():
