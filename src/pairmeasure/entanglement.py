@@ -75,18 +75,19 @@ def schmidt(state: TwoParticleState, tol: float = ZERO_TOL) -> EntanglementRepor
     does an antisymmetric state whose degenerate pairs do not all lie on
     one side of tol * sigma_max.
     """
-    return _report(state, np.linalg.svd(state.normalize().core, compute_uv=False), tol)
+    normalized = state.normalize()
+    return _report(normalized, np.linalg.svd(normalized.core, compute_uv=False), tol)
 
 
-def _report(state: TwoParticleState, sigma: np.ndarray, tol: float) -> EntanglementReport:
-    """The Schmidt report of a nonzero ``state`` whose normalized core has spectrum ``sigma``."""
+def _report(normalized: TwoParticleState, sigma: np.ndarray, tol: float) -> EntanglementReport:
+    """The Schmidt report of a unit-norm state, ``normalized``, whose core has spectrum ``sigma``."""
     rank = _rank(sigma, tol)
     # sigma[0] may round above 1; renormalizing and clamping keeps entropy >= 0.
     lam = sigma * sigma / sigma.dot(sigma)
     positive = lam[lam > 0.0]
     entropy = max(0.0, -float(positive @ np.log(positive)))
     slater = None
-    if _negligible(_exchange_norm(state, 1.0), state.norm, tol):
+    if _negligible(_exchange_norm(normalized, 1.0), normalized.norm, tol):
         if rank % 2:
             raise DegenerateInputError(
                 f"singular values fail to pair up ({rank} above tol * sigma_max, "

@@ -516,6 +516,9 @@ class TwoParticleState:
             raise DegenerateInputError("cannot normalize a zero state")
         if nrm < sys.float_info.min:  # 1/nrm overflows; a power of two scales exactly
             nrm, core = nrm * 2.0**600, core * 2.0**600
+        elif nrm == math.inf:  # finite entries whose norm overflows
+            core = core * 2.0**-600
+            nrm = _frobenius(core)
         return TwoParticleState._fresh(self.space, core / nrm, self._left, self._right)
 
 

@@ -414,7 +414,7 @@ def _pair_results(
         normalized = raw.normalize()
         # Both cores are r_A x r_B in the measure's bases: one SVD call.
         spectra = np.linalg.svd(np.array([normalized.core, direct.core]), compute_uv=False)
-        report = _report(raw, spectra[0], tol)
+        report = _report(normalized, spectra[0], tol)
         if not _negligible(pair.norm_direct, scale, tol):
             before = _rank(spectra[1], tol)
             after = report.schmidt_rank

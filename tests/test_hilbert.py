@@ -1,5 +1,6 @@
 import gc
 import re
+import warnings
 import weakref
 from unittest import mock
 
@@ -27,6 +28,7 @@ from pairmeasure import (
     permute,
     plane_wave,
     scenario_momentum_projection,
+    schmidt,
     sector,
     tensor_state,
     window_projector,
@@ -401,6 +403,18 @@ def test_norms_of_entries_whose_squares_under_or_overflow(scale):
     vector = SingleParticleVector(space, scale * amps[: space.total_dim])
     want = scale * np.linalg.norm(amps[: space.total_dim])
     assert abs(vector.norm - want) <= 8 * eps * want
+
+
+def test_normalize_scales_down_finite_entries_whose_norm_overflows():
+    state = TwoParticleState(SpaceSpec(1, 2), [1.5e308, 1.5e308, 0, 0])
+    assert state.norm == np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        normalized = state.normalize()
+        report = schmidt(state)
+    assert abs(normalized.norm - 1.0) <= 4 * np.finfo(float).eps
+    assert np.max(np.abs(normalized.matrix() - [[0.5**0.5, 0.5**0.5], [0, 0]])) <= 1e-15
+    assert (report.schmidt_rank, report.slater_rank) == (1, None)
 
 
 # The momentum representation is read through the dense FFT oracle
