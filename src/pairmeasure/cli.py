@@ -12,9 +12,8 @@ Reports list the post-state's singular values up to its Schmidt rank; the
 rest are zero up to roundoff.
 
 Exit codes: 0 success, 2 unreadable or malformed input, 3 degenerate input
-or a request for an array above the memory budget (``hilbert._budget``; no
-scenario array grows with ``--lattice``), 1 when stdout closes before the
-report is written (nothing more is printed).
+or an array above the memory budget (``hilbert._budget``, which bounds no
+scenario's ``--lattice``), 1 when stdout closes early (nothing more prints).
 """
 
 from __future__ import annotations

@@ -39,10 +39,9 @@ class EntanglementReport:
     """Schmidt data of a normalized pair state.
 
     ``singular_values`` descend: the min(a, b) values of the state's a x b
-    core (n for a dense state), which the n x n coefficient matrix extends
-    only by zeros. ``schmidt_rank`` counts those above tol * sigma_max;
-    ``entropy`` is -sum(lam * ln(lam)) in nats over the normalized squared
-    spectrum, with 0*ln(0) = 0; ``slater_rank`` only for antisymmetric states.
+    core (n for a dense state). ``schmidt_rank`` counts those above tol *
+    sigma_max; ``entropy`` is -sum(lam * ln(lam)) in nats over the normalized
+    squared spectrum, with 0*ln(0) = 0; ``slater_rank`` only for antisymmetric states.
     """
 
     singular_values: np.ndarray
@@ -79,15 +78,15 @@ def schmidt(state: TwoParticleState, tol: float = ZERO_TOL) -> EntanglementRepor
     return _report(normalized, np.linalg.svd(normalized.core, compute_uv=False), tol)
 
 
-def _report(normalized: TwoParticleState, sigma: np.ndarray, tol: float) -> EntanglementReport:
-    """The Schmidt report of a unit-norm state, ``normalized``, whose core has spectrum ``sigma``."""
+def _report(state: TwoParticleState, sigma: np.ndarray, tol: float) -> EntanglementReport:
+    """The Schmidt report of a unit-norm ``state`` whose core has spectrum ``sigma``."""
     rank = _rank(sigma, tol)
     # sigma[0] may round above 1; renormalizing and clamping keeps entropy >= 0.
     lam = sigma * sigma / sigma.dot(sigma)
     positive = lam[lam > 0.0]
     entropy = max(0.0, -float(positive @ np.log(positive)))
     slater = None
-    if _negligible(_exchange_norm(normalized, 1.0), normalized.norm, tol):
+    if _negligible(_exchange_norm(state, 1.0), state.norm, tol):
         if rank % 2:
             raise DegenerateInputError(
                 f"singular values fail to pair up ({rank} above tol * sigma_max, "

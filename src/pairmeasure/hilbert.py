@@ -37,11 +37,10 @@ from .errors import DegenerateInputError, DimensionMismatchError, InputTooLargeE
 # Default tolerance for "is this zero" tests on O(1) desk-scale quantities.
 ZERO_TOL = 1e-10
 
-# Largest array that grows with the space a call may allocate (n x n pair
-# amplitudes or operator entries, a dense n x r basis), in complex entries
-# of 16 bytes. A call holds several at once, so 256 MiB each keeps it within
-# a few GiB. Dense pair arrays fit up to L = 2048 at spin 1/2; the
-# scenarios allocate none, so no budget bounds their lattice.
+# Largest array of 16-byte complex entries that grows with the space a call
+# may allocate (n x n pair amplitudes or operator entries, a dense n x r
+# basis). A call holds several, so 256 MiB each keeps it within a few GiB.
+# Dense pair arrays fit up to L = 2048 at spin 1/2; the scenarios need none.
 MAX_PAIR_BYTES = 256 * 2**20
 
 

@@ -45,6 +45,7 @@ dense algebra there whatever the other side has.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
@@ -242,13 +243,16 @@ def measure_scale(measure: SelectiveMeasure) -> float:
     is the product of the factors' largest column 2-norms. A range basis is
     an isometry, so a factor's column norms are those of its range rows.
     For a projector built from a closed-form basis alone the rows are U^H,
-    whose largest column norm is exact (``hilbert._Basis.row_norm``).
+    whose largest column norm is exact (``hilbert._Basis.row_norm``). Other
+    rows are first scaled exactly by a power of two, so no square under- or overflows.
     """
     scale = 1.0
     for factor in (measure.factor_slot1, measure.factor_slot2):
         norm = factor._basis.row_norm if factor._rows is None else None
         if norm is None:
-            norm = float((np.abs(factor.range_rows) ** 2).sum(axis=0).max()) ** 0.5
+            rows = np.abs(factor.range_rows)
+            unit = math.ldexp(1.0, min(-math.frexp(rows.max(initial=0.0))[1], 1000))
+            norm = float(((rows * unit) ** 2).sum(axis=0).max()) ** 0.5 / unit
         scale *= norm
     return scale
 

@@ -135,8 +135,7 @@ def scenario_position_windows(
     check runs on an EntanglingMeasurement with single-site windows, whose
     collapsed amplitudes are single lattice points. An impossible outcome
     has neither a phase check nor a relabeled state. Each event has norm w/L
-    against a scale of 1, so once w/L <= ``tol`` both read zero, BothZero;
-    a smaller ``tol`` restores the verdict.
+    against a scale of 1, so once w/L <= ``tol`` the verdict is BothZero.
     """
     sites = space.extrinsic_dim
     m_a, m_b = _modes(space, m_a, m_b)
