@@ -201,8 +201,8 @@ def test_classify_is_scale_and_phase_invariant():
             space, 250.0 * np.exp(1.2j) * base_state.amplitudes
         )
         assert classify(scaled_measure, scaled_state).tag is reference
-    # one dense factor whose entries' squares underflow: its column norms are
-    # formed on rows rescaled exactly, so the factor scale keeps its size
+    # one dense factor whose entries' squares under- or overflow: its column
+    # norms are formed on rows rescaled exactly, so the factor scale keeps its size
     ref = as_dense(momentum_pair(1, 7))
     for measure, reference in (
         (momentum_projector(1, 7, SPACE), VerdictTag.LOCAL_OPERATION),
@@ -211,7 +211,7 @@ def test_classify_is_scale_and_phase_invariant():
     ):
         assert classify(measure, ref).tag is reference
         factors = (measure.factor_slot1, measure.factor_slot2)
-        for factor_scales in ((1e-165, 1.0), (1e-170, 1.0), (1.0, 1e-170)):
+        for factor_scales in ((1e-165, 1.0), (1e-170, 1.0), (1.0, 1e-170), (1e155, 1.0)):
             scaled_measure = SelectiveMeasure(*(
                 OneParticleOperator(SPACE, scale * factor.entries)
                 for scale, factor in zip(factor_scales, factors)
