@@ -106,21 +106,31 @@ def _negligible(value, scale, tol: float):
     return value <= tol * scale
 
 
+def _unit_scale(arr: np.ndarray) -> float:
+    """The power of two that brings max |arr| into [1/2, 1), at most 2^1000; else 1."""
+    return math.ldexp(1.0, min(-math.frexp(np.max(np.abs(arr), initial=0.0))[1], 1000))
+
+
 def _frobenius(arr: np.ndarray) -> float:
     """Frobenius norm of a whole array: one BLAS dot, for arrays of any size.
 
     A dot whose squares may have under- or overflowed (zero, subnormal or
-    infinite) is formed again on the array scaled exactly by a power of two.
+    infinite) is formed again on the array scaled exactly by ``_unit_scale``.
     """
     total = np.vdot(arr, arr).real
     if sys.float_info.min <= total < math.inf or not (total or np.count_nonzero(arr)):
         return math.sqrt(total)
-    largest = float(np.max(np.abs(arr)))
-    if not math.isfinite(largest):
-        return largest
-    unit = math.ldexp(1.0, min(-math.frexp(largest)[1], 1000))
+    unit = _unit_scale(arr)
+    if unit == 1.0:  # only for entries that are not finite
+        return math.sqrt(total)
     scaled = arr * unit
     return math.sqrt(np.vdot(scaled, scaled).real) / unit
+
+
+def _column_norm(arr: np.ndarray) -> float:
+    """The largest column 2-norm of ``arr``, formed on magnitudes scaled by ``_unit_scale``."""
+    unit = _unit_scale(arr)
+    return float(((np.abs(arr) * unit) ** 2).sum(axis=0).max()) ** 0.5 / unit
 
 
 def _freeze(arr: np.ndarray, what: str) -> float:
@@ -509,14 +519,12 @@ class TwoParticleState:
         return self.amplitudes.reshape(dim, dim)
 
     def normalize(self) -> TwoParticleState:
-        """Unit-norm copy with the core rescaled; DegenerateInputError if zero."""
+        """Unit-norm copy, scaled by ``_unit_scale`` if need be; DegenerateInputError if zero."""
         nrm, core = self.norm, self.core
         if nrm == 0.0:
             raise DegenerateInputError("cannot normalize a zero state")
-        if nrm < sys.float_info.min:  # 1/nrm overflows; a power of two scales exactly
-            nrm, core = nrm * 2.0**600, core * 2.0**600
-        elif nrm == math.inf:  # finite entries whose norm overflows
-            core = core * 2.0**-600
+        if not sys.float_info.min <= nrm < math.inf:  # subnormal, or finite entries overflowed
+            core = core * _unit_scale(core)
             nrm = _frobenius(core)
         return TwoParticleState._fresh(self.space, core / nrm, self._left, self._right)
 

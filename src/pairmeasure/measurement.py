@@ -45,7 +45,6 @@ dense algebra there whatever the other side has.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
@@ -62,6 +61,7 @@ from .hilbert import (
     _IDENTITY,
     _Basis,
     _budget,
+    _column_norm,
     _frobenius,
     _label,
     _negligible,
@@ -244,16 +244,12 @@ def measure_scale(measure: SelectiveMeasure) -> float:
     an isometry, so a factor's column norms are those of its range rows.
     For a projector built from a closed-form basis alone the rows are U^H,
     whose largest column norm is exact (``hilbert._Basis.row_norm``). Other
-    rows are first scaled exactly by a power of two, so no square under- or overflows.
+    rows are scaled by ``hilbert._unit_scale`` first (``hilbert._column_norm``).
     """
     scale = 1.0
     for factor in (measure.factor_slot1, measure.factor_slot2):
         norm = factor._basis.row_norm if factor._rows is None else None
-        if norm is None:
-            rows = np.abs(factor.range_rows)
-            unit = math.ldexp(1.0, min(-math.frexp(rows.max(initial=0.0))[1], 1000))
-            norm = float(((rows * unit) ** 2).sum(axis=0).max()) ** 0.5 / unit
-        scale *= norm
+        scale *= _column_norm(factor.range_rows) if norm is None else norm
     return scale
 
 
@@ -340,7 +336,7 @@ def _projector_bound(factor: OneParticleOperator) -> float:
     for R = W - G U^H, and A A - A = U (G W - W). Rows of an isometry have
     norm at most 1, so an entry of U X U^H is at most ||X||_F and an entry
     of U Y at most the largest column norm of Y. U W equals the entries to
-    the tolerance checked at construction.
+    the tolerance checked at construction. Both norms scale by ``hilbert._unit_scale``.
 
     A projector built from a closed-form basis alone is U U^H exactly: its
     G is I and R is 0 (``hilbert._Basis``), so the bound is 0.
@@ -351,8 +347,8 @@ def _projector_bound(factor: OneParticleOperator) -> float:
     gram = rows @ basis
     residual = rows - gram @ factor._basis.to(_IDENTITY)
     excess = gram @ rows - rows
-    hermitian = _frobenius(gram - gram.conj().T) + 2.0 * np.max(np.linalg.norm(residual, axis=0))
-    return float(max(hermitian, np.max(np.linalg.norm(excess, axis=0))))
+    hermitian = _frobenius(gram - gram.conj().T) + 2.0 * _column_norm(residual)
+    return max(hermitian, _column_norm(excess))
 
 
 def is_projector_valued(measure: SelectiveMeasure, tol: float = ZERO_TOL) -> bool:

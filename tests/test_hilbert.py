@@ -405,6 +405,15 @@ def test_norms_of_entries_whose_squares_under_or_overflow(scale):
     assert abs(vector.norm - want) <= 8 * eps * want
 
 
+@pytest.mark.parametrize("tiny", [1e-320, 5e-324])
+def test_normalize_forms_a_subnormal_norm_again_on_the_scaled_core(tiny):
+    # the kept norm of these entries is subnormal, rounded to a few bits
+    eps = np.finfo(float).eps
+    state = TwoParticleState(SpaceSpec(1, 2), [tiny, tiny, 0, 0])
+    assert abs(state.normalize().norm - 1.0) <= 4 * eps
+    assert abs(schmidt(state).singular_values[0] - 1.0) <= 4 * eps
+
+
 def test_normalize_scales_down_finite_entries_whose_norm_overflows():
     state = TwoParticleState(SpaceSpec(1, 2), [1.5e308, 1.5e308, 0, 0])
     assert state.norm == np.inf

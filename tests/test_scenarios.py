@@ -557,10 +557,10 @@ def test_scenarios_apply_the_measure_twice_and_decompose_twice():
             SPACE, 1, None, 2, 2, 1, Statistics.FERMION
         ),
     }
-    # The reference's sector norm and the Slater test take the closed form
-    # whenever a state's two bases are nearly orthogonal; the post-state of
-    # overlapping windows has the same basis on both sides, so its Slater
-    # test takes the one QR.
+    # The reference's sector norm and the Slater test take the exact-zero
+    # tier whenever L^H R of a state's two bases is exactly zero; the
+    # post-state of overlapping windows has the same basis on both sides,
+    # so its Slater test takes the one QR.
     qr_calls = {"momentum": 0, "windows": 0, "overlapping windows": 1}
     for name, call in calls.items():
         with mock.patch(

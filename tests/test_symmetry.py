@@ -230,10 +230,10 @@ def test_exchange_norm_matches_dense_on_both_sides_of_its_switch(
     with mock.patch("numpy.linalg.qr", wraps=np.linalg.qr) as qr:
         got = _exchange_norm(state, sign)
     assert abs(got - want) <= 1e-13 * np.linalg.norm(coeff)
-    # The closed form runs exactly when both bases exist and ||L^H R||_F <= 1/2.
+    # The QR runs exactly when both bases exist and L^H R is not exactly zero.
     factored = state.left is not None and state.right is not None
-    nearly_orthogonal = factored and _frobenius(state.left.conj().T @ state.right) <= 0.5
-    assert qr.call_count == (factored and not nearly_orthogonal)
+    disjoint = factored and not np.count_nonzero(state.left.conj().T @ state.right)
+    assert qr.call_count == (factored and not disjoint)
 
 
 @settings(max_examples=100, deadline=None)
