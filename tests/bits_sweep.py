@@ -10,14 +10,18 @@ The sweep runs both scenarios over a seeded draw of lattice sizes, modes,
 windows, statistics and tolerances, and ``measure_pair`` on seeded random
 measures (factors built from a basis alone, given with entries and a basis,
 dense projectors, dense general matrices, windows and momenta) and states
-(dense and factored). Its last cases repeat such draws at extreme scales:
-the factors' entries times 1e-160, 1e-100 or 1e100 and the state times
-1e-200 or 1e200 (or 1), where events underflow, go subnormal or overflow;
-numpy's floating-point warnings are off for them. Each result, or the
-error its call raises, becomes ``helpers.result_bits``: every field down
-to array bytes and float bits. The last line printed is the SHA-256 of all
-of them and the case count, so two checkouts that print the same line for
-a seed agree bit for bit on every case.
+(dense and factored): 600 and 400 cases. The next 300 repeat such draws
+at extreme scales: the factors' entries times 1e-160, 1e-100 or 1e100 and
+the state times 1e-200 or 1e200 (or 1), where events underflow, go
+subnormal or overflow; numpy's floating-point warnings are off for them.
+The last 100 scale the drawn state to norm 1e-320, so that the events and
+the post-state have subnormal norms, which ``normalize`` forms again. They
+come after the first 1,300 and leave their draws as they were, so the
+``--list`` lines of those cases still diff against older checkouts. Each
+result, or the error its call raises, becomes ``helpers.result_bits``:
+every field down to array bytes and float bits. The last line printed is
+the SHA-256 of all of them and the case count, so two checkouts that print
+the same line for a seed agree bit for bit on every case.
 
 ``--omit NAME`` (repeatable) leaves out every result field of that name,
 such as ``ref_overlap``, to show that a change moves that field alone.
@@ -58,6 +62,8 @@ from pairmeasure import (  # noqa: E402
 SCENARIO_CASES = 600
 PAIR_CASES = 400
 SCALED_CASES = 300
+SUBNORMAL_CASES = 100
+SUBNORMAL_NORM = 1e-320
 FACTOR_SCALES = (1.0, 1e-160, 1e-100, 1e100)
 STATE_SCALES = (1.0, 1e-200, 1e200)
 FACTOR_KINDS = ("basis", "entries and basis", "dense projector", "dense", "window", "momentum")
@@ -137,6 +143,13 @@ def _pair_case(rng):
     return label, lambda: measure_pair(measure, state, stat, tol)
 
 
+def _scaled_state(state: TwoParticleState, scale: float) -> TwoParticleState:
+    """``scale`` times ``state``, built as ``state`` was: dense or from factors."""
+    if state.left is None:
+        return TwoParticleState(state.space, scale * state.amplitudes)
+    return TwoParticleState.from_factors(state.space, state.left, scale * state.core, state.right)
+
+
 def _scaled_case(rng):
     label, measure, state, stat, tol = _pair_draw(rng)
     factor_scale = float(rng.choice(FACTOR_SCALES))
@@ -149,15 +162,20 @@ def _scaled_case(rng):
                                     range_basis=factor.range_basis)
                 for factor in (measure.factor_slot1, measure.factor_slot2)
             )
-            if state.left is None:
-                scaled = TwoParticleState(state.space, state_scale * state.amplitudes)
-            else:
-                scaled = TwoParticleState.from_factors(
-                    state.space, state.left, state_scale * state.core, state.right
-                )
+            scaled = _scaled_state(state, state_scale)
             return measure_pair(SelectiveMeasure(*factors), scaled, stat, tol)
 
     return f"{label} factors x{factor_scale!r} state x{state_scale!r}", call
+
+
+def _subnormal_case(rng):
+    label, measure, state, stat, tol = _pair_draw(rng)
+
+    def call():
+        scaled = _scaled_state(state, SUBNORMAL_NORM / state.norm)
+        return measure_pair(measure, scaled, stat, tol)
+
+    return f"{label} state norm {SUBNORMAL_NORM!r}", call
 
 
 def sweep(seed: int, omit: frozenset):
@@ -166,6 +184,7 @@ def sweep(seed: int, omit: frozenset):
     cases = [_scenario_case(rng) for _ in range(SCENARIO_CASES)]
     cases += [_pair_case(rng) for _ in range(PAIR_CASES)]
     cases += [_scaled_case(rng) for _ in range(SCALED_CASES)]
+    cases += [_subnormal_case(rng) for _ in range(SUBNORMAL_CASES)]
     for label, call in cases:
         try:
             bits = _bits(call(), omit)
