@@ -106,9 +106,9 @@ def _negligible(value, scale, tol: float):
     return value <= tol * scale
 
 
-def _unit_scale(arr: np.ndarray) -> float:
-    """The power of two that brings max |arr| into [1/2, 1), at most 2^1000; else 1."""
-    return math.ldexp(1.0, min(-math.frexp(np.max(np.abs(arr), initial=0.0))[1], 1000))
+def _unit_scale(largest: float) -> float:
+    """The power of two that brings a finite ``largest`` > 0 into [1/2, 1), at most 2^1000; else 1."""
+    return math.ldexp(1.0, min(-math.frexp(largest)[1], 1000))
 
 
 def _frobenius(arr: np.ndarray) -> float:
@@ -120,17 +120,16 @@ def _frobenius(arr: np.ndarray) -> float:
     total = np.vdot(arr, arr).real
     if sys.float_info.min <= total < math.inf or not (total or np.count_nonzero(arr)):
         return math.sqrt(total)
-    unit = _unit_scale(arr)
-    if unit == 1.0:  # only for entries that are not finite
-        return math.sqrt(total)
-    scaled = arr * unit
+    unit = _unit_scale(np.max(np.abs(arr)))
+    scaled = arr if unit == 1.0 else arr * unit  # 1 only for entries that are not finite
     return math.sqrt(np.vdot(scaled, scaled).real) / unit
 
 
 def _column_norm(arr: np.ndarray) -> float:
     """The largest column 2-norm of ``arr``, formed on magnitudes scaled by ``_unit_scale``."""
-    unit = _unit_scale(arr)
-    return float(((np.abs(arr) * unit) ** 2).sum(axis=0).max()) ** 0.5 / unit
+    mags = np.abs(arr)
+    unit = _unit_scale(mags.max(initial=0.0))
+    return float(((mags * unit) ** 2).sum(axis=0).max()) ** 0.5 / unit
 
 
 def _freeze(arr: np.ndarray, what: str) -> float:
@@ -524,7 +523,7 @@ class TwoParticleState:
         if nrm == 0.0:
             raise DegenerateInputError("cannot normalize a zero state")
         if not sys.float_info.min <= nrm < math.inf:  # subnormal, or finite entries overflowed
-            core = core * _unit_scale(core)
+            core = core * _unit_scale(np.max(np.abs(core)))
             nrm = _frobenius(core)
         return TwoParticleState._fresh(self.space, core / nrm, self._left, self._right)
 

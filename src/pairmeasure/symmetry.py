@@ -10,11 +10,10 @@ orthogonal to its own permutation, and the identity
 
 holds for every state regardless. ``_exchange_norm`` gives ||C + -C^T|| on
 the factors: sqrt(2) ||C|| when the two bases are exactly orthogonal
-(disjoint supports, such as opposite spins or disjoint windows, as in both
-worked scenarios), and one QR of the stacked bases otherwise; a norm whose
-square would under- or overflow is taken out by ``normalize``, which scales
-by ``hilbert._unit_scale``. It sizes a sector for ``measure_pair`` and is
-the Slater test of ``entanglement._report``.
+(disjoint supports: opposite spins or disjoint windows, as in both worked
+scenarios), a closed form when nearly orthogonal, one QR of the stacked
+bases otherwise; ``normalize`` (``hilbert._unit_scale``) takes out extreme
+norms. It sizes a sector for ``measure_pair`` and is the Slater test.
 """
 
 from __future__ import annotations
@@ -51,19 +50,18 @@ def permute(state: TwoParticleState) -> TwoParticleState:
 
 
 def _exchange_norm(state: TwoParticleState, sign: float) -> float:
-    """||C + sign C^T||_F for C = L K R^T, in two tiers.
+    """||C + sign C^T||_F for C = L K R^T, in three tiers.
 
-    With isometric bases, ||C + sign C^T||^2 = 2 ||K||^2 + 2 sign Re
-    tr(K^H X K^T conj(X)) for X = L^H R (O(n a b)). If X is exactly zero,
-    the norm is sqrt(2) ||K||, with no trace term formed. Otherwise the sum
-    can cancel to zero (L = R, K = -sign K^T), past what a difference of
-    squares resolves (about 1e-8), so one QR [L R] = Q [T_L T_R] gives
-    C = Q M Q^T with M = T_L K T_R^T, and the norm is that of the
-    (a + b)-square M + sign M^T; without both bases, M = C. One basis object
-    on both sides has X = I and takes the QR, which for two closed-form bases
-    of one kind runs on the exact coordinates of [L R] in their columns'
-    union (``_Basis.beside``). A norm that the first tier's square would
-    under- or overflow is taken out by ``normalize`` (``hilbert._unit_scale``).
+    With isometric bases and X = L^H R (O(n a b)), ||C + sign C^T||^2 =
+    2 ||K||^2 + 2 sign Re tr(K^H X K^T conj(X)), whose trace term is at most
+    ||X||_F^2 ||K||^2: the norm is sqrt(2) ||K|| if X is exactly zero, and
+    this sum is accurate if ||X||_F <= 1/2 (coordinates against plane waves).
+    Otherwise it can cancel (L = R, K = -sign K^T) past what a difference of
+    squares resolves, so one QR [L R] = Q [T_L T_R] gives C = Q M Q^T for
+    M = T_L K T_R^T (M = C without both bases), and the norm of M + sign M^T,
+    on [L R]'s exact coordinates in the columns' union for two closed forms
+    of one kind (``_Basis.beside``). One basis object on both sides has X = I.
+    ``normalize`` (``hilbert._unit_scale``) first takes out a norm past 1e+-150.
     """
     core, norm = state.core, state.norm
     if not 1e-150 < norm < 1e150 and 0.0 < norm < math.inf:
@@ -74,6 +72,9 @@ def _exchange_norm(state: TwoParticleState, sign: float) -> float:
         cross = state._left.to(state._right)
         if cross is not None and not np.count_nonzero(cross):
             return (2.0 * norm**2) ** 0.5
+        if cross is not None and _frobenius(cross) <= 0.5:
+            twisted = np.vdot(core, cross @ core.T @ cross.conj()).real
+            return (2.0 * (norm**2 + sign * twisted)) ** 0.5
         width = core.shape[0]
         tri = np.linalg.qr(state._left.beside(state._right), mode="r")
         coeff = tri[:, :width] @ core @ tri[:, width:].T

@@ -557,10 +557,10 @@ def test_scenarios_apply_the_measure_twice_and_decompose_twice():
             SPACE, 1, None, 2, 2, 1, Statistics.FERMION
         ),
     }
-    # The reference's sector norm and the Slater test take the exact-zero
-    # tier whenever L^H R of a state's two bases is exactly zero; the
-    # post-state of overlapping windows has the same basis on both sides,
-    # so its Slater test takes the one QR.
+    # The reference's sector norm and the Slater test take the closed form
+    # whenever a state's two bases are nearly orthogonal; the post-state of
+    # overlapping windows has the same basis on both sides, so its Slater
+    # test takes the one QR.
     qr_calls = {"momentum": 0, "windows": 0, "overlapping windows": 1}
     for name, call in calls.items():
         with mock.patch(
@@ -628,6 +628,32 @@ def test_a_cold_scenario_call_at_a_million_sites_allocates_no_complex_column():
             assert peak < limit, (sites, name, peak)
             core = result.post_state_normalized.core
             assert result.born_rule and result.report.singular_values.shape == (min(core.shape),)
+
+
+def test_a_window_against_a_plane_wave_measures_any_lattice_without_a_column():
+    # The post-state holds window coordinates on one side and plane waves on
+    # the other, whose L^H R has ||.||_F^2 = w * spins / L: its exchange norm
+    # takes the nearly-orthogonal closed form, with no QR of n-long columns.
+    limit = 64 * 2**10
+    for sites in (2**20, 2**30):
+        space = SpaceSpec(sites, 2)
+        ref = pairmeasure.scenarios._reference_state(space, 3, 5)
+        measure = SelectiveMeasure(
+            window_projector(7, 3, space), momentum_projector(0, 5, space).factor_slot2
+        )
+        for stat in Statistics:
+            tracemalloc.start()
+            try:
+                with mock.patch("numpy.linalg.qr", wraps=np.linalg.qr) as qr:
+                    result = measure_pair(measure, ref, stat)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < limit, (sites, stat, peak)
+            assert qr.call_count == 0, (sites, stat)
+            assert result.verdict.tag is VerdictTag.LOCAL_OPERATION
+            assert result.probability == pytest.approx(3 / (2 * sites), rel=1e-12)
+            assert result.report.schmidt_rank == 1
 
 
 def test_measure_pair_sizes_and_normalizes_once():
