@@ -163,8 +163,8 @@ class _Basis:
     Closed-form columns of one kind are equal when their labels are and
     orthogonal otherwise, and a plane wave's entries on a coordinate ket are
     its phases, so :meth:`to` forms U^H V between them exactly. Their Gram
-    matrix is exactly I, so the entry bound of their projector U U^H
-    (``measurement._projector_bound``) is 0; ``row_norm`` is 1 for
+    matrix is exactly I, so their projector U U^H has no projector error
+    (``measurement._projector_errors``); ``row_norm`` is 1 for
     coordinates and 1/sqrt(L) for plane waves. Their dense ``matrix`` is
     built only when read. ``_IDENTITY`` is the side with no basis (U = I,
     ``matrix`` None). This type alone forms U^H and U^H V; it keeps neither.

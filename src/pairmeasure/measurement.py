@@ -45,6 +45,7 @@ dense algebra there whatever the other side has.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
@@ -329,47 +330,41 @@ def classify(
     return _verdict(measure, pair, factor_scale, factor_scale * ref_state.norm, tol)
 
 
-def _projector_bound(factor: OneParticleOperator) -> float:
-    """Upper bound on every entry of A - A^H and of A A - A, at O(n r^2).
+def _projector_errors(factor: OneParticleOperator) -> tuple[float, float]:
+    """||A - A^H||_F and ||A A - A||_F for A = U W, in range coordinates at O(n r^2).
 
-    With A = U W and G = W U (r x r): A - A^H = U (G - G^H) U^H + U R - R^H U^H
-    for R = W - G U^H, and A A - A = U (G W - W). Rows of an isometry have
-    norm at most 1, so an entry of U X U^H is at most ||X||_F and an entry
-    of U Y at most the largest column norm of Y. U W equals the entries to
-    the tolerance checked at construction. Both norms scale by ``hilbert._unit_scale``.
-
-    A projector built from a closed-form basis alone is U U^H exactly: its
-    G is I and R is 0 (``hilbert._Basis``), so the bound is 0.
+    With G = W U (r x r) and R = W - G U^H, R U = 0, so U (G - G^H) U^H,
+    U R and -R^H U^H are mutually orthogonal: ||A - A^H||_F^2 = ||G - G^H||_F^2
+    + 2 ||R||_F^2, and ||A A - A||_F = ||U (G W - W)||_F = ||G W - W||_F.
+    That is exact for an isometry U; a basis accepted to ``ZERO_TOL`` gives
+    U U^H a Hermitian error of sqrt(2) ||(G - I) U^H||_F, which overstates it.
+    Without a basis U = I, G = W and R = 0. A projector built from a
+    closed-form basis alone is U U^H exactly, with G = I and R = 0
+    (``hilbert._Basis``), so both are 0 before any array is formed.
     """
     if factor._rows is None and factor._basis.labels is not None:
-        return 0.0
-    basis, rows = factor.range_basis, factor.range_rows
-    gram = rows @ basis
-    residual = rows - gram @ factor._basis.to(_IDENTITY)
-    excess = gram @ rows - rows
-    hermitian = _frobenius(gram - gram.conj().T) + 2.0 * _column_norm(residual)
-    return max(hermitian, _column_norm(excess))
+        return 0.0, 0.0
+    basis, rows = factor._basis, factor.range_rows
+    gram, residual = rows, 0.0
+    if basis is not _IDENTITY:
+        gram = rows @ basis.matrix
+        residual = _frobenius(rows - gram @ basis.adjoint)
+    hermitian = math.hypot(_frobenius(gram - gram.conj().T), math.sqrt(2.0) * residual)
+    return hermitian, _frobenius(gram @ rows - rows)
 
 
 def is_projector_valued(measure: SelectiveMeasure, tol: float = ZERO_TOL) -> bool:
     """True when both factors are orthogonal projectors (Hermitian, idempotent).
 
-    Only then is the squared event norm a Born-rule probability. Both tests
-    are entrywise, to ``tol``. A factor with a range basis passes at once
-    when the bound of :func:`_projector_bound` is at most ``tol``: O(n r^2),
-    or exactly 0 for a projector built from a closed-form basis alone, as
-    ``window_projector`` and ``momentum_projector`` build them, which so
-    pass at every ``tol``. Such a pass refers to the exact U W (U U^H): below
-    a ``tol`` of about 1e-16 it can say True where an entrywise test on the
-    rounded ``entries`` says False. Other factors are tested on the entries.
+    Only then is the squared event norm a Born-rule probability. A factor
+    passes when ||A - A^H||_F and ||A A - A||_F (:func:`_projector_errors`)
+    are both at most ``tol``, one rule for every factor: O(n r^2) with a
+    range basis, O(n^3) without one. A projector built from a closed-form
+    basis alone, as ``window_projector`` and ``momentum_projector`` build
+    them, has both exactly 0 and passes at every ``tol``.
     """
     for factor in (measure.factor_slot1, measure.factor_slot2):
-        if factor._basis is not _IDENTITY and _negligible(_projector_bound(factor), 1.0, tol):
-            continue
-        entries = factor.entries
-        if not _negligible(np.max(np.abs(entries - entries.conj().T)), 1.0, tol):
-            return False
-        if not _negligible(np.max(np.abs(entries @ entries - entries)), 1.0, tol):
+        if not all(_negligible(error, 1.0, tol) for error in _projector_errors(factor)):
             return False
     return True
 
