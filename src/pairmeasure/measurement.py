@@ -358,13 +358,18 @@ def is_projector_valued(measure: SelectiveMeasure, tol: float = ZERO_TOL) -> boo
 
     Only then is the squared event norm a Born-rule probability. A factor
     passes when ||A - A^H||_F and ||A A - A||_F (:func:`_projector_errors`)
-    are both at most ``tol``, one rule for every factor: O(n r^2) with a
-    range basis, O(n^3) without one. A projector built from a closed-form
-    basis alone, as ``window_projector`` and ``momentum_projector`` build
-    them, has both exactly 0 and passes at every ``tol``.
+    are both at most ``tol`` times min(1, ||W||_F), one rule for every
+    factor: O(n r^2) with a range basis, O(n^3) without one. A nonzero
+    projector has ||W||_F = sqrt(rank) >= 1, so a projector is tested at
+    scale 1 and k P with 0 < k < 1 at its own size, which it fails. A
+    projector built from a closed-form basis alone, as ``window_projector``
+    and ``momentum_projector`` build them, has both errors exactly 0 and
+    passes at every ``tol``.
     """
     for factor in (measure.factor_slot1, measure.factor_slot2):
-        if not all(_negligible(error, 1.0, tol) for error in _projector_errors(factor)):
+        # a projector built from its basis alone has W = U^H, of scale 1
+        scale = 1.0 if factor._rows is None else min(1.0, _frobenius(factor._rows))
+        if not all(_negligible(error, scale, tol) for error in _projector_errors(factor)):
             return False
     return True
 

@@ -663,6 +663,22 @@ def test_factors_with_entries_size_and_flag_themselves_from_their_arrays():
         assert is_projector_valued(SelectiveMeasure(factor, factor)) is True
 
 
+@pytest.mark.parametrize("k, flag", [(1e-9, False), (1e-11, False), (1e-200, False),
+                                     (1.0, True), (1.0 + 1e-12, True), (0.0, True)])
+def test_a_factor_smaller_than_a_projector_is_tested_at_its_own_size(k, flag):
+    # k P for a projector P has errors of about k, below an absolute tol for
+    # a small k; a nonzero projector has ||W||_F >= 1, so the errors are
+    # compared with tol * min(1, ||W||_F)
+    space = SpaceSpec(8, 2)
+    window = window_projector(2, 1, space)
+    ref = tensor_state(plane_wave(1, 0, space), plane_wave(7, 1, space))
+    for factor in (OneParticleOperator(space, k * window.entries),
+                   OneParticleOperator(space, k * window.entries, range_basis=window.range_basis)):
+        measure = SelectiveMeasure(factor, window_projector(5, 1, space))
+        assert is_projector_valued(measure) is flag
+        assert measure_pair(measure, ref, Statistics.FERMION).born_rule is flag
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
