@@ -291,9 +291,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _check_args(args)
-    # An overflow ends in one error line or an inf in the report, not in numpy warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return run(args)
+    return run(args)
 
 
 if __name__ == "__main__":

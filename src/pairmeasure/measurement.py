@@ -209,14 +209,16 @@ def apply_measure(measure: SelectiveMeasure, state: TwoParticleState) -> TwoPart
     a side of ``state`` without a basis takes L or R as the identity. For a
     projector built from its basis alone W L = U^H L is a change of basis,
     exact and O(r a) between closed-form bases (``hilbert._Basis.to``).
-    A core that overflows a double raises DegenerateInputError.
+    A core that overflows a double raises DegenerateInputError, with no
+    numpy warning before it.
     """
     if measure.space != state.space:
         raise DimensionMismatchError("measure and state live in different spaces")
     slot1, slot2 = measure.factor_slot1, measure.factor_slot2
-    left, right = _rows_on(slot1, state._left), _rows_on(slot2, state._right)
-    _budget(len(left) * len(right), "an event core")
-    core = left @ state.core @ right.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        left, right = _rows_on(slot1, state._left), _rows_on(slot2, state._right)
+        _budget(len(left) * len(right), "an event core")
+        core = left @ state.core @ right.T
     return _measured(measure.space, core, slot1._basis, slot2._basis, "an event")
 
 
@@ -345,12 +347,13 @@ def _projector_errors(factor: OneParticleOperator) -> tuple[float, float]:
     if factor._rows is None and factor._basis.labels is not None:
         return 0.0, 0.0
     basis, rows = factor._basis, factor.range_rows
-    gram, residual = rows, 0.0
-    if basis is not _IDENTITY:
-        gram = rows @ basis.matrix
-        residual = _frobenius(rows - gram @ basis.adjoint)
-    hermitian = math.hypot(_frobenius(gram - gram.conj().T), math.sqrt(2.0) * residual)
-    return hermitian, _frobenius(gram @ rows - rows)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan error fails the test
+        gram, residual = rows, 0.0
+        if basis is not _IDENTITY:
+            gram = rows @ basis.matrix
+            residual = _frobenius(rows - gram @ basis.adjoint)
+        hermitian = math.hypot(_frobenius(gram - gram.conj().T), math.sqrt(2.0) * residual)
+        return hermitian, _frobenius(gram @ rows - rows)
 
 
 def is_projector_valued(measure: SelectiveMeasure, tol: float = ZERO_TOL) -> bool:
@@ -406,7 +409,8 @@ def _pair_results(
     sym_norm = _INV_SQRT2 * _exchange_norm(ref, stat.sign)
     if _negligible(sym_norm, ref.norm, tol):
         raise DegenerateInputError(f"reference state has no {stat.value} sector to measure")
-    core = _INV_SQRT2 * (direct.core + stat.sign * permuted.core)
+    with np.errstate(over="ignore", invalid="ignore"):
+        core = _INV_SQRT2 * (direct.core + stat.sign * permuted.core)
     raw = _measured(measure.space, core, direct._left, direct._right, "the post-state")
     norm = raw.norm
     normalized = report = evidence = None

@@ -25,7 +25,7 @@ import numpy as np
 
 from .hilbert import _IDENTITY, TwoParticleState, _budget, _frobenius, _in_bases
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 class Statistics(Enum):

@@ -1040,3 +1040,28 @@ def test_an_overflow_is_refused_where_it_happens():
             if message != "the post-state overflows":
                 with pytest.raises(DegenerateInputError, match=f"^{message} a double"):
                     classify(measure, state)
+
+
+def test_an_overflow_raises_no_numpy_warning():
+    # the suite turns warnings into errors: an overflowing product or sum
+    # must end in the named error or in False, not in numpy's RuntimeWarning
+    space = SpaceSpec(4, 2)
+    ref = tensor_state(plane_wave(1, 0, space), plane_wave(3, 1, space))
+    huge = SelectiveMeasure(*(
+        OneParticleOperator(space, 1e160 * window_projector(x, 1, space).entries) for x in (0, 2)
+    ))
+    boson = Statistics.BOSON
+    calls = [
+        lambda: apply_measure(huge, ref),
+        lambda: events(huge, ref),
+        lambda: classify(huge, ref),
+        lambda: measure_pair(huge, ref, boson),
+        lambda: collapse(huge, ref, boson),
+    ]
+    for call in calls:
+        with pytest.raises(DegenerateInputError, match="^an event overflows a double"):
+            call()
+    assert is_projector_valued(huge) is False
+    summed = TwoParticleState(SpaceSpec(1, 1), [1e308])  # events 1e308 + 1e308
+    with pytest.raises(DegenerateInputError, match="^the post-state overflows a double"):
+        measure_pair(identity_measure(SpaceSpec(1, 1)), summed, boson)
