@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -637,6 +638,60 @@ def test_the_born_flag_of_a_near_orthonormal_basis_is_never_too_lenient():
             assert not flag or error < tol, (delta, tol)
             answers.add(flag)
     assert answers == {True, False}
+
+
+def test_the_born_flag_of_a_dense_caller_basis_builds_no_dense_operator():
+    # a near-projector U U^H on a dense basis at L = 4096 is tested on 3 x n
+    # arrays; its n x n entries would take 1 GiB, above the memory budget
+    rng = np.random.default_rng(45)
+    space = SpaceSpec(4096, 2)
+    dim = space.total_dim
+    unitary = np.linalg.qr(rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3)))[0]
+    noise = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    factor = OneParticleOperator(space, None, range_basis=unitary @ (np.eye(3) + 1e-11 * noise))
+    measure = SelectiveMeasure(factor, factor)
+    for tol, flag in [(1e-10, True), (1e-12, False)]:
+        tracemalloc.start()
+        try:
+            assert is_projector_valued(measure, tol) is flag
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+def test_every_form_of_a_factor_gets_one_born_flag():
+    # one rule for a factor without a basis, with entries and a basis, and
+    # from its basis alone. A = U M U^H with M = I + delta P, P Hermitian or
+    # skew-Hermitian of unit norm, has errors delta or 2 delta, placed
+    # between the tols of the grid. M = I is also given as the basis alone,
+    # on a basis of entries 0 and +-1/2 whose products are exact, so every
+    # form has errors exactly 0; on a random basis its errors are rounding,
+    # up to about 1.4e-15, and the forms can part at tol 1e-15
+    rng = np.random.default_rng(46)
+    space = SpaceSpec(4, 2)
+    signs = np.array([[1, 1], [1, -1], [1, 1], [1, -1]])
+    exact = np.zeros((8, 3))
+    exact[:4, :2], exact[4:, 2] = 0.5 * signs, 0.5
+    gauss = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    directions = [(gauss + gauss.conj().T, 1.0), (gauss - gauss.conj().T, 2.0)]
+    tols = np.geomspace(1e-15, 1e-6, 20)
+    between = np.sqrt(tols[1:] * tols[:-1])
+    inners = [np.eye(3) + error / size * direction / np.linalg.norm(direction)
+              for direction, size in directions for error in between[1::3]]
+    bases = (random_unitary(rng, 8)[:, :3], exact)
+    cases = [(basis, inner) for basis in bases for inner in inners]
+    for basis, inner in cases + [(exact, np.eye(3))]:
+        entries = basis @ inner @ basis.conj().T
+        forms = [OneParticleOperator(space, entries),
+                 OneParticleOperator(space, entries, range_basis=basis)]
+        projector = not np.any(inner != np.eye(3))
+        if projector:
+            forms.append(OneParticleOperator(space, None, range_basis=basis))
+        flags = [[is_projector_valued(SelectiveMeasure(form, form), tol) for tol in tols]
+                 for form in forms]
+        assert all(row == flags[0] for row in flags), inner
+        assert all(flags[0]) if projector else True in flags[0] and False in flags[0]
 
 
 def _column_scale(factor):
