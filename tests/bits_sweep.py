@@ -14,12 +14,19 @@ dense projectors, dense general matrices, windows and momenta) and states
 at extreme scales: the factors' entries times 1e-160, 1e-100 or 1e100 and
 the state times 1e-200 or 1e200 (or 1), where events underflow, go
 subnormal or overflow; numpy's floating-point warnings are off for them.
-The last 100 scale the drawn state to norm 1e-320, so that the events and
-the post-state have subnormal norms, which ``normalize`` forms again. They
-come after the first 1,300 and leave their draws as they were, so the
-``--list`` lines of those cases still diff against older checkouts. Each
-result, or the error its call raises, becomes ``helpers.result_bits``:
-every field down to array bytes and float bits. The last line printed is
+The next 100 scale the drawn state to norm 1e-320, so that the events and
+the post-state have subnormal norms, which ``normalize`` forms again. The
+last 100 give each slot a dense basis U (I + delta N), orthonormal only to
+about delta, with delta log-uniform in [1e-14, 1e-9] and N a complex
+Gaussian matrix scaled to Frobenius norm 1/32, so that every basis passes
+the orthonormality check to 1e-10. Each such case measures the projectors
+on those bases three ways, from the basis only, as entries and basis, and
+as dense entries, so that Born-rule flags near the drawn tol show in the
+digests. Each block comes after the ones before it and leaves their draws
+as they were, so the ``--list`` lines of the earlier cases still diff
+against older checkouts. Each result, or the error its call raises,
+becomes ``helpers.result_bits``: every field down to array bytes and float
+bits; a case of three results gives the bits of each. The last line printed is
 the SHA-256 of all of them and the case count, so two checkouts that print
 the same line for a seed agree bit for bit on every case.
 
@@ -64,6 +71,7 @@ PAIR_CASES = 400
 SCALED_CASES = 300
 SUBNORMAL_CASES = 100
 SUBNORMAL_NORM = 1e-320
+NEAR_BASIS_CASES = 100
 FACTOR_SCALES = (1.0, 1e-160, 1e-100, 1e100)
 STATE_SCALES = (1.0, 1e-200, 1e200)
 FACTOR_KINDS = ("basis", "entries and basis", "dense projector", "dense", "window", "momentum")
@@ -71,6 +79,8 @@ FACTOR_KINDS = ("basis", "entries and basis", "dense projector", "dense", "windo
 
 def _bits(value, omit: frozenset) -> tuple:
     """``result_bits(value)`` with the fields named in ``omit`` left out."""
+    if isinstance(value, tuple):
+        return tuple(_bits(item, omit) for item in value)
     if dataclasses.is_dataclass(value) and not isinstance(value, TwoParticleState):
         return (type(value).__name__,) + tuple(
             ("omitted",) if field.name in omit else _bits(getattr(value, field.name), omit)
@@ -127,15 +137,20 @@ def _pair_draw(rng):
         kinds = ["momentum", "momentum"]
     else:
         measure = SelectiveMeasure(*(_factor(rng, space, kind) for kind in kinds))
+    label, state, stat, tol = _state_draw(rng, space)
+    return f"measure_pair dim={dim} {kinds} {label}", measure, state, stat, tol
+
+
+def _state_draw(rng, space: SpaceSpec):
+    """A random state, dense or factored, statistics and tol, and a label naming them."""
     if rng.random() < 0.5:
         state, state_kind = random_state(rng, space), "dense"
     else:
-        ranks = (int(rank) for rank in rng.integers(1, dim + 1, size=2))
+        ranks = (int(rank) for rank in rng.integers(1, space.total_dim + 1, size=2))
         state, state_kind = random_factored_state(rng, space, *ranks), "factored"
     stat = Statistics.BOSON if rng.random() < 0.5 else Statistics.FERMION
     tol = _tol(rng)
-    label = f"measure_pair dim={dim} {kinds} {state_kind} {stat.value} tol={tol!r}"
-    return label, measure, state, stat, tol
+    return f"{state_kind} {stat.value} tol={tol!r}", state, stat, tol
 
 
 def _pair_case(rng):
@@ -178,6 +193,34 @@ def _subnormal_case(rng):
     return f"{label} state norm {SUBNORMAL_NORM!r}", call
 
 
+def _near_basis(rng, dim: int) -> tuple[np.ndarray, float]:
+    """U (I + delta N) for a random isometry U of random rank, and delta."""
+    rank = int(rng.integers(1, dim + 1))
+    gauss = rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank))
+    delta = float(10.0 ** rng.uniform(-14, -9))
+    noise = gauss / (32.0 * np.linalg.norm(gauss))
+    return random_unitary(rng, dim)[:, :rank] @ (np.eye(rank) + delta * noise), delta
+
+
+def _near_basis_case(rng):
+    space = SpaceSpec(int(rng.integers(1, 5)), 2)
+    bases, deltas = zip(*(_near_basis(rng, space.total_dim) for _ in "AB"))
+    label, state, stat, tol = _state_draw(rng, space)
+    forms = (
+        lambda basis: OneParticleOperator(space, None, range_basis=basis),
+        lambda basis: OneParticleOperator(space, basis @ basis.conj().T, range_basis=basis),
+        lambda basis: OneParticleOperator(space, basis @ basis.conj().T),
+    )
+
+    def call():
+        return tuple(measure_pair(SelectiveMeasure(*map(form, bases)), state, stat, tol)
+                     for form in forms)
+
+    ranks = tuple(basis.shape[1] for basis in bases)
+    return (f"near bases dim={space.total_dim} ranks={ranks} deltas={deltas!r} {label}"
+            " (basis only, entries and basis, dense)"), call
+
+
 def sweep(seed: int, omit: frozenset):
     """(label, bits) of every case, in order."""
     rng = np.random.default_rng(seed)
@@ -185,6 +228,7 @@ def sweep(seed: int, omit: frozenset):
     cases += [_pair_case(rng) for _ in range(PAIR_CASES)]
     cases += [_scaled_case(rng) for _ in range(SCALED_CASES)]
     cases += [_subnormal_case(rng) for _ in range(SUBNORMAL_CASES)]
+    cases += [_near_basis_case(rng) for _ in range(NEAR_BASIS_CASES)]
     for label, call in cases:
         try:
             bits = _bits(call(), omit)
