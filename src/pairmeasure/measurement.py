@@ -25,7 +25,9 @@ measure while the events neither underflow to zero nor overflow, and
 overflow is refused (DegenerateInputError). The event overlap on the state
 is reported but does not decide the verdict. The same ``tol`` sizes the
 rank and antisymmetry tests of the Schmidt report (see
-:mod:`pairmeasure.entanglement`).
+:mod:`pairmeasure.entanglement`). The Born-rule flag has one rule for every
+factor A = U W: ||A - A^H||_F and ||A A - A||_F, formed in range
+coordinates, at most tol * min(1, ||W||_F) (:func:`is_projector_valued`).
 
 :func:`measure_pair` is the one place that goes from the two events to
 results; :func:`collapse` reads part of its result, and :func:`classify`
@@ -335,13 +337,11 @@ def classify(
 def _projector_errors(factor: OneParticleOperator) -> tuple[float, float]:
     """||A - A^H||_F and ||A A - A||_F for A = U W, in range coordinates at O(n r^2).
 
-    With G = W U (r x r) and R = W - G U^H, R U = 0, so U (G - G^H) U^H,
-    U R and -R^H U^H are mutually orthogonal: ||A - A^H||_F^2 = ||G - G^H||_F^2
-    + 2 ||R||_F^2, and ||A A - A||_F = ||U (G W - W)||_F = ||G W - W||_F.
-    That is exact for an isometry U; a basis accepted to ``ZERO_TOL`` gives
-    U U^H a Hermitian error of sqrt(2) ||(G - I) U^H||_F, which overstates it.
-    Without a basis U = I, G = W and R = 0. A projector built from a
-    closed-form basis alone is U U^H exactly, with G = I and R = 0
+    With G = W U and R = W - G U^H, R U = 0, so ||A - A^H||_F^2 = ||G - G^H||_F^2
+    + 2 ||R||_F^2 (three orthogonal parts) and ||A A - A||_F = ||G W - W||_F,
+    exactly for an isometry U; on a basis orthonormal to about delta the Hermitian
+    error of U U^H reads about sqrt(2) delta. Without a basis U = I, G = W, R = 0.
+    A projector built from a closed-form basis alone has G = I and R = 0 exactly
     (``hilbert._Basis``), so both are 0 before any array is formed.
     """
     if factor._rows is None and factor._basis.labels is not None:
@@ -359,18 +359,13 @@ def _projector_errors(factor: OneParticleOperator) -> tuple[float, float]:
 def is_projector_valued(measure: SelectiveMeasure, tol: float = ZERO_TOL) -> bool:
     """True when both factors are orthogonal projectors (Hermitian, idempotent).
 
-    Only then is the squared event norm a Born-rule probability. A factor
-    passes when ||A - A^H||_F and ||A A - A||_F (:func:`_projector_errors`)
-    are both at most ``tol`` times min(1, ||W||_F), one rule for every
-    factor: O(n r^2) with a range basis, O(n^3) without one. A nonzero
-    projector has ||W||_F = sqrt(rank) >= 1, so a projector is tested at
-    scale 1 and k P with 0 < k < 1 at its own size, which it fails. A
-    projector built from a closed-form basis alone, as ``window_projector``
-    and ``momentum_projector`` build them, has both errors exactly 0 and
-    passes at every ``tol``.
+    Only then is the squared event norm a Born-rule probability. One rule for
+    every factor: both :func:`_projector_errors` at most ``tol`` times min(1,
+    ||W||_F), which is 1 for a projector (||W||_F = sqrt(rank), W = U^H for one
+    built from its basis alone), so k P with 0 < k < 1 fails. ``window_projector``
+    and ``momentum_projector`` pass at every ``tol``.
     """
     for factor in (measure.factor_slot1, measure.factor_slot2):
-        # a projector built from its basis alone has W = U^H, of scale 1
         scale = 1.0 if factor._rows is None else min(1.0, _frobenius(factor._rows))
         if not all(_negligible(error, scale, tol) for error in _projector_errors(factor)):
             return False
