@@ -202,6 +202,7 @@ class ScenarioResult:
     relabeled: TwoParticleState | None = None
 
 
+@np.errstate(over="ignore", invalid="ignore")  # half the cost of a with-statement
 def apply_measure(measure: SelectiveMeasure, state: TwoParticleState) -> TwoParticleState:
     """Apply the tensor-product measure: one factor per slot.
 
@@ -217,10 +218,9 @@ def apply_measure(measure: SelectiveMeasure, state: TwoParticleState) -> TwoPart
     if measure.space != state.space:
         raise DimensionMismatchError("measure and state live in different spaces")
     slot1, slot2 = measure.factor_slot1, measure.factor_slot2
-    with np.errstate(over="ignore", invalid="ignore"):
-        left, right = _rows_on(slot1, state._left), _rows_on(slot2, state._right)
-        _budget(len(left) * len(right), "an event core")
-        core = left @ state.core @ right.T
+    left, right = _rows_on(slot1, state._left), _rows_on(slot2, state._right)
+    _budget(len(left) * len(right), "an event core")
+    core = left @ state.core @ right.T
     return _measured(measure.space, core, slot1._basis, slot2._basis, "an event")
 
 
@@ -367,7 +367,8 @@ def is_projector_valued(measure: SelectiveMeasure, tol: float = ZERO_TOL) -> boo
     """
     for factor in (measure.factor_slot1, measure.factor_slot2):
         scale = 1.0 if factor._rows is None else min(1.0, _frobenius(factor._rows))
-        if not all(_negligible(error, scale, tol) for error in _projector_errors(factor)):
+        hermitian, excess = _projector_errors(factor)
+        if not (_negligible(hermitian, scale, tol) and _negligible(excess, scale, tol)):
             return False
     return True
 
