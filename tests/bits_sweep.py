@@ -26,9 +26,9 @@ digests. Each block comes after the ones before it and leaves their draws
 as they were, so the ``--list`` lines of the earlier cases still diff
 against older checkouts. Each result, or the error its call raises,
 becomes ``helpers.result_bits``: every field down to array bytes and float
-bits; a case of three results gives the bits of each. The last line printed is
-the SHA-256 of all of them and the case count, so two checkouts that print
-the same line for a seed agree bit for bit on every case.
+bits; a case of three results gives the bits of each. The last line
+printed is the SHA-256 of all of them and the case count, so two checkouts
+that print the same line for a seed agree bit for bit on every case.
 
 ``--omit NAME`` (repeatable) leaves out every result field of that name,
 such as ``ref_overlap``, to show that a change moves that field alone.
