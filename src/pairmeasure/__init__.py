@@ -27,11 +27,10 @@ _EXPORTS = {
     "hilbert": ("ZERO_TOL", "OneParticleOperator", "SingleParticleVector", "SpaceSpec",
                 "TwoParticleState", "basis_vector", "inner_product", "mode_index",
                 "plane_wave", "tensor_state"),
-    "measurement": ("CollapseResult", "EventPair", "PhaseCheck", "ScenarioResult",
-                    "SelectiveMeasure", "Verdict", "VerdictTag", "apply_measure",
-                    "classify", "collapse", "events", "is_projector_valued",
-                    "measure_pair", "measure_scale", "momentum_projector",
-                    "window_projector"),
+    "measurement": ("EventPair", "PhaseCheck", "ScenarioResult", "SelectiveMeasure",
+                    "Verdict", "VerdictTag", "apply_measure", "classify", "collapse",
+                    "events", "is_projector_valued", "measure_pair", "measure_scale",
+                    "momentum_projector", "window_projector"),
     "scenarios": ("SPIN_DOWN", "SPIN_UP", "scenario_momentum_projection",
                   "scenario_position_windows"),
     "symmetry": ("Statistics", "permute", "sector"),

@@ -30,7 +30,7 @@ factor A = U W: ||A - A^H||_F and ||A A - A||_F, formed in range
 coordinates, at most tol * min(1, ||W||_F) (:func:`is_projector_valued`).
 
 :func:`measure_pair` is the one place that goes from the two events to
-results; :func:`collapse` reads part of its result, and :func:`classify`
+results, and :class:`ScenarioResult` the one result type; :func:`classify`
 needs no sector and runs the verdict rule alone.
 
 Every event lies in range(A) x range(B) of the factors A and B. With range
@@ -139,22 +139,6 @@ class Verdict:
 
     tag: VerdictTag
     tolerance_used: float
-
-
-@dataclass(frozen=True)
-class CollapseResult:
-    """Post-measurement state of the symmetrized pair.
-
-    ``raw`` keeps the un-renormalized vector (the 1/sqrt(2) sector prefactor
-    survives in it); ``normalized`` is the standard post-measurement state,
-    or None when the outcome is impossible. ``probability`` is the squared
-    raw norm, a Born-rule probability whenever both measure factors are
-    orthogonal projectors (see :func:`is_projector_valued`).
-    """
-
-    raw: TwoParticleState
-    normalized: TwoParticleState | None
-    probability: float
 
 
 @dataclass(frozen=True)
@@ -437,20 +421,13 @@ def collapse(
     ref_state: TwoParticleState,
     stat: Statistics,
     tol: float = ZERO_TOL,
-) -> CollapseResult:
-    """Apply the measure to the fermion or boson sector of the reference state.
+) -> ScenarioResult:
+    """:func:`measure_pair` under an older name, returning its result.
 
-    The collapse part of :func:`measure_pair`, whose errors it raises. The
-    raw result equals (direct event -+ permuted event)/sqrt(2) and is
-    computed that way. When its norm is at most tol * scale the outcome is
-    impossible: probability 0 and no normalized state.
+    Kept only while ``perfbench/test_perfbench.py`` profiles this name; it
+    goes together with that test.
     """
-    result = measure_pair(measure, ref_state, stat, tol)
-    return CollapseResult(
-        raw=result.post_state,
-        normalized=result.post_state_normalized,
-        probability=result.probability,
-    )
+    return measure_pair(measure, ref_state, stat, tol)
 
 
 def window_sites(center: int, width: int, sites: int) -> list[int]:

@@ -117,10 +117,8 @@ def test_schmidt_of_window_collapsed_state_ignores_the_phase():
         measure = SelectiveMeasure(
             window_projector(x_a, 1, space), window_projector(x_b, 1, space)
         )
-        from pairmeasure import collapse
-
-        result = collapse(measure, momentum_pair(1, 7), Statistics.FERMION)
-        report = schmidt(result.normalized)
+        result = measure_pair(measure, momentum_pair(1, 7), Statistics.FERMION)
+        report = schmidt(result.post_state_normalized)
         assert report.schmidt_rank == 2
         assert report.entropy == pytest.approx(np.log(2), abs=1e-10)
 

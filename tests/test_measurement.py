@@ -257,12 +257,30 @@ def test_classify_brute_force_agreement_covers_structured_cases():
 
 
 def test_collapse_momentum_scenario_probability_and_state():
-    result = collapse(momentum_projector(1, 7, SPACE), momentum_pair(1, 7), Statistics.FERMION)
+    result = measure_pair(
+        momentum_projector(1, 7, SPACE), momentum_pair(1, 7), Statistics.FERMION
+    )
     assert result.probability == pytest.approx(0.5, abs=1e-12)
     expected = momentum_pair(1, 7).amplitudes / np.sqrt(2)
-    assert np.max(np.abs(result.raw.amplitudes - expected)) < 1e-12
-    assert result.normalized is not None
-    assert result.normalized.norm == pytest.approx(1.0, abs=1e-14)
+    assert np.max(np.abs(result.post_state.amplitudes - expected)) < 1e-12
+    assert result.post_state_normalized is not None
+    assert result.post_state_normalized.norm == pytest.approx(1.0, abs=1e-14)
+
+
+def test_collapse_returns_the_result_of_measure_pair():
+    rng = np.random.default_rng(36)
+    space = SpaceSpec(4, 2)
+    window = SelectiveMeasure(window_projector(2, 1, SPACE), window_projector(5, 1, SPACE))
+    cases = [
+        (momentum_projector(1, 7, SPACE), momentum_pair(1, 7)),
+        (window, momentum_pair(1, 7)),
+        (random_measure(rng, space, 2, 3), random_state(rng, space)),
+    ]
+    for measure, state in cases:
+        for stat in Statistics:
+            assert result_bits(collapse(measure, state, stat, 1e-12)) == result_bits(
+                measure_pair(measure, state, stat, 1e-12)
+            )
 
 
 def test_collapse_single_site_window_probability():
@@ -270,22 +288,22 @@ def test_collapse_single_site_window_probability():
         window_projector(2, 1, SPACE), window_projector(5, 1, SPACE)
     )
     for stat in Statistics:
-        result = collapse(measure, momentum_pair(1, 7), stat)
+        result = measure_pair(measure, momentum_pair(1, 7), stat)
         assert result.probability == pytest.approx(1 / 64, abs=1e-12)
 
 
 def test_collapse_impossible_outcome():
     zero = OneParticleOperator(SPACE, np.zeros((16, 16)))
-    result = collapse(SelectiveMeasure(zero, zero), momentum_pair(1, 7), Statistics.FERMION)
+    result = measure_pair(SelectiveMeasure(zero, zero), momentum_pair(1, 7), Statistics.FERMION)
     assert result.probability == 0.0
-    assert result.normalized is None
+    assert result.post_state_normalized is None
 
 
 def test_collapse_requires_a_nonzero_sector():
     space = SpaceSpec(4, 2)
     doubled = tensor_state(plane_wave(0, UP, space), plane_wave(0, UP, space))
     with pytest.raises(DegenerateInputError):
-        collapse(identity_measure(space), doubled, Statistics.FERMION)
+        measure_pair(identity_measure(space), doubled, Statistics.FERMION)
 
 
 def test_collapse_probability_matches_expectation_value_for_projectors():
@@ -297,7 +315,7 @@ def test_collapse_probability_matches_expectation_value_for_projectors():
         state = random_state(rng, space)
         for stat in Statistics:
             sym = sector(state, stat)
-            result = collapse(measure, state, stat)
+            result = measure_pair(measure, state, stat)
             full = np.kron(measure.factor_slot1.entries, measure.factor_slot2.entries)
             expectation = np.vdot(sym.amplitudes, full @ sym.amplitudes)
             assert abs(expectation.imag) < 1e-12
@@ -480,7 +498,7 @@ def test_collapse_by_linearity_matches_measure_on_sector():
             state = random_state(rng, space)
             for stat in Statistics:
                 expected = apply_measure(measure, sector(state, stat)).amplitudes
-                raw = collapse(measure, state, stat).raw.amplitudes
+                raw = measure_pair(measure, state, stat).post_state.amplitudes
                 assert np.linalg.norm(raw - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
@@ -840,8 +858,6 @@ def test_factored_doubly_occupied_reference_has_no_fermion_sector():
     measure = SelectiveMeasure(window_projector(1, 1, space), window_projector(2, 1, space))
     with pytest.raises(DegenerateInputError):
         measure_pair(measure, doubled, Statistics.FERMION)
-    with pytest.raises(DegenerateInputError):
-        collapse(measure, doubled, Statistics.FERMION)
     assert_results_match(
         measure_pair(measure, doubled, Statistics.BOSON),
         measure_pair(without_basis(measure), as_dense(doubled), Statistics.BOSON),
@@ -1111,7 +1127,6 @@ def test_an_overflow_raises_no_numpy_warning():
         lambda: events(huge, ref),
         lambda: classify(huge, ref),
         lambda: measure_pair(huge, ref, boson),
-        lambda: collapse(huge, ref, boson),
     ]
     for call in calls:
         with pytest.raises(DegenerateInputError, match="^an event overflows a double"):

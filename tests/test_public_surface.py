@@ -27,7 +27,7 @@ from pairmeasure import hilbert
 from helpers import identity_operator, random_factored_state, random_state, random_unitary
 
 PUBLIC_NAMES = [
-    "CollapseResult", "DegenerateInputError", "DimensionMismatchError", "EbmEvidence",
+    "DegenerateInputError", "DimensionMismatchError", "EbmEvidence",
     "EntanglementReport", "EventPair", "InputTooLargeError", "OneParticleOperator",
     "ParseError", "PhaseCheck", "SPIN_DOWN", "SPIN_UP", "ScenarioResult",
     "SelectiveMeasure", "SingleParticleVector", "SpaceSpec", "Statistics",
