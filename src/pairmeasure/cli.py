@@ -12,8 +12,10 @@ Reports list the post-state's singular values up to its Schmidt rank; the
 rest are zero up to roundoff.
 
 Exit codes: 0 success, 2 unreadable or malformed input, 3 degenerate input
-or an array above the memory budget (``hilbert._budget``, which bounds no
-scenario's ``--lattice``), 1 when stdout closes early (nothing more prints).
+(also a ``--lattice`` above 2**1021 sites, where plane-wave phases overflow a
+double) or an array above the memory budget (``hilbert._budget``, which
+refuses ``--width`` past 2,048 sites), 1 when stdout closes early (nothing
+more prints).
 """
 
 from __future__ import annotations

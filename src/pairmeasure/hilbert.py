@@ -43,6 +43,10 @@ ZERO_TOL = 1e-10
 # Dense pair arrays fit up to L = 2048 at spin 1/2; the scenarios need none.
 MAX_PAIR_BYTES = 256 * 2**20
 
+# Largest lattice that holds plane waves: the phase angle 2*pi*k of a turn
+# count k < L stays a finite double up to about k = 2^1021.4.
+_MAX_SITES = 2**1021
+
 
 @dataclass(frozen=True)
 class SpaceSpec:
@@ -199,6 +203,9 @@ class _Basis:
         """Plane-wave columns of integer momentum ``mode``, one per spin in ``spins``."""
         mode = _label(mode, "momentum mode")
         sites = space.extrinsic_dim
+        if sites > _MAX_SITES:
+            raise DegenerateInputError("plane waves need a lattice of at most 2**1021 sites; "
+                                       "beyond it their phases overflow a double")
         if not 0 <= mode < sites:
             raise IndexError(f"momentum mode {mode} out of range [0, {sites})")
         return cls(space.total_dim, tuple([mode * space.spin_dim + s for s in spins]), sites)
@@ -283,8 +290,10 @@ def _closed_product(coords: _Basis, other: _Basis) -> np.ndarray:
     For coordinate columns U and plane-wave columns V, the wave of mode m and
     spin s has exp(2i*pi*(m*x mod L)/L)/sqrt(L) on the coordinate ket (x, s)
     and zero on the other spins, with m*x reduced in Python integers, which
-    do not overflow at any L, and the rounding steps of the dense columns
-    (``_Basis.matrix``). Exact, at O(r + r') for one kind, O(r r') for two.
+    do not overflow, and the rounding steps of the dense columns
+    (``_Basis.matrix``); the angle is finite up to L = ``_MAX_SITES``, the
+    most ``_Basis.plane_waves`` takes. Exact, at O(r + r') for one kind,
+    O(r r') for two.
     """
     _budget(len(coords.labels) * len(other.labels), "a change of basis")
     product = np.zeros((len(coords.labels), len(other.labels)), dtype=complex)
@@ -557,7 +566,8 @@ def plane_wave(mode: int, spin: int, space: SpaceSpec) -> SingleParticleVector:
     Mode ``m`` carries wavenumber 2*pi*m/L over the L = extrinsic_dim sites:
     amplitude exp(2i*pi*m*x/L)/sqrt(L) at site x, zero at the other spins.
     The family over m = 0..L-1 is an orthonormal basis of the extrinsic
-    factor, and mode L-m realizes "-k" for mode m. Labels must be integers.
+    factor, and mode L-m realizes "-k" for mode m. Labels must be integers,
+    and L at most 2**1021 (DegenerateInputError beyond).
     """
     waves = _Basis.plane_waves(space, mode, range(space.spin_dim))
     return SingleParticleVector(space, waves.matrix[:, mode_index(0, spin, space)])

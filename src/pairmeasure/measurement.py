@@ -394,7 +394,8 @@ def _pair_results(
     raw = _measured(measure.space, core, direct._left, direct._right, "the post-state")
     norm = raw.norm
     normalized = report = evidence = None
-    if not _negligible(norm, factor_scale * sym_norm, tol):
+    # An exact zero is negligible also where the scale is 0 * inf = nan.
+    if norm and not _negligible(norm, factor_scale * sym_norm, tol):
         normalized = raw.normalize()
         # Both cores are r_A x r_B in the measure's bases: one SVD call.
         spectra = np.linalg.svd(np.array([normalized.core, direct.core]), compute_uv=False)
@@ -430,17 +431,20 @@ def collapse(
     return measure_pair(measure, ref_state, stat, tol)
 
 
-def window_sites(center: int, width: int, sites: int) -> list[int]:
+def window_sites(center: int, width: int, sites: int, spins: int = 1) -> list[int]:
     """Sites covered by a width-wide window centered on ``center``, mod L.
 
     For even widths the extra site falls on the right; widths of at least
-    the lattice size cap to the full lattice.
+    the lattice size cap to the full lattice. The min(width, L) * ``spins``
+    mode labels a caller builds on them are refused above the budget
+    (``hilbert._budget``) before any list is built.
     """
     center, width = _label(center, "window center"), _label(width, "window width")
     if width < 1:
         raise ValueError(f"window width must be >= 1, got {width}")
     if not 0 <= center < sites:
         raise IndexError(f"window center {center} out of range [0, {sites})")
+    _budget(min(width, sites) * spins, "a window's label list")
     if width >= sites:
         return list(range(sites))
     half = (width - 1) // 2
@@ -454,7 +458,7 @@ def window_projector(center: int, width: int, space: SpaceSpec) -> OneParticleOp
     (``hilbert._Basis``); the dense basis and entries are built only when read.
     """
     spins = space.spin_dim
-    sites = window_sites(center, width, space.extrinsic_dim)
+    sites = window_sites(center, width, space.extrinsic_dim, spins)
     modes = tuple([site * spins + spin for site in sites for spin in range(spins)])
     return OneParticleOperator._fresh(space, None, _Basis(space.total_dim, modes))
 

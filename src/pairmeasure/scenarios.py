@@ -20,8 +20,12 @@ down.
 Both build the reference factored, on one plane-wave column per side and
 a unit core (``_reference_state``). The reference and the measures hold
 their bases in closed form (``hilbert._Basis``), so every change of basis
-is exact and a call costs O(w * spins) at any lattice size, allocating
-nothing that grows with it. Each call measures in full.
+is exact and a call allocates nothing that grows with the lattice size, up
+to the plane waves' ceiling of 2**1021 sites. It does grow with the window:
+with w = min(width, L), the event cores are (w * spins) x (w * spins) and
+one SVD runs on them, so a call costs O((w * spins)^3), and the event-core
+budget refuses widths past 2,048 sites at spin 1/2. Each call measures in
+full.
 
 With the momenta or the single sites standing in for particle tags, what
 is left of the collapsed pair is a two-spin state, ``relabeled``: the

@@ -526,6 +526,19 @@ def test_scenarios_run_at_any_lattice(capsys):
         assert json.loads(out)["verdict"] == verdict, args
 
 
+@pytest.mark.parametrize("command", ["momentum-scenario", "position-scenario"])
+def test_a_lattice_above_2_to_the_1021_sites_exits_3_in_one_line(command, capsys):
+    # plane-wave phases overflow a double past the ceiling; at it both scenarios answer
+    for lattice in (2**1022, 2**1024, 10**400):
+        code, out, err = run_cli(capsys, [command, "--lattice", str(lattice)])
+        assert code == EXIT_DEGENERATE and out == "", lattice
+        assert err.startswith("error: plane waves need a lattice of at most 2**1021 sites")
+        assert err.count("\n") == 1
+    code, out, err = run_cli(capsys, [command, "--lattice", str(2**1021), "--output", "json"])
+    assert code == EXIT_OK and err == ""
+    assert json.loads(out)["verdict"] in ("LocalOperation", "BothZero")
+
+
 def test_dim_header_above_the_memory_budget_exits_3(tmp_path, capsys):
     state = tmp_path / "state.txt"
     state.write_text("dim 1000000 2\namp 0 3 1 0\n")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from pairmeasure import (
     DegenerateInputError,
     DimensionMismatchError,
+    InputTooLargeError,
     OneParticleOperator,
     SelectiveMeasure,
     SpaceSpec,
@@ -299,6 +300,19 @@ def test_collapse_impossible_outcome():
     assert result.post_state_normalized is None
 
 
+def test_an_exactly_zero_post_state_is_impossible_at_every_factor_scale():
+    # At k = 1e-170 measure_scale underflows to 0 and the sector norm overflows,
+    # so the post-state's zero test meets a scale of 0 * inf = nan
+    space = SpaceSpec(2, 1)
+    ref = TwoParticleState(space, np.array([[0, 1.2e308], [-1.2e308, 0]]).reshape(-1))
+    for k in (1.0, 1e-100, 1e-160, 1e-170):
+        factor = OneParticleOperator(space, k * np.diag([1.0, 0.0]))
+        result = measure_pair(SelectiveMeasure(factor, factor), ref, Statistics.FERMION)
+        assert result.verdict.tag is VerdictTag.BOTH_ZERO, k
+        assert result.probability == 0.0 and result.post_state.norm == 0.0
+        assert result.post_state_normalized is None and result.report is None
+
+
 def test_collapse_requires_a_nonzero_sector():
     space = SpaceSpec(4, 2)
     doubled = tensor_state(plane_wave(0, UP, space), plane_wave(0, UP, space))
@@ -320,6 +334,25 @@ def test_collapse_probability_matches_expectation_value_for_projectors():
             expectation = np.vdot(sym.amplitudes, full @ sym.amplitudes)
             assert abs(expectation.imag) < 1e-12
             assert result.probability == pytest.approx(expectation.real, abs=1e-12)
+
+
+def test_a_window_above_the_budget_is_refused_before_its_labels_are_built(monkeypatch):
+    # 10^5 sites at spin 1/2 are 2 * 10^5 labels: a few MiB of Python lists
+    monkeypatch.setattr("pairmeasure.hilbert.MAX_PAIR_BYTES", 2**16)
+    space = SpaceSpec(10**6, 2)
+    calls = [
+        lambda: window_projector(0, 10**5, space),
+        lambda: scenario_position_windows(space, 1, None, 0, 500_000, 10**5, Statistics.FERMION),
+    ]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputTooLargeError, match="^a window's label list needs 3200000 "):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
 
 
 def test_window_projector_full_width_is_identity():

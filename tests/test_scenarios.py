@@ -630,6 +630,29 @@ def test_a_cold_scenario_call_at_a_million_sites_allocates_no_complex_column():
             assert result.born_rule and result.report.singular_values.shape == (min(core.shape),)
 
 
+def test_a_lattice_above_2_to_the_1021_sites_is_refused_by_name():
+    # The phase angle 2*pi*(m*x mod L) of a plane wave overflows a double once
+    # m*x mod L passes about 2^1021.4, and 1/sqrt(L) raises OverflowError from
+    # L = 2^1024 up. At the ceiling every phase is finite.
+    for sites in (2**1022, 2**1024, 10**400):
+        space = SpaceSpec(sites, 2)
+        calls = [
+            lambda: scenario_momentum_projection(space, 1, None, Statistics.FERMION),
+            lambda: scenario_position_windows(space, 1, None, 2, 5, 1, Statistics.FERMION),
+            lambda: scenario_position_windows(space, 1, 3, 2, 5, 1, Statistics.BOSON),
+            lambda: plane_wave(0, 0, space),
+        ]
+        for call in calls:
+            with pytest.raises(DegenerateInputError, match=r"^plane waves need .* 2\*\*1021 sites"):
+                call()
+    space = SpaceSpec(2**1021, 2)
+    momentum = scenario_momentum_projection(space, 1, None, Statistics.FERMION)
+    assert momentum.verdict.tag is VerdictTag.LOCAL_OPERATION
+    # the windows meet turn counts m*x mod L just below 2^1021; w/L reads zero
+    windows = scenario_position_windows(space, 1, None, 2, 5, 1, Statistics.FERMION)
+    assert windows.verdict.tag is VerdictTag.BOTH_ZERO
+
+
 def test_a_window_against_a_plane_wave_measures_any_lattice_without_a_column():
     # The post-state holds window coordinates on one side and plane waves on
     # the other, whose L^H R has ||.||_F^2 = w * spins / L: its exchange norm
