@@ -27,7 +27,8 @@ import os
 import numpy as np
 
 from .errors import ParseError
-from .hilbert import OneParticleOperator, SpaceSpec, TwoParticleState, _budget, _format_float
+from .hilbert import OneParticleOperator, SpaceSpec, TwoParticleState, _budget, _freeze
+from .hilbert import _format_float
 from .measurement import SelectiveMeasure
 
 
@@ -107,7 +108,8 @@ def parse_state_file(path: str | os.PathLike) -> TwoParticleState:
     decide whether that deserves a warning).
     """
     space, matrices = _parse(path, ("amp",), "state")
-    return TwoParticleState._fresh(space, matrices["amp"])
+    amps = matrices["amp"]
+    return TwoParticleState._fresh(space, amps, norm=_freeze(amps, "state"))
 
 
 def parse_measure_file(path: str | os.PathLike) -> SelectiveMeasure:

@@ -440,10 +440,8 @@ class TwoParticleState:
     that side's factor, if it has one. The package's algebra works on the
     factors. ``amplitudes`` and ``matrix()`` read the same values in every case: a
     state with a basis builds them on first read, at most at O(n^2 (a + b)),
-    and keeps them. ``norm`` is the Frobenius norm of the core: the dense
-    constructor, :meth:`from_factors` and a core the package computes keep
-    the one their finiteness check formed; a state on a core that was
-    already checked is given it, or computes it on first read and keeps it.
+    and keeps them. ``norm`` is the Frobenius norm of the core, kept from the
+    check of a core given or computed (``_computed``), else formed on first read.
     """
 
     space: SpaceSpec
@@ -471,15 +469,7 @@ class TwoParticleState:
     @classmethod
     def _fresh(cls, space: SpaceSpec, core: np.ndarray, left: _Basis = _IDENTITY,
                right: _Basis = _IDENTITY, norm: float | None = None) -> TwoParticleState:
-        """A state on a core computed here, checked and frozen in place, not copied.
-
-        The check's Frobenius norm is the state's ``norm``, kept. A core that
-        is already read-only has been checked, by an existing state or as a
-        constant, and is taken as it is, with its Frobenius norm ``norm`` when
-        the caller knows it.
-        """
-        if core.flags.writeable:
-            norm = _freeze(core, "state")
+        """A state on ``core`` as it is, trusting its caller to have checked and frozen it."""
         state = cls.__new__(cls)
         state._setup(space, left, core, right, norm)
         return state
@@ -534,7 +524,22 @@ class TwoParticleState:
         if not sys.float_info.min <= nrm < math.inf:  # subnormal, or finite entries overflowed
             core = core * _unit_scale(np.max(np.abs(core)))
             nrm = _frobenius(core)
-        return TwoParticleState._fresh(self.space, core / nrm, self._left, self._right)
+        return _computed(self.space, core / nrm, self._left, self._right, "the normalized state",
+                         "the state")
+
+
+def _computed(space, core: np.ndarray, left, right, what: str,
+              inputs: str = "the state or the measure") -> TwoParticleState:
+    """The state on a core computed here, frozen in place: the one check such a core passes.
+
+    It forms the core's norm once. From finite values only an overflow makes it
+    non-finite, refused by DegenerateInputError naming ``what`` and the ``inputs``.
+    """
+    norm = _frobenius(core)
+    if not norm < math.inf:
+        raise DegenerateInputError(f"{what} overflows a double; rescale {inputs}")
+    core.flags.writeable = False
+    return TwoParticleState._fresh(space, core, left, right, norm)
 
 
 def _in_bases(state: TwoParticleState, left: _Basis, right: _Basis) -> np.ndarray:
@@ -583,9 +588,8 @@ def tensor_state(u: SingleParticleVector, v: SingleParticleVector) -> TwoParticl
         raise DimensionMismatchError("tensor_state factors live in different spaces")
     u_norm, v_norm = u.norm, v.norm
     core = np.array([[u_norm * v_norm]], dtype=complex)
-    return TwoParticleState._fresh(
-        u.space, core, _unit_column(u, u_norm), _unit_column(v, v_norm)
-    )
+    return _computed(u.space, core, _unit_column(u, u_norm), _unit_column(v, v_norm),
+                     "the tensor product", "the vectors")
 
 
 def _unit_column(vector: SingleParticleVector, norm: float) -> _Basis:

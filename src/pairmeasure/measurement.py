@@ -65,6 +65,7 @@ from .hilbert import (
     _Basis,
     _budget,
     _column_norm,
+    _computed,
     _frobenius,
     _label,
     _negligible,
@@ -205,16 +206,7 @@ def apply_measure(measure: SelectiveMeasure, state: TwoParticleState) -> TwoPart
     left, right = _rows_on(slot1, state._left), _rows_on(slot2, state._right)
     _budget(len(left) * len(right), "an event core")
     core = left @ state.core @ right.T
-    return _measured(measure.space, core, slot1._basis, slot2._basis, "an event")
-
-
-def _measured(space, core: np.ndarray, left: _Basis, right: _Basis, what: str) -> TwoParticleState:
-    """The state on a computed core; DegenerateInputError naming ``what`` if it overflowed."""
-    norm = _frobenius(core)
-    if not norm < np.inf:  # the factors and the state are finite: only an overflow gets here
-        raise DegenerateInputError(f"{what} overflows a double; rescale the state or the measure")
-    core.flags.writeable = False
-    return TwoParticleState._fresh(space, core, left, right, norm)
+    return _computed(measure.space, core, slot1._basis, slot2._basis, "an event")
 
 
 def _rows_on(factor: OneParticleOperator, side) -> np.ndarray:
@@ -391,7 +383,7 @@ def _pair_results(
         raise DegenerateInputError(f"reference state has no {stat.value} sector to measure")
     with np.errstate(over="ignore", invalid="ignore"):
         core = _INV_SQRT2 * (direct.core + stat.sign * permuted.core)
-    raw = _measured(measure.space, core, direct._left, direct._right, "the post-state")
+    raw = _computed(measure.space, core, direct._left, direct._right, "the post-state")
     norm = raw.norm
     normalized = report = evidence = None
     # An exact zero is negligible also where the scale is 0 * inf = nan.

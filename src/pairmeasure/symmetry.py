@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .hilbert import _IDENTITY, TwoParticleState, _budget, _frobenius, _in_bases
+from .hilbert import _IDENTITY, TwoParticleState, _computed, _frobenius, _in_bases
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -87,9 +87,10 @@ def sector(state: TwoParticleState, stat: Statistics) -> TwoParticleState:
     The 1/sqrt(2) prefactor is fixed, never adjusted to renormalize; a zero
     result (antisymmetrizing a permutation-invariant state, i.e. Pauli
     exclusion of a doubly occupied mode) comes back as a legitimate zero
-    vector.
+    vector. A sector that overflows a double raises DegenerateInputError.
     """
-    _budget(state.space.pair_dim, "a dense pair array")
-    coeff = state.matrix()
-    return TwoParticleState._fresh(state.space, _INV_SQRT2 * (coeff + stat.sign * coeff.T))
+    coeff = state.matrix()  # refused above the budget for a factored state
+    with np.errstate(over="ignore", invalid="ignore"):
+        core = _INV_SQRT2 * (coeff + stat.sign * coeff.T)
+    return _computed(state.space, core, _IDENTITY, _IDENTITY, "the sector", "the state")
 

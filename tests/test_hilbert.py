@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from pairmeasure import hilbert
 from pairmeasure import (
+    DegenerateInputError,
     DimensionMismatchError,
     InputTooLargeError,
     OneParticleOperator,
@@ -165,6 +166,13 @@ def test_tensor_state_matches_np_outer(seed, sites, spins, scales):
         assert np.array_equal(side, unit)
 
 
+def test_a_tensor_product_that_overflows_is_refused_by_name():
+    space = SpaceSpec(2, 1)
+    huge = SingleParticleVector(space, [0.6e200, 0.8e200])
+    with pytest.raises(DegenerateInputError, match="^the tensor product overflows a double"):
+        tensor_state(huge, huge)
+
+
 def test_tensor_state_holds_no_dense_pair_array():
     space = SpaceSpec(2**16, 2)
     state = tensor_state(plane_wave(1, 0, space), plane_wave(2**16 - 1, 1, space))
@@ -310,8 +318,10 @@ def test_finiteness_check_accepts_an_overflowing_sum_and_refuses_non_finite_entr
     for entries in ([np.inf, -np.inf, 0.0, 0.0], [np.nan, 1.0, 0.0, 0.0]):
         with pytest.raises(ValueError, match="^amplitudes contains non-finite entries$"):
             TwoParticleState(space, entries)
-        with pytest.raises(ValueError, match="^state contains non-finite entries$"):
-            TwoParticleState._fresh(space, np.array(entries, dtype=complex).reshape(2, 2))
+        core = np.array(entries, dtype=complex).reshape(2, 2)
+        with pytest.raises(DegenerateInputError, match="^a core overflows a double"):
+            hilbert._computed(space, core, hilbert._IDENTITY, hilbert._IDENTITY, "a core",
+                              "the state")
 
 
 def test_a_computed_core_keeps_the_norm_its_check_formed():
@@ -378,8 +388,6 @@ def test_amplitudes_are_read_only():
 
 
 def test_normalize_zero_state_fails():
-    from pairmeasure import DegenerateInputError
-
     with pytest.raises(DegenerateInputError):
         TwoParticleState(SpaceSpec(2, 2), np.zeros(16)).normalize()
 

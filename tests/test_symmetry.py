@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pairmeasure import (
+    DegenerateInputError,
     SelectiveMeasure,
     SpaceSpec,
     Statistics,
@@ -73,6 +74,14 @@ def test_sector_pauli_exclusion_returns_zero_vector():
     doubled = tensor_state(basis_vector(0, 0, space), basis_vector(0, 0, space))
     excluded = sector(doubled, Statistics.FERMION)
     assert excluded.norm == 0.0
+
+
+def test_a_sector_that_overflows_is_refused_by_name_with_no_warning():
+    # the suite turns warnings into errors, so numpy's overflow warning fails this
+    state = TwoParticleState(SpaceSpec(2, 1), [1e308] * 4)
+    with pytest.raises(DegenerateInputError, match="^the sector overflows a double"):
+        sector(state, Statistics.BOSON)
+    assert sector(state, Statistics.FERMION).norm == 0.0
 
 
 def test_fermion_sector_of_momentum_pair():
