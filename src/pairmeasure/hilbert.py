@@ -129,6 +129,17 @@ def _frobenius(arr: np.ndarray) -> float:
     return math.sqrt(np.vdot(scaled, scaled).real) / unit
 
 
+def _unit(arr: np.ndarray, norm: float) -> np.ndarray:
+    """``arr`` / its Frobenius norm ``norm`` > 0: a unit array at any norm.
+
+    A subnormal or infinite norm is formed again on ``arr`` scaled by ``_unit_scale``.
+    """
+    if not sys.float_info.min <= norm < math.inf:
+        arr = arr * _unit_scale(np.max(np.abs(arr)))
+        norm = _frobenius(arr)
+    return arr / norm
+
+
 def _column_norm(arr: np.ndarray) -> float:
     """The largest column 2-norm of ``arr``, formed on magnitudes scaled by ``_unit_scale``."""
     mags = np.abs(arr)
@@ -441,7 +452,7 @@ class TwoParticleState:
     factors. ``amplitudes`` and ``matrix()`` read the same values in every case: a
     state with a basis builds them on first read, at most at O(n^2 (a + b)),
     and keeps them. ``norm`` is the Frobenius norm of the core, kept from the
-    check of a core given or computed (``_computed``), else formed on first read.
+    check that passed it (a constructor's, or ``_computed``), else formed on first read.
     """
 
     space: SpaceSpec
@@ -518,14 +529,10 @@ class TwoParticleState:
 
     def normalize(self) -> TwoParticleState:
         """Unit-norm copy, scaled by ``_unit_scale`` if need be; DegenerateInputError if zero."""
-        nrm, core = self.norm, self.core
-        if nrm == 0.0:
+        if self.norm == 0.0:
             raise DegenerateInputError("cannot normalize a zero state")
-        if not sys.float_info.min <= nrm < math.inf:  # subnormal, or finite entries overflowed
-            core = core * _unit_scale(np.max(np.abs(core)))
-            nrm = _frobenius(core)
-        return _computed(self.space, core / nrm, self._left, self._right, "the normalized state",
-                         "the state")
+        return _computed(self.space, _unit(self.core, self.norm), self._left, self._right,
+                         "the normalized state", "the state")
 
 
 def _computed(space, core: np.ndarray, left, right, what: str,
@@ -534,6 +541,7 @@ def _computed(space, core: np.ndarray, left, right, what: str,
 
     It forms the core's norm once. From finite values only an overflow makes it
     non-finite, refused by DegenerateInputError naming ``what`` and the ``inputs``.
+    ``TwoParticleState._fresh`` checks nothing: it relies on this check.
     """
     norm = _frobenius(core)
     if not norm < math.inf:
@@ -595,11 +603,11 @@ def tensor_state(u: SingleParticleVector, v: SingleParticleVector) -> TwoParticl
 def _unit_column(vector: SingleParticleVector, norm: float) -> _Basis:
     """The one-column basis of ``vector`` / ``norm``, or of mode 0 for the zero vector.
 
-    A unit column by construction, so it skips :meth:`_Basis.checked`.
+    A unit column by construction (``_unit``), so it skips :meth:`_Basis.checked`.
     """
     if norm == 0.0:
         return _Basis(vector.space.total_dim, (0,))
-    column = (vector.amplitudes / norm).reshape(-1, 1)
+    column = _unit(vector.amplitudes, norm).reshape(-1, 1)
     column.flags.writeable = False
     return _Basis(vector.space.total_dim, _matrix=column)
 

@@ -431,16 +431,22 @@ def window_sites(center: int, width: int, sites: int, spins: int = 1) -> list[in
     mode labels a caller builds on them are refused above the budget
     (``hilbert._budget``) before any list is built.
     """
+    center, width = _window(center, width, sites, spins)
+    if width >= sites:
+        return list(range(sites))
+    half = (width - 1) // 2
+    return sorted([(center + offset) % sites for offset in range(-half, width - half)])
+
+
+def _window(center, width, sites: int, spins: int) -> tuple[int, int]:
+    """``center`` and ``width`` checked, with the window's labels budgeted, as ints."""
     center, width = _label(center, "window center"), _label(width, "window width")
     if width < 1:
         raise ValueError(f"window width must be >= 1, got {width}")
     if not 0 <= center < sites:
         raise IndexError(f"window center {center} out of range [0, {sites})")
     _budget(min(width, sites) * spins, "a window's label list")
-    if width >= sites:
-        return list(range(sites))
-    half = (width - 1) // 2
-    return sorted([(center + offset) % sites for offset in range(-half, width - half)])
+    return center, width
 
 
 def window_projector(center: int, width: int, space: SpaceSpec) -> OneParticleOperator:

@@ -24,8 +24,8 @@ is exact and a call allocates nothing that grows with the lattice size, up
 to the plane waves' ceiling of 2**1021 sites. It does grow with the window:
 with w = min(width, L), the event cores are (w * spins) x (w * spins) and
 one SVD runs on them, so a call costs O((w * spins)^3), and the event-core
-budget refuses widths past 2,048 sites at spin 1/2. Each call measures in
-full.
+budget refuses widths past 2,048 sites at spin 1/2, before either window is
+built. Each call measures in full.
 
 With the momenta or the single sites standing in for particle tags, what
 is left of the collapsed pair is a two-spin state, ``relabeled``: the
@@ -37,13 +37,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateInputError
-from .hilbert import ZERO_TOL, SpaceSpec, TwoParticleState, _Basis, _label
+from .hilbert import ZERO_TOL, SpaceSpec, TwoParticleState, _Basis, _budget, _label
 from .measurement import (
     PhaseCheck,
     ScenarioResult,
     SelectiveMeasure,
     VerdictTag,
     _pair_results,
+    _window,
     momentum_projector,
     window_projector,
 )
@@ -141,9 +142,11 @@ def scenario_position_windows(
     has neither a phase check nor a relabeled state. Each event has norm w/L
     against a scale of 1, so once w/L <= ``tol`` the verdict is BothZero.
     """
-    sites = space.extrinsic_dim
+    sites, spin_dim = space.extrinsic_dim, space.spin_dim
     m_a, m_b = _modes(space, m_a, m_b)
     ref = _reference_state(space, m_a, m_b)
+    ranks = [min(_window(x, width, sites, spin_dim)[1], sites) * spin_dim for x in (x_a, x_b)]
+    _budget(ranks[0] * ranks[1], "an event core")  # apply_measure's, before any window is built
     measure = SelectiveMeasure(
         window_projector(x_a, width, space), window_projector(x_b, width, space)
     )

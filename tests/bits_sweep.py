@@ -16,17 +16,21 @@ the state times 1e-200 or 1e200 (or 1), where events underflow, go
 subnormal or overflow; numpy's floating-point warnings are off for them.
 The next 100 scale the drawn state to norm 1e-320, so that the events and
 the post-state have subnormal norms, which ``normalize`` forms again. The
-last 100 give each slot a dense basis U (I + delta N), orthonormal only to
+next 100 give each slot a dense basis U (I + delta N), orthonormal only to
 about delta, with delta log-uniform in [1e-14, 1e-9] and N a complex
 Gaussian matrix scaled to Frobenius norm 1/32, so that every basis passes
 the orthonormality check to 1e-10. Each such case measures the projectors
 on those bases three ways, from the basis only, as entries and basis, and
 as dense entries, so that Born-rule flags near the drawn tol show in the
-digests. Each block comes after the ones before it and leaves their draws
-as they were, so the ``--list`` lines of the earlier cases still diff
-against older checkouts. Each result, or the error its call raises,
-becomes ``helpers.result_bits``: every field down to array bytes and float
-bits; a case of three results gives the bits of each. The last line
+digests. The last 200 build no measure: each runs ``tensor_state`` on two
+seeded vectors, or takes a seeded state (dense or factored), and returns
+its ``sector``, ``normalize`` and ``schmidt``; each vector or state is at
+unit scale, times 1e-200 or 1e200, or scaled to norm 1e-320. Each block
+comes after the ones before it and leaves their draws as they were, so
+the ``--list`` lines of the earlier cases still diff against older
+checkouts. Each result, or the error its call raises, becomes
+``helpers.result_bits``: every field down to array bytes and float bits;
+a case of several results gives the bits of each. The last line
 printed is the SHA-256 of all of them and the case count, so two checkouts
 that print the same line for a seed agree bit for bit on every case.
 
@@ -56,6 +60,7 @@ from helpers import random_factored_state, random_state, random_unitary, result_
 from pairmeasure import (  # noqa: E402
     OneParticleOperator,
     SelectiveMeasure,
+    SingleParticleVector,
     SpaceSpec,
     Statistics,
     TwoParticleState,
@@ -63,6 +68,9 @@ from pairmeasure import (  # noqa: E402
     momentum_projector,
     scenario_momentum_projection,
     scenario_position_windows,
+    schmidt,
+    sector,
+    tensor_state,
     window_projector,
 )
 
@@ -72,6 +80,8 @@ SCALED_CASES = 300
 SUBNORMAL_CASES = 100
 SUBNORMAL_NORM = 1e-320
 NEAR_BASIS_CASES = 100
+CORE_CASES = 200
+CORE_SCALES = (1.0, 1e-200, 1e200, SUBNORMAL_NORM)  # the last one a norm
 FACTOR_SCALES = (1.0, 1e-160, 1e-100, 1e100)
 STATE_SCALES = (1.0, 1e-200, 1e200)
 FACTOR_KINDS = ("basis", "entries and basis", "dense projector", "dense", "window", "momentum")
@@ -221,6 +231,46 @@ def _near_basis_case(rng):
             " (basis only, entries and basis, dense)"), call
 
 
+def _core_scale(scale: float, norm: float) -> tuple[float, str]:
+    """The factor for a ``CORE_SCALES`` entry on a norm, and a label naming it."""
+    if scale == SUBNORMAL_NORM:
+        return SUBNORMAL_NORM / norm, f"norm {SUBNORMAL_NORM!r}"
+    return scale, f"x{scale!r}"
+
+
+def _tensor_draw(rng, space: SpaceSpec):
+    """Two vectors of ``CORE_SCALES``, statistics and tol, and a label naming them."""
+    vectors, labels = [], []
+    for scale in rng.choice(CORE_SCALES, size=2):
+        amps = rng.standard_normal(space.total_dim) + 1j * rng.standard_normal(space.total_dim)
+        factor, label = _core_scale(float(scale), float(np.linalg.norm(amps)))
+        vectors.append(SingleParticleVector(space, factor * amps))
+        labels.append(label)
+    stat = Statistics.BOSON if rng.random() < 0.5 else Statistics.FERMION
+    tol = _tol(rng)
+    return f"vectors {labels[0]}, {labels[1]} {stat.value} tol={tol!r}", vectors, stat, tol
+
+
+def _core_case(rng):
+    space = SpaceSpec(int(rng.integers(1, 5)), 2)
+    if rng.random() < 0.5:
+        label, vectors, stat, tol = _tensor_draw(rng, space)
+
+        def call():
+            state = tensor_state(*vectors)
+            return state, sector(state, stat), state.normalize(), schmidt(state, tol)
+
+        return f"tensor_state dim={space.total_dim} {label}", call
+    label, state, stat, tol = _state_draw(rng, space)
+    factor, scale_label = _core_scale(float(rng.choice(CORE_SCALES)), state.norm)
+
+    def call():
+        scaled = _scaled_state(state, factor)
+        return sector(scaled, stat), scaled.normalize(), schmidt(scaled, tol)
+
+    return f"sector dim={space.total_dim} {label} state {scale_label}", call
+
+
 def sweep(seed: int, omit: frozenset):
     """(label, bits) of every case, in order."""
     rng = np.random.default_rng(seed)
@@ -229,6 +279,7 @@ def sweep(seed: int, omit: frozenset):
     cases += [_scaled_case(rng) for _ in range(SCALED_CASES)]
     cases += [_subnormal_case(rng) for _ in range(SUBNORMAL_CASES)]
     cases += [_near_basis_case(rng) for _ in range(NEAR_BASIS_CASES)]
+    cases += [_core_case(rng) for _ in range(CORE_CASES)]
     for label, call in cases:
         try:
             bits = _bits(call(), omit)

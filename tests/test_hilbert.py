@@ -23,7 +23,9 @@ from pairmeasure import (
     VerdictTag,
     apply_measure,
     basis_vector,
+    classify,
     inner_product,
+    measure_pair,
     mode_index,
     momentum_projector,
     permute,
@@ -164,6 +166,24 @@ def test_tensor_state_matches_np_outer(seed, sites, spins, scales):
         else:
             unit = vector.amplitudes[:, None] / vector.norm
         assert np.array_equal(side, unit)
+
+
+def test_tensor_state_of_a_subnormal_vector_keeps_a_unit_column():
+    # dividing complex entries by the norm 5e-320 overflows; the column is
+    # formed on the vector scaled exactly by a power of two instead
+    space = SpaceSpec(2, 1)
+    tiny = SingleParticleVector(space, [3e-320, 4e-320])
+    unit = SingleParticleVector(space, [0.6, 0.8])
+    down = SingleParticleVector(space, [0.0, 1.0])
+    state = tensor_state(tiny, down)
+    exact = np.ldexp(tiny.amplitudes.real, 1074)  # integer multiples of 2^-1074
+    assert np.max(np.abs(state.left[:, 0] - exact / np.linalg.norm(exact))) <= 2e-16
+    assert np.isfinite(state.matrix()).all()
+    measure = SelectiveMeasure(window_projector(0, 1, space), window_projector(1, 1, space))
+    verdict = classify(measure, state).tag
+    assert verdict is classify(measure, tensor_state(unit, down)).tag
+    assert verdict is VerdictTag.LOCAL_OPERATION
+    assert measure_pair(measure, state, Statistics.FERMION).verdict.tag is verdict
 
 
 def test_a_tensor_product_that_overflows_is_refused_by_name():
@@ -320,8 +340,7 @@ def test_finiteness_check_accepts_an_overflowing_sum_and_refuses_non_finite_entr
             TwoParticleState(space, entries)
         core = np.array(entries, dtype=complex).reshape(2, 2)
         with pytest.raises(DegenerateInputError, match="^a core overflows a double"):
-            hilbert._computed(space, core, hilbert._IDENTITY, hilbert._IDENTITY, "a core",
-                              "the state")
+            hilbert._computed(space, core, hilbert._IDENTITY, hilbert._IDENTITY, "a core")
 
 
 def test_a_computed_core_keeps_the_norm_its_check_formed():

@@ -355,6 +355,20 @@ def test_a_window_above_the_budget_is_refused_before_its_labels_are_built(monkey
         assert peak < 64 * 2**10
 
 
+def test_a_window_scenario_refuses_its_event_core_before_either_window_is_built():
+    # the labels fit the budget, 4 * 10^6 at 64 MB, but the two windows'
+    # (4 * 10^6)^2 event core does not: refused before any label is built
+    space = SpaceSpec(2_000_000, 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputTooLargeError, match="^an event core needs 256000000000000 "):
+            scenario_position_windows(space, 1, None, 0, 0, 2_000_000, Statistics.FERMION)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10
+
+
 def test_window_projector_full_width_is_identity():
     proj = window_projector(3, 8, SPACE)
     assert np.array_equal(proj.entries, np.eye(16))
