@@ -359,11 +359,13 @@ def test_a_computed_core_keeps_the_norm_its_check_formed():
         apply_measure(measure, as_dense(state)),
         state.normalize(),
         tensor_state(random_vector(rng, space), random_vector(rng, space)),
+        sector(state, Statistics.BOSON),
     ]
     for kept in computed:
         assert kept._norm is not None
         assert kept.norm == hilbert._frobenius(kept.core)
     core = rng.standard_normal((dim, dim)) + 0j
+    core.flags.writeable = False  # as _fresh expects of its caller
     with mock.patch.object(hilbert, "_frobenius", wraps=hilbert._frobenius) as frobenius:
         fresh = TwoParticleState._fresh(space, core)
         assert fresh.norm == fresh.norm == pytest.approx(np.linalg.norm(core), rel=1e-15)

@@ -27,6 +27,7 @@ from pairmeasure.hilbert import (
     _IDENTITY,
     TwoParticleState,
     _Basis,
+    _computed,
     _frobenius,
     _negligible,
 )
@@ -198,8 +199,8 @@ def exchange_state(seed, kind, left_rank, right_rank, cross):
         basis = frame[:, :left_rank]
         checked = _Basis.checked(basis, dim, "basis")
         if seed % 2:
-            return TwoParticleState._fresh(space, gauss(left_rank, dim), checked, _IDENTITY)
-        return TwoParticleState._fresh(space, gauss(dim, left_rank), _IDENTITY, checked)
+            return _computed(space, gauss(left_rank, dim), checked, _IDENTITY, "a state")
+        return _computed(space, gauss(dim, left_rank), _IDENTITY, checked, "a state")
     if kind == "equal":
         basis = frame[:, :left_rank]
         square = gauss(left_rank, left_rank)
@@ -324,7 +325,7 @@ def test_exchange_norm_of_tiny_and_huge_states_scales_with_the_state(
     # the squares of these norms under- or overflow a double, yet the norm,
     # the Slater test and the sector test answer as on the unscaled state
     unit = exchange_state(seed, kind, left_rank, right_rank, cross)
-    scaled = TwoParticleState._fresh(unit.space, scale * unit.core, unit._left, unit._right)
+    scaled = _computed(unit.space, scale * unit.core, unit._left, unit._right, "a state")
     want = _exchange_norm(unit, sign)
     assert abs(_exchange_norm(scaled, sign) - scale * want) <= 1e-13 * scale * unit.norm
     assert _negligible(_exchange_norm(scaled, sign), scaled.norm, 1e-10) == _negligible(
@@ -336,7 +337,7 @@ def test_exchange_norm_of_tiny_and_huge_states_scales_with_the_state(
 def test_a_reference_of_tiny_norm_is_measured_as_its_unit_multiple(stat):
     space = SpaceSpec(8, 2)
     unit = _reference_state(space, 1, 6)
-    tiny = TwoParticleState._fresh(space, 1e-200 * unit.core, unit._left, unit._right)
+    tiny = _computed(space, 1e-200 * unit.core, unit._left, unit._right, "a state")
     measures = {
         "momentum": momentum_projector(1, 6, space),
         "windows": SelectiveMeasure(window_projector(2, 1, space), window_projector(5, 1, space)),
