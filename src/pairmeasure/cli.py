@@ -4,12 +4,12 @@ Three subcommands: ``momentum-scenario`` and ``position-scenario`` run the
 built-in lattice setups; ``classify`` reads a state file and a measure file
 (format in :mod:`pairmeasure.fileio`) and classifies the measurement.
 
-Text reports name the slots after the two receiving parties, Alice (slot 1)
-and Bob (slot 2). JSON reports use stable keys only, floats printed with 17
-significant digits, so identical invocations are byte-identical.
-
-Reports list the post-state's singular values up to its Schmidt rank; the
-rest are zero up to roundoff.
+Both reports render one mapping of every reported quantity (``_fields``),
+which lists the post-state's singular values up to its Schmidt rank (the
+rest are zero up to roundoff). Text reports name the slots after the two
+receiving parties, Alice (slot 1) and Bob (slot 2). JSON reports use stable
+keys only, floats printed with 17 significant digits and complex values as
+``[re, im]``, so identical invocations are byte-identical.
 
 Exit codes: 0 success, 2 unreadable or malformed input, 3 degenerate input
 (also a ``--lattice`` above 2**1021 sites, where plane-wave phases overflow a
@@ -38,10 +38,38 @@ EXIT_PARSE = 2
 EXIT_DEGENERATE = 3
 
 
+def _fields(result: ScenarioResult) -> dict:
+    """Every reported quantity of ``result``, in report order; both reports render it."""
+    ent, pair, phase = result.report, result.event_pair, result.phase_check
+    return {
+        "verdict": result.verdict.tag.value,
+        "probability": result.probability,
+        "singular_values": [] if ent is None else list(ent.singular_values[: ent.schmidt_rank]),
+        "entropy": None if ent is None else ent.entropy,
+        "slater_rank": None if ent is None else ent.slater_rank,
+        "phase": None if phase is None else {
+            "measured_re": phase.measured.real, "measured_im": phase.measured.imag,
+            "predicted_re": phase.predicted.real, "predicted_im": phase.predicted.imag,
+            "deviation": phase.deviation,
+        },
+        "tolerance": result.verdict.tolerance_used,
+        "scale": result.scale,
+        "norm_direct": pair.norm_direct,
+        "norm_permuted": pair.norm_permuted,
+        "event_overlap": pair.event_overlap,
+        "ref_overlap": pair.ref_overlap,
+        "born_rule": result.born_rule,
+        "schmidt_rank": None if ent is None else ent.schmidt_rank,
+        "relabeled": None if result.relabeled is None else list(result.relabeled.amplitudes),
+    }
+
+
 def _json_text(value) -> str:
-    """Serialize with deterministic key order and fixed float formatting; inf and nan are null."""
+    """Deterministic JSON: keys in order, 17-digit floats, inf and nan null, complex [re, im]."""
     import json  # only JSON reports load it
 
+    if isinstance(value, complex):
+        value = [value.real, value.imag]
     if isinstance(value, float):
         return _fmt(value) if np.isfinite(value) else "null"
     if isinstance(value, list):
@@ -52,82 +80,54 @@ def _json_text(value) -> str:
     return json.dumps(value)
 
 
-def _kept_spectrum(ent) -> list[float]:
-    return [float(s) for s in ent.singular_values[: ent.schmidt_rank]]
-
-
-def _json_report(result: ScenarioResult) -> str:
-    phase = None
-    if result.phase_check is not None:
-        phase = {
-            "measured_re": result.phase_check.measured.real,
-            "measured_im": result.phase_check.measured.imag,
-            "predicted_re": result.phase_check.predicted.real,
-            "predicted_im": result.phase_check.predicted.imag,
-            "deviation": result.phase_check.deviation,
-        }
-    ent = result.report
-    payload = {
-        "verdict": result.verdict.tag.value,
-        "probability": result.probability,
-        "singular_values": [] if ent is None else _kept_spectrum(ent),
-        "entropy": None if ent is None else ent.entropy,
-        "slater_rank": None if ent is None else ent.slater_rank,
-        "phase": phase,
-    }
-    return _json_text(payload)
-
-
 def _fmt_complex(value: complex) -> str:
     sign = "+" if value.imag >= 0 else "-"
     return f"{_fmt(value.real)} {sign} {_fmt(abs(value.imag))}i"
 
 
-def _text_report(result: ScenarioResult) -> str:
-    pair = result.event_pair
-    tol = result.verdict.tolerance_used
+def _text_report(fields: dict) -> str:
+    tol = fields["tolerance"]
     lines = [
-        f"verdict: {result.verdict.tag.value}",
+        f"verdict: {fields['verdict']}",
         f"tolerance: {_fmt(tol)}",
         "event norms (Alice takes slot 1, Bob slot 2):",
-        f"  direct assignment:  {_fmt(pair.norm_direct)}",
-        f"  swapped assignment: {_fmt(pair.norm_permuted)}",
-        f"  event overlap: {_fmt_complex(pair.event_overlap)}",
+        f"  direct assignment:  {_fmt(fields['norm_direct'])}",
+        f"  swapped assignment: {_fmt(fields['norm_permuted'])}",
+        f"  event overlap: {_fmt_complex(fields['event_overlap'])}",
     ]
-    mismatch = abs(pair.event_overlap - pair.ref_overlap)
-    if not _negligible(mismatch, result.scale * result.scale, tol):
+    mismatch = abs(fields["event_overlap"] - fields["ref_overlap"])
+    if not _negligible(mismatch, fields["scale"] * fields["scale"], tol):
         lines.append(
             "  note: reference overlap "
-            f"{_fmt_complex(pair.ref_overlap)} disagrees with the event overlap "
+            f"{_fmt_complex(fields['ref_overlap'])} disagrees with the event overlap "
             "(measure is not projector-valued)"
         )
-    label = "probability" if result.born_rule else "squared event norm"
-    lines.append(f"{label}: {_fmt(result.probability)}")
-    ent = result.report
-    if ent is None:
+    label = "probability" if fields["born_rule"] else "squared event norm"
+    lines.append(f"{label}: {_fmt(fields['probability'])}")
+    if fields["schmidt_rank"] is None:
         lines.append("post-state: none (outcome impossible)")
     else:
-        values = " ".join(_fmt(s) for s in _kept_spectrum(ent))
+        values = " ".join(_fmt(s) for s in fields["singular_values"])
         lines.append(f"post-state singular values: {values}")
-        lines.append(f"post-state Schmidt rank: {ent.schmidt_rank}")
-        lines.append(f"post-state entropy: {_fmt(ent.entropy)} nats")
-        if ent.slater_rank is None:
+        lines.append(f"post-state Schmidt rank: {fields['schmidt_rank']}")
+        lines.append(f"post-state entropy: {_fmt(fields['entropy'])} nats")
+        if fields["slater_rank"] is None:
             lines.append(
                 "Slater rank: n/a (state not antisymmetric; "
                 "Schmidt data is the slot-bipartition diagnostic only)"
             )
         else:
-            lines.append(f"Slater rank: {ent.slater_rank}")
-    phase = result.phase_check
+            lines.append(f"Slater rank: {fields['slater_rank']}")
+    phase = fields["phase"]
     if phase is not None:
+        measured = complex(phase["measured_re"], phase["measured_im"])
+        predicted = complex(phase["predicted_re"], phase["predicted_im"])
         lines.append(
-            "phase check: measured "
-            f"{_fmt_complex(phase.measured)}, predicted "
-            f"{_fmt_complex(phase.predicted)}, deviation "
-            f"{_fmt(phase.deviation)}"
+            f"phase check: measured {_fmt_complex(measured)}, predicted "
+            f"{_fmt_complex(predicted)}, deviation {_fmt(phase['deviation'])}"
         )
-    if result.relabeled is not None:
-        amps = " ".join(_fmt_complex(a) for a in result.relabeled.amplitudes)
+    if fields["relabeled"] is not None:
+        amps = " ".join(_fmt_complex(a) for a in fields["relabeled"])
         lines.append(f"spin state handed to (Alice, Bob): {amps}")
     return "\n".join(lines)
 
@@ -179,8 +179,8 @@ def run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     try:
-        print(_json_report(result) if args.output == "json" else _text_report(result),
-              flush=True)
+        fields = _fields(result)
+        print(_json_text(fields) if args.output == "json" else _text_report(fields), flush=True)
     except BrokenPipeError:
         # The reader is gone. Point stdout at the null device so that the
         # interpreter's own flush at exit cannot fail a second time.

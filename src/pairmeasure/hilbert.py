@@ -586,6 +586,7 @@ def plane_wave(mode: int, spin: int, space: SpaceSpec) -> SingleParticleVector:
     return SingleParticleVector(space, waves.matrix[:, mode_index(0, spin, space)])
 
 
+@np.errstate(over="ignore")  # an overflowing core is refused by name, with no warning
 def tensor_state(u: SingleParticleVector, v: SingleParticleVector) -> TwoParticleState:
     """Product state with ``u`` in slot 1 and ``v`` in slot 2, held factored at O(n).
 
@@ -595,7 +596,11 @@ def tensor_state(u: SingleParticleVector, v: SingleParticleVector) -> TwoParticl
     if u.space != v.space:
         raise DimensionMismatchError("tensor_state factors live in different spaces")
     u_norm, v_norm = u.norm, v.norm
-    core = np.array([[u_norm * v_norm]], dtype=complex)
+    # Norms of amplitudes scaled by powers of two, which ldexp divides out in one rounding.
+    units = [_unit_scale(np.max(np.abs(w.amplitudes))) for w in (u, v)]
+    product = _frobenius(u.amplitudes * units[0]) * _frobenius(v.amplitudes * units[1])
+    shift = sum(math.frexp(unit)[1] - 1 for unit in units)  # log2 of the two powers
+    core = np.array([[np.ldexp(product, -shift)]], dtype=complex)
     return _computed(u.space, core, _unit_column(u, u_norm), _unit_column(v, v_norm),
                      "the tensor product", "the vectors")
 

@@ -25,7 +25,9 @@ as dense entries, so that Born-rule flags near the drawn tol show in the
 digests. The last 200 build no measure: each runs ``tensor_state`` on two
 seeded vectors, or takes a seeded state (dense or factored), and returns
 its ``sector``, ``normalize`` and ``schmidt``; each vector or state is at
-unit scale, times 1e-200 or 1e200, or scaled to norm 1e-320. Each block
+unit scale, times 1e-200 or 1e200, or scaled to norm 1e-320. The one
+case after them draws nothing: ``tensor_state`` of [1.5e308, 1.5e308], whose
+norm overflows, and [1e-300, 0], a product whose norm fits. Each block
 comes after the ones before it and leaves their draws as they were, so
 the ``--list`` lines of the earlier cases still diff against older
 checkouts. Each result, or the error its call raises, becomes
@@ -271,6 +273,18 @@ def _core_case(rng):
     return f"sector dim={space.total_dim} {label} state {scale_label}", call
 
 
+def _fitting_product_case():
+    space = SpaceSpec(2, 1)
+    vectors = (SingleParticleVector(space, [1.5e308, 1.5e308]),
+               SingleParticleVector(space, [1e-300, 0.0]))
+
+    def call():
+        state = tensor_state(*vectors)
+        return state, sector(state, Statistics.BOSON), state.normalize(), schmidt(state)
+
+    return "tensor_state dim=2 vectors [1.5e308, 1.5e308], [1e-300, 0] boson tol=1e-10", call
+
+
 def sweep(seed: int, omit: frozenset):
     """(label, bits) of every case, in order."""
     rng = np.random.default_rng(seed)
@@ -280,6 +294,7 @@ def sweep(seed: int, omit: frozenset):
     cases += [_subnormal_case(rng) for _ in range(SUBNORMAL_CASES)]
     cases += [_near_basis_case(rng) for _ in range(NEAR_BASIS_CASES)]
     cases += [_core_case(rng) for _ in range(CORE_CASES)]
+    cases.append(_fitting_product_case())
     for label, call in cases:
         try:
             bits = _bits(call(), omit)

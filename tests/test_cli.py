@@ -75,9 +75,11 @@ def test_momentum_scenario_json(capsys):
     assert payload["verdict"] == "LocalOperation"
     assert payload["probability"] == pytest.approx(0.5, abs=1e-12)
     assert payload["phase"] is None
-    assert set(payload) == {
+    assert list(payload) == [
         "verdict", "probability", "singular_values", "entropy", "slater_rank", "phase",
-    }
+        "tolerance", "scale", "norm_direct", "norm_permuted", "event_overlap",
+        "ref_overlap", "born_rule", "schmidt_rank", "relabeled",
+    ]
 
 
 def test_position_scenario_json_phase(capsys):
@@ -155,10 +157,14 @@ def test_zero_measure_text_report_has_no_overlap_note(tmp_path, capsys):
     state.write_text("dim 2 2\namp 0 3 1 0\n")
     measure = tmp_path / "measure.txt"
     measure.write_text("dim 2 2\n")
-    code, out, _ = run_cli(capsys, ["classify", "--state", str(state), "--measure",
-                                    str(measure)])
+    argv = ["classify", "--state", str(state), "--measure", str(measure)]
+    code, out, _ = run_cli(capsys, argv)
     assert code == EXIT_OK
     assert "verdict: BothZero" in out and "disagrees" not in out
+    code, out, _ = run_cli(capsys, argv + ["--output", "json"])
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["event_overlap"] == payload["ref_overlap"] == [0, 0]
 
 
 def test_classify_failure_after_a_zero_factor_is_one_error_line(tmp_path, capsys):
@@ -194,13 +200,17 @@ def test_classify_non_projector_measure_relabels_probability(tmp_path, capsys):
     measure = tmp_path / "measure.txt"
     # factor A is a raising operator: not Hermitian, so no Born-rule reading
     measure.write_text("dim 2 1\nA 0 1 1 0\nB 0 0 1 0\nB 1 1 1 0\n")
-    code, out, _ = run_cli(
-        capsys, ["classify", "--state", str(state), "--measure", str(measure)]
-    )
+    argv = ["classify", "--state", str(state), "--measure", str(measure)]
+    code, out, _ = run_cli(capsys, argv)
     assert code == EXIT_OK
     assert "squared event norm:" in out
     assert "probability:" not in out
     assert "disagrees with the event overlap" in out
+    code, out, _ = run_cli(capsys, argv + ["--output", "json"])
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["born_rule"] is False
+    assert payload["ref_overlap"] != payload["event_overlap"]
 
 
 def test_classify_malformed_file_exits_2(tmp_path, capsys):

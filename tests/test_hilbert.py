@@ -1,4 +1,5 @@
 import gc
+import math
 import re
 import warnings
 import weakref
@@ -191,6 +192,22 @@ def test_a_tensor_product_that_overflows_is_refused_by_name():
     huge = SingleParticleVector(space, [0.6e200, 0.8e200])
     with pytest.raises(DegenerateInputError, match="^the tensor product overflows a double"):
         tensor_state(huge, huge)
+
+
+def test_a_tensor_product_that_fits_is_formed_where_a_factor_norm_overflows():
+    # |u| = 2.1e308 overflows a double; |u| |v| = 2.1e8 and every product entry fit
+    space = SpaceSpec(2, 1)
+    u = SingleParticleVector(space, [1.5e308, 1.5e308])
+    v = SingleParticleVector(space, [1e-300, 0.0])
+    assert u.norm == math.inf
+    state = tensor_state(u, v)
+    eps = np.finfo(float).eps
+    assert state.core[0, 0] == pytest.approx(math.sqrt(2) * (1.5e308 * 1e-300), rel=2 * eps)
+    expected = np.outer(u.amplitudes, v.amplitudes)
+    assert np.max(np.abs(state.matrix() - expected)) <= 2 * eps * 1.5e8
+    # with a zero vector the product is the zero state, not 0 * inf
+    zero = SingleParticleVector(space, [0.0, 0.0])
+    assert tensor_state(zero, u).core[0, 0] == tensor_state(u, zero).core[0, 0] == 0.0
 
 
 def test_tensor_state_holds_no_dense_pair_array():

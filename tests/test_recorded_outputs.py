@@ -10,6 +10,10 @@ sign.
 
 Rerecord, after a deliberate output change, with
 ``PYTHONPATH=src python tests/test_recorded_outputs.py``.
+
+Both reports render one mapping, so the module also checks that each text
+report carries the values of its JSON report, and that the README lists the
+JSON report's keys as emitted.
 """
 
 import contextlib
@@ -110,6 +114,76 @@ def test_output_matches_the_record(argv):
         assert_json_close(json.loads(seen), json.loads(recorded))
     else:
         assert_text_close(seen, recorded)
+
+
+# Each text line that carries values: its head, its JSON key, and how to read its numbers.
+TEXT_KEYS = {
+    "tolerance": ("tolerance", lambda zs: zs[0].real),
+    "direct assignment": ("norm_direct", lambda zs: zs[0].real),
+    "swapped assignment": ("norm_permuted", lambda zs: zs[0].real),
+    "event overlap": ("event_overlap", lambda zs: [zs[0].real, zs[0].imag]),
+    "post-state singular values": ("singular_values", lambda zs: [z.real for z in zs]),
+    "post-state Schmidt rank": ("schmidt_rank", lambda zs: zs[0].real),
+    "post-state entropy": ("entropy", lambda zs: zs[0].real),
+    "spin state handed to (Alice, Bob)": ("relabeled", lambda zs: [[z.real, z.imag] for z in zs]),
+}
+
+
+def text_fields(text):
+    """A text report's values under the JSON report's keys, and whether it has the overlap note."""
+    fields = {"singular_values": [], "entropy": None, "slater_rank": None, "phase": None,
+              "schmidt_rank": None, "relabeled": None}
+    note = False
+    for line in text.splitlines():
+        head, _, value = line.strip().partition(": ")
+        _, numbers = split_numbers(value)
+        if head == "verdict":
+            fields["verdict"] = value
+        elif head in TEXT_KEYS:
+            key, read = TEXT_KEYS[head]
+            fields[key] = read(numbers)
+        elif head in ("probability", "squared event norm"):
+            fields["probability"] = numbers[0].real
+            fields["born_rule"] = head == "probability"
+        elif head == "Slater rank":
+            fields["slater_rank"] = numbers[0].real if numbers else None
+        elif head == "phase check":
+            measured, predicted, deviation = numbers
+            fields["phase"] = {
+                "measured_re": measured.real, "measured_im": measured.imag,
+                "predicted_re": predicted.real, "predicted_im": predicted.imag,
+                "deviation": deviation.real,
+            }
+        elif head == "note":
+            note = True
+        else:
+            assert head in ("event norms (Alice takes slot 1, Bob slot 2):", "post-state"), line
+    return fields, note
+
+
+PAIRS = {key.removesuffix("-text"): argv[:-1] for key, argv in CASES.items()
+         if argv[-1] == "text"}
+
+
+@pytest.mark.parametrize("argv", list(PAIRS.values()), ids=list(PAIRS))
+def test_text_report_carries_the_values_of_the_json_report(argv):
+    payload = json.loads(run(argv + ["json"]))
+    fields, note = text_fields(run(argv + ["text"]))
+    # The text prints every key but the zero tests' scale and the reference
+    # overlap, which it prints only in a note when that overlap differs.
+    assert set(fields) == set(payload) - {"scale", "ref_overlap"}
+    assert fields == {key: payload[key] for key in fields}
+    assert note == (payload["ref_overlap"] != payload["event_overlap"])
+
+
+def test_readme_lists_the_keys_of_the_json_report():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    listed = re.search(r"`--output json`\s+emits one object with the stable keys\s+`\{([^}]*)\}`",
+                       readme)
+    assert listed, "README: no key list in the --output json paragraph"
+    keys = [key.strip() for key in listed.group(1).split(",")]
+    argv = next(argv for argv in CASES.values() if argv[-1] == "json")
+    assert keys == list(json.loads(run(argv)))
 
 
 def test_record_holds_every_command():
