@@ -16,10 +16,10 @@ products are exact (see ``_Basis``). Each array that grows with the space is
 refused above ``MAX_PAIR_BYTES`` where it would be allocated (``_budget``).
 
 All values are immutable after construction and every operation is a pure
-function, so everything here is safe to share across threads. Dense arrays
-a value builds on first read and a pair state's norm are kept values
-computed once from fixed data; two threads reading at once may both compute
-one, with the same result. The module keeps no shared mutable state.
+function, so everything here is safe to share across threads. Norms and
+factor sizes are kept from the checks that admit them. Dense arrays a value
+builds on first read are kept too; two threads reading one at once may both
+compute it, with the same result. The module keeps no shared mutable state.
 """
 
 from __future__ import annotations
@@ -61,10 +61,11 @@ class SpaceSpec:
     spin_dim: int
 
     def __post_init__(self):
-        if self.extrinsic_dim < 1:
-            raise ValueError(f"extrinsic_dim must be >= 1, got {self.extrinsic_dim}")
-        if self.spin_dim < 1:
-            raise ValueError(f"spin_dim must be >= 1, got {self.spin_dim}")
+        for name in ("extrinsic_dim", "spin_dim"):
+            value = _label(getattr(self, name), name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+            object.__setattr__(self, name, value)
 
     @property
     def total_dim(self) -> int:
@@ -110,8 +111,13 @@ def _negligible(value, scale, tol: float):
     return value <= tol * scale
 
 
-def _unit_scale(largest: float) -> float:
-    """The power of two that brings a finite ``largest`` > 0 into [1/2, 1), at most 2^1000; else 1."""
+def _unit_scale(arr: np.ndarray) -> float:
+    """The power of two that brings the largest real or imaginary part of ``arr`` into [1/2, 1).
+
+    That part is finite for every finite entry, also one whose modulus overflows.
+    The power is at most 2^1000, and 1 for a zero or non-finite part.
+    """
+    largest = max(np.max(np.abs(arr.real), initial=0.0), np.max(np.abs(arr.imag), initial=0.0))
     return math.ldexp(1.0, min(-math.frexp(largest)[1], 1000))
 
 
@@ -124,27 +130,15 @@ def _frobenius(arr: np.ndarray) -> float:
     total = np.vdot(arr, arr).real
     if sys.float_info.min <= total < math.inf or not (total or np.count_nonzero(arr)):
         return math.sqrt(total)
-    unit = _unit_scale(np.max(np.abs(arr)))
+    unit = _unit_scale(arr)
     scaled = arr if unit == 1.0 else arr * unit  # 1 only for entries that are not finite
     return math.sqrt(np.vdot(scaled, scaled).real) / unit
 
 
-def _unit(arr: np.ndarray, norm: float) -> np.ndarray:
-    """``arr`` / its Frobenius norm ``norm`` > 0: a unit array at any norm.
-
-    A subnormal or infinite norm is formed again on ``arr`` scaled by ``_unit_scale``.
-    """
-    if not sys.float_info.min <= norm < math.inf:
-        arr = arr * _unit_scale(np.max(np.abs(arr)))
-        norm = _frobenius(arr)
-    return arr / norm
-
-
 def _column_norm(arr: np.ndarray) -> float:
     """The largest column 2-norm of ``arr``, formed on magnitudes scaled by ``_unit_scale``."""
-    mags = np.abs(arr)
-    unit = _unit_scale(mags.max(initial=0.0))
-    return float(((mags * unit) ** 2).sum(axis=0).max()) ** 0.5 / unit
+    unit = _unit_scale(arr)
+    return float(((np.abs(arr) * unit) ** 2).sum(axis=0).max()) ** 0.5 / unit
 
 
 def _freeze(arr: np.ndarray, what: str) -> float:
@@ -179,10 +173,11 @@ class _Basis:
     orthogonal otherwise, and a plane wave's entries on a coordinate ket are
     its phases, so :meth:`to` forms U^H V between them exactly. Their Gram
     matrix is exactly I, so their projector U U^H has no projector error
-    (``measurement._projector_errors``); ``row_norm`` is 1 for
-    coordinates and 1/sqrt(L) for plane waves. Their dense ``matrix`` is
-    built only when read. ``_IDENTITY`` is the side with no basis (U = I,
-    ``matrix`` None). This type alone forms U^H and U^H V; it keeps neither.
+    (``measurement._projector_errors``), and its largest column norm is
+    exactly 1 for coordinates and 1/sqrt(L) for plane waves
+    (``OneParticleOperator``). Their dense ``matrix`` is built only when
+    read. ``_IDENTITY`` is the side with no basis (U = I, ``matrix`` None).
+    This type alone forms U^H and U^H V; it keeps neither.
 
     Nothing assigns to a basis after construction but its own first reads.
     It is not a frozen dataclass because every scenario call builds several:
@@ -252,13 +247,6 @@ class _Basis:
     def rank(self) -> int:
         """r, the number of columns."""
         return self.matrix.shape[1] if self.labels is None else len(self.labels)
-
-    @property
-    def row_norm(self) -> float | None:
-        """The largest row 2-norm of a closed-form U, exactly; None for a dense one."""
-        if self.labels is None:
-            return None
-        return 1.0 if self.sites is None else 1.0 / math.sqrt(self.sites)
 
     def to(self, other: _Basis) -> np.ndarray | None:
         """U^H V for ``other`` = V, mapping coefficients in V to U; None for one object.
@@ -340,18 +328,15 @@ def _format_float(value: float) -> str:
 
 @dataclass(frozen=True)
 class SingleParticleVector:
-    """Dense complex vector over the single-particle modes of ``space``."""
+    """Dense complex vector over the single-particle modes of ``space``, and its kept ``norm``."""
 
     space: SpaceSpec
     amplitudes: np.ndarray
+    norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        amps = _checked_copy(self.amplitudes, (self.space.total_dim,), "amplitudes")[0]
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def norm(self) -> float:
-        return _frobenius(self.amplitudes)
+        amps, norm = _checked_copy(self.amplitudes, (self.space.total_dim,), "amplitudes")
+        vars(self).update(amplitudes=amps, norm=norm)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -370,7 +355,9 @@ class OneParticleOperator:
     only the basis is checked (O(n r^2)) and ``range_rows`` is U^H. Its
     dense ``entries`` are built on first read, and so are ``range_basis``
     and ``range_rows`` of a closed-form basis (``_Basis``), which the
-    measurement algebra reads in closed form instead.
+    measurement algebra reads in closed form instead. Construction forms the
+    largest column norm of ``range_rows`` once, as ``_size``: exactly 1 or
+    1/sqrt(L) for a projector on a closed-form basis alone.
     """
 
     space: SpaceSpec
@@ -398,6 +385,7 @@ class OneParticleOperator:
         # _rows: the range rows W = U^H entries, None for a projector built
         # from its basis alone (W = U^H, read off the basis). ``norm`` is the
         # Frobenius norm of ``entries`` that their finiteness check formed.
+        # _size: W's largest column norm, the factor's (a range basis is an isometry).
         rows = entries
         if basis is _IDENTITY:
             if entries is None:
@@ -409,7 +397,11 @@ class OneParticleOperator:
             if not _negligible(_frobenius(residual), norm, ZERO_TOL):
                 raise ValueError("range_basis does not span the range of entries")
             rows.flags.writeable = False
-        vars(self).update(space=space, _entries=entries, _basis=basis, _rows=rows)
+        if rows is not None or basis.labels is None:
+            size = _column_norm(basis.adjoint if rows is None else rows)
+        else:
+            size = 1.0 if basis.sites is None else 1.0 / math.sqrt(basis.sites)
+        vars(self).update(space=space, _entries=entries, _basis=basis, _rows=rows, _size=size)
 
     @property
     def range_basis(self) -> np.ndarray | None:
@@ -451,12 +443,14 @@ class TwoParticleState:
     that side's factor, if it has one. The package's algebra works on the
     factors. ``amplitudes`` and ``matrix()`` read the same values in every case: a
     state with a basis builds them on first read, at most at O(n^2 (a + b)),
-    and keeps them. ``norm`` is the Frobenius norm of the core, kept from the
-    check that passed it (a constructor's, or ``_computed``), else formed on first read.
+    and keeps them. ``norm`` is the Frobenius norm of the core, formed by the
+    check that passed it (a constructor's, or ``_computed``) and kept; the
+    bases are isometries, so it is the state's norm.
     """
 
     space: SpaceSpec
     core: np.ndarray = field(repr=False)
+    norm: float = field(repr=False)
 
     def __init__(self, space: SpaceSpec, amplitudes):
         _budget(space.pair_dim, "a dense pair array")
@@ -475,19 +469,19 @@ class TwoParticleState:
         dim = space.total_dim
         left, right = _Basis.checked(left, dim, "left"), _Basis.checked(right, dim, "right")
         core, norm = _checked_copy(core, (left.rank, right.rank), "core")
-        return cls._fresh(space, core, left, right, norm)
+        return cls._fresh(space, core, left, right, norm=norm)
 
     @classmethod
     def _fresh(cls, space: SpaceSpec, core: np.ndarray, left: _Basis = _IDENTITY,
-               right: _Basis = _IDENTITY, norm: float | None = None) -> TwoParticleState:
-        """A state on ``core`` as it is, trusting its caller to have checked and frozen it."""
+               right: _Basis = _IDENTITY, *, norm: float) -> TwoParticleState:
+        """A state on ``core`` as it is; its caller checked and froze it, and passes its norm."""
         state = cls.__new__(cls)
         state._setup(space, left, core, right, norm)
         return state
 
-    def _setup(self, space, left: _Basis, core, right: _Basis, norm=None) -> None:
+    def _setup(self, space, left: _Basis, core, right: _Basis, norm: float) -> None:
         vars(self).update(
-            space=space, _left=left, _right=right, core=core, _amplitudes=None, _norm=norm
+            space=space, _left=left, _right=right, core=core, _amplitudes=None, norm=norm
         )
 
     @property
@@ -510,14 +504,6 @@ class TwoParticleState:
             object.__setattr__(self, "_amplitudes", amps)
         return self._amplitudes
 
-    @property
-    def norm(self) -> float:
-        """Euclidean norm, kept from the finiteness check or computed on first read."""
-        if self._norm is None:
-            # The bases are isometries, so the core carries the norm.
-            object.__setattr__(self, "_norm", _frobenius(self.core))
-        return self._norm
-
     def matrix(self) -> np.ndarray:
         """Amplitudes reshaped to the total_dim x total_dim coefficient matrix.
 
@@ -529,9 +515,13 @@ class TwoParticleState:
 
     def normalize(self) -> TwoParticleState:
         """Unit-norm copy, scaled by ``_unit_scale`` if need be; DegenerateInputError if zero."""
-        if self.norm == 0.0:
+        core, norm = self.core, self.norm
+        if norm == 0.0:
             raise DegenerateInputError("cannot normalize a zero state")
-        return _computed(self.space, _unit(self.core, self.norm), self._left, self._right,
+        if not sys.float_info.min <= norm < math.inf:  # subnormal or infinite: form it again
+            core = core * _unit_scale(core)
+            norm = _frobenius(core)
+        return _computed(self.space, core / norm, self._left, self._right,
                          "the normalized state", "the state")
 
 
@@ -547,7 +537,7 @@ def _computed(space, core: np.ndarray, left, right, what: str,
     if not norm < math.inf:
         raise DegenerateInputError(f"{what} overflows a double; rescale {inputs}")
     core.flags.writeable = False
-    return TwoParticleState._fresh(space, core, left, right, norm)
+    return TwoParticleState._fresh(space, core, left, right, norm=norm)
 
 
 def _in_bases(state: TwoParticleState, left: _Basis, right: _Basis) -> np.ndarray:
@@ -590,31 +580,28 @@ def plane_wave(mode: int, spin: int, space: SpaceSpec) -> SingleParticleVector:
 def tensor_state(u: SingleParticleVector, v: SingleParticleVector) -> TwoParticleState:
     """Product state with ``u`` in slot 1 and ``v`` in slot 2, held factored at O(n).
 
-    The state is u/|u| [[|u| |v|]] (v/|v|)^T. The side of a zero ``u`` or
-    ``v`` holds the unit ket of mode 0 instead, and the core is then [[0]].
+    The state is u/|u| [[|u| |v|]] (v/|v|)^T. Each norm is formed once, on
+    the vector scaled by ``_unit_scale``; the scaled vector over it is a unit
+    column (no :meth:`_Basis.checked`), and ldexp divides the powers out of
+    the core in one rounding. The side of a zero ``u`` or ``v`` holds the
+    unit ket of mode 0 instead, and the core is then [[0]].
     """
     if u.space != v.space:
         raise DimensionMismatchError("tensor_state factors live in different spaces")
-    u_norm, v_norm = u.norm, v.norm
-    # Norms of amplitudes scaled by powers of two, which ldexp divides out in one rounding.
-    units = [_unit_scale(np.max(np.abs(w.amplitudes))) for w in (u, v)]
-    product = _frobenius(u.amplitudes * units[0]) * _frobenius(v.amplitudes * units[1])
-    shift = sum(math.frexp(unit)[1] - 1 for unit in units)  # log2 of the two powers
+    dim, product, shift, sides = u.space.total_dim, 1.0, 0, []
+    for vector in (u, v):
+        unit = _unit_scale(vector.amplitudes)
+        scaled = vector.amplitudes * unit
+        norm = _frobenius(scaled)
+        product, shift = product * norm, shift + math.frexp(unit)[1] - 1  # log2 of the power
+        if norm == 0.0:
+            sides.append(_Basis(dim, (0,)))
+            continue
+        column = (scaled / norm).reshape(-1, 1)
+        column.flags.writeable = False
+        sides.append(_Basis(dim, _matrix=column))
     core = np.array([[np.ldexp(product, -shift)]], dtype=complex)
-    return _computed(u.space, core, _unit_column(u, u_norm), _unit_column(v, v_norm),
-                     "the tensor product", "the vectors")
-
-
-def _unit_column(vector: SingleParticleVector, norm: float) -> _Basis:
-    """The one-column basis of ``vector`` / ``norm``, or of mode 0 for the zero vector.
-
-    A unit column by construction (``_unit``), so it skips :meth:`_Basis.checked`.
-    """
-    if norm == 0.0:
-        return _Basis(vector.space.total_dim, (0,))
-    column = _unit(vector.amplitudes, norm).reshape(-1, 1)
-    column.flags.writeable = False
-    return _Basis(vector.space.total_dim, _matrix=column)
+    return _computed(u.space, core, *sides, "the tensor product", "the vectors")
 
 
 def inner_product(a: TwoParticleState, b: TwoParticleState) -> complex:

@@ -64,7 +64,6 @@ from .hilbert import (
     _IDENTITY,
     _Basis,
     _budget,
-    _column_norm,
     _computed,
     _frobenius,
     _label,
@@ -221,17 +220,12 @@ def measure_scale(measure: SelectiveMeasure) -> float:
     """Max-column-norm estimate of the tensor operator's size.
 
     Columns of a Kronecker product factorize, so its largest column 2-norm
-    is the product of the factors' largest column 2-norms. A range basis is
-    an isometry, so a factor's column norms are those of its range rows.
-    For a projector built from a closed-form basis alone the rows are U^H,
-    whose largest column norm is exact (``hilbert._Basis.row_norm``). Other
-    rows are scaled by ``hilbert._unit_scale`` first (``hilbert._column_norm``).
+    is the product of the factors' largest column 2-norms. Each factor forms
+    its own once, when it is built (``OneParticleOperator``), on range rows
+    scaled by ``hilbert._unit_scale``, or exactly for a projector on a
+    closed-form basis alone.
     """
-    scale = 1.0
-    for factor in (measure.factor_slot1, measure.factor_slot2):
-        norm = factor._basis.row_norm if factor._rows is None else None
-        scale *= _column_norm(factor.range_rows) if norm is None else norm
-    return scale
+    return measure.factor_slot1._size * measure.factor_slot2._size
 
 
 def events(measure: SelectiveMeasure, ref_state: TwoParticleState) -> EventPair:
@@ -261,15 +255,19 @@ def events(measure: SelectiveMeasure, ref_state: TwoParticleState) -> EventPair:
     )
 
 
-def _verdict(measure: SelectiveMeasure, pair: EventPair, factor_scale: float, scale: float,
-             tol: float) -> Verdict:
+def _verdict(measure: SelectiveMeasure, pair: EventPair, ref_norm: float,
+             tol: float) -> tuple[Verdict, float, float]:
     """The one verdict rule (module docstring), for every entry point.
 
-    ||A^H B||_F, tested only when both events are nonzero, is that of
-    W_A^H (U_A^H U_B) W_B for A = U_A W_A, the identity for a missing basis.
-    A factor built from its basis alone has W = U^H with orthonormal rows,
-    so it is left out: two such factors cost O(n r_A r_B), no n x n array.
+    Returns the verdict with the scales of its zero tests: ``measure_scale``
+    and that times ``ref_norm``, the event scale. ||A^H B||_F, tested only
+    when both events are nonzero, is that of W_A^H (U_A^H U_B) W_B for
+    A = U_A W_A, the identity for a missing basis. A factor built from its
+    basis alone has W = U^H with orthonormal rows, so it is left out: two
+    such factors cost O(n r_A r_B), no n x n array.
     """
+    factor_scale = measure_scale(measure)
+    scale = factor_scale * ref_norm
     if not scale < np.inf:
         raise DegenerateInputError("the scale of the zero tests overflows a double; rescale "
                                    "the state or the measure")
@@ -292,7 +290,7 @@ def _verdict(measure: SelectiveMeasure, pair: EventPair, factor_scale: float, sc
         exclusive = _negligible(_frobenius(cross), factor_scale, tol)
         tag = (VerdictTag.ENTANGLING_MEASUREMENT if exclusive
                else VerdictTag.NON_ORTHOGONAL_EVENTS)
-    return Verdict(tag=tag, tolerance_used=tol)
+    return Verdict(tag=tag, tolerance_used=tol), factor_scale, scale
 
 
 def classify(
@@ -305,9 +303,7 @@ def classify(
     normally arrange the reference state to be orthogonal to its
     permutation; the rule itself does not require it.
     """
-    factor_scale = measure_scale(measure)
-    pair = events(measure, ref_state)
-    return _verdict(measure, pair, factor_scale, factor_scale * ref_state.norm, tol)
+    return _verdict(measure, events(measure, ref_state), ref_state.norm, tol)[0]
 
 
 def _projector_errors(factor: OneParticleOperator) -> tuple[float, float]:
@@ -375,9 +371,7 @@ def _pair_results(
     """The fields of :func:`measure_pair`'s result, which the scenarios add to."""
     pair = events(measure, ref)
     direct, permuted = pair.event_direct, pair.event_permuted
-    factor_scale = measure_scale(measure)
-    scale = factor_scale * ref.norm
-    verdict = _verdict(measure, pair, factor_scale, scale, tol)
+    verdict, factor_scale, scale = _verdict(measure, pair, ref.norm, tol)
     sym_norm = _INV_SQRT2 * _exchange_norm(ref, stat.sign)
     if _negligible(sym_norm, ref.norm, tol):
         raise DegenerateInputError(f"reference state has no {stat.value} sector to measure")

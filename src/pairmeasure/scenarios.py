@@ -74,7 +74,7 @@ def _reference_state(space: SpaceSpec, m_a: int, m_b: int) -> TwoParticleState:
         raise ValueError("scenarios need a spin-1/2 factor (spin_dim >= 2)")
     up = _Basis.plane_waves(space, m_a, (SPIN_UP,))
     down = _Basis.plane_waves(space, m_b, (SPIN_DOWN,))
-    return TwoParticleState._fresh(space, _UNIT_CORE, up, down, 1.0)
+    return TwoParticleState._fresh(space, _UNIT_CORE, up, down, norm=1.0)
 
 
 def _spin_state(normalized: TwoParticleState | None) -> TwoParticleState | None:
@@ -90,7 +90,8 @@ def _spin_state(normalized: TwoParticleState | None) -> TwoParticleState | None:
     """
     if normalized is None:
         return None
-    return TwoParticleState._fresh(SpaceSpec(1, normalized.space.spin_dim), normalized.core)
+    return TwoParticleState._fresh(SpaceSpec(1, normalized.space.spin_dim), normalized.core,
+                                   norm=normalized.norm)
 
 
 def scenario_momentum_projection(

@@ -46,7 +46,8 @@ def permute(state: TwoParticleState) -> TwoParticleState:
     L K R^T becomes R K^T L^T: the factors swap and the core is transposed,
     as a view, so nothing is copied, and the state's norm is kept.
     """
-    return TwoParticleState._fresh(state.space, state.core.T, state._right, state._left, state._norm)
+    return TwoParticleState._fresh(state.space, state.core.T, state._right, state._left,
+                                   norm=state.norm)
 
 
 def _exchange_norm(state: TwoParticleState, sign: float) -> float:

@@ -62,6 +62,21 @@ def test_space_spec_rejects_bad_dims(extrinsic, spin):
         SpaceSpec(extrinsic, spin)
 
 
+@pytest.mark.parametrize("extrinsic,spin,message", [
+    (2.5, 2, "extrinsic_dim must be an integer, got 2.5"),
+    (4.0, 2, "extrinsic_dim must be an integer, got 4.0"),
+    (4, 2.0, "spin_dim must be an integer, got 2.0"),
+    ("4", 2, "extrinsic_dim must be an integer, got '4'"),
+])
+def test_space_spec_takes_integer_dims_only(extrinsic, spin, message):
+    # a float lattice would otherwise run the scenarios, or fail later on a mode
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        SpaceSpec(extrinsic, spin)
+    space = SpaceSpec(np.int64(4), np.int64(2))
+    assert (type(space.extrinsic_dim), type(space.spin_dim)) == (int, int)
+    assert space == SpaceSpec(4, 2)
+
+
 def test_mode_index_zero_case():
     space = SpaceSpec(4, 2)
     assert mode_index(0, 0, space) == 0
@@ -208,6 +223,27 @@ def test_a_tensor_product_that_fits_is_formed_where_a_factor_norm_overflows():
     # with a zero vector the product is the zero state, not 0 * inf
     zero = SingleParticleVector(space, [0.0, 0.0])
     assert tensor_state(zero, u).core[0, 0] == tensor_state(u, zero).core[0, 0] == 0.0
+
+
+def test_an_entry_whose_modulus_overflows_is_sized_by_its_parts():
+    # |1.5e308 + 1.5e308j| overflows a double, but each part is finite, so the
+    # vector is scaled by a power of two that brings the parts into [1/2, 1)
+    space = SpaceSpec(2, 1)
+    u = SingleParticleVector(space, [1.5e308 + 1.5e308j, 0.0])
+    v = SingleParticleVector(space, [1e-300, 0.0])
+    assert u.norm == math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = tensor_state(u, v)
+    assert state.core[0, 0] == 2.1213203435596424e8
+    eps = np.finfo(float).eps
+    assert abs(state.matrix()[0, 0] - (1.5e8 + 1.5e8j)) <= 2 * eps * 1.5e8
+    assert not np.any(state.matrix().ravel()[1:])
+    pair = TwoParticleState(space, [1.5e308 + 1.5e308j, 0.0, 0.0, 0.0])
+    assert pair.norm == math.inf
+    unit = pair.normalize()
+    assert unit.norm == pytest.approx(1.0, rel=eps)
+    assert unit.core[0, 0] == pytest.approx((1 + 1j) / math.sqrt(2), rel=eps)
 
 
 def test_tensor_state_holds_no_dense_pair_array():
@@ -362,7 +398,7 @@ def test_finiteness_check_accepts_an_overflowing_sum_and_refuses_non_finite_entr
 
 def test_a_computed_core_keeps_the_norm_its_check_formed():
     # one dot per computed core: the finiteness check's Frobenius norm is the
-    # state's norm; a core taken from an existing state computes it on read
+    # state's norm; a permuted state keeps its state's norm
     rng = np.random.default_rng(19)
     space = SpaceSpec(3, 2)
     dim = space.total_dim
@@ -379,16 +415,9 @@ def test_a_computed_core_keeps_the_norm_its_check_formed():
         sector(state, Statistics.BOSON),
     ]
     for kept in computed:
-        assert kept._norm is not None
         assert kept.norm == hilbert._frobenius(kept.core)
-    core = rng.standard_normal((dim, dim)) + 0j
-    core.flags.writeable = False  # as _fresh expects of its caller
-    with mock.patch.object(hilbert, "_frobenius", wraps=hilbert._frobenius) as frobenius:
-        fresh = TwoParticleState._fresh(space, core)
-        assert fresh.norm == fresh.norm == pytest.approx(np.linalg.norm(core), rel=1e-15)
-    assert frobenius.call_count == 1
     swapped = permute(state)
-    assert swapped._norm is state._norm is not None
+    assert swapped.norm is state.norm
     assert swapped.norm == pytest.approx(hilbert._frobenius(swapped.core), rel=1e-15)
 
 

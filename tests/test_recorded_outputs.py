@@ -9,7 +9,10 @@ is one complex value, since a roundoff imaginary part can print with either
 sign.
 
 Rerecord, after a deliberate output change, with
-``PYTHONPATH=src python tests/test_recorded_outputs.py``.
+``PYTHONPATH=src python tests/test_recorded_outputs.py``. It keeps each
+recorded entry that the new output still matches, so a host whose BLAS
+rounds differently rewrites nothing, and prints the names of the entries it
+rewrote.
 
 Both reports render one mapping, so the module also checks that each text
 report carries the values of its JSON report, and that the README lists the
@@ -191,6 +194,36 @@ def test_record_holds_every_command():
     assert sorted(recorded) == sorted(" ".join(argv) for argv in CASES.values())
 
 
+def merged_record() -> tuple[str, list[str]]:
+    """The record's text with every command rerun, and the names of the entries it rewrote.
+
+    An entry is kept as recorded when the new output passes the comparison of
+    ``test_output_matches_the_record``, and replaced by the new output otherwise.
+    """
+    old = json.loads(RECORD.read_text()) if RECORD.exists() else {}
+    record, rewritten = {}, []
+    for argv in CASES.values():
+        name, seen = " ".join(argv), run(argv)
+        try:
+            recorded = old[name]
+            if argv[-1] == "json":
+                assert_json_close(json.loads(seen), json.loads(recorded))
+            else:
+                assert_text_close(seen, recorded)
+        except (KeyError, AssertionError):
+            recorded = seen
+            rewritten.append(name)
+        record[name] = recorded
+    return json.dumps(record, indent=1) + "\n", rewritten
+
+
+def test_rerecording_keeps_every_entry_that_matches():
+    text, rewritten = merged_record()
+    assert rewritten == []
+    assert text == RECORD.read_text()
+
+
 if __name__ == "__main__":
-    record = {" ".join(argv): run(argv) for argv in CASES.values()}
-    RECORD.write_text(json.dumps(record, indent=1) + "\n")
+    text, rewritten = merged_record()
+    RECORD.write_text(text)
+    print("\n".join(rewritten) if rewritten else "no entry rewritten")
