@@ -146,8 +146,8 @@ def _run_classify(args: argparse.Namespace, stat: Statistics) -> ScenarioResult:
     result = measure_pair(measure, state, stat, args.tol)
     # Warnings go with a report only, so that a failure stays one stderr line.
     for tag, factor in (("A", measure.factor_slot1), ("B", measure.factor_slot2)):
-        # A = U W with U isometric is zero exactly when its range rows W are.
-        if not np.any(factor.range_rows):
+        # A = U W, U isometric, is zero just when W is, and so is W's rescaled column norm.
+        if not factor._size:
             print(f"warning: factor {tag} has no entries; the measure annihilates "
                   "every state", file=sys.stderr)
     return result

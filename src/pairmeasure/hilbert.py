@@ -29,6 +29,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -173,7 +174,7 @@ class _Basis:
     orthogonal otherwise, and a plane wave's entries on a coordinate ket are
     its phases, so :meth:`to` forms U^H V between them exactly. Their Gram
     matrix is exactly I, so their projector U U^H has no projector error
-    (``measurement._projector_errors``), and its largest column norm is
+    (``OneParticleOperator._born_errors``), and its largest column norm is
     exactly 1 for coordinates and 1/sqrt(L) for plane waves
     (``OneParticleOperator``). Their dense ``matrix`` is built only when
     read. ``_IDENTITY`` is the side with no basis (U = I, ``matrix`` None).
@@ -351,13 +352,15 @@ class OneParticleOperator:
     ``range_rows`` is U^H entries, the operator's rows in that basis;
     without a basis U is the identity and ``range_rows`` is ``entries``.
 
-    With ``entries=None`` the operator is the orthogonal projector U U^H:
-    only the basis is checked (O(n r^2)) and ``range_rows`` is U^H. Its
-    dense ``entries`` are built on first read, and so are ``range_basis``
-    and ``range_rows`` of a closed-form basis (``_Basis``), which the
-    measurement algebra reads in closed form instead. Construction forms the
-    largest column norm of ``range_rows`` once, as ``_size``: exactly 1 or
-    1/sqrt(L) for a projector on a closed-form basis alone.
+    With ``entries=None`` the operator is the orthogonal projector U U^H: only
+    the basis is checked (O(n r^2)) and ``range_rows`` is U^H. Its dense
+    ``entries`` are built on first read, and so are ``range_basis`` and
+    ``range_rows`` of a closed-form basis (``_Basis``), which the factor reads
+    in closed form instead. Construction forms the largest column norm of
+    ``range_rows`` once, as ``_size``: exactly 1 or 1/sqrt(L) for a projector
+    on a closed-form basis alone. Only the factor knows how it holds its rows,
+    so the measurement algebra has it form W S, ||A^H B||_F and its Born-rule
+    errors (:meth:`_on`, :meth:`_cross`, :meth:`_born_errors`).
     """
 
     space: SpaceSpec
@@ -422,6 +425,50 @@ class OneParticleOperator:
             entries.flags.writeable = False
             object.__setattr__(self, "_entries", entries)
         return self._entries
+
+    def _on(self, side: _Basis) -> np.ndarray:
+        """W S: the range rows on a state side's basis S."""
+        if self._rows is not None:
+            return self._rows if side is _IDENTITY else self._rows @ side.matrix
+        rows = self._basis.to(side)  # W = U^H; None for U = S, where U^H S = I
+        return np.eye(side.rank) if rows is None else rows
+
+    def _cross(self, other: OneParticleOperator) -> float:
+        """||A^H B||_F for B = ``other``: that of W_A^H (U_A^H U_B) W_B for A = U_A W_A.
+
+        A missing basis is the identity. A factor built from its basis alone
+        has W = U^H with orthonormal rows, so it is left out: two such
+        factors cost O(n r_A r_B), no n x n array.
+        """
+        parts = [None if self._rows is None else self._rows.conj().T,
+                 self._basis.to(other._basis), other._rows]
+        parts = [part for part in parts if part is not None]
+        # None left: one projector U U^H in both slots, and ||U U^H||_F = ||I_r||_F.
+        return _frobenius(reduce(np.matmul, parts) if parts else np.eye(self._basis.rank))
+
+    def _born_errors(self) -> tuple[float, float, float]:
+        """||A - A^H||_F, ||A A - A||_F for A = U W in range coordinates, O(n r^2), and their size.
+
+        With G = W U and R = W - G U^H, R U = 0, so ||A - A^H||_F^2 = ||G - G^H||_F^2
+        + 2 ||R||_F^2 (three orthogonal parts) and ||A A - A||_F = ||G W - W||_F,
+        exactly for an isometry U; on a basis orthonormal to about delta the Hermitian
+        error of U U^H reads about sqrt(2) delta. Without a basis U = I, G = W, R = 0.
+        A projector built from a closed-form basis alone has G = I and R = 0 exactly
+        (``_Basis``), so both are 0 before any array is formed. Their size min(1,
+        ||W||_F) is 1 for a projector (||W||_F = sqrt(rank), W = U^H for one built
+        from its basis alone).
+        """
+        size = 1.0 if self._rows is None else min(1.0, _frobenius(self._rows))
+        if self._rows is None and self._basis.labels is not None:
+            return 0.0, 0.0, size
+        basis, rows = self._basis, self.range_rows
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan error fails the test
+            gram, residual = rows, 0.0
+            if basis is not _IDENTITY:
+                gram = rows @ basis.matrix
+                residual = _frobenius(rows - gram @ basis.adjoint)
+            hermitian = math.hypot(_frobenius(gram - gram.conj().T), math.sqrt(2.0) * residual)
+            return hermitian, _frobenius(gram @ rows - rows), size
 
 
 @dataclass(frozen=True, eq=False, init=False)

@@ -26,8 +26,8 @@ overflow is refused (DegenerateInputError). The event overlap on the state
 is reported but does not decide the verdict. The same ``tol`` sizes the
 rank and antisymmetry tests of the Schmidt report (see
 :mod:`pairmeasure.entanglement`). The Born-rule flag has one rule for every
-factor A = U W: ||A - A^H||_F and ||A A - A||_F, formed in range
-coordinates, at most tol * min(1, ||W||_F) (:func:`is_projector_valued`).
+factor A = U W: ||A - A^H||_F and ||A A - A||_F, formed by the factor in
+range coordinates, at most tol * min(1, ||W||_F) (:func:`is_projector_valued`).
 
 :func:`measure_pair` is the one place that goes from the two events to
 results, and :class:`ScenarioResult` the one result type; :func:`classify`
@@ -47,10 +47,8 @@ dense algebra there whatever the other side has.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
 
 import numpy as np
 
@@ -61,11 +59,9 @@ from .hilbert import (
     OneParticleOperator,
     SpaceSpec,
     TwoParticleState,
-    _IDENTITY,
     _Basis,
     _budget,
     _computed,
-    _frobenius,
     _label,
     _negligible,
     inner_product,
@@ -202,18 +198,10 @@ def apply_measure(measure: SelectiveMeasure, state: TwoParticleState) -> TwoPart
     if measure.space != state.space:
         raise DimensionMismatchError("measure and state live in different spaces")
     slot1, slot2 = measure.factor_slot1, measure.factor_slot2
-    left, right = _rows_on(slot1, state._left), _rows_on(slot2, state._right)
+    left, right = slot1._on(state._left), slot2._on(state._right)
     _budget(len(left) * len(right), "an event core")
     core = left @ state.core @ right.T
     return _computed(measure.space, core, slot1._basis, slot2._basis, "an event")
-
-
-def _rows_on(factor: OneParticleOperator, side) -> np.ndarray:
-    """W S: the factor's range rows on a state side's basis S."""
-    if factor._rows is not None:
-        return factor._rows if side is _IDENTITY else factor._rows @ side.matrix
-    rows = factor._basis.to(side)  # W = U^H; None for U = S, where U^H S = I
-    return np.eye(side.rank) if rows is None else rows
 
 
 def measure_scale(measure: SelectiveMeasure) -> float:
@@ -260,11 +248,8 @@ def _verdict(measure: SelectiveMeasure, pair: EventPair, ref_norm: float,
     """The one verdict rule (module docstring), for every entry point.
 
     Returns the verdict with the scales of its zero tests: ``measure_scale``
-    and that times ``ref_norm``, the event scale. ||A^H B||_F, tested only
-    when both events are nonzero, is that of W_A^H (U_A^H U_B) W_B for
-    A = U_A W_A, the identity for a missing basis. A factor built from its
-    basis alone has W = U^H with orthonormal rows, so it is left out: two
-    such factors cost O(n r_A r_B), no n x n array.
+    and that times ``ref_norm``, the event scale. ||A^H B||_F is tested only
+    when both events are nonzero (``OneParticleOperator._cross``).
     """
     factor_scale = measure_scale(measure)
     scale = factor_scale * ref_norm
@@ -278,17 +263,8 @@ def _verdict(measure: SelectiveMeasure, pair: EventPair, ref_norm: float,
     elif direct_zero or permuted_zero:
         tag = VerdictTag.LOCAL_OPERATION
     else:
-        slot1, slot2 = measure.factor_slot1, measure.factor_slot2
-        parts = [
-            None if slot1._rows is None else slot1.range_rows.conj().T,
-            slot1._basis.to(slot2._basis),
-            None if slot2._rows is None else slot2.range_rows,
-        ]
-        parts = [part for part in parts if part is not None]
-        # None left: one projector U U^H in both slots, and ||U U^H||_F = ||I_r||_F.
-        cross = reduce(np.matmul, parts) if parts else np.eye(slot1._basis.rank)
-        exclusive = _negligible(_frobenius(cross), factor_scale, tol)
-        tag = (VerdictTag.ENTANGLING_MEASUREMENT if exclusive
+        cross = measure.factor_slot1._cross(measure.factor_slot2)
+        tag = (VerdictTag.ENTANGLING_MEASUREMENT if _negligible(cross, factor_scale, tol)
                else VerdictTag.NON_ORTHOGONAL_EVENTS)
     return Verdict(tag=tag, tolerance_used=tol), factor_scale, scale
 
@@ -306,40 +282,17 @@ def classify(
     return _verdict(measure, events(measure, ref_state), ref_state.norm, tol)[0]
 
 
-def _projector_errors(factor: OneParticleOperator) -> tuple[float, float]:
-    """||A - A^H||_F and ||A A - A||_F for A = U W, in range coordinates at O(n r^2).
-
-    With G = W U and R = W - G U^H, R U = 0, so ||A - A^H||_F^2 = ||G - G^H||_F^2
-    + 2 ||R||_F^2 (three orthogonal parts) and ||A A - A||_F = ||G W - W||_F,
-    exactly for an isometry U; on a basis orthonormal to about delta the Hermitian
-    error of U U^H reads about sqrt(2) delta. Without a basis U = I, G = W, R = 0.
-    A projector built from a closed-form basis alone has G = I and R = 0 exactly
-    (``hilbert._Basis``), so both are 0 before any array is formed.
-    """
-    if factor._rows is None and factor._basis.labels is not None:
-        return 0.0, 0.0
-    basis, rows = factor._basis, factor.range_rows
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan error fails the test
-        gram, residual = rows, 0.0
-        if basis is not _IDENTITY:
-            gram = rows @ basis.matrix
-            residual = _frobenius(rows - gram @ basis.adjoint)
-        hermitian = math.hypot(_frobenius(gram - gram.conj().T), math.sqrt(2.0) * residual)
-        return hermitian, _frobenius(gram @ rows - rows)
-
-
 def is_projector_valued(measure: SelectiveMeasure, tol: float = ZERO_TOL) -> bool:
     """True when both factors are orthogonal projectors (Hermitian, idempotent).
 
     Only then is the squared event norm a Born-rule probability. One rule for
-    every factor: both :func:`_projector_errors` at most ``tol`` times min(1,
-    ||W||_F), which is 1 for a projector (||W||_F = sqrt(rank), W = U^H for one
-    built from its basis alone), so k P with 0 < k < 1 fails. ``window_projector``
-    and ``momentum_projector`` pass at every ``tol``.
+    every factor: both errors that ``OneParticleOperator._born_errors`` forms at
+    most ``tol`` times min(1, ||W||_F), which is 1 for a projector, so k P with
+    0 < k < 1 fails. ``window_projector`` and ``momentum_projector`` pass at
+    every ``tol``.
     """
     for factor in (measure.factor_slot1, measure.factor_slot2):
-        scale = 1.0 if factor._rows is None else min(1.0, _frobenius(factor._rows))
-        hermitian, excess = _projector_errors(factor)
+        hermitian, excess, scale = factor._born_errors()
         if not (_negligible(hermitian, scale, tol) and _negligible(excess, scale, tol)):
             return False
     return True

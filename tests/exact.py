@@ -3,7 +3,8 @@
 Every double is exactly a rational. For factors and states whose entries are
 Gaussian integers over 8, or products of such (a projector U U^H on a basis
 with entries 0 and +-1/2), the events, ||A^H B||_F^2 and the squared column
-norms are rationals as well. This module forms them without rounding, on
+norms are rationals as well, and so are the values of a file as written. This
+module forms them and the two overlaps of ``EventPair`` without rounding, on
 object arrays of Fractions, and decides each zero test on squares: a value v
 is negligible against ``tol * scale`` when v^2 <= tol^2 scale^2, with ``tol``
 taken as the rational its double is. The scales are the package's:
@@ -49,9 +50,19 @@ def _squares(x) -> np.ndarray:
     return x[0] * x[0] + x[1] * x[1]
 
 
+def _sum(values: np.ndarray) -> Fraction:
+    return sum(values.ravel().tolist(), Fraction(0))
+
+
 def squared_norm(x) -> Fraction:
     """||X||_F^2."""
-    return sum(_squares(x).ravel().tolist(), Fraction(0))
+    return _sum(_squares(x))
+
+
+def inner(x, y) -> tuple[Fraction, Fraction]:
+    """<X, Y> = sum conj(X) Y, as its real and imaginary parts."""
+    (xr, xi), (yr, yi) = x, y
+    return _sum(xr * yr + xi * yi), _sum(xr * yi - xi * yr)
 
 
 def squared_column_norm(x) -> Fraction:
@@ -76,6 +87,17 @@ class Decision:
         return all(not low <= ratio <= high for ratio in self.ratios)
 
 
+def events(first, second, coeff) -> tuple:
+    """The direct and permuted events A C B^T and A C^T B^T, for exact matrices."""
+    return tuple(product(product(first, c), transpose(second)) for c in (coeff, transpose(coeff)))
+
+
+def overlaps(first, second, coeff) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
+    """``event_overlap`` <A C B^T, A C^T B^T> and ``ref_overlap`` <C, A C^T B^T>."""
+    direct, permuted = events(first, second, coeff)
+    return inner(direct, permuted), inner(coeff, permuted)
+
+
 def decision(first, second, coeff, tol: float) -> Decision:
     """The verdict of the measure ``first`` x ``second`` on the pair coefficients ``coeff``.
 
@@ -89,9 +111,8 @@ def decision(first, second, coeff, tol: float) -> Decision:
         return value / (tol_squared * scale) if scale else Fraction(0)
 
     state = squared_norm(coeff)
-    ratios = [ratio(squared_norm(product(product(first, c), transpose(second))),
-                    factor_scale * state)
-              for c in (coeff, transpose(coeff))]
+    ratios = [ratio(squared_norm(event), factor_scale * state)
+              for event in events(first, second, coeff)]
     zero = [r <= 1 for r in ratios]
     if all(zero):
         return Decision(VerdictTag.BOTH_ZERO, tuple(ratios))

@@ -194,6 +194,20 @@ def test_classify_only_a_entries_warns(tmp_path, capsys):
     assert "factor B" in err
 
 
+@pytest.mark.parametrize("records, warned", [("A 0 0 5e-324 0\n", ["B"]), ("", ["A", "B"])])
+def test_classify_warns_once_for_each_factor_with_no_entries(tmp_path, capsys, records, warned):
+    # a subnormal entry is an entry: its factor's rescaled column norm is not 0
+    state = tmp_path / "state.txt"
+    state.write_text("dim 2 2\namp 0 3 1 0\n")
+    measure = tmp_path / "measure.txt"
+    measure.write_text("dim 2 2\n" + records)
+    code, _, err = run_cli(capsys, ["classify", "--state", str(state), "--measure",
+                                    str(measure)])
+    assert code == EXIT_OK
+    assert err.splitlines() == [f"warning: factor {tag} has no entries; the measure "
+                                "annihilates every state" for tag in warned]
+
+
 def test_classify_non_projector_measure_relabels_probability(tmp_path, capsys):
     state = tmp_path / "state.txt"
     state.write_text("dim 2 1\namp 0 0 1 0\namp 1 0 1 0\namp 1 1 1 0\n")

@@ -4,12 +4,16 @@ Factors are dense Gaussian integers over 8, projectors built from a basis
 alone whose entries are 0 and +-1/2 (or unit coordinate columns), and window
 projectors; states are dense, or ``from_factors`` on such bases. Each case
 whose exact zero tests all lie more than 16 eps from their thresholds must
-get the exact verdict.
+get the exact verdict, and ``events`` the exact overlaps, which are doubles
+here. The committed fixture files are checked against the values as written,
+read as decimal rationals.
 """
 
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,16 +24,20 @@ from pairmeasure import (
     SelectiveMeasure,
     SpaceSpec,
     TwoParticleState,
+    VerdictTag,
     classify,
+    events,
     measure_scale,
     window_projector,
 )
+from pairmeasure.fileio import parse_measure_file, parse_state_file
 
 EPS = np.finfo(float).eps
 MARGIN = 16 * Fraction(EPS)
 # A real orthogonal matrix with entries +-1/2.
 HADAMARD = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2
 PHASES = np.array([1, -1, 1j, -1j])
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def gaussian(rng, shape, keep_rows: float = 0.8) -> np.ndarray:
@@ -113,3 +121,53 @@ def test_classify_gives_the_exact_verdict_on_dyadic_inputs(seed, sites, spins, k
     want = exact.decision(*entries, coeff, tol)
     if want.clear_of(MARGIN):
         assert classify(measure, state, tol).tag is want.verdict, want.ratios
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sites=st.integers(1, 4),
+    spins=st.integers(1, 2),
+    kinds=st.tuples(*[st.sampled_from(["dense", "basis", "window"])] * 2),
+    factored=st.booleans(),
+)
+def test_events_gives_the_exact_overlaps_on_dyadic_inputs(seed, sites, spins, kinds, factored):
+    # every product and sum of these inputs is exactly a double
+    rng = np.random.default_rng(seed)
+    space = SpaceSpec(sites, spins)
+    factors, entries = zip(*(draw_factor(rng, space, kind) for kind in kinds))
+    state, coeff = draw_state(rng, space, factored)
+    pair = events(SelectiveMeasure(*factors), state)
+    want = exact.overlaps(*entries, coeff)
+    for got, (real, imag) in zip((pair.event_overlap, pair.ref_overlap), want):
+        assert (Fraction(got.real), Fraction(got.imag)) == (real, imag)
+
+
+def as_written(path: Path, tags: tuple[str, ...]) -> list:
+    """The exact matrix of each record tag in a fixture file, each field read as ``Fraction(str)``."""
+    matrices = {}
+    for line in path.read_text().splitlines():
+        fields = line.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        if fields[0] == "dim":
+            dim = int(fields[1]) * int(fields[2])
+            zeros = np.full((dim, dim), Fraction(0), dtype=object)
+            matrices = {tag: (zeros.copy(), zeros.copy()) for tag in tags}
+            continue
+        real, imag = matrices[fields[0]]
+        row, col = int(fields[1]), int(fields[2])
+        real[row, col], imag[row, col] = Fraction(fields[3]), Fraction(fields[4])
+    return [matrices[tag] for tag in tags]
+
+
+@pytest.mark.parametrize("name, verdict", [("momentum", VerdictTag.LOCAL_OPERATION),
+                                           ("position", VerdictTag.ENTANGLING_MEASUREMENT)])
+def test_classify_on_the_fixtures_gives_the_exact_verdict_of_their_values(name, verdict):
+    measure, state = FIXTURES / f"{name}_measure.txt", FIXTURES / f"{name}_state.txt"
+    first, second = as_written(measure, ("A", "B"))
+    (coeff,) = as_written(state, ("amp",))
+    want = exact.decision(first, second, coeff, ZERO_TOL)
+    assert want.clear_of(MARGIN), want.ratios
+    got = classify(parse_measure_file(measure), parse_state_file(state))
+    assert want.verdict is got.tag is verdict
