@@ -17,7 +17,9 @@ Measure files list matrix entries of the two factors:
 
 Unlisted amplitudes and entries are zero; a repeated index overwrites the
 earlier value. Floats are written with 17 significant digits, enough to
-round-trip doubles exactly.
+round-trip doubles exactly. The parsed arrays pass the public constructors'
+checks, as a caller's arrays do: the reader builds a dense state with
+``TwoParticleState`` and each factor with ``OneParticleOperator``.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ import os
 import numpy as np
 
 from .errors import ParseError
-from .hilbert import OneParticleOperator, SpaceSpec, TwoParticleState, _budget, _freeze
-from .hilbert import _format_float
+from .hilbert import OneParticleOperator, SpaceSpec, TwoParticleState, _budget, _format_float
 from .measurement import SelectiveMeasure
 
 
@@ -108,17 +109,15 @@ def parse_state_file(path: str | os.PathLike) -> TwoParticleState:
     decide whether that deserves a warning).
     """
     space, matrices = _parse(path, ("amp",), "state")
-    amps = matrices["amp"]
-    return TwoParticleState._fresh(space, amps, norm=_freeze(amps, "state"))
+    return TwoParticleState(space, matrices.pop("amp").reshape(-1))
 
 
 def parse_measure_file(path: str | os.PathLike) -> SelectiveMeasure:
     """Read a selective measure; unlisted factor entries are zero."""
     space, matrices = _parse(path, ("A", "B"), "measure")
-    return SelectiveMeasure(
-        OneParticleOperator._fresh(space, matrices["A"]),
-        OneParticleOperator._fresh(space, matrices["B"]),
-    )
+    # pop: each parsed array is freed once the constructor has copied it
+    factors = (OneParticleOperator(space, matrices.pop(tag)) for tag in ("A", "B"))
+    return SelectiveMeasure(*factors)
 
 
 def _write(

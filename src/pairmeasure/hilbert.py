@@ -142,22 +142,21 @@ def _column_norm(arr: np.ndarray) -> float:
     return float(((np.abs(arr) * unit) ** 2).sum(axis=0).max()) ** 0.5 / unit
 
 
-def _freeze(arr: np.ndarray, what: str) -> float:
-    """Check that every entry of ``arr`` is finite, make it read-only in place, return its norm."""
+def _checked_copy(values, shape: tuple[int, ...], what: str) -> tuple[np.ndarray, float]:
+    """A read-only complex copy of ``values``, refused unless finite and of ``shape``, and its norm.
+
+    It is the one check of an array from outside the package: every public
+    constructor, and so the file reader, passes its arrays through it.
+    """
+    arr = np.array(values, dtype=complex)
+    if arr.shape != shape:
+        raise DimensionMismatchError(f"{what} has shape {arr.shape}, expected {shape}")
     # A finite norm (BLAS dots raise no floating-point warning) proves every entry finite.
     norm = _frobenius(arr)
     if not math.isfinite(norm) and not np.isfinite(arr).all():
         raise ValueError(f"{what} contains non-finite entries")
     arr.flags.writeable = False
-    return norm
-
-
-def _checked_copy(values, shape: tuple[int, ...], what: str) -> tuple[np.ndarray, float]:
-    """A frozen complex copy of ``values``, refused unless of ``shape``, and its norm."""
-    arr = np.array(values, dtype=complex)
-    if arr.shape != shape:
-        raise DimensionMismatchError(f"{what} has shape {arr.shape}, expected {shape}")
-    return arr, _freeze(arr, what)
+    return arr, norm
 
 
 @dataclass(eq=False, slots=True)
@@ -356,55 +355,50 @@ class OneParticleOperator:
     the basis is checked (O(n r^2)) and ``range_rows`` is U^H. Its dense
     ``entries`` are built on first read, and so are ``range_basis`` and
     ``range_rows`` of a closed-form basis (``_Basis``), which the factor reads
-    in closed form instead. Construction forms the largest column norm of
-    ``range_rows`` once, as ``_size``: exactly 1 or 1/sqrt(L) for a projector
-    on a closed-form basis alone. Only the factor knows how it holds its rows,
-    so the measurement algebra has it form W S, ||A^H B||_F and its Born-rule
-    errors (:meth:`_on`, :meth:`_cross`, :meth:`_born_errors`).
+    in closed form instead; :meth:`_fresh` builds such closed-form projectors.
+    Construction forms the largest column norm of ``range_rows`` once, as
+    ``_size``: exactly 1 or 1/sqrt(L) for a projector on a closed-form basis
+    alone. Only the factor knows how it holds its rows, so the measurement
+    algebra has it form W S, ||A^H B||_F and its Born-rule errors
+    (:meth:`_on`, :meth:`_cross`, :meth:`_born_errors`).
     """
 
     space: SpaceSpec
 
     def __init__(self, space: SpaceSpec, entries, range_basis: np.ndarray | None = None):
+        # _rows: the range rows W = U^H entries, None for a projector built
+        # from its basis alone (W = U^H, read off the basis).
+        # _size: W's largest column norm, the factor's (a range basis is an isometry).
         dim = space.total_dim
-        norm = None
         if entries is not None:
             _budget(space.pair_dim, "a dense operator")
             entries, norm = _checked_copy(entries, (dim, dim), "entries")
         basis = _IDENTITY
         if range_basis is not None:
             basis = _Basis.checked(range_basis, dim, "range_basis")
-        self._setup(space, entries, basis, norm)
+        if entries is None:
+            if basis is _IDENTITY:
+                raise ValueError("an operator needs entries or a range_basis")
+            rows, size = None, _column_norm(basis.adjoint)
+        else:
+            rows = entries
+            if basis is not _IDENTITY:
+                rows = basis.adjoint @ entries
+                residual = basis.matrix @ rows
+                residual -= entries
+                if not _negligible(_frobenius(residual), norm, ZERO_TOL):
+                    raise ValueError("range_basis does not span the range of entries")
+                rows.flags.writeable = False
+            size = _column_norm(rows)
+        vars(self).update(space=space, _entries=entries, _basis=basis, _rows=rows, _size=size)
 
     @classmethod
-    def _fresh(cls, space: SpaceSpec, entries, basis: _Basis = _IDENTITY) -> OneParticleOperator:
-        """Dense ``entries`` frozen in place, or the projector on ``basis``."""
-        norm = None if entries is None else _freeze(entries, "entries")
+    def _fresh(cls, space: SpaceSpec, basis: _Basis) -> OneParticleOperator:
+        """The projector on a closed-form ``basis`` the package built; it checks nothing."""
+        size = 1.0 if basis.sites is None else 1.0 / math.sqrt(basis.sites)
         op = cls.__new__(cls)
-        op._setup(space, entries, basis, norm)
+        vars(op).update(space=space, _entries=None, _basis=basis, _rows=None, _size=size)
         return op
-
-    def _setup(self, space, entries, basis: _Basis, norm: float | None) -> None:
-        # _rows: the range rows W = U^H entries, None for a projector built
-        # from its basis alone (W = U^H, read off the basis). ``norm`` is the
-        # Frobenius norm of ``entries`` that their finiteness check formed.
-        # _size: W's largest column norm, the factor's (a range basis is an isometry).
-        rows = entries
-        if basis is _IDENTITY:
-            if entries is None:
-                raise ValueError("an operator needs entries or a range_basis")
-        elif entries is not None:
-            rows = basis.adjoint @ entries
-            residual = basis.matrix @ rows
-            residual -= entries
-            if not _negligible(_frobenius(residual), norm, ZERO_TOL):
-                raise ValueError("range_basis does not span the range of entries")
-            rows.flags.writeable = False
-        if rows is not None or basis.labels is None:
-            size = _column_norm(basis.adjoint if rows is None else rows)
-        else:
-            size = 1.0 if basis.sites is None else 1.0 / math.sqrt(basis.sites)
-        vars(self).update(space=space, _entries=entries, _basis=basis, _rows=rows, _size=size)
 
     @property
     def range_basis(self) -> np.ndarray | None:
@@ -503,8 +497,8 @@ class TwoParticleState:
         _budget(space.pair_dim, "a dense pair array")
         amps, norm = _checked_copy(amplitudes, (space.pair_dim,), "amplitudes")
         dim = space.total_dim
-        self._setup(space, _IDENTITY, amps.reshape(dim, dim), _IDENTITY, norm)
-        object.__setattr__(self, "_amplitudes", amps)
+        vars(self).update(space=space, _left=_IDENTITY, _right=_IDENTITY,
+                          core=amps.reshape(dim, dim), _amplitudes=amps, norm=norm)
 
     @classmethod
     def from_factors(cls, space: SpaceSpec, left, core, right) -> TwoParticleState:
@@ -521,15 +515,15 @@ class TwoParticleState:
     @classmethod
     def _fresh(cls, space: SpaceSpec, core: np.ndarray, left: _Basis = _IDENTITY,
                right: _Basis = _IDENTITY, *, norm: float) -> TwoParticleState:
-        """A state on ``core`` as it is; its caller checked and froze it, and passes its norm."""
-        state = cls.__new__(cls)
-        state._setup(space, left, core, right, norm)
-        return state
+        """A state on ``core`` as it is, and the ``norm`` its check formed; it checks nothing.
 
-    def _setup(self, space, left: _Basis, core, right: _Basis, norm: float) -> None:
-        vars(self).update(
-            space=space, _left=left, _right=right, core=core, _amplitudes=None, norm=norm
-        )
+        It wraps only values the package built: a checked copy, a computed
+        core (``_computed``) or one of those reused.
+        """
+        state = cls.__new__(cls)
+        vars(state).update(space=space, _left=left, _right=right, core=core,
+                           _amplitudes=None, norm=norm)
+        return state
 
     @property
     def left(self) -> np.ndarray | None:
@@ -574,9 +568,10 @@ class TwoParticleState:
 
 def _computed(space, core: np.ndarray, left, right, what: str,
               inputs: str = "the state or the measure") -> TwoParticleState:
-    """The state on a core computed here, frozen in place: the one check such a core passes.
+    """The state on a core the package computed, frozen in place: the one check such a core passes.
 
-    It forms the core's norm once. From finite values only an overflow makes it
+    It wraps only values built here; arrays from outside go through
+    ``_checked_copy``. It forms the core's norm once. From finite values only an overflow makes it
     non-finite, refused by DegenerateInputError naming ``what`` and the ``inputs``.
     ``TwoParticleState._fresh`` checks nothing: it relies on this check.
     """

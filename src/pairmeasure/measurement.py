@@ -405,7 +405,7 @@ def window_projector(center: int, width: int, space: SpaceSpec) -> OneParticleOp
     spins = space.spin_dim
     sites = window_sites(center, width, space.extrinsic_dim, spins)
     modes = tuple([site * spins + spin for site in sites for spin in range(spins)])
-    return OneParticleOperator._fresh(space, None, _Basis(space.total_dim, modes))
+    return OneParticleOperator._fresh(space, _Basis(space.total_dim, modes))
 
 
 def momentum_projector(mode1: int, mode2: int, space: SpaceSpec) -> SelectiveMeasure:
@@ -419,6 +419,6 @@ def momentum_projector(mode1: int, mode2: int, space: SpaceSpec) -> SelectiveMea
     """
     spins = range(space.spin_dim)
     return SelectiveMeasure(*(
-        OneParticleOperator._fresh(space, None, _Basis.plane_waves(space, mode, spins))
+        OneParticleOperator._fresh(space, _Basis.plane_waves(space, mode, spins))
         for mode in (mode1, mode2)
     ))
