@@ -199,7 +199,8 @@ class _Basis:
                 f"{what} has shape {shape}, expected ({dim}, r) with r <= {dim}"
             )
         basis = cls(dim, _matrix=_checked_copy(values, shape, what)[0])
-        error = np.max(np.abs(basis.adjoint @ basis.matrix - np.eye(shape[1])), initial=0.0)
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan error is refused
+            error = np.max(np.abs(basis.adjoint @ basis.matrix - np.eye(shape[1])), initial=0.0)
         if not _negligible(error, 1.0, ZERO_TOL):
             raise ValueError(f"{what} columns are not orthonormal")
         return basis
@@ -358,9 +359,10 @@ class OneParticleOperator:
     in closed form instead; :meth:`_fresh` builds such closed-form projectors.
     Construction forms the largest column norm of ``range_rows`` once, as
     ``_size``: exactly 1 or 1/sqrt(L) for a projector on a closed-form basis
-    alone. Only the factor knows how it holds its rows, so the measurement
-    algebra has it form W S, ||A^H B||_F and its Born-rule errors
-    (:meth:`_on`, :meth:`_cross`, :meth:`_born_errors`).
+    alone. Range rows that overflow a double are refused by
+    DegenerateInputError naming them. Only the factor knows how it holds its
+    rows, so the measurement algebra has it form W S, ||A^H B||_F and its
+    Born-rule errors (:meth:`_on`, :meth:`_cross`, :meth:`_born_errors`).
     """
 
     space: SpaceSpec
@@ -381,15 +383,18 @@ class OneParticleOperator:
                 raise ValueError("an operator needs entries or a range_basis")
             rows, size = None, _column_norm(basis.adjoint)
         else:
-            rows = entries
-            if basis is not _IDENTITY:
-                rows = basis.adjoint @ entries
-                residual = basis.matrix @ rows
-                residual -= entries
-                if not _negligible(_frobenius(residual), norm, ZERO_TOL):
-                    raise ValueError("range_basis does not span the range of entries")
-                rows.flags.writeable = False
-            size = _column_norm(rows)
+            with np.errstate(over="ignore", invalid="ignore"):  # refused by name below
+                rows = entries if basis is _IDENTITY else basis.adjoint @ entries
+                size = _column_norm(rows)
+                if not size < math.inf and not np.isfinite(rows).all():
+                    raise DegenerateInputError(
+                        "the range rows overflow a double; rescale the entries")
+                if basis is not _IDENTITY:
+                    residual = basis.matrix @ rows
+                    residual -= entries
+                    if not _negligible(_frobenius(residual), norm, ZERO_TOL):
+                        raise ValueError("range_basis does not span the range of entries")
+                    rows.flags.writeable = False
         vars(self).update(space=space, _entries=entries, _basis=basis, _rows=rows, _size=size)
 
     @classmethod
@@ -571,9 +576,10 @@ def _computed(space, core: np.ndarray, left, right, what: str,
     """The state on a core the package computed, frozen in place: the one check such a core passes.
 
     It wraps only values built here; arrays from outside go through
-    ``_checked_copy``. It forms the core's norm once. From finite values only an overflow makes it
-    non-finite, refused by DegenerateInputError naming ``what`` and the ``inputs``.
-    ``TwoParticleState._fresh`` checks nothing: it relies on this check.
+    ``_checked_copy``. It forms the core's norm once. From finite values only
+    an overflow makes it non-finite, refused by DegenerateInputError naming
+    ``what`` and the ``inputs``. ``TwoParticleState._fresh`` checks nothing:
+    it relies on this check.
     """
     norm = _frobenius(core)
     if not norm < math.inf:

@@ -27,7 +27,12 @@ seeded vectors, or takes a seeded state (dense or factored), and returns
 its ``sector``, ``normalize`` and ``schmidt``; each vector or state is at
 unit scale, times 1e-200 or 1e200, or scaled to norm 1e-320. The one
 case after them draws nothing: ``tensor_state`` of [1.5e308, 1.5e308], whose
-norm overflows, and [1e-300, 0], a product whose norm fits. Each block
+norm overflows, and [1e-300, 0], a product whose norm fits. The last 100
+go through the file format: each writes a drawn measure and state with
+``write_measure_file`` and ``write_state_file`` into a temporary directory,
+parses both back, and returns the parsed state, both parsed factors'
+``entries`` (an operator's dataclass fields hold only its space) and
+``measure_pair`` on the parsed pair: 1,801 cases in all. Each block
 comes after the ones before it and leaves their draws as they were, so
 the ``--list`` lines of the earlier cases still diff against older
 checkouts. Each result, or the error its call raises, becomes
@@ -51,6 +56,7 @@ import argparse
 import dataclasses
 import hashlib
 import sys
+import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -68,12 +74,16 @@ from pairmeasure import (  # noqa: E402
     TwoParticleState,
     measure_pair,
     momentum_projector,
+    parse_measure_file,
+    parse_state_file,
     scenario_momentum_projection,
     scenario_position_windows,
     schmidt,
     sector,
     tensor_state,
     window_projector,
+    write_measure_file,
+    write_state_file,
 )
 
 SCENARIO_CASES = 600
@@ -83,6 +93,7 @@ SUBNORMAL_CASES = 100
 SUBNORMAL_NORM = 1e-320
 NEAR_BASIS_CASES = 100
 CORE_CASES = 200
+FILE_CASES = 100
 CORE_SCALES = (1.0, 1e-200, 1e200, SUBNORMAL_NORM)  # the last one a norm
 FACTOR_SCALES = (1.0, 1e-160, 1e-100, 1e100)
 STATE_SCALES = (1.0, 1e-200, 1e200)
@@ -285,6 +296,21 @@ def _fitting_product_case():
     return "tensor_state dim=2 vectors [1.5e308, 1.5e308], [1e-300, 0] boson tol=1e-10", call
 
 
+def _file_case(rng):
+    label, measure, state, stat, tol = _pair_draw(rng)
+
+    def call():
+        with tempfile.TemporaryDirectory() as folder:
+            state_path, measure_path = Path(folder, "state.txt"), Path(folder, "measure.txt")
+            write_state_file(state_path, state)
+            write_measure_file(measure_path, measure)
+            parsed_state, parsed = parse_state_file(state_path), parse_measure_file(measure_path)
+        return (parsed_state, parsed.factor_slot1.entries, parsed.factor_slot2.entries,
+                measure_pair(parsed, parsed_state, stat, tol))
+
+    return f"files {label}", call
+
+
 def sweep(seed: int, omit: frozenset):
     """(label, bits) of every case, in order."""
     rng = np.random.default_rng(seed)
@@ -295,6 +321,7 @@ def sweep(seed: int, omit: frozenset):
     cases += [_near_basis_case(rng) for _ in range(NEAR_BASIS_CASES)]
     cases += [_core_case(rng) for _ in range(CORE_CASES)]
     cases.append(_fitting_product_case())
+    cases += [_file_case(rng) for _ in range(FILE_CASES)]
     for label, call in cases:
         try:
             bits = _bits(call(), omit)

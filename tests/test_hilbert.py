@@ -606,6 +606,27 @@ def test_range_check_holds_at_every_scale(scale):
         OneParticleOperator(single, np.diag([scale, 0.0]), range_basis=[[0.0], [1.0]])
 
 
+def test_range_rows_that_overflow_are_refused_by_name():
+    # U spans the range of E exactly, but U^H E overflows a double: the rows
+    # are refused by name, with no numpy warning, before the residual is formed
+    entries = [[1.7e308, 0.0], [1.7e308, 0.0]]
+    basis = np.array([[1.0], [1.0]]) / math.sqrt(2.0)
+    with pytest.raises(DegenerateInputError, match="the range rows overflow a double"):
+        OneParticleOperator(SpaceSpec(2, 1), entries, range_basis=basis)
+    # finite rows whose largest column norm overflows are still taken
+    assert OneParticleOperator(SpaceSpec(2, 1), entries, range_basis=np.eye(2))._size == math.inf
+
+
+@pytest.mark.parametrize("build", [
+    lambda space: OneParticleOperator(space, None, range_basis=[[1e200], [0.0]]),
+    lambda space: TwoParticleState.from_factors(space, [[1e200], [0.0]], [[1.0]], [[1.0], [0.0]]),
+], ids=["range_basis", "from_factors"])
+def test_a_basis_whose_gram_matrix_overflows_is_refused_with_no_warning(build):
+    # pytest turns every warning into an error, so a warning would fail this
+    with pytest.raises(ValueError, match="columns are not orthonormal"):
+        build(SpaceSpec(2, 1))
+
+
 def test_factored_amplitudes_are_built_once_and_read_only():
     rng = np.random.default_rng(20)
     space = SpaceSpec(3, 2)

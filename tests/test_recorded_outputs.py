@@ -16,7 +16,8 @@ rewrote.
 
 Both reports render one mapping, so the module also checks that each text
 report carries the values of its JSON report, and that the README lists the
-JSON report's keys as emitted.
+JSON report's keys as emitted. It also runs the README's Library example and
+checks what its comments say.
 """
 
 import contextlib
@@ -24,10 +25,12 @@ import io
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
+from pairmeasure import VerdictTag
 from pairmeasure.cli import EXIT_OK, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -221,6 +224,22 @@ def test_rerecording_keeps_every_entry_that_matches():
     text, rewritten = merged_record()
     assert rewritten == []
     assert text == RECORD.read_text()
+
+
+def test_readme_library_example_gives_what_its_comments_say():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"^## Library\n+```python\n(.*?)^```", readme, re.S | re.M)
+    assert block, "README: no python block under '## Library'"
+    scope = {}
+    exec(block.group(1), scope)
+    result = scope["result"]
+    assert result.verdict.tag is VerdictTag.LOCAL_OPERATION
+    assert abs(result.probability - 0.5) <= 4 * sys.float_info.epsilon
+    assert result.born_rule is True
+    assert result.report.schmidt_rank == 1 and result.report.entropy < 1e-12
+    evidence = result.evidence
+    assert (evidence.rank_before, evidence.rank_after) == (1, 1)
+    assert evidence.entangled_by_measure is False
 
 
 if __name__ == "__main__":
